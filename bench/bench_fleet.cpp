@@ -147,7 +147,7 @@ std::string format_policy_json(const char* policy, double preempt_s, const char*
                    r.peak_queue_depth, r.fleet_map);
 }
 
-std::string format_sharding_json(const fleet::Sharding_setup& setup, std::size_t devices,
+std::string format_sharding_json(const fleet::Cloud_setup& setup, std::size_t devices,
                                  const sim::Cluster_result& r) {
     return formatf("{\"bench\":\"fleet_sharding\",\"cell\":\"%s\",\"gpus\":%zu,"
                    "\"placement\":\"%s\",\"policy\":\"%s\",\"preempt_s\":%.1f,"
@@ -165,8 +165,8 @@ std::string format_sharding_json(const fleet::Sharding_setup& setup, std::size_t
                    r.preemptions, r.warm_dispatches, r.peak_queue_depth, r.fleet_map);
 }
 
-std::string format_reliability_json(const fleet::Reliability_setup& setup,
-                                    std::size_t devices, const sim::Cluster_result& r) {
+std::string format_reliability_json(const fleet::Cloud_setup& setup, std::size_t devices,
+                                    const sim::Cluster_result& r) {
     return formatf("{\"bench\":\"fleet_reliability\",\"cell\":\"%s\",\"gpus\":%zu,"
                    "\"placement\":\"%s\",\"policy\":\"%s\",\"straggler_speed\":%.2f,"
                    "\"mtbf_s\":%.1f,\"mttr_s\":%.1f,\"requeue_factor\":%.1f,"
@@ -186,16 +186,6 @@ std::string format_reliability_json(const fleet::Reliability_setup& setup,
 void print_merged(const std::vector<std::string>& lines) {
     std::fputs(sim::merge_sweep_lines(lines).c_str(), stdout);
     std::fflush(stdout);
-}
-
-/// Engine selector the --shards flag feeds: 0 = sequential run_cluster,
-/// K > 0 = run_cluster_sharded with K device shards (byte-identical output).
-sim::Cluster_result run_engine(const std::vector<sim::Device_spec>& specs,
-                               const sim::Cluster_config& config, std::size_t shards) {
-    if (shards == 0) {
-        return sim::run_cluster(specs, config);
-    }
-    return sim::run_cluster_sharded(specs, config, sim::Shard_options{shards});
 }
 
 void run_scaling_sweep(const fleet::Testbed& testbed, std::size_t max_devices,
@@ -218,8 +208,9 @@ void run_scaling_sweep(const fleet::Testbed& testbed, std::size_t max_devices,
                 std::string{cell.strategy} == "Shoggoth"
                     ? fleet::make_shoggoth_fleet(testbed, cell.devices)
                     : fleet::make_ams_fleet(testbed, cell.devices);
-            return format_scaling_json(cell.strategy, cell.devices,
-                                       run_engine(fleet.specs, config, shards));
+            return format_scaling_json(
+                cell.strategy, cell.devices,
+                sim::run_cluster_sharded(fleet.specs, config, sim::Shard_options{shards}));
         },
         sweep));
 }
@@ -248,8 +239,8 @@ void run_policy_sweep(const fleet::Testbed& testbed, const char* scenario,
                 cell.setup.label, cell.setup.preempt_label_wait.value(), // raw s
                 cell.mix, scenario,
                 shoggoth_devices, ams_devices,
-                fleet::run_policy_cell(testbed, devices, heterogeneous, cell.setup, seed,
-                                       shards));
+                fleet::run_cell(testbed, devices, heterogeneous, cell.setup.cloud(), seed,
+                                shards));
         },
         sweep));
 }
@@ -260,7 +251,7 @@ void run_sharding_sweep(const fleet::Testbed& testbed, std::size_t devices,
     // Full cross of the sharding knobs: the knee is where adding GPUs or
     // batch depth stops buying p95 label latency. kind_partition needs a
     // server left for trains, so it only appears at gpu_count >= 2.
-    std::vector<fleet::Sharding_setup> cells;
+    std::vector<fleet::Cloud_setup> cells;
     for (std::size_t gpus : {std::size_t{1}, std::size_t{2}}) {
         for (sim::Placement_kind placement :
              {sim::Placement_kind::any_free, sim::Placement_kind::device_affinity,
@@ -271,7 +262,7 @@ void run_sharding_sweep(const fleet::Testbed& testbed, std::size_t devices,
             for (sim::Policy_kind policy :
                  {sim::Policy_kind::priority, sim::Policy_kind::staleness}) {
                 for (std::size_t max_batch : {std::size_t{1}, std::size_t{4}}) {
-                    fleet::Sharding_setup setup;
+                    fleet::Cloud_setup setup;
                     setup.label = "sweep";
                     setup.gpu_count = gpus;
                     setup.placement = placement;
@@ -286,7 +277,7 @@ void run_sharding_sweep(const fleet::Testbed& testbed, std::size_t devices,
     }
     // The PR 2 best on the undifferentiated pool, as the reference row.
     for (std::size_t gpus : {std::size_t{1}, std::size_t{2}}) {
-        fleet::Sharding_setup setup;
+        fleet::Cloud_setup setup;
         setup.label = "fifo_preempt_ref";
         setup.gpu_count = gpus;
         setup.policy = sim::Policy_kind::fifo;
@@ -297,9 +288,9 @@ void run_sharding_sweep(const fleet::Testbed& testbed, std::size_t devices,
         cells.size(),
         [&](std::size_t i) {
             return format_sharding_json(cells[i], devices,
-                                        fleet::run_sharding_cell(testbed, devices,
-                                                                 /*heterogeneous=*/true,
-                                                                 cells[i], seed, shards));
+                                        fleet::run_cell(testbed, devices,
+                                                        /*heterogeneous=*/true, cells[i],
+                                                        seed, shards));
         },
         sweep));
 }
@@ -313,7 +304,7 @@ void run_reliability_sweep(const fleet::Testbed& testbed, std::size_t devices,
     // when there is a straggler to escape, so factor 2 rows are emitted for
     // the slowed cells only.
     constexpr double never = std::numeric_limits<double>::infinity();
-    std::vector<fleet::Reliability_setup> cells;
+    std::vector<fleet::Cloud_setup> cells;
     for (sim::Placement_kind placement :
          {sim::Placement_kind::any_free, sim::Placement_kind::speed_aware}) {
         for (double straggler_speed : {1.0, 0.25}) {
@@ -322,7 +313,7 @@ void run_reliability_sweep(const fleet::Testbed& testbed, std::size_t devices,
                     if (requeue > 0.0 && straggler_speed == 1.0) {
                         continue; // no slow shard: the bound never arms
                     }
-                    fleet::Reliability_setup setup;
+                    fleet::Cloud_setup setup;
                     setup.label = "sweep";
                     setup.gpu_count = 2;
                     setup.placement = placement;
@@ -338,7 +329,7 @@ void run_reliability_sweep(const fleet::Testbed& testbed, std::size_t devices,
     }
     // The curated cells fleet_scaling prints (incl. the failing
     // kind_partition reserved-server case).
-    for (const fleet::Reliability_setup& setup : fleet::default_reliability_setups()) {
+    for (const fleet::Cloud_setup& setup : fleet::default_reliability_setups()) {
         cells.push_back(setup);
     }
     print_merged(sim::run_sweep(
@@ -346,8 +337,8 @@ void run_reliability_sweep(const fleet::Testbed& testbed, std::size_t devices,
         [&](std::size_t i) {
             return format_reliability_json(
                 cells[i], devices,
-                fleet::run_reliability_cell(testbed, devices, /*heterogeneous=*/true,
-                                            cells[i], seed, shards));
+                fleet::run_cell(testbed, devices, /*heterogeneous=*/true, cells[i], seed,
+                                shards));
         },
         sweep));
 }
@@ -499,7 +490,8 @@ void run_fleet_shard(double duration, std::uint64_t seed, std::size_t scale_max_
             fleet::Fleet fleet =
                 fleet::make_scale_fleet(testbed, devices, /*heterogeneous=*/true);
             const auto start = std::chrono::steady_clock::now();
-            const sim::Cluster_result r = run_engine(fleet.specs, config, shards);
+            const sim::Cluster_result r =
+                sim::run_cluster_sharded(fleet.specs, config, sim::Shard_options{shards});
             const auto stop = std::chrono::steady_clock::now();
             return std::pair<double, sim::Cluster_result>{
                 std::chrono::duration<double, std::milli>(stop - start).count(), r};
@@ -531,7 +523,7 @@ void run_traced_cell(const fleet::Testbed& testbed, std::size_t devices,
     // bound arms), flapping servers, and a 2 s label-wait preemption bound —
     // the run that exercises every span kind the trace taxonomy defines.
     // Status goes to stderr; stdout stays byte-identical to a flagless run.
-    fleet::Reliability_setup setup;
+    fleet::Cloud_setup setup;
     setup.label = "traced";
     setup.gpu_count = 2;
     setup.placement = sim::Placement_kind::any_free;
@@ -547,8 +539,8 @@ void run_traced_cell(const fleet::Testbed& testbed, std::size_t devices,
     sim::Obs_options obs;
     obs.sink = &sink;
     obs.metrics = &metrics;
-    const sim::Cluster_result r = fleet::run_reliability_cell(
-        testbed, devices, /*heterogeneous=*/true, setup, seed, /*shards=*/0, obs);
+    const sim::Cluster_result r =
+        fleet::run_cell(testbed, devices, /*heterogeneous=*/true, setup, seed, /*shards=*/0, obs);
 
     const std::string csv_path = trace_path + ".metrics.csv";
     const bool trace_ok = obs::write_text_file(trace_path, obs::chrome_trace_json(sink));

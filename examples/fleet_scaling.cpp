@@ -122,8 +122,8 @@ int main(int argc, char** argv) {
                 "(%zu Shoggoth + %zu AMS) on a contended cloud share:\n",
                 max_devices, max_devices - max_devices / 2, max_devices / 2);
     for (const fleet::Policy_setup& setup : fleet::default_policy_setups()) {
-        const sim::Cluster_result r = fleet::run_policy_cell(
-            testbed, max_devices, /*heterogeneous=*/true, setup, seed);
+        const sim::Cluster_result r = fleet::run_cell(
+            testbed, max_devices, /*heterogeneous=*/true, setup.cloud(), seed);
         std::printf("  %-12s  label_lat mean=%6.2fs p95=%6.2fs  gpu_util=%5.1f%%  "
                     "preemptions=%zu\n",
                     setup.label, r.mean_label_latency, r.p95_label_latency,
@@ -138,8 +138,8 @@ int main(int argc, char** argv) {
     // fastest-drifting camera first.
     std::printf("\nMulti-GPU sharding, same fleet (gpus x placement x policy; "
                 "b = max_batch):\n");
-    for (const fleet::Sharding_setup& setup : fleet::default_sharding_setups()) {
-        const sim::Cluster_result r = fleet::run_sharding_cell(
+    for (const fleet::Cloud_setup& setup : fleet::default_sharding_setups()) {
+        const sim::Cluster_result r = fleet::run_cell(
             testbed, max_devices, /*heterogeneous=*/true, setup, seed);
         std::printf("  %-27s  label_lat mean=%6.2fs p95=%6.2fs  gpu_util=%5.1f%%  "
                     "labels/s=%5.2f  warm=%zu\n",
@@ -156,10 +156,10 @@ int main(int argc, char** argv) {
     // still caught onto a faster server once one frees up.
     std::printf("\nCloud reliability, same fleet (stragglers and MTBF/MTTR "
                 "failures at 2 GPUs):\n");
-    const std::vector<fleet::Reliability_setup> reliability_setups =
+    const std::vector<fleet::Cloud_setup> reliability_setups =
         fleet::default_reliability_setups();
-    for (const fleet::Reliability_setup& setup : reliability_setups) {
-        const sim::Cluster_result r = fleet::run_reliability_cell(
+    for (const fleet::Cloud_setup& setup : reliability_setups) {
+        const sim::Cluster_result r = fleet::run_cell(
             testbed, max_devices, /*heterogeneous=*/true, setup, seed);
         std::printf("  %-27s  label_lat mean=%6.2fs p95=%6.2fs  gpu_util=%5.1f%%  "
                     "failures=%zu  requeues=%zu\n",
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
         sim::Obs_options obs;
         obs.sink = &sink;
         obs.metrics = &metrics;
-        const sim::Cluster_result r = fleet::run_reliability_cell(
+        const sim::Cluster_result r = fleet::run_cell(
             testbed, max_devices, /*heterogeneous=*/true, reliability_setups.back(), seed,
             /*shards=*/0, obs);
         const std::string csv_path = trace_path + ".metrics.csv";

@@ -238,80 +238,32 @@ Fleet make_scale_fleet(const Testbed& testbed, std::size_t devices, bool heterog
     return fleet;
 }
 
-// The run_*_cell family below is what sim::run_sweep workers call
-// concurrently (bench_fleet, fleet_scaling, test_sweep). The contract that
-// makes that safe: every cell builds its OWN Fleet (own students, own
-// strategies, own deep-cloned teacher — see make_policy_sweep_fleet) and its
-// own Cluster_config/engine; the only thing cells share is the const
-// Testbed&, which they read through const, stateless accessors. Nothing in
-// a cell may write through the testbed or touch process-global state.
-namespace {
-
-/// shards == 0 keeps the sequential engine (the bit-identical default);
-/// shards > 0 runs the same specs through the device-sharded engine.
-sim::Cluster_result run_cell_engine(const std::vector<sim::Device_spec>& specs,
-                                    const sim::Cluster_config& config,
-                                    std::size_t shards) {
-    if (shards == 0) {
-        return sim::run_cluster(specs, config);
-    }
-    return sim::run_cluster_sharded(specs, config, sim::Shard_options{shards});
-}
-
-} // namespace
-
-sim::Cluster_result run_policy_cell(const Testbed& testbed, std::size_t devices,
-                                    bool heterogeneous, const Policy_setup& setup,
-                                    std::uint64_t seed, std::size_t shards) {
-    Fleet fleet = make_policy_sweep_fleet(testbed, devices, heterogeneous);
-    sim::Cluster_config config;
-    config.harness.seed = seed ^ 0x8888;
-    config.cloud.policy = setup.kind;
-    config.cloud.preempt_label_wait = setup.preempt_label_wait;
-    return run_cell_engine(fleet.specs, config, shards);
-}
-
-std::vector<Sharding_setup> default_sharding_setups() {
+std::vector<Cloud_setup> default_sharding_setups() {
     using sim::Placement_kind;
     using sim::Policy_kind;
     return {
         // PR 2 reference points on the undifferentiated pool.
-        Sharding_setup{"gpu1_any_priority", 1, Placement_kind::any_free,
-                       Policy_kind::priority, Sim_duration{}, 1, 0},
-        Sharding_setup{"gpu1_any_fifo_preempt", 1, Placement_kind::any_free,
-                       Policy_kind::fifo, Sim_duration{2.0}, 1, 0},
+        Cloud_setup{"gpu1_any_priority", 1, Placement_kind::any_free,
+                    Policy_kind::priority, Sim_duration{}, 1, 0},
+        Cloud_setup{"gpu1_any_fifo_preempt", 1, Placement_kind::any_free,
+                    Policy_kind::fifo, Sim_duration{2.0}, 1, 0},
         // Single-GPU variants of the new knobs (affinity still wins warm
         // starts whenever consecutive dispatches come from one device).
-        Sharding_setup{"gpu1_affinity_priority", 1, Placement_kind::device_affinity,
-                       Policy_kind::priority, Sim_duration{}, 1, 0},
-        Sharding_setup{"gpu1_any_staleness", 1, Placement_kind::any_free,
-                       Policy_kind::staleness, Sim_duration{}, 1, 0},
+        Cloud_setup{"gpu1_affinity_priority", 1, Placement_kind::device_affinity,
+                    Policy_kind::priority, Sim_duration{}, 1, 0},
+        Cloud_setup{"gpu1_any_staleness", 1, Placement_kind::any_free,
+                    Policy_kind::staleness, Sim_duration{}, 1, 0},
         // Sharded: a second server of the same share (the devices-per-GPU
         // axis: N devices now contend on 2 GPUs worth of teacher).
-        Sharding_setup{"gpu2_any_priority", 2, Placement_kind::any_free,
-                       Policy_kind::priority, Sim_duration{}, 1, 0},
-        Sharding_setup{"gpu2_affinity_staleness", 2, Placement_kind::device_affinity,
-                       Policy_kind::staleness, Sim_duration{}, 1, 0},
-        Sharding_setup{"gpu2_partition1_priority", 2, Placement_kind::kind_partition,
-                       Policy_kind::priority, Sim_duration{}, 1, 1},
-        Sharding_setup{"gpu2_affinity_staleness_b4", 2, Placement_kind::device_affinity,
-                       Policy_kind::staleness, Sim_duration{}, 4, 0},
+        Cloud_setup{"gpu2_any_priority", 2, Placement_kind::any_free,
+                    Policy_kind::priority, Sim_duration{}, 1, 0},
+        Cloud_setup{"gpu2_affinity_staleness", 2, Placement_kind::device_affinity,
+                    Policy_kind::staleness, Sim_duration{}, 1, 0},
+        Cloud_setup{"gpu2_partition1_priority", 2, Placement_kind::kind_partition,
+                    Policy_kind::priority, Sim_duration{}, 1, 1},
+        Cloud_setup{"gpu2_affinity_staleness_b4", 2, Placement_kind::device_affinity,
+                    Policy_kind::staleness, Sim_duration{}, 4, 0},
     };
-}
-
-sim::Cluster_result run_sharding_cell(const Testbed& testbed, std::size_t devices,
-                                      bool heterogeneous, const Sharding_setup& setup,
-                                      std::uint64_t seed, std::size_t shards) {
-    Fleet fleet = make_policy_sweep_fleet(testbed, devices, heterogeneous);
-    sim::Cluster_config config;
-    config.harness.seed = seed ^ 0x8888;
-    config.cloud.gpu_count = setup.gpu_count;
-    config.cloud.placement = setup.placement;
-    config.cloud.policy = setup.policy;
-    config.cloud.preempt_label_wait = setup.preempt_label_wait;
-    config.cloud.max_batch = setup.max_batch;
-    config.cloud.label_reserved_gpus = setup.label_reserved_gpus;
-    return run_cell_engine(fleet.specs, config, shards);
 }
 
 std::vector<sim::Gpu_profile> make_straggler_profiles(std::size_t gpu_count,
@@ -328,57 +280,56 @@ std::vector<sim::Gpu_profile> make_straggler_profiles(std::size_t gpu_count,
     return profiles;
 }
 
-std::vector<Reliability_setup> default_reliability_setups() {
+std::vector<Cloud_setup> default_reliability_setups() {
     using sim::Placement_kind;
-    using sim::Policy_kind;
-    constexpr Sim_duration never{std::numeric_limits<double>::infinity()};
     return {
         // Healthy 2-GPU reference (identical to the sharded gpu2 cell).
-        Reliability_setup{"gpu2_any_healthy", 2, Placement_kind::any_free,
-                          Policy_kind::priority, 1.0, never, Sim_duration{10.0}, 0.0,
-                          Sim_duration{}, 0},
+        Cloud_setup{.label = "gpu2_any_healthy", .gpu_count = 2},
         // One 4x straggler: index-blind placement keeps feeding it labels.
-        Reliability_setup{"gpu2_any_straggler4x", 2, Placement_kind::any_free,
-                          Policy_kind::priority, 0.25, never, Sim_duration{10.0}, 0.0,
-                          Sim_duration{}, 0},
+        Cloud_setup{.label = "gpu2_any_straggler4x", .gpu_count = 2, .straggler_speed = 0.25},
         // speed_aware sends work to the fast server first...
-        Reliability_setup{"gpu2_speed_straggler4x", 2, Placement_kind::speed_aware,
-                          Policy_kind::priority, 0.25, never, Sim_duration{10.0}, 0.0,
-                          Sim_duration{}, 0},
+        Cloud_setup{.label = "gpu2_speed_straggler4x", .gpu_count = 2,
+                    .placement = Placement_kind::speed_aware, .straggler_speed = 0.25},
         // ...and re-queueing rescues labels the straggler still caught.
-        Reliability_setup{"gpu2_speed_straggler4x_rq2", 2, Placement_kind::speed_aware,
-                          Policy_kind::priority, 0.25, never, Sim_duration{10.0}, 2.0,
-                          Sim_duration{}, 0},
+        Cloud_setup{.label = "gpu2_speed_straggler4x_rq2", .gpu_count = 2,
+                    .placement = Placement_kind::speed_aware, .straggler_speed = 0.25,
+                    .straggler_requeue_factor = 2.0},
         // Failing fleet: every server cycles MTBF 60 s / MTTR 10 s.
-        Reliability_setup{"gpu2_speed_failures", 2, Placement_kind::speed_aware,
-                          Policy_kind::priority, 1.0, Sim_duration{60.0},
-                          Sim_duration{10.0}, 0.0, Sim_duration{}, 0},
+        Cloud_setup{.label = "gpu2_speed_failures", .gpu_count = 2,
+                    .placement = Placement_kind::speed_aware, .mtbf = Sim_duration{60.0}},
         // A failing reserved label server must not deadlock labels.
-        Reliability_setup{"gpu2_partition1_failures", 2, Placement_kind::kind_partition,
-                          Policy_kind::priority, 1.0, Sim_duration{60.0},
-                          Sim_duration{10.0}, 0.0, Sim_duration{}, 1},
+        Cloud_setup{.label = "gpu2_partition1_failures", .gpu_count = 2,
+                    .placement = Placement_kind::kind_partition, .label_reserved_gpus = 1,
+                    .mtbf = Sim_duration{60.0}},
     };
 }
 
-sim::Cluster_result run_reliability_cell(const Testbed& testbed, std::size_t devices,
-                                         bool heterogeneous,
-                                         const Reliability_setup& setup,
-                                         std::uint64_t seed, std::size_t shards,
-                                         sim::Obs_options obs) {
+// run_cell is what sim::run_sweep workers call concurrently (bench_fleet,
+// fleet_scaling, test_sweep). The contract that makes that safe: every cell
+// builds its OWN Fleet (own students, own strategies, own deep-cloned
+// teacher — see make_policy_sweep_fleet) and its own Cluster_config/engine;
+// the only thing cells share is the const Testbed&, which they read through
+// const, stateless accessors. Nothing in a cell may write through the
+// testbed or touch process-global state.
+sim::Cluster_result run_cell(const Testbed& testbed, std::size_t devices, bool heterogeneous,
+                             const Cloud_setup& setup, std::uint64_t seed, std::size_t shards,
+                             sim::Obs_options obs) {
     Fleet fleet = make_policy_sweep_fleet(testbed, devices, heterogeneous);
     sim::Cluster_config config;
     config.obs = obs;
     config.harness.seed = seed ^ 0x8888;
-    config.cloud.gpu_count = setup.gpu_count;
-    config.cloud.placement = setup.placement;
-    config.cloud.policy = setup.policy;
-    config.cloud.preempt_label_wait = setup.preempt_label_wait;
-    config.cloud.label_reserved_gpus = setup.label_reserved_gpus;
-    config.cloud.gpu_profiles = make_straggler_profiles(
-        setup.gpu_count, setup.straggler_speed, setup.mtbf, setup.mttr);
-    config.cloud.reliability_seed = seed ^ 0xf417;
-    config.cloud.straggler_requeue_factor = setup.straggler_requeue_factor;
-    return run_cell_engine(fleet.specs, config, shards);
+    sim::Cloud_config& cloud = config.cloud;
+    cloud.gpu_count = setup.gpu_count;
+    cloud.placement = setup.placement;
+    cloud.policy = setup.policy;
+    cloud.preempt_label_wait = setup.preempt_label_wait;
+    cloud.max_batch = setup.max_batch;
+    cloud.label_reserved_gpus = setup.label_reserved_gpus;
+    cloud.gpu_profiles = make_straggler_profiles(setup.gpu_count, setup.straggler_speed,
+                                                 setup.mtbf, setup.mttr);
+    cloud.reliability_seed = seed ^ 0xf417;
+    cloud.straggler_requeue_factor = setup.straggler_requeue_factor;
+    return sim::run_cluster_sharded(fleet.specs, config, sim::Shard_options{shards});
 }
 
 } // namespace shog::fleet

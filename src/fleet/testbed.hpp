@@ -23,13 +23,13 @@
 namespace shog::fleet {
 
 /// Threading: one Testbed is shared *read-only* across parallel sweep
-/// cells (sim::run_sweep workers call run_policy_cell / run_sharding_cell
-/// / run_reliability_cell against it concurrently). That is sound because
-/// every access from a cell is const and genuinely stateless —
-/// Video_stream::frame_at(i) is pure random access on (seed, index), and
-/// `pristine` is only cloned — with ONE exception: Detector::detect() runs
-/// through mutable network state, so `teacher` must never be used from a
-/// cell directly. fleet::Fleet deep-clones it per cell instead (see below).
+/// cells (sim::run_sweep workers call run_cell against it concurrently).
+/// That is sound because every access from a cell is const and genuinely
+/// stateless — Video_stream::frame_at(i) is pure random access on (seed,
+/// index), and `pristine` is only cloned — with ONE exception:
+/// Detector::detect() runs through mutable network state, so `teacher` must
+/// never be used from a cell directly. fleet::Fleet deep-clones it per cell
+/// instead (see below).
 /// Anything added to this struct must either stay const-and-stateless
 /// under concurrent cells or get the same clone-per-cell treatment.
 struct Testbed {
@@ -108,70 +108,56 @@ void assign_heterogeneous_hardware(Fleet& fleet,
                                      baselines::Ams_config ams_config = {},
                                      device::Compute_model cloud_device = device::v100());
 
-/// One cell of the scheduling-policy sweep bench_fleet and fleet_scaling
-/// share: a policy plus its preemption bound.
-struct Policy_setup {
-    const char* label;
-    sim::Policy_kind kind;
-    Sim_duration preempt_label_wait;
-};
-
-/// fifo / priority / fair_share / fifo_preempt (2 s wait bound).
-[[nodiscard]] std::vector<Policy_setup> default_policy_setups();
-
-/// One cell of the multi-GPU sharding sweep: how many GPU servers the cloud
-/// share is split into, which server a dispatch lands on (placement), the
-/// dispatch-order policy, and the cross-device teacher-batching knob. At
-/// {1 GPU, any_free, max_batch 1} a cell reproduces the corresponding
-/// Policy_setup cell bit-identically.
-struct Sharding_setup {
+/// One cloud operating point for a sweep cell: how many GPU servers the
+/// cloud share is split into, which server a dispatch lands on (placement),
+/// the dispatch-order policy and its label-wait preemption bound, the
+/// cross-device teacher-batching knob, and the servers' reliability.
+/// `straggler_speed` < 1 makes the lowest-index server a straggler (e.g.
+/// 0.25 = 4x slower; see make_straggler_profiles for why the slow shard gets
+/// the low index); a finite `mtbf` puts every server on an MTBF/MTTR
+/// failure/repair cycle. The reliability defaults (speed 1, MTBF =
+/// infinity, factor 0) draw no RNG value and schedule no event, so a
+/// healthy cell runs exactly as a cloud without profiles.
+struct Cloud_setup {
     const char* label;
     std::size_t gpu_count = 1;
     sim::Placement_kind placement = sim::Placement_kind::any_free;
     sim::Policy_kind policy = sim::Policy_kind::priority;
-    Sim_duration preempt_label_wait;
+    Sim_duration preempt_label_wait{}; ///< 0 = no label-wait preemption
     std::size_t max_batch = 1;
     std::size_t label_reserved_gpus = 0; ///< kind_partition only
-};
-
-/// The curated comparison set fleet_scaling prints: the PR 2 bests
-/// (priority, fifo+preempt) on the undifferentiated pool, then staleness /
-/// device_affinity / kind_partition shards at 1 and 2 GPUs.
-[[nodiscard]] std::vector<Sharding_setup> default_sharding_setups();
-
-/// Run one sharding cell on the same contended operating point (and seed)
-/// as run_policy_cell: the half-Shoggoth half-AMS sweep fleet against the
-/// scaled-down cloud share, now split into `setup.gpu_count` servers.
-/// `shards` > 0 routes the cell through sim::run_cluster_sharded with that
-/// many device shards (byte-identical output); 0 — the default, a no-op —
-/// keeps the sequential engine.
-[[nodiscard]] sim::Cluster_result run_sharding_cell(const Testbed& testbed,
-                                                    std::size_t devices, bool heterogeneous,
-                                                    const Sharding_setup& setup,
-                                                    std::uint64_t seed,
-                                                    std::size_t shards = 0);
-
-/// One cell of the cloud-reliability sweep: the sharded cloud with
-/// heterogeneous, unreliable servers. `straggler_speed` < 1 makes the
-/// lowest-index server a straggler (e.g. 0.25 = 4x slower; see
-/// make_straggler_profiles for why the slow shard gets the low index); a
-/// finite `mtbf` puts every server on an MTBF/MTTR failure/repair cycle.
-/// With the profile defaults (speed 1, MTBF = infinity, factor 0) a cell
-/// reproduces the corresponding Sharding_setup cell bit-identically.
-struct Reliability_setup {
-    const char* label;
-    std::size_t gpu_count = 2;
-    sim::Placement_kind placement = sim::Placement_kind::speed_aware;
-    sim::Policy_kind policy = sim::Policy_kind::priority;
     /// Speed multiplier of server 0; the rest run at 1.0.
     double straggler_speed = 1.0;
     /// Applied to every server. Infinity = no failures.
     Sim_duration mtbf{std::numeric_limits<double>::infinity()};
     Sim_duration mttr{10.0};
     double straggler_requeue_factor = 0.0; ///< Cloud_config knob; 0 = off
-    Sim_duration preempt_label_wait;
-    std::size_t label_reserved_gpus = 0; ///< kind_partition only
 };
+
+// Former names, kept only because the outside-in benchmark compiles against them.
+using Sharding_setup = Cloud_setup;
+using Reliability_setup = Cloud_setup;
+
+/// One cell of the scheduling-policy sweep bench_fleet and fleet_scaling
+/// share: a policy plus its preemption bound on the 1-GPU cloud.
+struct Policy_setup {
+    const char* label;
+    sim::Policy_kind kind;
+    Sim_duration preempt_label_wait;
+
+    [[nodiscard]] Cloud_setup cloud() const {
+        return Cloud_setup{.label = label, .policy = kind,
+                           .preempt_label_wait = preempt_label_wait};
+    }
+};
+
+/// fifo / priority / fair_share / fifo_preempt (2 s wait bound).
+[[nodiscard]] std::vector<Policy_setup> default_policy_setups();
+
+/// The curated sharding set fleet_scaling prints: the PR 2 bests
+/// (priority, fifo+preempt) on the undifferentiated pool, then staleness /
+/// device_affinity / kind_partition shards at 1 and 2 GPUs.
+[[nodiscard]] std::vector<Cloud_setup> default_sharding_setups();
 
 /// Per-server profiles for a cloud whose *first* server is a straggler
 /// (speed `straggler_speed`) and whose every server fails at `mtbf`/`mttr`.
@@ -183,24 +169,24 @@ struct Reliability_setup {
     Sim_duration mtbf = Sim_duration{std::numeric_limits<double>::infinity()},
     Sim_duration mttr = Sim_duration{10.0});
 
-/// The curated reliability comparison fleet_scaling prints: healthy
-/// reference, one 4x straggler under index-blind vs speed-aware placement
-/// (with and without straggler re-queueing), and failing fleets including
-/// the kind_partition reserved-server case.
-[[nodiscard]] std::vector<Reliability_setup> default_reliability_setups();
+/// The curated reliability set fleet_scaling prints, all at 2 GPUs:
+/// healthy reference, one 4x straggler under index-blind vs speed-aware
+/// placement (with and without straggler re-queueing), and failing fleets
+/// including the kind_partition reserved-server case.
+[[nodiscard]] std::vector<Cloud_setup> default_reliability_setups();
 
-/// Run one reliability cell on the same contended operating point (and
-/// seed) as run_sharding_cell; the failure process seeds off `seed` so
-/// cells replay bit-identically. `shards` as in run_sharding_cell. `obs`
-/// passes a trace sink / metrics registry into the cell's Cluster_config
-/// (the default — all null — is the zero-overhead dark path).
-[[nodiscard]] sim::Cluster_result run_reliability_cell(const Testbed& testbed,
-                                                       std::size_t devices,
-                                                       bool heterogeneous,
-                                                       const Reliability_setup& setup,
-                                                       std::uint64_t seed,
-                                                       std::size_t shards = 0,
-                                                       sim::Obs_options obs = {});
+/// Run one sweep cell: the half-Shoggoth half-AMS sweep fleet against the
+/// scaled-down cloud share configured by `setup`, seeded like the scaling
+/// runs (bench_fleet and fleet_scaling share this so their numbers stay
+/// comparable); the failure process seeds off `seed` so cells replay
+/// bit-identically. `shards` goes to sim::run_cluster_sharded (0, the
+/// default, is the sequential engine; output is byte-identical for any
+/// count). `obs` passes a trace sink / metrics registry into the cell's
+/// Cluster_config (the default — all null — is the zero-overhead dark path).
+[[nodiscard]] sim::Cluster_result run_cell(const Testbed& testbed, std::size_t devices,
+                                           bool heterogeneous, const Cloud_setup& setup,
+                                           std::uint64_t seed, std::size_t shards = 0,
+                                           sim::Obs_options obs = {});
 
 /// The contended operating point the policy sweep runs on: a half-Shoggoth
 /// half-AMS fleet (fine-tune cadence halved so train jobs land within short
@@ -217,14 +203,5 @@ struct Reliability_setup {
 /// push N to 10^4 without 10^4 stream constructions.
 [[nodiscard]] Fleet make_scale_fleet(const Testbed& testbed, std::size_t devices,
                                      bool heterogeneous);
-
-/// Run one sweep cell: the sweep fleet under `setup`, seeded like the
-/// scaling runs (bench_fleet and fleet_scaling share this so their numbers
-/// stay comparable). `shards` as in run_sharding_cell.
-[[nodiscard]] sim::Cluster_result run_policy_cell(const Testbed& testbed,
-                                                  std::size_t devices, bool heterogeneous,
-                                                  const Policy_setup& setup,
-                                                  std::uint64_t seed,
-                                                  std::size_t shards = 0);
 
 } // namespace shog::fleet

@@ -194,13 +194,11 @@ struct Frontier_less {
 Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
                                    const Cluster_config& config,
                                    const Shard_options& options) {
-    detail::validate_cluster(devices, config);
-
-    std::size_t shards = options.shards;
-    if (shards == 0) {
-        shards = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    if (options.shards == 0) {
+        return run_cluster(devices, config);
     }
-    shards = std::min(shards, devices.size());
+    detail::validate_cluster(devices, config);
+    const std::size_t shards = std::min(options.shards, devices.size());
 
     Event_queue cloud_queue;
     Cloud_runtime cloud{cloud_queue, config.cloud};

@@ -24,10 +24,11 @@
 namespace shog::sim {
 
 struct Shard_options {
-    /// Worker threads (device shards). 0 = one per hardware core. shards=1
-    /// still runs the full sharded protocol (buffer, barrier, replay) on a
-    /// single worker — the bit-identity pin against run_cluster covers the
-    /// protocol, not a bypass.
+    /// Worker threads (device shards). 0 = the sequential engine: the call
+    /// is run_cluster, so callers pick an engine with this one field.
+    /// shards=1 still runs the full sharded protocol (buffer, barrier,
+    /// replay) on a single worker — the bit-identity pin against run_cluster
+    /// covers the protocol, not a bypass.
     std::size_t shards = 0;
 };
 

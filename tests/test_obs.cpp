@@ -13,9 +13,11 @@
 //    straggler re-queue as distinct events.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "determinism_harness.hpp"
@@ -29,7 +31,7 @@
 namespace shog::obs {
 namespace {
 
-constexpr std::size_t kShardCounts[] = {1, 2, 3, 0}; // 0 = hardware concurrency
+const std::size_t kShardCounts[] = {1, 2, 3, std::max(1u, std::thread::hardware_concurrency())};
 
 // ---------------------------------------------------------------- buffers
 
@@ -179,8 +181,8 @@ struct Obs_fixture : public ::testing::Test {
     /// index-blind placement with flapping servers, a label-wait preemption
     /// bound and the straggler re-queue armed — the configuration that
     /// exercises every span kind in the taxonomy within a 30 s run.
-    static fleet::Reliability_setup traced_setup() {
-        fleet::Reliability_setup setup;
+    static fleet::Cloud_setup traced_setup() {
+        fleet::Cloud_setup setup;
         setup.label = "traced";
         setup.gpu_count = 2;
         setup.placement = sim::Placement_kind::any_free;
@@ -198,8 +200,8 @@ struct Obs_fixture : public ::testing::Test {
         sim::Obs_options obs;
         obs.sink = &sink;
         obs.metrics = &metrics;
-        return fleet::run_reliability_cell(*testbed, 4, /*heterogeneous=*/true,
-                                           traced_setup(), 23, shards, obs);
+        return fleet::run_cell(*testbed, 4, /*heterogeneous=*/true, traced_setup(), 23, shards,
+                               obs);
     }
 };
 
@@ -209,14 +211,14 @@ TEST_F(Obs_fixture, SinklessRunMatchesTracedRunResults) {
     // Observability must not perturb the simulation: the traced run's
     // Cluster_result (metrics aside — the sink-less run has none) is
     // byte-identical to the default dark path.
-    const sim::Cluster_result dark = fleet::run_reliability_cell(
-        *testbed, 4, /*heterogeneous=*/true, traced_setup(), 23, /*shards=*/0);
+    const sim::Cluster_result dark =
+        fleet::run_cell(*testbed, 4, /*heterogeneous=*/true, traced_setup(), 23, /*shards=*/0);
     EXPECT_TRUE(dark.metrics.empty());
 
     Trace_sink sink;
     sim::Obs_options obs;
     obs.sink = &sink; // trace only; no metrics registry, so results compare 1:1
-    const sim::Cluster_result traced = fleet::run_reliability_cell(
+    const sim::Cluster_result traced = fleet::run_cell(
         *testbed, 4, /*heterogeneous=*/true, traced_setup(), 23, /*shards=*/0, obs);
     EXPECT_GT(sink.event_count(), 0u);
     EXPECT_EQ(shog::testing::serialize_cluster(dark),
@@ -307,8 +309,8 @@ TEST_F(Obs_fixture, EngineTracksAreOptInAndExcludedFromTheContract) {
     sim::Obs_options obs;
     obs.sink = &engine_sink;
     obs.engine_tracks = true;
-    (void)fleet::run_reliability_cell(*testbed, 4, /*heterogeneous=*/true, traced_setup(),
-                                      23, /*shards=*/2, obs);
+    (void)fleet::run_cell(*testbed, 4, /*heterogeneous=*/true, traced_setup(), 23,
+                          /*shards=*/2, obs);
 
     std::string plain_contract;
     std::string engine_contract;

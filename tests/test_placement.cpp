@@ -1,16 +1,13 @@
 // Tests for the sharded cloud: per-GPU server state, placement policies
 // (any_free / device_affinity / kind_partition), the staleness scheduling
-// policy, multi-GPU batching semantics, and the bit-identity of the
-// {1 GPU, any_free, max_batch 1} configuration with the pre-sharding pool.
+// policy, multi-GPU batching semantics, and replay determinism of the
+// sharded scheduler.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "determinism_harness.hpp"
-#include "fleet/testbed.hpp"
 #include "sim/cloud.hpp"
-#include "sim/harness.hpp"
 #include "sim/placement.hpp"
 
 namespace shog::sim {
@@ -230,42 +227,8 @@ TEST(StalenessPolicy, DegeneratesToOldestFirstWithoutDriftSignal) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity: the sharded scheduler at its defaults reproduces the
-// pre-sharding pool through the whole stack.
+// Determinism: the sharded scheduler replays a script identically.
 // ---------------------------------------------------------------------------
-
-TEST(Sharding, DefaultKnobsReproducePolicyCellBitIdentically) {
-    // run_policy_cell is the PR 2 sweep path (no sharding knobs);
-    // run_sharding_cell with {1 GPU, any_free, max_batch 1} must produce the
-    // same cluster result to the last bit, for a policy with and without
-    // preemption. Ported onto the differential determinism harness: every
-    // serialized field (fps timelines and windowed-mAP series included) is
-    // compared byte for byte, not a hand-picked subset.
-    const fleet::Testbed testbed = fleet::make_testbed("ua_detrac", 4, 23, 40.0);
-    const struct {
-        fleet::Policy_setup policy;
-        fleet::Sharding_setup sharding;
-    } cells[] = {
-        {{"fifo", Policy_kind::fifo, Sim_duration{}},
-         {"gpu1_any_fifo", 1, Placement_kind::any_free, Policy_kind::fifo,
-          Sim_duration{}, 1, 0}},
-        {{"fifo_preempt", Policy_kind::fifo, Sim_duration{2.0}},
-         {"gpu1_any_fifo_preempt", 1, Placement_kind::any_free, Policy_kind::fifo,
-          Sim_duration{2.0}, 1, 0}},
-    };
-    for (const auto& cell : cells) {
-        shog::testing::expect_identical_cluster(
-            [&] {
-                return fleet::run_policy_cell(testbed, 4, /*heterogeneous=*/true,
-                                              cell.policy, 23);
-            },
-            [&] {
-                return fleet::run_sharding_cell(testbed, 4, /*heterogeneous=*/true,
-                                                cell.sharding, 23);
-            },
-            cell.policy.label);
-    }
-}
 
 TEST(Sharding, ShardedPoliciesAreDeterministicAcrossReruns) {
     for (Placement_kind placement :

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -406,17 +407,17 @@ TEST(Reliability, SpeedAwareBeatsAnyFreeOnP95WithOne4xStraggler) {
     // wide (~29 s vs ~45 s at 90 s streams), not a knife edge, and the
     // faster labeling loop also completes more label jobs.
     const fleet::Testbed testbed = fleet::make_testbed("waymo", 8, 19, 90.0);
-    fleet::Reliability_setup any_free;
+    fleet::Cloud_setup any_free;
     any_free.label = "any_free_straggler";
+    any_free.gpu_count = 2;
     any_free.placement = Placement_kind::any_free;
     any_free.straggler_speed = 0.25;
-    fleet::Reliability_setup speed_aware = any_free;
+    fleet::Cloud_setup speed_aware = any_free;
     speed_aware.label = "speed_aware_straggler";
     speed_aware.placement = Placement_kind::speed_aware;
-    const Cluster_result a =
-        fleet::run_reliability_cell(testbed, 8, /*heterogeneous=*/true, any_free, 19);
+    const Cluster_result a = fleet::run_cell(testbed, 8, /*heterogeneous=*/true, any_free, 19);
     const Cluster_result s =
-        fleet::run_reliability_cell(testbed, 8, /*heterogeneous=*/true, speed_aware, 19);
+        fleet::run_cell(testbed, 8, /*heterogeneous=*/true, speed_aware, 19);
     EXPECT_LT(s.p95_label_latency, 0.75 * a.p95_label_latency);
     EXPECT_GT(s.label_jobs, a.label_jobs);
 }
@@ -477,41 +478,52 @@ TEST(Reliability, ReplanDropsStaleWorkUnderRepeatedPreemption) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity: default profiles are a perfect no-op through the full stack.
+// Bit-identity: default profiles are a perfect no-op.
 // ---------------------------------------------------------------------------
 
-TEST(Reliability, DefaultProfilesReproduceShardingCellBitIdentically) {
-    // run_reliability_cell always installs profiles, a reliability seed and
-    // the requeue knob; with the profile defaults (speed 1, MTBF infinity,
-    // factor 0) it must reproduce the PR 3 sharding path to the last bit —
-    // no RNG draw, no event, no service-time perturbation.
-    const fleet::Testbed testbed = fleet::make_testbed("ua_detrac", 4, 23, 40.0);
-    fleet::Sharding_setup sharding;
-    sharding.label = "gpu2_any_priority";
-    sharding.gpu_count = 2;
-    sharding.placement = Placement_kind::any_free;
-    sharding.policy = Policy_kind::priority;
-    fleet::Reliability_setup reliability;
-    reliability.label = "gpu2_any_healthy";
-    reliability.gpu_count = 2;
-    reliability.placement = Placement_kind::any_free;
-    reliability.policy = Policy_kind::priority;
-    const Cluster_result a =
-        fleet::run_sharding_cell(testbed, 4, /*heterogeneous=*/true, sharding, 23);
-    const Cluster_result b =
-        fleet::run_reliability_cell(testbed, 4, /*heterogeneous=*/true, reliability, 23);
-    ASSERT_EQ(a.devices.size(), b.devices.size());
-    for (std::size_t i = 0; i < a.devices.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a.devices[i].map, b.devices[i].map) << "device " << i;
-        EXPECT_DOUBLE_EQ(a.devices[i].up_kbps, b.devices[i].up_kbps);
-        EXPECT_DOUBLE_EQ(a.devices[i].cloud_gpu_seconds, b.devices[i].cloud_gpu_seconds);
-    }
-    EXPECT_DOUBLE_EQ(a.gpu_busy_seconds, b.gpu_busy_seconds);
-    EXPECT_DOUBLE_EQ(a.mean_label_latency, b.mean_label_latency);
-    EXPECT_DOUBLE_EQ(a.p95_label_latency, b.p95_label_latency);
-    EXPECT_EQ(a.cloud_jobs, b.cloud_jobs);
-    EXPECT_EQ(b.failures, 0u);
-    EXPECT_EQ(b.straggler_requeues, 0u);
+TEST(Reliability, DefaultProfilesMatchNoProfilesBitIdentically) {
+    // fleet::run_cell always installs profiles, a reliability seed and the
+    // requeue knob, so every cell relies on this: default profiles (speed 1,
+    // MTBF infinity) draw no RNG value, schedule no event and leave every
+    // service time exact, whatever the reliability seed. Preemption and
+    // batching are on so checkpoints and coalesced dispatches are covered.
+    const auto run_script = [](bool profiles) {
+        Event_queue queue;
+        Cloud_config config;
+        config.gpu_count = 2;
+        config.max_batch = 2;
+        config.preempt_label_wait = Sim_duration{1.0};
+        if (profiles) {
+            config.gpu_profiles = fleet::make_straggler_profiles(2, 1.0);
+            config.reliability_seed = 0xbadc0de;
+        }
+        Cloud_runtime cloud{queue, config};
+        for (int i = 0; i < 12; ++i) {
+            queue.schedule(Sim_time{0.7 * i}, [&cloud, i] {
+                const auto device = static_cast<std::size_t>(i % 3);
+                if (i % 4 == 0) {
+                    cloud.submit(device, Sim_duration{5.0}, {}, Cloud_job_kind::train);
+                }
+                cloud.submit(device, Sim_duration{0.4 + 0.1 * (i % 3)}, {},
+                             Cloud_job_kind::label);
+            });
+        }
+        (void)queue.run_until(Sim_time{200.0});
+        EXPECT_EQ(cloud.failures(), 0u);
+        std::vector<Gpu_seconds> billed;
+        for (std::size_t d = 0; d < 3; ++d) {
+            billed.push_back(cloud.device_gpu_seconds(d));
+        }
+        return std::tuple{cloud.job_latencies(), cloud.job_waits(), billed,
+                          cloud.preemptions()};
+    };
+    const auto bare = run_script(false);
+    const auto profiled = run_script(true);
+    EXPECT_GE(std::get<3>(bare), 1u); // the script really preempts
+    EXPECT_EQ(std::get<0>(bare), std::get<0>(profiled));
+    EXPECT_EQ(std::get<1>(bare), std::get<1>(profiled));
+    EXPECT_EQ(std::get<2>(bare), std::get<2>(profiled));
+    EXPECT_EQ(std::get<3>(bare), std::get<3>(profiled));
 }
 
 // ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@
 // run_cluster_sharded with all workers joined.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "determinism_harness.hpp"
@@ -23,7 +25,7 @@
 namespace shog::sim {
 namespace {
 
-constexpr std::size_t kShardCounts[] = {1, 2, 3, 0}; // 0 = hardware concurrency
+const std::size_t kShardCounts[] = {1, 2, 3, std::max(1u, std::thread::hardware_concurrency())};
 
 // One testbed serves every differential test (construction dominates).
 struct Shard_fixture : public ::testing::Test {
@@ -43,15 +45,15 @@ TEST_F(Shard_fixture, ShardsOneMatchesRunClusterBitIdentically) {
     // The shards=1 pin: a single shard still runs the full protocol (worker
     // thread, proxy buffering, barrier rounds) and must reproduce the
     // sequential engine to the last bit.
-    const fleet::Policy_setup setup{"priority", Policy_kind::priority, Sim_duration{}};
+    const fleet::Cloud_setup setup{.label = "priority"};
     shog::testing::expect_identical_cluster(
         [&] {
-            return fleet::run_policy_cell(*testbed, 4, /*heterogeneous=*/true, setup, 23,
-                                          /*shards=*/0);
+            return fleet::run_cell(*testbed, 4, /*heterogeneous=*/true, setup, 23,
+                                   /*shards=*/0);
         },
         [&] {
-            return fleet::run_policy_cell(*testbed, 4, /*heterogeneous=*/true, setup, 23,
-                                          /*shards=*/1);
+            return fleet::run_cell(*testbed, 4, /*heterogeneous=*/true, setup, 23,
+                                   /*shards=*/1);
         },
         "shards=1 vs run_cluster");
 }
@@ -61,19 +63,19 @@ TEST_F(Shard_fixture, MixedFleetPolicyCellsByteIdenticalAcrossShardCounts) {
     // half-Shoggoth half-AMS heterogeneous fleet under different policies
     // and seeds, replayed at every shard count against the sequential
     // serialization.
-    const fleet::Policy_setup setups[] = {
-        {"fifo", Policy_kind::fifo, Sim_duration{}},
-        {"priority_preempt", Policy_kind::priority, Sim_duration{2.0}},
+    const fleet::Cloud_setup setups[] = {
+        {.label = "fifo", .policy = Policy_kind::fifo},
+        {.label = "priority_preempt", .preempt_label_wait = Sim_duration{2.0}},
     };
     for (const std::uint64_t seed : {std::uint64_t{23}, std::uint64_t{111}}) {
-        for (const fleet::Policy_setup& setup : setups) {
+        for (const fleet::Cloud_setup& setup : setups) {
             const std::string reference = shog::testing::serialize_cluster(
-                fleet::run_policy_cell(*testbed, 4, /*heterogeneous=*/true, setup, seed,
-                                       /*shards=*/0));
+                fleet::run_cell(*testbed, 4, /*heterogeneous=*/true, setup, seed,
+                                /*shards=*/0));
             ASSERT_NE(reference.find("device 3"), std::string::npos);
             for (const std::size_t shards : kShardCounts) {
                 EXPECT_EQ(reference,
-                          shog::testing::serialize_cluster(fleet::run_policy_cell(
+                          shog::testing::serialize_cluster(fleet::run_cell(
                               *testbed, 4, /*heterogeneous=*/true, setup, seed, shards)))
                     << setup.label << " seed=" << seed << " shards=" << shards;
             }
@@ -85,19 +87,18 @@ TEST_F(Shard_fixture, BatchedMultiGpuShardingCellByteIdentical) {
     // Cross-device teacher batching (max_batch > 1) coalesces jobs from
     // devices in *different* shards into one dispatch whose completion fans
     // callbacks back out — the hardest path for the delivery protocol.
-    fleet::Sharding_setup setup;
+    fleet::Cloud_setup setup;
     setup.label = "gpu2_batch4";
     setup.gpu_count = 2;
     setup.placement = Placement_kind::any_free;
     setup.policy = Policy_kind::fifo;
     setup.max_batch = 4;
     const std::string reference = shog::testing::serialize_cluster(
-        fleet::run_sharding_cell(*testbed, 4, /*heterogeneous=*/true, setup, 23,
-                                 /*shards=*/0));
+        fleet::run_cell(*testbed, 4, /*heterogeneous=*/true, setup, 23, /*shards=*/0));
     ASSERT_NE(reference.find("device 3"), std::string::npos);
     for (const std::size_t shards : kShardCounts) {
         EXPECT_EQ(reference,
-                  shog::testing::serialize_cluster(fleet::run_sharding_cell(
+                  shog::testing::serialize_cluster(fleet::run_cell(
                       *testbed, 4, /*heterogeneous=*/true, setup, 23, shards)))
             << "shards=" << shards;
     }
@@ -107,7 +108,7 @@ TEST_F(Shard_fixture, ReliabilityCellWithFailuresByteIdentical) {
     // Server failures, a 4x straggler, straggler re-queueing and preemption
     // all at once: every cloud-side perturbation the simulator models, still
     // byte-identical under sharding.
-    fleet::Reliability_setup setup;
+    fleet::Cloud_setup setup;
     setup.label = "failing_straggler";
     setup.gpu_count = 2;
     setup.placement = Placement_kind::speed_aware;
@@ -118,12 +119,11 @@ TEST_F(Shard_fixture, ReliabilityCellWithFailuresByteIdentical) {
     setup.straggler_requeue_factor = 1.5;
     setup.preempt_label_wait = Sim_duration{2.0};
     const std::string reference = shog::testing::serialize_cluster(
-        fleet::run_reliability_cell(*testbed, 4, /*heterogeneous=*/true, setup, 23,
-                                    /*shards=*/0));
+        fleet::run_cell(*testbed, 4, /*heterogeneous=*/true, setup, 23, /*shards=*/0));
     ASSERT_NE(reference.find("device 3"), std::string::npos);
     for (const std::size_t shards : kShardCounts) {
         EXPECT_EQ(reference,
-                  shog::testing::serialize_cluster(fleet::run_reliability_cell(
+                  shog::testing::serialize_cluster(fleet::run_cell(
                       *testbed, 4, /*heterogeneous=*/true, setup, 23, shards)))
             << "shards=" << shards;
     }

@@ -9,10 +9,12 @@
 // (no video decode, no models) — the contention is the point, not the work.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "determinism_harness.hpp"
@@ -102,8 +104,10 @@ video::Video_stream* Shard_stress::stream = nullptr;
 
 TEST_F(Shard_stress, ManyTinyShardsMatchSequentialForEveryShardCount) {
     // 24 chattering devices split ever finer — down to one device per
-    // shard, plus an over-asked count (64 clamps to 24) and hardware (0).
+    // shard, plus an over-asked count (64 clamps to 24), hardware
+    // concurrency, and 0, which must be the sequential engine itself.
     constexpr std::size_t kDevices = 24;
+    const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
     const Cluster_config config;
     const Scripted_fleet reference_fleet = make_fleet(kDevices);
     const std::string reference =
@@ -111,7 +115,7 @@ TEST_F(Shard_stress, ManyTinyShardsMatchSequentialForEveryShardCount) {
     ASSERT_NE(reference.find("device 23"), std::string::npos);
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                                      std::size_t{8}, std::size_t{24}, std::size_t{64},
-                                     std::size_t{0}}) {
+                                     hardware, std::size_t{0}}) {
         const Scripted_fleet fleet = make_fleet(kDevices);
         EXPECT_EQ(reference, shog::testing::serialize_cluster(run_cluster_sharded(
                                  fleet.specs, config, Shard_options{shards})))
@@ -143,7 +147,8 @@ TEST_F(Shard_stress, ThrowingDevicesDrainWorkersAndRethrowLowestShard) {
     // shard in time order.
     const Cluster_config config;
     for (const std::size_t shards :
-         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{0}}) {
+         {std::size_t{1}, std::size_t{2}, std::size_t{3},
+          std::size_t{std::max(1u, std::thread::hardware_concurrency())}}) {
         const Scripted_fleet fleet = make_fleet(24, /*bombs=*/true);
         try {
             (void)run_cluster_sharded(fleet.specs, config, Shard_options{shards});

@@ -130,7 +130,7 @@ TEST(RunSweep, FleetPolicySweepIsByteIdenticalAcrossWorkerCounts) {
     const std::vector<fleet::Policy_setup> setups = fleet::default_policy_setups();
     const auto cell = [&](std::size_t i) {
         const sim::Cluster_result r =
-            fleet::run_policy_cell(testbed, 4, /*heterogeneous=*/true, setups[i], 23);
+            fleet::run_cell(testbed, 4, /*heterogeneous=*/true, setups[i].cloud(), 23);
         char line[256];
         std::snprintf(line, sizeof line,
                       "%s busy=%.17g p95=%.17g map=%.17g jobs=%zu\n", setups[i].label,
