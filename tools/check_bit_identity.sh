@@ -3,7 +3,11 @@
 #
 # Runs a short default-config fleet cell (30 sim-seconds, seed 19, 2
 # devices, sequential sweep) and compares the SHA-256 of the emitted JSON
-# against the committed golden hash. The engine is contractually
+# against the committed golden hash. The same run also writes the traced
+# cell's Chrome-trace JSON and metrics CSV (`--trace`, which leaves stdout
+# unchanged); those two files are hashed against a second golden,
+# tools/trace_identity.sha256, so every trace and metric emission site is
+# pinned byte for byte, not only checked for structure. The engine is contractually
 # deterministic, so the stream must be byte-identical run over run and
 # commit over commit: any numeric drift — a reordered floating-point
 # reduction, an eager unit conversion, an "innocent" refactor of the event
@@ -17,11 +21,12 @@
 #
 # Usage:
 #   tools/check_bit_identity.sh [path/to/bench_fleet]   verify (default gate)
-#   tools/check_bit_identity.sh --update [bench]        rewrite the golden hash
+#   tools/check_bit_identity.sh --update [bench]        rewrite both golden hashes
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 golden="$root/tools/bit_identity.sha256"
+trace_golden="$root/tools/trace_identity.sha256"
 
 update=0
 if [ "${1:-}" = "--update" ]; then
@@ -36,20 +41,29 @@ if [ ! -x "$bench" ]; then
     exit 2
 fi
 
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 # Short default-config cell: full scaling/policy/sharding/reliability
-# sweeps at 2 devices, scale section off, one worker. Keep these arguments
-# in lockstep with the golden hash.
-actual="$("$bench" 30 19 2 0 1 2>/dev/null | grep -v '"wall_ms"' | sha256sum | cut -d' ' -f1)"
+# sweeps at 2 devices, scale section off, one worker, plus the traced
+# cell. Keep these arguments in lockstep with both golden hashes.
+actual="$("$bench" 30 19 2 0 1 --trace "$tmp/trace.json" 2>/dev/null |
+    grep -v '"wall_ms"' | sha256sum | cut -d' ' -f1)"
+# Hashed from inside the scratch directory, so the golden names the two
+# files without the per-run temporary path.
+traced="$(cd "$tmp" && sha256sum trace.json trace.json.metrics.csv)"
 
 # The same cell through the device-sharded engine (sim::run_cluster_sharded
 # with 4 shards): byte-identity across engines is part of the determinism
-# contract, so it is hashed against the SAME golden — no second hash file
-# to drift out of sync.
+# contract, so its stdout is hashed against the SAME golden — no second
+# stdout hash file to drift out of sync.
 sharded="$("$bench" 30 19 2 0 1 --shards 4 2>/dev/null | grep -v '"wall_ms"' | sha256sum | cut -d' ' -f1)"
 
 if [ "$update" -eq 1 ]; then
     printf '%s\n' "$actual" > "$golden"
-    echo "check_bit_identity: golden hash updated: $actual"
+    printf '%s\n' "$traced" > "$trace_golden"
+    echo "check_bit_identity: golden hashes updated: $actual"
+    printf '%s\n' "$traced"
     if [ "$sharded" != "$actual" ]; then
         echo "check_bit_identity: WARNING — sharded engine output differs from" >&2
         echo "the sequential engine; the gate will fail until that is fixed." >&2
@@ -58,11 +72,13 @@ if [ "$update" -eq 1 ]; then
     exit 0
 fi
 
-if [ ! -f "$golden" ]; then
-    echo "check_bit_identity: missing golden hash '$golden'" >&2
-    echo "seed it with: tools/check_bit_identity.sh --update" >&2
-    exit 2
-fi
+for file in "$golden" "$trace_golden"; do
+    if [ ! -f "$file" ]; then
+        echo "check_bit_identity: missing golden hash '$file'" >&2
+        echo "seed it with: tools/check_bit_identity.sh --update" >&2
+        exit 2
+    fi
+done
 
 expected="$(tr -d '[:space:]' < "$golden")"
 if [ "$actual" != "$expected" ]; then
@@ -74,6 +90,17 @@ if [ "$actual" != "$expected" ]; then
     exit 1
 fi
 
+if [ "$traced" != "$(cat "$trace_golden")" ]; then
+    echo "check_bit_identity: FAIL — trace / metrics output drifted" >&2
+    echo "  expected:" >&2
+    sed 's/^/    /' "$trace_golden" >&2
+    echo "  actual:" >&2
+    printf '%s\n' "$traced" | sed 's/^/    /' >&2
+    echo "If the change is intentional, rerun with --update and justify the" >&2
+    echo "new golden hashes in the commit message." >&2
+    exit 1
+fi
+
 if [ "$sharded" != "$expected" ]; then
     echo "check_bit_identity: FAIL — sharded engine (--shards 4) drifted from" >&2
     echo "the sequential golden" >&2
@@ -82,4 +109,4 @@ if [ "$sharded" != "$expected" ]; then
     exit 1
 fi
 
-echo "check_bit_identity: OK ($actual, sharded engine identical)"
+echo "check_bit_identity: OK ($actual, trace and metrics identical, sharded engine identical)"
