@@ -9,12 +9,15 @@
 #include "baselines/ams.hpp"
 #include "baselines/edge_only.hpp"
 #include "core/shoggoth.hpp"
+#include "job_log.hpp"
 #include "models/pretrain.hpp"
 #include "sim/harness.hpp"
 #include "video/presets.hpp"
 
 namespace shog::sim {
 namespace {
+
+using testing::Job_log;
 
 // ---------------------------------------------------------------------------
 // Cloud_runtime unit tests (no video, no models — just the scheduler).
@@ -23,18 +26,20 @@ namespace {
 TEST(CloudRuntime, FifoOrderAndLatency) {
     Event_queue queue;
     Cloud_runtime cloud{queue, Cloud_config{}};
+    Job_log log{queue};
     std::vector<int> completions;
     // Two jobs submitted back-to-back at t=0: the second waits for the first.
-    cloud.submit(0, Sim_duration{2.0}, [&] { completions.push_back(0); });
-    cloud.submit(1, Sim_duration{3.0}, [&] { completions.push_back(1); });
+    cloud.submit(0, Sim_duration{2.0}, log.wrap([&] { completions.push_back(0); }));
+    cloud.submit(1, Sim_duration{3.0}, log.wrap([&] { completions.push_back(1); }));
     (void)queue.run_until(Sim_time{10.0});
     ASSERT_EQ(completions.size(), 2u);
     EXPECT_EQ(completions[0], 0);
     EXPECT_EQ(completions[1], 1);
-    ASSERT_EQ(cloud.job_latencies().size(), 2u);
-    EXPECT_EQ(cloud.job_latencies()[0], Sim_duration{2.0}); // no wait
-    EXPECT_EQ(cloud.job_latencies()[1], Sim_duration{5.0}); // waited 2 s, served 3 s
-    EXPECT_EQ(cloud.job_waits()[1], Sim_duration{2.0});
+    ASSERT_EQ(log.size(), 2u);
+    EXPECT_EQ(log[0], Sim_duration{2.0}); // no wait
+    EXPECT_EQ(log[1], Sim_duration{5.0}); // waited 2 s, served 3 s
+    // Waits 0 s and 2 s.
+    EXPECT_EQ(cloud.mean_label_wait(), Sim_duration{1.0});
     EXPECT_EQ(cloud.busy_seconds(), Gpu_seconds{5.0});
     EXPECT_EQ(cloud.device_gpu_seconds(0), Gpu_seconds{2.0});
     EXPECT_EQ(cloud.device_gpu_seconds(1), Gpu_seconds{3.0});
@@ -46,15 +51,16 @@ TEST(CloudRuntime, MultipleGpusServeInParallel) {
     Cloud_config config;
     config.gpu_count = 2;
     Cloud_runtime cloud{queue, config};
-    cloud.submit(0, Sim_duration{2.0}, {});
-    cloud.submit(1, Sim_duration{2.0}, {});
-    cloud.submit(2, Sim_duration{2.0}, {});
+    Job_log log{queue};
+    cloud.submit(0, Sim_duration{2.0}, log.wrap());
+    cloud.submit(1, Sim_duration{2.0}, log.wrap());
+    cloud.submit(2, Sim_duration{2.0}, log.wrap());
     (void)queue.run_until(Sim_time{10.0});
-    ASSERT_EQ(cloud.job_latencies().size(), 3u);
+    ASSERT_EQ(log.size(), 3u);
     // First two run immediately on separate GPUs; third waits for a slot.
-    EXPECT_EQ(cloud.job_latencies()[0], Sim_duration{2.0});
-    EXPECT_EQ(cloud.job_latencies()[1], Sim_duration{2.0});
-    EXPECT_EQ(cloud.job_latencies()[2], Sim_duration{4.0});
+    EXPECT_EQ(log[0], Sim_duration{2.0});
+    EXPECT_EQ(log[1], Sim_duration{2.0});
+    EXPECT_EQ(log[2], Sim_duration{4.0});
 }
 
 TEST(CloudRuntime, BatchedDispatchDiscountsCoalescedJobs) {
@@ -63,20 +69,21 @@ TEST(CloudRuntime, BatchedDispatchDiscountsCoalescedJobs) {
     config.max_batch = 4;
     config.batch_efficiency = 0.5;
     Cloud_runtime cloud{queue, config};
+    Job_log log{queue};
     // First job occupies the GPU; three more queue behind it and coalesce.
-    cloud.submit(0, Sim_duration{1.0}, {});
-    cloud.submit(0, Sim_duration{2.0}, {});
-    cloud.submit(0, Sim_duration{2.0}, {});
-    cloud.submit(0, Sim_duration{2.0}, {});
+    cloud.submit(0, Sim_duration{1.0}, log.wrap());
+    cloud.submit(0, Sim_duration{2.0}, log.wrap());
+    cloud.submit(0, Sim_duration{2.0}, log.wrap());
+    cloud.submit(0, Sim_duration{2.0}, log.wrap());
     (void)queue.run_until(Sim_time{20.0});
     ASSERT_EQ(cloud.jobs_completed(), 4u);
     // Dispatch 1: job A alone (1 s). Dispatch 2: three jobs coalesced:
     // 2 + 0.5*2 + 0.5*2 = 4 s of service after 1 s of waiting, so all three
     // complete at t=5 with latency 5.
-    EXPECT_EQ(cloud.job_latencies()[0], Sim_duration{1.0});
-    EXPECT_EQ(cloud.job_latencies()[1], Sim_duration{5.0});
-    EXPECT_EQ(cloud.job_latencies()[2], Sim_duration{5.0});
-    EXPECT_EQ(cloud.job_latencies()[3], Sim_duration{5.0});
+    EXPECT_EQ(log[0], Sim_duration{1.0});
+    EXPECT_EQ(log[1], Sim_duration{5.0});
+    EXPECT_EQ(log[2], Sim_duration{5.0});
+    EXPECT_EQ(log[3], Sim_duration{5.0});
     EXPECT_DOUBLE_EQ(cloud.busy_seconds().value(), 5.0); // raw seconds: discount sum carries ulp residue
 }
 
@@ -86,14 +93,15 @@ TEST(CloudRuntime, BatchingNeverStarvesIdleServers) {
     config.gpu_count = 2;
     config.max_batch = 8;
     Cloud_runtime cloud{queue, config};
+    Job_log log{queue};
     // Two simultaneous jobs with idle capacity for both: each takes its own
     // GPU; coalescing only happens on the last idle server.
-    cloud.submit(0, Sim_duration{2.0}, {});
-    cloud.submit(1, Sim_duration{2.0}, {});
+    cloud.submit(0, Sim_duration{2.0}, log.wrap());
+    cloud.submit(1, Sim_duration{2.0}, log.wrap());
     (void)queue.run_until(Sim_time{10.0});
     ASSERT_EQ(cloud.jobs_completed(), 2u);
-    EXPECT_EQ(cloud.job_latencies()[0], Sim_duration{2.0});
-    EXPECT_EQ(cloud.job_latencies()[1], Sim_duration{2.0});
+    EXPECT_EQ(log[0], Sim_duration{2.0});
+    EXPECT_EQ(log[1], Sim_duration{2.0});
     EXPECT_EQ(cloud.peak_queue_depth(), 0u);
 }
 

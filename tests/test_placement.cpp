@@ -7,11 +7,14 @@
 #include <string>
 #include <vector>
 
+#include "job_log.hpp"
 #include "sim/cloud.hpp"
 #include "sim/placement.hpp"
 
 namespace shog::sim {
 namespace {
+
+using shog::testing::Job_log;
 
 // ---------------------------------------------------------------------------
 // Placement-policy unit tests (no video, no models — just the scheduler).
@@ -22,7 +25,6 @@ TEST(Placement, NamesRoundTrip) {
          {Placement_kind::any_free, Placement_kind::device_affinity,
           Placement_kind::kind_partition}) {
         EXPECT_EQ(placement_by_name(to_string(kind)), kind);
-        EXPECT_STREQ(make_placement(kind, 0)->name(), to_string(kind));
     }
     EXPECT_THROW((void)placement_by_name("round_robin"), std::invalid_argument);
 }
@@ -49,17 +51,18 @@ TEST(Placement, MultiGpuCoalescesOnlyOnTheLastIdleServer) {
     config.max_batch = 4;
     config.batch_efficiency = 0.5;
     Cloud_runtime cloud{queue, config};
+    Job_log log{queue};
     for (int i = 0; i < 4; ++i) {
-        cloud.submit(static_cast<std::size_t>(i), Sim_duration{2.0}, {});
+        cloud.submit(static_cast<std::size_t>(i), Sim_duration{2.0}, log.wrap());
     }
     (void)queue.run_until(Sim_time{20.0});
     ASSERT_EQ(cloud.jobs_completed(), 4u);
     // Jobs 0, 1: own server, 2 s each. Jobs 2+3 coalesce at t=2 on the
     // first freed server: 2 + 0.5*2 = 3 s of service, done at t=5.
-    EXPECT_EQ(cloud.job_latencies()[0], Sim_duration{2.0});
-    EXPECT_EQ(cloud.job_latencies()[1], Sim_duration{2.0});
-    EXPECT_EQ(cloud.job_latencies()[2], Sim_duration{5.0});
-    EXPECT_EQ(cloud.job_latencies()[3], Sim_duration{5.0});
+    EXPECT_EQ(log[0], Sim_duration{2.0});
+    EXPECT_EQ(log[1], Sim_duration{2.0});
+    EXPECT_EQ(log[2], Sim_duration{5.0});
+    EXPECT_EQ(log[3], Sim_duration{5.0});
     EXPECT_EQ(cloud.busy_seconds(), Gpu_seconds{7.0});
     EXPECT_EQ(cloud.peak_queue_depth(), 2u);
     // Server 0 ran job 0 then the coalesced pair; server 1 ran job 1.
@@ -120,17 +123,18 @@ TEST(Placement, DeviceAffinityDiscountsWarmStarts) {
     config.placement = Placement_kind::device_affinity;
     config.affinity_warm_factor = 0.8;
     Cloud_runtime cloud{queue, config};
+    Job_log log{queue};
     // Device 0's first dispatch is cold (nothing resident); its second, on
     // the same server, is warm and runs at the discount.
-    cloud.submit(0, Sim_duration{1.0}, {});
-    queue.schedule(Sim_time{2.0}, [&] { cloud.submit(0, Sim_duration{1.0}, {}); });
+    cloud.submit(0, Sim_duration{1.0}, log.wrap());
+    queue.schedule(Sim_time{2.0}, [&] { cloud.submit(0, Sim_duration{1.0}, log.wrap()); });
     // A different device is cold again.
-    queue.schedule(Sim_time{4.0}, [&] { cloud.submit(1, Sim_duration{1.0}, {}); });
+    queue.schedule(Sim_time{4.0}, [&] { cloud.submit(1, Sim_duration{1.0}, log.wrap()); });
     (void)queue.run_until(Sim_time{20.0});
     ASSERT_EQ(cloud.jobs_completed(), 3u);
-    EXPECT_EQ(cloud.job_latencies()[0], Sim_duration{1.0}); // cold
-    EXPECT_DOUBLE_EQ(cloud.job_latencies()[1].value(), 0.8); // warm; raw seconds: discount carries ulp residue
-    EXPECT_EQ(cloud.job_latencies()[2], Sim_duration{1.0}); // cold (other device)
+    EXPECT_EQ(log[0], Sim_duration{1.0}); // cold
+    EXPECT_DOUBLE_EQ(log[1].value(), 0.8); // warm; raw seconds: discount carries ulp residue
+    EXPECT_EQ(log[2], Sim_duration{1.0}); // cold (other device)
     EXPECT_EQ(cloud.warm_dispatches(), 1u);
     // Billing follows the discounted service.
     EXPECT_DOUBLE_EQ(cloud.device_gpu_seconds(0).value(), 1.8); // raw seconds: discount carries ulp residue
@@ -144,15 +148,16 @@ TEST(Placement, DeviceAffinityPrefersTheWarmServerOverALowerIndex) {
     config.placement = Placement_kind::device_affinity;
     config.affinity_warm_factor = 0.8;
     Cloud_runtime cloud{queue, config};
+    Job_log log{queue};
     // Warm up server 0 with device 0 and server 1 with device 1.
-    cloud.submit(0, Sim_duration{1.0}, {});
-    cloud.submit(1, Sim_duration{1.0}, {});
+    cloud.submit(0, Sim_duration{1.0}, log.wrap());
+    cloud.submit(1, Sim_duration{1.0}, log.wrap());
     // Later, device 1 submits alone: both servers free, but server 1 holds
     // its weights — it must go there (warm) instead of lowest-index 0.
-    queue.schedule(Sim_time{3.0}, [&] { cloud.submit(1, Sim_duration{1.0}, {}); });
+    queue.schedule(Sim_time{3.0}, [&] { cloud.submit(1, Sim_duration{1.0}, log.wrap()); });
     (void)queue.run_until(Sim_time{20.0});
     ASSERT_EQ(cloud.jobs_completed(), 3u);
-    EXPECT_DOUBLE_EQ(cloud.job_latencies()[2].value(), 0.8); // raw seconds: discount carries ulp residue
+    EXPECT_DOUBLE_EQ(log[2].value(), 0.8); // raw seconds: discount carries ulp residue
     EXPECT_EQ(cloud.warm_dispatches(), 1u);
     const std::vector<Gpu_seconds> per_gpu = cloud.per_gpu_busy_within(Sim_time{20.0});
     EXPECT_EQ(per_gpu[0], Gpu_seconds{1.0});
@@ -246,16 +251,17 @@ TEST(Sharding, ShardedPoliciesAreDeterministicAcrossReruns) {
             config.batch_efficiency = 0.6;
             config.preempt_label_wait = Sim_duration{2.0};
             Cloud_runtime cloud{queue, config};
+            Job_log log{queue};
             for (int i = 0; i < 6; ++i) {
-                queue.schedule(Sim_time{static_cast<double>(i) * 1.5}, [&cloud, i] {
-                    cloud.submit(static_cast<std::size_t>(i % 3), Sim_duration{4.0}, {},
-                                 Cloud_job_kind::train, 0.1 * i);
-                    cloud.submit(static_cast<std::size_t>((i + 1) % 3),
-                                 Sim_duration{0.5}, {}, Cloud_job_kind::label, 0.2 * i);
+                queue.schedule(Sim_time{static_cast<double>(i) * 1.5}, [&cloud, &log, i] {
+                    cloud.submit(static_cast<std::size_t>(i % 3), Sim_duration{4.0},
+                                 log.wrap(), Cloud_job_kind::train, 0.1 * i);
+                    cloud.submit(static_cast<std::size_t>((i + 1) % 3), Sim_duration{0.5},
+                                 log.wrap(), Cloud_job_kind::label, 0.2 * i);
                 });
             }
             (void)queue.run_until(Sim_time{60.0});
-            return cloud.job_latencies();
+            return log.latencies();
         };
         const std::vector<Sim_duration> a = run_script();
         const std::vector<Sim_duration> b = run_script();

@@ -7,18 +7,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "fleet/testbed.hpp"
+#include "job_log.hpp"
 #include "sim/cloud.hpp"
 #include "sim/harness.hpp"
 #include "sim/placement.hpp"
 
 namespace shog::sim {
 namespace {
+
+using shog::testing::Job_log;
 
 constexpr Sim_duration never{std::numeric_limits<double>::infinity()};
 
@@ -28,7 +34,7 @@ constexpr Sim_duration never{std::numeric_limits<double>::infinity()};
 
 TEST(Reliability, SpeedAwareNameRoundTrips) {
     EXPECT_EQ(placement_by_name("speed_aware"), Placement_kind::speed_aware);
-    EXPECT_STREQ(make_placement(Placement_kind::speed_aware, 0)->name(), "speed_aware");
+    EXPECT_STREQ(to_string(Placement_kind::speed_aware), "speed_aware");
 }
 
 TEST(Reliability, ProfileValidation) {
@@ -58,12 +64,13 @@ TEST(Reliability, StragglerSpeedScalesServiceAndBilling) {
     Cloud_config config;
     config.gpu_profiles = {Gpu_profile{0.5, never, Sim_duration{10.0}}}; // 2x slow
     Cloud_runtime cloud{queue, config};
-    cloud.submit(0, Sim_duration{3.0}, {});
+    Job_log log{queue};
+    cloud.submit(0, Sim_duration{3.0}, log.wrap());
     (void)queue.run_until(Sim_time{60.0});
     ASSERT_EQ(cloud.jobs_completed(), 1u);
     // 3 s of nominal service occupy the half-speed server for 6 wall
     // seconds, and the bill is the occupancy.
-    EXPECT_EQ(cloud.job_latencies()[0], Sim_duration{6.0});
+    EXPECT_EQ(log[0], Sim_duration{6.0});
     EXPECT_EQ(cloud.device_gpu_seconds(0), Gpu_seconds{6.0});
     EXPECT_EQ(cloud.busy_seconds(), Gpu_seconds{6.0});
 }
@@ -97,15 +104,16 @@ TEST(Reliability, SpeedAwareTieBreaksToTheWarmServer) {
     config.placement = Placement_kind::speed_aware;
     config.affinity_warm_factor = 0.8;
     Cloud_runtime cloud{queue, config};
+    Job_log log{queue};
     // Warm server 1 with device 7, then let both servers free up. Device
     // 7's next label must return to server 1 (equal speeds, warm beats
     // lower index) at the warm discount.
-    cloud.submit(3, Sim_duration{1.0}, {});
-    cloud.submit(7, Sim_duration{1.0}, {});
-    queue.schedule(Sim_time{5.0}, [&] { cloud.submit(7, Sim_duration{1.0}, {}); });
+    cloud.submit(3, Sim_duration{1.0}, log.wrap());
+    cloud.submit(7, Sim_duration{1.0}, log.wrap());
+    queue.schedule(Sim_time{5.0}, [&] { cloud.submit(7, Sim_duration{1.0}, log.wrap()); });
     (void)queue.run_until(Sim_time{100.0});
     ASSERT_EQ(cloud.jobs_completed(), 3u);
-    EXPECT_DOUBLE_EQ(cloud.job_latencies()[2].value(), 0.8); // raw seconds: discount carries ulp residue
+    EXPECT_DOUBLE_EQ(log[2].value(), 0.8); // raw seconds: discount carries ulp residue
     EXPECT_EQ(cloud.warm_dispatches(), 1u);
     const std::vector<Gpu_seconds> per_gpu = cloud.per_gpu_busy_within(Sim_time{100.0});
     EXPECT_DOUBLE_EQ(per_gpu[1].value(), 1.8); // raw seconds: discount carries ulp residue
@@ -120,8 +128,8 @@ TEST(Reliability, AllPlacementsSkipFailedServers) {
           Placement_kind::kind_partition, Placement_kind::speed_aware}) {
         const auto placement = make_placement(kind, 1);
         for (Cloud_job_kind job_kind : {Cloud_job_kind::label, Cloud_job_kind::train}) {
-            EXPECT_EQ(placement->place(job_kind, 0, gpus).gpu, 1u) << placement->name();
-            EXPECT_EQ(placement->eligible_free(job_kind, gpus), 1u) << placement->name();
+            EXPECT_EQ(placement->place(job_kind, 0, gpus).gpu, 1u) << to_string(kind);
+            EXPECT_EQ(placement->eligible_free(job_kind, gpus), 1u) << to_string(kind);
         }
     }
     // device_affinity: a warm but failed server is not warm capacity.
@@ -169,18 +177,19 @@ TEST(Reliability, FailureProcessIsDeterministicAcrossReruns) {
         config.straggler_requeue_factor = 2.0;
         config.preempt_label_wait = Sim_duration{2.0};
         Cloud_runtime cloud{queue, config};
+        Job_log log{queue};
         for (int i = 0; i < 12; ++i) {
-            queue.schedule(Sim_time{1.5 * i}, [&cloud, i] {
+            queue.schedule(Sim_time{1.5 * i}, [&cloud, &log, i] {
                 cloud.submit(static_cast<std::size_t>(i % 4), Sim_duration{1.0},
-                             {}, Cloud_job_kind::label, 0.1 * i);
+                             log.wrap(), Cloud_job_kind::label, 0.1 * i);
                 if (i % 3 == 0) {
-                    cloud.submit(static_cast<std::size_t>(i % 4), Sim_duration{6.0}, {},
-                                 Cloud_job_kind::train);
+                    cloud.submit(static_cast<std::size_t>(i % 4), Sim_duration{6.0},
+                                 log.wrap(), Cloud_job_kind::train);
                 }
             });
         }
         (void)queue.run_until(Sim_time{400.0});
-        return std::tuple{cloud.job_latencies(), cloud.failures(),
+        return std::tuple{log.latencies(), cloud.failures(),
                           cloud.straggler_requeues(), cloud.busy_seconds()};
     };
     const auto a = run_script();
@@ -263,12 +272,13 @@ TEST(Reliability, StragglerRequeueIsOffByDefaultAndBoundedToStragglers) {
     config.placement = Placement_kind::speed_aware;
     config.straggler_requeue_factor = 3.0;
     Cloud_runtime cloud{queue, config};
-    cloud.submit(0, Sim_duration{2.0}, {});
-    cloud.submit(1, Sim_duration{2.0}, {});
+    Job_log log{queue};
+    cloud.submit(0, Sim_duration{2.0}, log.wrap());
+    cloud.submit(1, Sim_duration{2.0}, log.wrap());
     (void)queue.run_until(Sim_time{50.0});
     EXPECT_EQ(cloud.straggler_requeues(), 0u);
-    EXPECT_EQ(cloud.job_latencies()[0], Sim_duration{2.0});
-    EXPECT_EQ(cloud.job_latencies()[1], Sim_duration{2.0});
+    EXPECT_EQ(log[0], Sim_duration{2.0});
+    EXPECT_EQ(log[1], Sim_duration{2.0});
 }
 
 TEST(Reliability, RequeuedLabelKeepsItsPreemptionBound) {
@@ -348,13 +358,14 @@ TEST(Reliability, StragglerRequeueSkipsADispatchCompletingThisInstant) {
     config.gpu_profiles = {Gpu_profile{}, Gpu_profile{0.5, never, Sim_duration{10.0}}};
     config.straggler_requeue_factor = 1.5;
     Cloud_runtime cloud{queue, config};
-    cloud.submit(0, Sim_duration{2.0}, {}); // fastest first: server 0, done t=2
-    cloud.submit(1, Sim_duration{1.0}, {}); // straggler: wall 2, bound at t=1.5, done t=2
+    Job_log log{queue};
+    cloud.submit(0, Sim_duration{2.0}, log.wrap()); // fastest first: server 0, done t=2
+    cloud.submit(1, Sim_duration{1.0}, log.wrap()); // straggler: wall 2, bound at t=1.5, done t=2
     (void)queue.run_until(Sim_time{50.0});
     ASSERT_EQ(cloud.jobs_completed(), 2u);
     EXPECT_EQ(cloud.straggler_requeues(), 0u);
-    EXPECT_EQ(cloud.job_latencies()[0], Sim_duration{2.0});
-    EXPECT_EQ(cloud.job_latencies()[1], Sim_duration{2.0});
+    EXPECT_EQ(log[0], Sim_duration{2.0});
+    EXPECT_EQ(log[1], Sim_duration{2.0});
 }
 
 TEST(Reliability, CoalescedFreshLabelIsNotStrandedByARequeuedBatchMate) {
@@ -498,13 +509,15 @@ TEST(Reliability, DefaultProfilesMatchNoProfilesBitIdentically) {
             config.reliability_seed = 0xbadc0de;
         }
         Cloud_runtime cloud{queue, config};
+        Job_log log{queue};
         for (int i = 0; i < 12; ++i) {
-            queue.schedule(Sim_time{0.7 * i}, [&cloud, i] {
+            queue.schedule(Sim_time{0.7 * i}, [&cloud, &log, i] {
                 const auto device = static_cast<std::size_t>(i % 3);
                 if (i % 4 == 0) {
-                    cloud.submit(device, Sim_duration{5.0}, {}, Cloud_job_kind::train);
+                    cloud.submit(device, Sim_duration{5.0}, log.wrap(),
+                                 Cloud_job_kind::train);
                 }
-                cloud.submit(device, Sim_duration{0.4 + 0.1 * (i % 3)}, {},
+                cloud.submit(device, Sim_duration{0.4 + 0.1 * (i % 3)}, log.wrap(),
                              Cloud_job_kind::label);
             });
         }
@@ -514,7 +527,7 @@ TEST(Reliability, DefaultProfilesMatchNoProfilesBitIdentically) {
         for (std::size_t d = 0; d < 3; ++d) {
             billed.push_back(cloud.device_gpu_seconds(d));
         }
-        return std::tuple{cloud.job_latencies(), cloud.job_waits(), billed,
+        return std::tuple{log.latencies(), cloud.mean_label_wait(), billed,
                           cloud.preemptions()};
     };
     const auto bare = run_script(false);
@@ -597,6 +610,142 @@ TEST(Reliability, TypedBillingSumsMatchRawDoubleAccumulationBitForBit) {
     EXPECT_EQ(cloud.device_gpu_seconds(0).value(), raw_ledger); // raw bit compare
     EXPECT_EQ(cloud.busy_seconds().value(),                     // raw bit compare
               raw_ledger);
+}
+
+// ---------------------------------------------------------------------------
+// Randomized invariants: a seeded label/train stream from 4 devices through
+// every cell of a gpu_count x placement x policy x batching x preemption x
+// straggler x failure x requeue cross, checked from outside the class
+// against a per-job log and the metrics registry.
+// ---------------------------------------------------------------------------
+
+/// What one invariant run leaves for the caller: the completion-ordered
+/// job log (a dark run and one with metrics installed must agree on it)
+/// and the edge counts that show which machinery the cell exercised.
+struct Invariant_run {
+    std::vector<Sim_duration> log;
+    std::size_t preemptions = 0;
+    std::size_t warm_dispatches = 0;
+    std::size_t failures = 0;
+    std::size_t straggler_requeues = 0;
+};
+
+/// Drives one cell and checks the invariants that hold within a run.
+Invariant_run run_invariant_cell(const Cloud_config& config, Rng stream,
+                                 obs::Metrics_registry* metrics) {
+    Event_queue queue;
+    Cloud_runtime cloud{queue, config};
+    cloud.set_observability(obs::Trace_channel{}, metrics);
+    Job_log jobs{queue};
+    Job_log labels{queue};
+    std::size_t submitted = 0;
+    for (int i = 0; i < 24; ++i) {
+        const Sim_time at{stream.uniform(0.0, 30.0)};
+        const std::size_t device = stream.index(4);
+        const bool label = stream.uniform() < 0.75;
+        const Sim_duration service{label ? stream.uniform(0.2, 1.5) : stream.uniform(2.0, 6.0)};
+        const double drift = stream.uniform();
+        queue.schedule(at, [&, device, label, service, drift] {
+            cloud.submit(device, service, label ? labels.wrap(jobs.wrap()) : jobs.wrap(),
+                         label ? Cloud_job_kind::label : Cloud_job_kind::train, drift);
+            ++submitted;
+        });
+    }
+    // A failure-free cloud drains; a failing one is cut at a horizon (its
+    // failure process never ends).
+    const bool failing =
+        std::isfinite(config.gpu_profiles.front().mtbf.value()); // raw read: finiteness test
+    (void)queue.run_until(Sim_time{failing ? 300.0 : 1.0e6});
+
+    EXPECT_EQ(jobs.size(), cloud.jobs_completed());
+    if (!failing) {
+        EXPECT_EQ(jobs.size(), submitted);
+    }
+    EXPECT_EQ(labels.size(), cloud.labels_completed());
+    if (labels.size() > 0) {
+        Sim_duration sum;
+        for (const Sim_duration latency : labels.latencies()) {
+            sum += latency;
+        }
+        EXPECT_EQ(sum / static_cast<double>(labels.size()), cloud.mean_label_latency());
+    }
+    Gpu_seconds billed;
+    for (std::size_t d = 0; d < 4; ++d) {
+        billed += cloud.device_gpu_seconds(d);
+    }
+    EXPECT_NEAR(billed.value(), cloud.busy_seconds().value(), // raw seconds for the tolerance check
+                1e-9 * cloud.busy_seconds().value());         // raw seconds for the tolerance check
+    if (metrics != nullptr) {
+        const std::pair<const char*, std::size_t> lifecycle[] = {
+            {"cloud.jobs_completed", cloud.jobs_completed()},
+            {"cloud.preemptions", cloud.preemptions()},
+            {"cloud.warm_dispatches", cloud.warm_dispatches()},
+            {"cloud.failures", cloud.failures()},
+            {"cloud.straggler_requeues", cloud.straggler_requeues()},
+        };
+        for (const auto& [name, count] : lifecycle) {
+            const auto& points = metrics->counter(name).points();
+            EXPECT_EQ(points.empty() ? 0.0 : points.back().value, static_cast<double>(count))
+                << name;
+        }
+    }
+    return Invariant_run{jobs.latencies(), cloud.preemptions(), cloud.warm_dispatches(),
+                         cloud.failures(), cloud.straggler_requeues()};
+}
+
+TEST(Reliability, RandomizedCloudInvariantsHoldInEveryCell) {
+    const Placement_kind placements[] = {Placement_kind::any_free,
+                                         Placement_kind::device_affinity,
+                                         Placement_kind::kind_partition,
+                                         Placement_kind::speed_aware};
+    const Policy_kind policies[] = {Policy_kind::fifo, Policy_kind::priority,
+                                    Policy_kind::fair_share, Policy_kind::staleness};
+    const std::size_t batches[] = {1, 2, 4};
+    Rng base{0x1a7a11ce};
+    std::size_t cells = 0;
+    Invariant_run totals;
+    for (std::size_t cell = 0; cell < 3 * 4 * 4 * 3 * 2 * 2 * 2 * 2; ++cell) {
+        // Mixed-radix decode of the cell index into one setting per axis.
+        std::size_t rest = cell;
+        const auto pick = [&rest](std::size_t n) {
+            const std::size_t digit = rest % n;
+            rest /= n;
+            return digit;
+        };
+        Cloud_config config;
+        config.gpu_count = 1 + pick(3);
+        config.placement = placements[pick(4)];
+        config.policy = policies[pick(4)];
+        config.max_batch = batches[pick(3)];
+        config.preempt_label_wait = pick(2) == 0 ? Sim_duration{} : Sim_duration{1.5};
+        const double slow_speed = pick(2) == 0 ? 1.0 : 0.25;
+        const Sim_duration mtbf = pick(2) == 0 ? never : Sim_duration{20.0};
+        config.straggler_requeue_factor = pick(2) == 0 ? 0.0 : 2.0;
+        if (config.placement == Placement_kind::kind_partition) {
+            if (config.gpu_count < 2) {
+                continue;
+            }
+            config.label_reserved_gpus = 1;
+        }
+        config.gpu_profiles.assign(config.gpu_count,
+                                   Gpu_profile{1.0, mtbf, Sim_duration{5.0}});
+        config.gpu_profiles[0].speed = slow_speed;
+        SCOPED_TRACE("cell " + std::to_string(cell));
+        const Invariant_run dark = run_invariant_cell(config, base.split(cell), nullptr);
+        obs::Metrics_registry registry;
+        EXPECT_EQ(run_invariant_cell(config, base.split(cell), &registry).log, dark.log);
+        ++cells;
+        totals.preemptions += dark.preemptions;
+        totals.warm_dispatches += dark.warm_dispatches;
+        totals.failures += dark.failures;
+        totals.straggler_requeues += dark.straggler_requeues;
+    }
+    EXPECT_EQ(cells, 2112u); // kind_partition skipped at one GPU only
+    // The stream is contended enough to reach every checkpoint path.
+    EXPECT_GT(totals.preemptions, 0u);
+    EXPECT_GT(totals.warm_dispatches, 0u);
+    EXPECT_GT(totals.failures, 0u);
+    EXPECT_GT(totals.straggler_requeues, 0u);
 }
 
 } // namespace
