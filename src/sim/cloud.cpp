@@ -70,15 +70,15 @@ void Cloud_runtime::set_observability(obs::Trace_channel trace,
     }
     depth_gauge_ = &metrics_->gauge("cloud.queue_depth");
     busy_gauge_ = &metrics_->gauge("cloud.busy_gpus");
-    submit_counter_ = &metrics_->counter("cloud.submits");
-    dispatch_counter_ = &metrics_->counter("cloud.dispatches");
-    warm_counter_ = &metrics_->counter("cloud.warm_dispatches");
-    completion_counter_ = &metrics_->counter("cloud.jobs_completed");
-    preempt_counter_ = &metrics_->counter("cloud.preemptions");
-    requeue_counter_ = &metrics_->counter("cloud.requeued_jobs");
-    straggler_counter_ = &metrics_->counter("cloud.straggler_requeues");
-    failure_counter_ = &metrics_->counter("cloud.failures");
     batch_histogram_ = &metrics_->histogram("cloud.batch_occupancy");
+    submits_.series = &metrics_->counter("cloud.submits");
+    dispatches_.series = &metrics_->counter("cloud.dispatches");
+    warm_dispatches_.series = &metrics_->counter("cloud.warm_dispatches");
+    completions_.series = &metrics_->counter("cloud.jobs_completed");
+    preemptions_.series = &metrics_->counter("cloud.preemptions");
+    requeues_.series = &metrics_->counter("cloud.requeued_jobs");
+    straggler_requeues_.series = &metrics_->counter("cloud.straggler_requeues");
+    failures_.series = &metrics_->counter("cloud.failures");
 }
 
 void Cloud_runtime::sample_gauges() {
@@ -86,7 +86,8 @@ void Cloud_runtime::sample_gauges() {
         return;
     }
     depth_gauge_->set(queue_.now(), static_cast<double>(queue_depth()));
-    busy_gauge_->set(queue_.now(), static_cast<double>(busy_gpu_count()));
+    // A server is busy exactly while one in-flight dispatch holds it.
+    busy_gauge_->set(queue_.now(), static_cast<double>(active_.size()));
 }
 
 void Cloud_runtime::ensure_device(std::size_t device_id) {
@@ -131,9 +132,7 @@ void Cloud_runtime::submit(std::size_t device_id, Sim_duration service, Completi
     SHOG_TRACE_ASYNC_BEGIN(trace_, queue_.now(), obs::track_cloud,
                            kind_label(kind == Cloud_job_kind::train), id);
     SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "submit", id);
-    if (submit_counter_ != nullptr) {
-        submit_counter_->add(queue_.now());
-    }
+    submits_.add(queue_.now());
     dispatch();
     if (config_.preempt_label_wait > Sim_duration{} && kind == Cloud_job_kind::label &&
         is_waiting(id)) {
@@ -159,7 +158,8 @@ void Cloud_runtime::dispatch() {
     // first claim on any faster server that opened up.
     requeue_overdue_stragglers();
     while (!waiting_.empty()) {
-        if (available_gpu_count() == 0) {
+        if (std::none_of(gpus_.begin(), gpus_.end(),
+                         [](const Gpu_state& gpu) { return gpu.available(); })) {
             break; // every server busy or failed: nothing can be placed
         }
         // Head job: the scheduling policy's pick (overdue labels first). If
@@ -250,22 +250,14 @@ void Cloud_runtime::dispatch() {
         // runs at a discount.
         if (where.warm) {
             active->service *= config_.affinity_warm_factor;
-            ++warm_dispatches_;
+            warm_dispatches_.add(queue_.now());
         }
         // Server speed: a straggler shard holds the dispatch (and bills its
         // occupancy) for nominal / speed wall seconds. speed 1 divides
         // exactly, so default profiles stay bit-identical.
         active->service /= gpus_[where.gpu].speed;
-        // Bill the dispatch total across members in proportion to raw
-        // service, so which member arrived first cannot skew any device's
-        // GPU-seconds ledger (the first-job full-price term — and the warm
-        // discount — are properties of the *dispatch*, not of one member).
         for (const Sched_job& job : active->jobs) {
-            const double share =
-                active->total_raw > Sim_duration{}
-                    ? job.service / active->total_raw
-                    : 1.0 / static_cast<double>(active->jobs.size());
-            const Gpu_seconds billed = Gpu_seconds::of(active->service * share);
+            const Gpu_seconds billed = Gpu_seconds::of(active->bill_of(job));
             queued_busy_seconds_ += billed;
             per_device_seconds_[job.device] += billed;
         }
@@ -287,12 +279,9 @@ void Cloud_runtime::dispatch() {
         for (const Sched_job& job : active->jobs) {
             SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "dispatch", job.id);
         }
-        if (dispatch_counter_ != nullptr) {
-            dispatch_counter_->add(queue_.now());
+        dispatches_.add(queue_.now());
+        if (metrics_ != nullptr) {
             batch_histogram_->observe(static_cast<double>(active->jobs.size()));
-            if (where.warm) {
-                warm_counter_->add(queue_.now());
-            }
         }
         queue_.schedule_in(active->service, [this, active] { complete(active); });
         // Straggler bound: only a server too slow to finish this label
@@ -345,16 +334,11 @@ void Cloud_runtime::complete(const std::shared_ptr<Active_dispatch>& active) {
     finalize_occupancy(active->gpu, active->service);
     SHOG_TRACE_SPAN_END(trace_, completed, obs::track_gpu(active->gpu),
                         kind_label(active->all_train), active->trace_id);
-    if (completion_counter_ != nullptr) {
-        completion_counter_->add(completed, active->jobs.size());
-    }
+    completions_.add(completed, active->jobs.size());
     for (const Sched_job& job : active->jobs) {
         SHOG_TRACE_ASYNC_END(trace_, completed, obs::track_cloud,
                              kind_label(job.kind == Cloud_job_kind::train), job.id);
-        waits_.push_back(active->started - job.submitted);
-        latencies_.push_back(completed - job.submitted);
         if (job.kind == Cloud_job_kind::label) {
-            ++labels_completed_;
             label_wait_sum_ += active->started - job.submitted;
             label_latency_sum_ += completed - job.submitted;
             label_latency_p95_.add((completed - job.submitted).value()); // quantile over raw seconds
@@ -465,7 +449,7 @@ void Cloud_runtime::preempt_check(std::uint64_t job_id) {
         if (!active->all_train || active->cancelled) {
             continue;
         }
-        const Sim_duration remaining = active->started + active->service - queue_.now();
+        const Sim_duration remaining = active->remaining(queue_.now());
         if (remaining <= Sim_duration{}) {
             continue; // completes at this very instant; nothing to reclaim
         }
@@ -475,7 +459,9 @@ void Cloud_runtime::preempt_check(std::uint64_t job_id) {
         }
     }
     if (victim) {
-        preempt(victim);
+        preemptions_.add(queue_.now());
+        SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "preempt", victim->trace_id);
+        checkpoint(victim);
         dispatch();
     }
     // No victim is not a pass: the job is now marked overdue, so it outranks
@@ -486,15 +472,6 @@ void Cloud_runtime::preempt_check(std::uint64_t job_id) {
     // timer and blow the event queue up quadratically when oversubscribed.)
 }
 
-void Cloud_runtime::preempt(const std::shared_ptr<Active_dispatch>& active) {
-    ++preemptions_;
-    SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "preempt", active->trace_id);
-    if (preempt_counter_ != nullptr) {
-        preempt_counter_->add(queue_.now());
-    }
-    checkpoint(active);
-}
-
 void Cloud_runtime::checkpoint(std::shared_ptr<Active_dispatch> active) {
     const Sim_duration elapsed = queue_.now() - active->started;
     const double frac_done =
@@ -502,10 +479,7 @@ void Cloud_runtime::checkpoint(std::shared_ptr<Active_dispatch> active) {
     // Refund the unexecuted share of each member's bill and truncate the
     // occupancy interval to what actually ran.
     for (const Sched_job& job : active->jobs) {
-        const double share = active->total_raw > Sim_duration{}
-                                 ? job.service / active->total_raw
-                                 : 1.0 / static_cast<double>(active->jobs.size());
-        const Gpu_seconds refund = Gpu_seconds::of(active->service * share * (1.0 - frac_done));
+        const Gpu_seconds refund = Gpu_seconds::of(active->bill_of(job) * (1.0 - frac_done));
         queued_busy_seconds_ -= refund;
         per_device_seconds_[job.device] -= refund;
     }
@@ -539,9 +513,7 @@ void Cloud_runtime::checkpoint(std::shared_ptr<Active_dispatch> active) {
         job.service = remainder;
         enqueue(std::move(job));
         SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "requeue", id);
-        if (requeue_counter_ != nullptr) {
-            requeue_counter_->add(queue_.now());
-        }
+        requeues_.add(queue_.now());
         // Re-arm the wait bound for re-queued *labels* (failure and
         // straggler checkpoints re-queue them; pre-reliability only train
         // remainders were ever re-enqueued): the submit-time one-shot timer
@@ -577,30 +549,21 @@ void Cloud_runtime::schedule_failure(std::size_t g) {
 
 void Cloud_runtime::fail_server(std::size_t g) {
     gpus_[g].failed = true;
-    ++failures_;
+    failures_.add(queue_.now());
     // Outage span on the server's *health* track (separate from occupancy,
     // so a failure mid-dispatch never interleaves with the dispatch span's
     // B/E nesting).
     SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "server_fail", g);
     SHOG_TRACE_SPAN_BEGIN(trace_, queue_.now(), obs::track_gpu_health(g), "down", g);
-    if (failure_counter_ != nullptr) {
-        failure_counter_->add(queue_.now());
-    }
-    if (gpus_[g].busy) {
-        // Checkpoint the in-flight dispatch exactly like a preemption: the
-        // executed share stays billed, the remainder re-queues at the
-        // original submission time. A dispatch completing at this very
-        // instant is left to its completion event (nothing to reclaim; the
-        // failed flag keeps the server unplaceable once busy clears).
-        for (std::size_t i = 0; i < active_.size(); ++i) {
-            if (active_[i]->gpu == g) {
-                if (active_[i]->started + active_[i]->service - queue_.now() >
-                    Sim_duration{}) {
-                    checkpoint(active_[i]);
-                }
-                break;
-            }
-        }
+    // Checkpoint the in-flight dispatch (if any) exactly like a preemption:
+    // the executed share stays billed, the remainder re-queues at the
+    // original submission time. A dispatch completing at this very instant
+    // is left to its completion event (nothing to reclaim; the failed flag
+    // keeps the server unplaceable once busy clears).
+    const auto held = std::find_if(active_.begin(), active_.end(),
+                                   [g](const auto& active) { return active->gpu == g; });
+    if (held != active_.end() && (*held)->remaining(queue_.now()) > Sim_duration{}) {
+        checkpoint(*held);
     }
     queue_.schedule_in(exponential_delay(failure_rngs_[g], profile_of(g).mttr),
                        [this, g] { repair_server(g); });
@@ -635,16 +598,7 @@ void Cloud_runtime::straggler_check(const std::shared_ptr<Active_dispatch>& acti
         return; // completed, or some other checkpoint already re-queued it
     }
     if (faster_server_free(gpus_[active->gpu].speed)) {
-        ++straggler_requeues_;
-        SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "straggler_requeue",
-                           active->trace_id);
-        if (straggler_counter_ != nullptr) {
-            straggler_counter_->add(queue_.now());
-        }
-        for (Sched_job& job : active->jobs) {
-            job.straggler_requeued = true;
-        }
-        checkpoint(active);
+        requeue_straggler(active);
         dispatch();
         return;
     }
@@ -675,8 +629,7 @@ void Cloud_runtime::requeue_overdue_stragglers() {
     std::vector<bool> reserved(gpus_.size(), false);
     std::vector<std::shared_ptr<Active_dispatch>> victims;
     for (const auto& active : active_) {
-        if (!active->straggler_overdue ||
-            active->started + active->service - queue_.now() <= Sim_duration{}) {
+        if (!active->straggler_overdue || active->remaining(queue_.now()) <= Sim_duration{}) {
             continue;
         }
         std::size_t fastest = no_gpu;
@@ -693,17 +646,18 @@ void Cloud_runtime::requeue_overdue_stragglers() {
         }
     }
     for (const auto& victim : victims) {
-        ++straggler_requeues_;
-        SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "straggler_requeue",
-                           victim->trace_id);
-        if (straggler_counter_ != nullptr) {
-            straggler_counter_->add(queue_.now());
-        }
-        for (Sched_job& job : victim->jobs) {
-            job.straggler_requeued = true;
-        }
-        checkpoint(victim);
+        requeue_straggler(victim);
     }
+}
+
+void Cloud_runtime::requeue_straggler(const std::shared_ptr<Active_dispatch>& active) {
+    straggler_requeues_.add(queue_.now());
+    SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "straggler_requeue",
+                       active->trace_id);
+    for (Sched_job& job : active->jobs) {
+        job.straggler_requeued = true;
+    }
+    checkpoint(active);
 }
 
 Gpu_seconds Cloud_runtime::device_gpu_seconds(std::size_t device_id) const {
@@ -759,8 +713,8 @@ double Cloud_runtime::utilization(Sim_time horizon) const {
 Sim_duration Cloud_runtime::mean_label_latency() const {
     // Running sums accumulate in completion order — the same order the
     // former per-label vectors were summed in, so the means agree exactly.
-    return labels_completed_ > 0
-               ? label_latency_sum_ / static_cast<double>(labels_completed_)
+    return labels_completed() > 0
+               ? label_latency_sum_ / static_cast<double>(labels_completed())
                : Sim_duration{};
 }
 
@@ -771,8 +725,9 @@ Sim_duration Cloud_runtime::p95_label_latency() const {
 }
 
 Sim_duration Cloud_runtime::mean_label_wait() const {
-    return labels_completed_ > 0 ? label_wait_sum_ / static_cast<double>(labels_completed_)
-                                 : Sim_duration{};
+    return labels_completed() > 0
+               ? label_wait_sum_ / static_cast<double>(labels_completed())
+               : Sim_duration{};
 }
 
 } // namespace shog::sim

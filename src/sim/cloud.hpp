@@ -176,15 +176,6 @@ public:
     /// runtime's event queue (the coordinator in sharded runs); no locking,
     /// per the phase-ownership discipline in docs/ANALYSIS.md.
     [[nodiscard]] std::size_t queue_depth() const noexcept { return waiting_.size(); }
-    /// Dispatches currently occupying a server (busy-GPU gauge). Same
-    /// threading contract as queue_depth().
-    [[nodiscard]] std::size_t active_dispatch_count() const noexcept {
-        return active_.size();
-    }
-
-    [[nodiscard]] const Cloud_config& config() const noexcept { return config_; }
-    [[nodiscard]] const char* policy_name() const noexcept { return policy_->name(); }
-    [[nodiscard]] const char* placement_name() const noexcept { return placement_->name(); }
 
     /// Total GPU seconds committed (queued service + direct accounting).
     /// Includes the full service of jobs still running at the end of a run;
@@ -209,42 +200,23 @@ public:
     /// oversubscribed direct work.
     [[nodiscard]] double utilization(Sim_time horizon) const;
 
-    [[nodiscard]] std::size_t jobs_completed() const noexcept { return latencies_.size(); }
-    [[nodiscard]] std::size_t labels_completed() const noexcept { return labels_completed_; }
-    [[nodiscard]] std::size_t jobs_pending() const noexcept {
-        return waiting_.size() + busy_gpu_count();
+    [[nodiscard]] std::size_t jobs_completed() const noexcept { return completions_.count; }
+    [[nodiscard]] std::size_t labels_completed() const noexcept {
+        return label_latency_p95_.count();
     }
     /// Largest number of jobs ever left waiting behind busy servers (0 on a
     /// fully uncontended cluster).
     [[nodiscard]] std::size_t peak_queue_depth() const noexcept { return peak_depth_; }
     /// Train dispatches checkpointed and re-queued to unblock label jobs.
-    [[nodiscard]] std::size_t preemptions() const noexcept { return preemptions_; }
+    [[nodiscard]] std::size_t preemptions() const noexcept { return preemptions_.count; }
     /// Dispatches that started on a warm server (device_affinity hit).
-    [[nodiscard]] std::size_t warm_dispatches() const noexcept { return warm_dispatches_; }
+    [[nodiscard]] std::size_t warm_dispatches() const noexcept { return warm_dispatches_.count; }
     /// Server failure events (each checkpoints any in-flight dispatch).
-    [[nodiscard]] std::size_t failures() const noexcept { return failures_; }
+    [[nodiscard]] std::size_t failures() const noexcept { return failures_.count; }
     /// Label dispatches checkpointed off a straggling server onto a faster
     /// one (straggler_requeue_factor hits).
     [[nodiscard]] std::size_t straggler_requeues() const noexcept {
-        return straggler_requeues_;
-    }
-    /// Servers currently down (failed, not yet repaired).
-    [[nodiscard]] std::size_t failed_gpu_count() const noexcept {
-        std::size_t failed = 0;
-        for (const Gpu_state& gpu : gpus_) {
-            failed += gpu.failed ? 1 : 0;
-        }
-        return failed;
-    }
-
-    /// Completion - submission per finished job (wait + service), all kinds.
-    [[nodiscard]] const std::vector<Sim_duration>& job_latencies() const noexcept {
-        return latencies_;
-    }
-    /// Dispatch - submission per finished job (pure queueing delay; for a
-    /// preempted-and-resumed job this measures to its *final* dispatch).
-    [[nodiscard]] const std::vector<Sim_duration>& job_waits() const noexcept {
-        return waits_;
+        return straggler_requeues_.count;
     }
 
     /// Label-job statistics (training jobs excluded, so an AMS fleet's
@@ -273,6 +245,36 @@ private:
         /// (assigned unconditionally so traced and dark runs transition
         /// through identical state).
         std::uint64_t trace_id = 0;
+
+        /// Service left at `now` (<= 0 once the completion instant is due).
+        [[nodiscard]] Sim_duration remaining(Sim_time now) const {
+            return started + service - now;
+        }
+        /// Member `job`'s share of the billed `service`, in proportion to
+        /// raw service, so which member arrived first cannot skew any
+        /// device's GPU-seconds ledger (the first-job full-price term, the
+        /// warm discount and the server speed belong to the *dispatch*).
+        [[nodiscard]] Sim_duration bill_of(const Sched_job& job) const {
+            const double share = total_raw > Sim_duration{}
+                                     ? job.service / total_raw
+                                     : 1.0 / static_cast<double>(jobs.size());
+            return service * share;
+        }
+    };
+
+    /// The count of one job lifecycle edge: always on (the accessors, and
+    /// so Cluster_result, read it) and mirrored into the edge's registry
+    /// series once set_observability installs one, so recording an edge is
+    /// one add() whether or not metrics are on.
+    struct Tally {
+        std::size_t count = 0;
+        obs::Counter* series = nullptr; ///< borrowed; null = metrics off
+        void add(Sim_time at, std::size_t n = 1) {
+            count += n;
+            if (series != nullptr) {
+                series->add(at, n);
+            }
+        }
     };
 
     /// Start dispatches while an eligible server is idle and jobs wait.
@@ -288,13 +290,12 @@ private:
     /// then on (and dispatch() keeps a defensive re-arm for placements that
     /// could refuse labels).
     void preempt_check(std::uint64_t job_id);
-    void preempt(const std::shared_ptr<Active_dispatch>& active);
     /// Shared checkpoint/resume core of preemption, server failure and
     /// straggler re-queueing: refund the unexecuted share of the bill,
     /// truncate the occupancy interval to what ran, cancel the completion
     /// event, free the server and re-queue each member's remainder (replan
-    /// hook applied) at its original submission time. The caller bumps its
-    /// own counter. Takes the pointer *by value* on purpose: this function
+    /// hook applied) at its original submission time. The caller records
+    /// its own edge. Takes the pointer *by value* on purpose: this function
     /// erases from active_, so a caller-supplied reference into that vector
     /// (e.g. `checkpoint(active_[i])`) would dangle onto the next element
     /// mid-function — freeing the wrong server and re-queueing the wrong
@@ -314,6 +315,9 @@ private:
     /// a strictly faster free server, or mark it for the next capacity
     /// change (see requeue_overdue_stragglers).
     void straggler_check(const std::shared_ptr<Active_dispatch>& active);
+    /// Record a straggler escape and checkpoint `active` off its server;
+    /// every member is marked so the dispatch escapes at most once.
+    void requeue_straggler(const std::shared_ptr<Active_dispatch>& active);
     /// Re-queue marked straggler dispatches for which a strictly faster
     /// server has become free. Runs at the top of dispatch(), i.e. at every
     /// capacity change.
@@ -338,20 +342,6 @@ private:
     /// overdue index sets).
     [[nodiscard]] Sched_job take_waiting(std::size_t index);
     void ensure_device(std::size_t device_id);
-    [[nodiscard]] std::size_t busy_gpu_count() const noexcept {
-        std::size_t busy = 0;
-        for (const Gpu_state& gpu : gpus_) {
-            busy += gpu.busy ? 1 : 0;
-        }
-        return busy;
-    }
-    [[nodiscard]] std::size_t available_gpu_count() const noexcept {
-        std::size_t available = 0;
-        for (const Gpu_state& gpu : gpus_) {
-            available += gpu.available() ? 1 : 0;
-        }
-        return available;
-    }
     [[nodiscard]] const Gpu_profile& profile_of(std::size_t g) const noexcept {
         static constexpr Gpu_profile default_profile{};
         return g < config_.gpu_profiles.size() ? config_.gpu_profiles[g] : default_profile;
@@ -390,10 +380,16 @@ private:
     /// ever draw from theirs).
     std::vector<Rng> failure_rngs_;
     std::size_t peak_depth_ = 0;
-    std::size_t preemptions_ = 0;
-    std::size_t warm_dispatches_ = 0;
-    std::size_t failures_ = 0;
-    std::size_t straggler_requeues_ = 0;
+    /// One tally per job lifecycle edge; set_observability names each
+    /// one's registry series.
+    Tally submits_;
+    Tally dispatches_;
+    Tally warm_dispatches_;
+    Tally completions_;
+    Tally preemptions_;
+    Tally requeues_;
+    Tally straggler_requeues_;
+    Tally failures_;
     std::uint64_t next_job_id_ = 0;
     std::uint64_t next_seq_ = 0;
     Gpu_seconds queued_busy_seconds_;
@@ -406,11 +402,9 @@ private:
     std::vector<Gpu_seconds> gpu_finalized_busy_;
     Gpu_seconds finalized_busy_;
     Sim_time max_finalized_end_;
-    std::vector<Sim_duration> latencies_;
-    std::vector<Sim_duration> waits_;
-    std::size_t labels_completed_ = 0;
     Sim_duration label_latency_sum_;
     Sim_duration label_wait_sum_;
+    /// Every completed label's latency; its count() is labels_completed().
     Streaming_quantile label_latency_p95_{0.95};
     Completion_sink sink_;
     /// complete() handed >= 1 callback to the sink and skipped its trailing
@@ -424,14 +418,6 @@ private:
     /// the hot path never does a name lookup.
     obs::Gauge* depth_gauge_ = nullptr;
     obs::Gauge* busy_gauge_ = nullptr;
-    obs::Counter* submit_counter_ = nullptr;
-    obs::Counter* dispatch_counter_ = nullptr;
-    obs::Counter* warm_counter_ = nullptr;
-    obs::Counter* completion_counter_ = nullptr;
-    obs::Counter* preempt_counter_ = nullptr;
-    obs::Counter* requeue_counter_ = nullptr;
-    obs::Counter* straggler_counter_ = nullptr;
-    obs::Counter* failure_counter_ = nullptr;
     obs::Histogram* batch_histogram_ = nullptr;
     /// Monotone dispatch id (see Active_dispatch::trace_id); incremented
     /// whether or not tracing is on.

@@ -52,8 +52,6 @@ std::size_t count_free(const std::vector<Gpu_state>& gpus, std::size_t from = 0)
 
 class Any_free_placement final : public Placement_policy {
 public:
-    [[nodiscard]] const char* name() const noexcept override { return "any_free"; }
-
     [[nodiscard]] Placement_decision place(Cloud_job_kind, std::size_t,
                                            const std::vector<Gpu_state>& gpus) const override {
         return Placement_decision{lowest_free(gpus), false};
@@ -67,8 +65,6 @@ public:
 
 class Device_affinity_placement final : public Placement_policy {
 public:
-    [[nodiscard]] const char* name() const noexcept override { return "device_affinity"; }
-
     [[nodiscard]] Placement_decision place(Cloud_job_kind, std::size_t device,
                                            const std::vector<Gpu_state>& gpus) const override {
         // Warm server first: the one that last loaded this device's weights.
@@ -90,8 +86,6 @@ class Kind_partition_placement final : public Placement_policy {
 public:
     explicit Kind_partition_placement(std::size_t reserved) : reserved_{reserved} {}
 
-    [[nodiscard]] const char* name() const noexcept override { return "kind_partition"; }
-
     [[nodiscard]] Placement_decision place(Cloud_job_kind kind, std::size_t,
                                            const std::vector<Gpu_state>& gpus) const override {
         // Labels fill the reserved low-index servers first; trains are kept
@@ -111,8 +105,6 @@ private:
 
 class Speed_aware_placement final : public Placement_policy {
 public:
-    [[nodiscard]] const char* name() const noexcept override { return "speed_aware"; }
-
     [[nodiscard]] Placement_decision place(Cloud_job_kind kind, std::size_t device,
                                            const std::vector<Gpu_state>& gpus) const override {
         // Label dispatches take the fastest free server; train dispatches

@@ -90,8 +90,6 @@ class Placement_policy {
 public:
     virtual ~Placement_policy() = default;
 
-    [[nodiscard]] virtual const char* name() const noexcept = 0;
-
     /// Server for a dispatch headed by a `kind` job from `device`, or
     /// `no_gpu` when no free server may take it (kind_partition keeps trains
     /// off the reserved servers even when those are idle).

@@ -35,8 +35,6 @@ namespace {
 
 class Fifo_policy final : public Scheduling_policy {
 public:
-    [[nodiscard]] const char* name() const noexcept override { return "fifo"; }
-
     [[nodiscard]] std::size_t select(const std::deque<Sched_job>& waiting,
                                      const std::vector<Gpu_seconds>&, Sim_time) const override {
         // The queue is insertion-ordered, so the front is the lowest enqueue
@@ -50,8 +48,6 @@ public:
 
 class Priority_policy final : public Scheduling_policy {
 public:
-    [[nodiscard]] const char* name() const noexcept override { return "priority"; }
-
     [[nodiscard]] std::size_t select(const std::deque<Sched_job>& waiting,
                                      const std::vector<Gpu_seconds>&, Sim_time) const override {
         // Label jobs before train jobs; within a kind, oldest submission
@@ -77,8 +73,6 @@ public:
 
 class Fair_share_policy final : public Scheduling_policy {
 public:
-    [[nodiscard]] const char* name() const noexcept override { return "fair_share"; }
-
     [[nodiscard]] std::size_t select(const std::deque<Sched_job>& waiting,
                                      const std::vector<Gpu_seconds>& device_gpu_seconds,
                                      Sim_time) const override {
@@ -117,8 +111,6 @@ public:
 
 class Staleness_policy final : public Scheduling_policy {
 public:
-    [[nodiscard]] const char* name() const noexcept override { return "staleness"; }
-
     [[nodiscard]] std::size_t select(const std::deque<Sched_job>& waiting,
                                      const std::vector<Gpu_seconds>&, Sim_time now) const override {
         // Label jobs before train jobs (a fine-tune must never starve the

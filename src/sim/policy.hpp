@@ -96,8 +96,6 @@ class Scheduling_policy {
 public:
     virtual ~Scheduling_policy() = default;
 
-    [[nodiscard]] virtual const char* name() const noexcept = 0;
-
     /// Index into `waiting` (non-empty, insertion-ordered) of the job to
     /// dispatch next. `device_gpu_seconds` is the billed-GPU-seconds ledger
     /// indexed by device id (devices beyond its size have consumed

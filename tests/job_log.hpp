@@ -5,7 +5,6 @@
 // latencies in completion order.
 #pragma once
 
-#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -15,30 +14,21 @@
 
 namespace shog::testing {
 
-class Job_log {
-public:
-    explicit Job_log(const Event_queue& queue) : queue_{queue} {}
+struct Job_log {
+    const Event_queue& queue;
+    /// `now - submitted` of each wrapped job, in completion order.
+    std::vector<Sim_duration> latencies{};
 
     /// `done` callback for a job submitted at the current sim time: on
-    /// completion it appends `now - submitted`, then runs `inner` (if any).
+    /// completion it appends the job's latency, then runs `inner` (if any).
     [[nodiscard]] sim::Cloud_runtime::Completion wrap(sim::Cloud_runtime::Completion inner = {}) {
-        return [this, submitted = queue_.now(), inner = std::move(inner)] {
-            latencies_.push_back(queue_.now() - submitted);
+        return [this, submitted = queue.now(), inner = std::move(inner)] {
+            latencies.push_back(queue.now() - submitted);
             if (inner) {
                 inner();
             }
         };
     }
-
-    [[nodiscard]] std::size_t size() const noexcept { return latencies_.size(); }
-    [[nodiscard]] Sim_duration operator[](std::size_t i) const { return latencies_.at(i); }
-    [[nodiscard]] const std::vector<Sim_duration>& latencies() const noexcept {
-        return latencies_;
-    }
-
-private:
-    const Event_queue& queue_;
-    std::vector<Sim_duration> latencies_;
 };
 
 } // namespace shog::testing

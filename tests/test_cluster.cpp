@@ -17,7 +17,7 @@
 namespace shog::sim {
 namespace {
 
-using testing::Job_log;
+using shog::testing::Job_log;
 
 // ---------------------------------------------------------------------------
 // Cloud_runtime unit tests (no video, no models — just the scheduler).
@@ -35,9 +35,9 @@ TEST(CloudRuntime, FifoOrderAndLatency) {
     ASSERT_EQ(completions.size(), 2u);
     EXPECT_EQ(completions[0], 0);
     EXPECT_EQ(completions[1], 1);
-    ASSERT_EQ(log.size(), 2u);
-    EXPECT_EQ(log[0], Sim_duration{2.0}); // no wait
-    EXPECT_EQ(log[1], Sim_duration{5.0}); // waited 2 s, served 3 s
+    ASSERT_EQ(log.latencies.size(), 2u);
+    EXPECT_EQ(log.latencies[0], Sim_duration{2.0}); // no wait
+    EXPECT_EQ(log.latencies[1], Sim_duration{5.0}); // waited 2 s, served 3 s
     // Waits 0 s and 2 s.
     EXPECT_EQ(cloud.mean_label_wait(), Sim_duration{1.0});
     EXPECT_EQ(cloud.busy_seconds(), Gpu_seconds{5.0});
@@ -56,11 +56,11 @@ TEST(CloudRuntime, MultipleGpusServeInParallel) {
     cloud.submit(1, Sim_duration{2.0}, log.wrap());
     cloud.submit(2, Sim_duration{2.0}, log.wrap());
     (void)queue.run_until(Sim_time{10.0});
-    ASSERT_EQ(log.size(), 3u);
+    ASSERT_EQ(log.latencies.size(), 3u);
     // First two run immediately on separate GPUs; third waits for a slot.
-    EXPECT_EQ(log[0], Sim_duration{2.0});
-    EXPECT_EQ(log[1], Sim_duration{2.0});
-    EXPECT_EQ(log[2], Sim_duration{4.0});
+    EXPECT_EQ(log.latencies[0], Sim_duration{2.0});
+    EXPECT_EQ(log.latencies[1], Sim_duration{2.0});
+    EXPECT_EQ(log.latencies[2], Sim_duration{4.0});
 }
 
 TEST(CloudRuntime, BatchedDispatchDiscountsCoalescedJobs) {
@@ -80,10 +80,10 @@ TEST(CloudRuntime, BatchedDispatchDiscountsCoalescedJobs) {
     // Dispatch 1: job A alone (1 s). Dispatch 2: three jobs coalesced:
     // 2 + 0.5*2 + 0.5*2 = 4 s of service after 1 s of waiting, so all three
     // complete at t=5 with latency 5.
-    EXPECT_EQ(log[0], Sim_duration{1.0});
-    EXPECT_EQ(log[1], Sim_duration{5.0});
-    EXPECT_EQ(log[2], Sim_duration{5.0});
-    EXPECT_EQ(log[3], Sim_duration{5.0});
+    EXPECT_EQ(log.latencies[0], Sim_duration{1.0});
+    EXPECT_EQ(log.latencies[1], Sim_duration{5.0});
+    EXPECT_EQ(log.latencies[2], Sim_duration{5.0});
+    EXPECT_EQ(log.latencies[3], Sim_duration{5.0});
     EXPECT_DOUBLE_EQ(cloud.busy_seconds().value(), 5.0); // raw seconds: discount sum carries ulp residue
 }
 
@@ -100,8 +100,8 @@ TEST(CloudRuntime, BatchingNeverStarvesIdleServers) {
     cloud.submit(1, Sim_duration{2.0}, log.wrap());
     (void)queue.run_until(Sim_time{10.0});
     ASSERT_EQ(cloud.jobs_completed(), 2u);
-    EXPECT_EQ(log[0], Sim_duration{2.0});
-    EXPECT_EQ(log[1], Sim_duration{2.0});
+    EXPECT_EQ(log.latencies[0], Sim_duration{2.0});
+    EXPECT_EQ(log.latencies[1], Sim_duration{2.0});
     EXPECT_EQ(cloud.peak_queue_depth(), 0u);
 }
 

@@ -1,7 +1,8 @@
 // Tests for the sharded cloud: per-GPU server state, placement policies
 // (any_free / device_affinity / kind_partition), the staleness scheduling
-// policy, multi-GPU batching semantics, and replay determinism of the
-// sharded scheduler.
+// policy and multi-GPU batching semantics. Replay determinism of every
+// policy x placement cell is checked by the randomized invariant sweep in
+// tests/test_reliability.cpp.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -23,7 +24,7 @@ using shog::testing::Job_log;
 TEST(Placement, NamesRoundTrip) {
     for (Placement_kind kind :
          {Placement_kind::any_free, Placement_kind::device_affinity,
-          Placement_kind::kind_partition}) {
+          Placement_kind::kind_partition, Placement_kind::speed_aware}) {
         EXPECT_EQ(placement_by_name(to_string(kind)), kind);
     }
     EXPECT_THROW((void)placement_by_name("round_robin"), std::invalid_argument);
@@ -59,10 +60,10 @@ TEST(Placement, MultiGpuCoalescesOnlyOnTheLastIdleServer) {
     ASSERT_EQ(cloud.jobs_completed(), 4u);
     // Jobs 0, 1: own server, 2 s each. Jobs 2+3 coalesce at t=2 on the
     // first freed server: 2 + 0.5*2 = 3 s of service, done at t=5.
-    EXPECT_EQ(log[0], Sim_duration{2.0});
-    EXPECT_EQ(log[1], Sim_duration{2.0});
-    EXPECT_EQ(log[2], Sim_duration{5.0});
-    EXPECT_EQ(log[3], Sim_duration{5.0});
+    EXPECT_EQ(log.latencies[0], Sim_duration{2.0});
+    EXPECT_EQ(log.latencies[1], Sim_duration{2.0});
+    EXPECT_EQ(log.latencies[2], Sim_duration{5.0});
+    EXPECT_EQ(log.latencies[3], Sim_duration{5.0});
     EXPECT_EQ(cloud.busy_seconds(), Gpu_seconds{7.0});
     EXPECT_EQ(cloud.peak_queue_depth(), 2u);
     // Server 0 ran job 0 then the coalesced pair; server 1 ran job 1.
@@ -132,9 +133,9 @@ TEST(Placement, DeviceAffinityDiscountsWarmStarts) {
     queue.schedule(Sim_time{4.0}, [&] { cloud.submit(1, Sim_duration{1.0}, log.wrap()); });
     (void)queue.run_until(Sim_time{20.0});
     ASSERT_EQ(cloud.jobs_completed(), 3u);
-    EXPECT_EQ(log[0], Sim_duration{1.0}); // cold
-    EXPECT_DOUBLE_EQ(log[1].value(), 0.8); // warm; raw seconds: discount carries ulp residue
-    EXPECT_EQ(log[2], Sim_duration{1.0}); // cold (other device)
+    EXPECT_EQ(log.latencies[0], Sim_duration{1.0}); // cold
+    EXPECT_DOUBLE_EQ(log.latencies[1].value(), 0.8); // warm; raw seconds: discount carries ulp residue
+    EXPECT_EQ(log.latencies[2], Sim_duration{1.0}); // cold (other device)
     EXPECT_EQ(cloud.warm_dispatches(), 1u);
     // Billing follows the discounted service.
     EXPECT_DOUBLE_EQ(cloud.device_gpu_seconds(0).value(), 1.8); // raw seconds: discount carries ulp residue
@@ -157,7 +158,7 @@ TEST(Placement, DeviceAffinityPrefersTheWarmServerOverALowerIndex) {
     queue.schedule(Sim_time{3.0}, [&] { cloud.submit(1, Sim_duration{1.0}, log.wrap()); });
     (void)queue.run_until(Sim_time{20.0});
     ASSERT_EQ(cloud.jobs_completed(), 3u);
-    EXPECT_DOUBLE_EQ(log[2].value(), 0.8); // raw seconds: discount carries ulp residue
+    EXPECT_DOUBLE_EQ(log.latencies[2].value(), 0.8); // raw seconds: discount carries ulp residue
     EXPECT_EQ(cloud.warm_dispatches(), 1u);
     const std::vector<Gpu_seconds> per_gpu = cloud.per_gpu_busy_within(Sim_time{20.0});
     EXPECT_EQ(per_gpu[0], Gpu_seconds{1.0});
@@ -229,47 +230,6 @@ TEST(StalenessPolicy, DegeneratesToOldestFirstWithoutDriftSignal) {
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 0); // equal drift floor -> pure age -> oldest first
     EXPECT_EQ(order[1], 1);
-}
-
-// ---------------------------------------------------------------------------
-// Determinism: the sharded scheduler replays a script identically.
-// ---------------------------------------------------------------------------
-
-TEST(Sharding, ShardedPoliciesAreDeterministicAcrossReruns) {
-    for (Placement_kind placement :
-         {Placement_kind::any_free, Placement_kind::device_affinity,
-          Placement_kind::kind_partition}) {
-        const auto run_script = [placement] {
-            Event_queue queue;
-            Cloud_config config;
-            config.gpu_count = 3;
-            config.placement = placement;
-            config.label_reserved_gpus =
-                placement == Placement_kind::kind_partition ? 1 : 0;
-            config.policy = Policy_kind::staleness;
-            config.max_batch = 3;
-            config.batch_efficiency = 0.6;
-            config.preempt_label_wait = Sim_duration{2.0};
-            Cloud_runtime cloud{queue, config};
-            Job_log log{queue};
-            for (int i = 0; i < 6; ++i) {
-                queue.schedule(Sim_time{static_cast<double>(i) * 1.5}, [&cloud, &log, i] {
-                    cloud.submit(static_cast<std::size_t>(i % 3), Sim_duration{4.0},
-                                 log.wrap(), Cloud_job_kind::train, 0.1 * i);
-                    cloud.submit(static_cast<std::size_t>((i + 1) % 3), Sim_duration{0.5},
-                                 log.wrap(), Cloud_job_kind::label, 0.2 * i);
-                });
-            }
-            (void)queue.run_until(Sim_time{60.0});
-            return log.latencies();
-        };
-        const std::vector<Sim_duration> a = run_script();
-        const std::vector<Sim_duration> b = run_script();
-        ASSERT_EQ(a.size(), b.size()) << to_string(placement);
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i], b[i]) << to_string(placement) << " job " << i;
-        }
-    }
 }
 
 } // namespace

@@ -2,12 +2,13 @@
 // speed multipliers, MTBF/MTTR failure processes off deterministic RNG
 // substreams), failure checkpointing of in-flight dispatches, failure-aware
 // placement (including the kind_partition all-reserved-failed fallback),
-// the speed_aware placement, straggler re-queueing of overdue labels, and
-// the preemption-aware resume planner (AMS-style stale-sample dropping).
+// the speed_aware placement, straggler re-queueing of overdue labels, the
+// preemption-aware resume planner (AMS-style stale-sample dropping), and a
+// randomized sweep of scheduler invariants over every cloud setting.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -31,11 +32,6 @@ constexpr Sim_duration never{std::numeric_limits<double>::infinity()};
 // ---------------------------------------------------------------------------
 // Config surface.
 // ---------------------------------------------------------------------------
-
-TEST(Reliability, SpeedAwareNameRoundTrips) {
-    EXPECT_EQ(placement_by_name("speed_aware"), Placement_kind::speed_aware);
-    EXPECT_STREQ(to_string(Placement_kind::speed_aware), "speed_aware");
-}
 
 TEST(Reliability, ProfileValidation) {
     Event_queue queue;
@@ -70,7 +66,7 @@ TEST(Reliability, StragglerSpeedScalesServiceAndBilling) {
     ASSERT_EQ(cloud.jobs_completed(), 1u);
     // 3 s of nominal service occupy the half-speed server for 6 wall
     // seconds, and the bill is the occupancy.
-    EXPECT_EQ(log[0], Sim_duration{6.0});
+    EXPECT_EQ(log.latencies[0], Sim_duration{6.0});
     EXPECT_EQ(cloud.device_gpu_seconds(0), Gpu_seconds{6.0});
     EXPECT_EQ(cloud.busy_seconds(), Gpu_seconds{6.0});
 }
@@ -113,7 +109,7 @@ TEST(Reliability, SpeedAwareTieBreaksToTheWarmServer) {
     queue.schedule(Sim_time{5.0}, [&] { cloud.submit(7, Sim_duration{1.0}, log.wrap()); });
     (void)queue.run_until(Sim_time{100.0});
     ASSERT_EQ(cloud.jobs_completed(), 3u);
-    EXPECT_DOUBLE_EQ(log[2].value(), 0.8); // raw seconds: discount carries ulp residue
+    EXPECT_DOUBLE_EQ(log.latencies[2].value(), 0.8); // raw seconds: discount carries ulp residue
     EXPECT_EQ(cloud.warm_dispatches(), 1u);
     const std::vector<Gpu_seconds> per_gpu = cloud.per_gpu_busy_within(Sim_time{100.0});
     EXPECT_DOUBLE_EQ(per_gpu[1].value(), 1.8); // raw seconds: discount carries ulp residue
@@ -164,44 +160,6 @@ TEST(Reliability, FailureCheckpointsInFlightWorkAndConservesBilling) {
     EXPECT_NEAR(cloud.busy_seconds().value(), service.value(), 1e-9); // raw seconds for the tolerance check
     EXPECT_NEAR(cloud.busy_seconds_within(Sim_time{2000.0}).value(), // raw seconds for the tolerance check
                 service.value(), 1e-9); // raw seconds for the tolerance check
-}
-
-TEST(Reliability, FailureProcessIsDeterministicAcrossReruns) {
-    const auto run_script = [] {
-        Event_queue queue;
-        Cloud_config config;
-        config.gpu_count = 2;
-        config.placement = Placement_kind::speed_aware;
-        config.policy = Policy_kind::priority;
-        config.gpu_profiles = {Gpu_profile{0.5, Sim_duration{15.0}, Sim_duration{3.0}}, Gpu_profile{1.0, Sim_duration{25.0}, Sim_duration{5.0}}};
-        config.straggler_requeue_factor = 2.0;
-        config.preempt_label_wait = Sim_duration{2.0};
-        Cloud_runtime cloud{queue, config};
-        Job_log log{queue};
-        for (int i = 0; i < 12; ++i) {
-            queue.schedule(Sim_time{1.5 * i}, [&cloud, &log, i] {
-                cloud.submit(static_cast<std::size_t>(i % 4), Sim_duration{1.0},
-                             log.wrap(), Cloud_job_kind::label, 0.1 * i);
-                if (i % 3 == 0) {
-                    cloud.submit(static_cast<std::size_t>(i % 4), Sim_duration{6.0},
-                                 log.wrap(), Cloud_job_kind::train);
-                }
-            });
-        }
-        (void)queue.run_until(Sim_time{400.0});
-        return std::tuple{log.latencies(), cloud.failures(),
-                          cloud.straggler_requeues(), cloud.busy_seconds()};
-    };
-    const auto a = run_script();
-    const auto b = run_script();
-    ASSERT_EQ(std::get<0>(a).size(), std::get<0>(b).size());
-    for (std::size_t i = 0; i < std::get<0>(a).size(); ++i) {
-        EXPECT_EQ(std::get<0>(a)[i], std::get<0>(b)[i]) << "job " << i;
-    }
-    EXPECT_EQ(std::get<1>(a), std::get<1>(b));
-    EXPECT_EQ(std::get<2>(a), std::get<2>(b));
-    EXPECT_EQ(std::get<3>(a), std::get<3>(b));
-    EXPECT_GE(std::get<1>(a), 1u); // the scenario actually exercises failures
 }
 
 TEST(Reliability, KindPartitionServesLabelsWhenEveryReservedServerFails) {
@@ -277,8 +235,8 @@ TEST(Reliability, StragglerRequeueIsOffByDefaultAndBoundedToStragglers) {
     cloud.submit(1, Sim_duration{2.0}, log.wrap());
     (void)queue.run_until(Sim_time{50.0});
     EXPECT_EQ(cloud.straggler_requeues(), 0u);
-    EXPECT_EQ(log[0], Sim_duration{2.0});
-    EXPECT_EQ(log[1], Sim_duration{2.0});
+    EXPECT_EQ(log.latencies[0], Sim_duration{2.0});
+    EXPECT_EQ(log.latencies[1], Sim_duration{2.0});
 }
 
 TEST(Reliability, RequeuedLabelKeepsItsPreemptionBound) {
@@ -364,8 +322,8 @@ TEST(Reliability, StragglerRequeueSkipsADispatchCompletingThisInstant) {
     (void)queue.run_until(Sim_time{50.0});
     ASSERT_EQ(cloud.jobs_completed(), 2u);
     EXPECT_EQ(cloud.straggler_requeues(), 0u);
-    EXPECT_EQ(log[0], Sim_duration{2.0});
-    EXPECT_EQ(log[1], Sim_duration{2.0});
+    EXPECT_EQ(log.latencies[0], Sim_duration{2.0});
+    EXPECT_EQ(log.latencies[1], Sim_duration{2.0});
 }
 
 TEST(Reliability, CoalescedFreshLabelIsNotStrandedByARequeuedBatchMate) {
@@ -527,7 +485,7 @@ TEST(Reliability, DefaultProfilesMatchNoProfilesBitIdentically) {
         for (std::size_t d = 0; d < 3; ++d) {
             billed.push_back(cloud.device_gpu_seconds(d));
         }
-        return std::tuple{log.latencies(), cloud.mean_label_wait(), billed,
+        return std::tuple{log.latencies, cloud.mean_label_wait(), billed,
                           cloud.preemptions()};
     };
     const auto bare = run_script(false);
@@ -554,36 +512,30 @@ TEST(Reliability, TypedLatencyPipelineMatchesRawDoubleQuantileBitForBit) {
     config.preempt_label_wait = Sim_duration{1.5};
     config.max_batch = 2;
     config.batch_efficiency = 0.7;
-    Streaming_quantile mirror{0.95};
-    double mirror_sum = 0.0; // raw-double reference accumulation
-    std::size_t labels = 0;
-    Event_queue queue2;
-    Cloud_runtime cloud2{queue2, config};
+    Event_queue queue;
+    Cloud_runtime cloud{queue, config};
+    Job_log labels{queue};
     for (int i = 0; i < 9; ++i) {
-        queue2.schedule(Sim_time{0.7 * i}, [&queue2, &cloud2, &mirror, &mirror_sum,
-                                            &labels, i] {
-            const Sim_time submitted = queue2.now();
-            cloud2.submit(static_cast<std::size_t>(i % 3), Sim_duration{0.9},
-                          [&queue2, &mirror, &mirror_sum, &labels, submitted] {
-                              const double raw =
-                                  (queue2.now() - submitted).value(); // raw mirror feed
-                              mirror.add(raw);
-                              mirror_sum += raw;
-                              ++labels;
-                          },
-                          Cloud_job_kind::label);
+        queue.schedule(Sim_time{0.7 * i}, [&cloud, &labels, i] {
+            const auto device = static_cast<std::size_t>(i % 3);
+            cloud.submit(device, Sim_duration{0.9}, labels.wrap(), Cloud_job_kind::label);
             if (i % 2 == 0) {
-                cloud2.submit(static_cast<std::size_t>(i % 3), Sim_duration{3.0}, {},
-                              Cloud_job_kind::train);
+                cloud.submit(device, Sim_duration{3.0}, {}, Cloud_job_kind::train);
             }
         });
     }
-    (void)queue2.run_until(Sim_time{200.0});
-    ASSERT_GT(labels, 0u);
+    (void)queue.run_until(Sim_time{200.0});
+    ASSERT_GT(labels.latencies.size(), 0u);
+    Streaming_quantile mirror{0.95};
+    double mirror_sum = 0.0; // raw-double reference accumulation
+    for (const Sim_duration latency : labels.latencies) {
+        mirror.add(latency.value());   // raw mirror feed
+        mirror_sum += latency.value(); // raw mirror feed
+    }
     // Bit-identical, not approximately equal: EXPECT_EQ on the raw bits.
-    EXPECT_EQ(cloud2.p95_label_latency().value(), mirror.value()); // raw bit compare
-    EXPECT_EQ(cloud2.mean_label_latency().value(),                 // raw bit compare
-              mirror_sum / static_cast<double>(labels));
+    EXPECT_EQ(cloud.p95_label_latency().value(), mirror.value()); // raw bit compare
+    EXPECT_EQ(cloud.mean_label_latency().value(),                 // raw bit compare
+              mirror_sum / static_cast<double>(labels.latencies.size()));
 }
 
 TEST(Reliability, TypedBillingSumsMatchRawDoubleAccumulationBitForBit) {
@@ -616,18 +568,22 @@ TEST(Reliability, TypedBillingSumsMatchRawDoubleAccumulationBitForBit) {
 // Randomized invariants: a seeded label/train stream from 4 devices through
 // every cell of a gpu_count x placement x policy x batching x preemption x
 // straggler x failure x requeue cross, checked from outside the class
-// against a per-job log and the metrics registry.
+// against a per-job log and the metrics registry. Each cell runs twice, so
+// this is also the rerun-determinism check for every policy and placement.
 // ---------------------------------------------------------------------------
 
-/// What one invariant run leaves for the caller: the completion-ordered
-/// job log (a dark run and one with metrics installed must agree on it)
-/// and the edge counts that show which machinery the cell exercised.
+/// Registry series of the lifecycle edges in Invariant_run::edges.
+constexpr const char* lifecycle_series[] = {"cloud.jobs_completed", "cloud.preemptions",
+                                            "cloud.warm_dispatches", "cloud.failures",
+                                            "cloud.straggler_requeues"};
+
+/// What a cell run shows from outside: the completion-ordered job log,
+/// the lifecycle accessors (lifecycle_series order) and the billed total.
 struct Invariant_run {
     std::vector<Sim_duration> log;
-    std::size_t preemptions = 0;
-    std::size_t warm_dispatches = 0;
-    std::size_t failures = 0;
-    std::size_t straggler_requeues = 0;
+    std::array<std::size_t, std::size(lifecycle_series)> edges{};
+    Gpu_seconds busy;
+    bool operator==(const Invariant_run&) const = default;
 };
 
 /// Drives one cell and checks the invariants that hold within a run.
@@ -657,53 +613,46 @@ Invariant_run run_invariant_cell(const Cloud_config& config, Rng stream,
         std::isfinite(config.gpu_profiles.front().mtbf.value()); // raw read: finiteness test
     (void)queue.run_until(Sim_time{failing ? 300.0 : 1.0e6});
 
-    EXPECT_EQ(jobs.size(), cloud.jobs_completed());
+    const Invariant_run run{jobs.latencies,
+                            {cloud.jobs_completed(), cloud.preemptions(),
+                             cloud.warm_dispatches(), cloud.failures(),
+                             cloud.straggler_requeues()},
+                            cloud.busy_seconds()};
+    EXPECT_EQ(jobs.latencies.size(), cloud.jobs_completed());
     if (!failing) {
-        EXPECT_EQ(jobs.size(), submitted);
+        EXPECT_EQ(jobs.latencies.size(), submitted);
     }
-    EXPECT_EQ(labels.size(), cloud.labels_completed());
-    if (labels.size() > 0) {
+    EXPECT_EQ(labels.latencies.size(), cloud.labels_completed());
+    if (labels.latencies.size() > 0) {
         Sim_duration sum;
-        for (const Sim_duration latency : labels.latencies()) {
+        for (const Sim_duration latency : labels.latencies) {
             sum += latency;
         }
-        EXPECT_EQ(sum / static_cast<double>(labels.size()), cloud.mean_label_latency());
+        EXPECT_EQ(sum / static_cast<double>(labels.latencies.size()), cloud.mean_label_latency());
     }
     Gpu_seconds billed;
     for (std::size_t d = 0; d < 4; ++d) {
         billed += cloud.device_gpu_seconds(d);
     }
-    EXPECT_NEAR(billed.value(), cloud.busy_seconds().value(), // raw seconds for the tolerance check
-                1e-9 * cloud.busy_seconds().value());         // raw seconds for the tolerance check
-    if (metrics != nullptr) {
-        const std::pair<const char*, std::size_t> lifecycle[] = {
-            {"cloud.jobs_completed", cloud.jobs_completed()},
-            {"cloud.preemptions", cloud.preemptions()},
-            {"cloud.warm_dispatches", cloud.warm_dispatches()},
-            {"cloud.failures", cloud.failures()},
-            {"cloud.straggler_requeues", cloud.straggler_requeues()},
-        };
-        for (const auto& [name, count] : lifecycle) {
-            const auto& points = metrics->counter(name).points();
-            EXPECT_EQ(points.empty() ? 0.0 : points.back().value, static_cast<double>(count))
-                << name;
-        }
+    EXPECT_NEAR(billed.value(), run.busy.value(), // raw seconds for the tolerance check
+                1e-9 * run.busy.value());         // raw seconds for the tolerance check
+    for (std::size_t e = 0; metrics != nullptr && e < run.edges.size(); ++e) {
+        const auto& points = metrics->counter(lifecycle_series[e]).points();
+        EXPECT_EQ(points.empty() ? 0.0 : points.back().value, static_cast<double>(run.edges[e]))
+            << lifecycle_series[e];
     }
-    return Invariant_run{jobs.latencies(), cloud.preemptions(), cloud.warm_dispatches(),
-                         cloud.failures(), cloud.straggler_requeues()};
+    return run;
 }
 
 TEST(Reliability, RandomizedCloudInvariantsHoldInEveryCell) {
-    const Placement_kind placements[] = {Placement_kind::any_free,
-                                         Placement_kind::device_affinity,
-                                         Placement_kind::kind_partition,
-                                         Placement_kind::speed_aware};
+    const Placement_kind placements[] = {Placement_kind::any_free, Placement_kind::device_affinity,
+                                         Placement_kind::kind_partition, Placement_kind::speed_aware};
     const Policy_kind policies[] = {Policy_kind::fifo, Policy_kind::priority,
                                     Policy_kind::fair_share, Policy_kind::staleness};
     const std::size_t batches[] = {1, 2, 4};
     Rng base{0x1a7a11ce};
     std::size_t cells = 0;
-    Invariant_run totals;
+    std::array<std::size_t, std::size(lifecycle_series)> totals{};
     for (std::size_t cell = 0; cell < 3 * 4 * 4 * 3 * 2 * 2 * 2 * 2; ++cell) {
         // Mixed-radix decode of the cell index into one setting per axis.
         std::size_t rest = cell;
@@ -727,25 +676,22 @@ TEST(Reliability, RandomizedCloudInvariantsHoldInEveryCell) {
             }
             config.label_reserved_gpus = 1;
         }
-        config.gpu_profiles.assign(config.gpu_count,
-                                   Gpu_profile{1.0, mtbf, Sim_duration{5.0}});
+        config.gpu_profiles.assign(config.gpu_count, Gpu_profile{1.0, mtbf, Sim_duration{5.0}});
         config.gpu_profiles[0].speed = slow_speed;
         SCOPED_TRACE("cell " + std::to_string(cell));
         const Invariant_run dark = run_invariant_cell(config, base.split(cell), nullptr);
         obs::Metrics_registry registry;
-        EXPECT_EQ(run_invariant_cell(config, base.split(cell), &registry).log, dark.log);
+        EXPECT_TRUE(run_invariant_cell(config, base.split(cell), &registry) == dark);
         ++cells;
-        totals.preemptions += dark.preemptions;
-        totals.warm_dispatches += dark.warm_dispatches;
-        totals.failures += dark.failures;
-        totals.straggler_requeues += dark.straggler_requeues;
+        for (std::size_t e = 0; e < totals.size(); ++e) {
+            totals[e] += dark.edges[e];
+        }
     }
     EXPECT_EQ(cells, 2112u); // kind_partition skipped at one GPU only
     // The stream is contended enough to reach every checkpoint path.
-    EXPECT_GT(totals.preemptions, 0u);
-    EXPECT_GT(totals.warm_dispatches, 0u);
-    EXPECT_GT(totals.failures, 0u);
-    EXPECT_GT(totals.straggler_requeues, 0u);
+    for (std::size_t e = 0; e < totals.size(); ++e) {
+        EXPECT_GT(totals[e], 0u) << lifecycle_series[e];
+    }
 }
 
 } // namespace
