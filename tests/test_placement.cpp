@@ -1,8 +1,7 @@
 // Tests for the sharded cloud: per-GPU server state, placement policies
 // (any_free / device_affinity / kind_partition), the staleness scheduling
-// policy and multi-GPU batching semantics. Replay determinism of every
-// policy x placement cell is checked by the randomized invariant sweep in
-// tests/test_reliability.cpp.
+// policy, multi-GPU batching semantics, and replay determinism of the
+// sharded scheduler.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -24,7 +23,7 @@ using shog::testing::Job_log;
 TEST(Placement, NamesRoundTrip) {
     for (Placement_kind kind :
          {Placement_kind::any_free, Placement_kind::device_affinity,
-          Placement_kind::kind_partition, Placement_kind::speed_aware}) {
+          Placement_kind::kind_partition}) {
         EXPECT_EQ(placement_by_name(to_string(kind)), kind);
     }
     EXPECT_THROW((void)placement_by_name("round_robin"), std::invalid_argument);
@@ -230,6 +229,47 @@ TEST(StalenessPolicy, DegeneratesToOldestFirstWithoutDriftSignal) {
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 0); // equal drift floor -> pure age -> oldest first
     EXPECT_EQ(order[1], 1);
+}
+
+// ---------------------------------------------------------------------------
+// Determinism: the sharded scheduler replays a script identically.
+// ---------------------------------------------------------------------------
+
+TEST(Sharding, ShardedPoliciesAreDeterministicAcrossReruns) {
+    for (Placement_kind placement :
+         {Placement_kind::any_free, Placement_kind::device_affinity,
+          Placement_kind::kind_partition}) {
+        const auto run_script = [placement] {
+            Event_queue queue;
+            Cloud_config config;
+            config.gpu_count = 3;
+            config.placement = placement;
+            config.label_reserved_gpus =
+                placement == Placement_kind::kind_partition ? 1 : 0;
+            config.policy = Policy_kind::staleness;
+            config.max_batch = 3;
+            config.batch_efficiency = 0.6;
+            config.preempt_label_wait = Sim_duration{2.0};
+            Cloud_runtime cloud{queue, config};
+            Job_log log{queue};
+            for (int i = 0; i < 6; ++i) {
+                queue.schedule(Sim_time{static_cast<double>(i) * 1.5}, [&cloud, &log, i] {
+                    cloud.submit(static_cast<std::size_t>(i % 3), Sim_duration{4.0},
+                                 log.wrap(), Cloud_job_kind::train, 0.1 * i);
+                    cloud.submit(static_cast<std::size_t>((i + 1) % 3), Sim_duration{0.5},
+                                 log.wrap(), Cloud_job_kind::label, 0.2 * i);
+                });
+            }
+            (void)queue.run_until(Sim_time{60.0});
+            return log.latencies;
+        };
+        const std::vector<Sim_duration> a = run_script();
+        const std::vector<Sim_duration> b = run_script();
+        ASSERT_EQ(a.size(), b.size()) << to_string(placement);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i], b[i]) << to_string(placement) << " job " << i;
+        }
+    }
 }
 
 } // namespace

@@ -227,6 +227,44 @@ TEST(SchedulingPolicy, PriorityAndFairShareCutP95LabelLatencyUnderTrainLoad) {
     EXPECT_LT(fair, fifo);
 }
 
+TEST(SchedulingPolicy, AllPoliciesAreDeterministicAcrossReruns) {
+    for (Policy_kind kind :
+         {Policy_kind::fifo, Policy_kind::priority, Policy_kind::fair_share}) {
+        const auto run_script = [kind] {
+            Event_queue queue;
+            Cloud_config config;
+            config.policy = kind;
+            config.max_batch = 3;
+            config.batch_efficiency = 0.6;
+            config.preempt_label_wait = Sim_duration{2.0};
+            Cloud_runtime cloud{queue, config};
+            Job_log log{queue};
+            // A scripted mixed workload: staggered labels and trains from
+            // three devices, enough to exercise coalescing and preemption.
+            for (int i = 0; i < 4; ++i) {
+                queue.schedule(Sim_time{static_cast<double>(i) * 1.5}, [&cloud, &log, i] {
+                    cloud.submit(static_cast<std::size_t>(i % 3), Sim_duration{4.0},
+                                 log.wrap(), Cloud_job_kind::train);
+                    cloud.submit(static_cast<std::size_t>((i + 1) % 3), Sim_duration{0.5},
+                                 log.wrap(), Cloud_job_kind::label);
+                });
+            }
+            (void)queue.run_until(Sim_time{60.0});
+            return log.latencies;
+        };
+        const std::vector<Sim_duration> a = run_script();
+        const std::vector<Sim_duration> b = run_script();
+        ASSERT_EQ(a.size(), b.size()) << to_string(kind);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i], b[i]) << to_string(kind) << " job " << i;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Bugfix regressions.
+// ---------------------------------------------------------------------------
+
 TEST(CloudRuntime, PreemptBoundSurvivesUlpLateCheck) {
     // The one-shot preempt_check fires at exactly submitted + bound, but in
     // floating point (0.3 + 0.6) - 0.3 < 0.6, so at the check's own firing

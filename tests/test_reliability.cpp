@@ -33,6 +33,10 @@ constexpr Sim_duration never{std::numeric_limits<double>::infinity()};
 // Config surface.
 // ---------------------------------------------------------------------------
 
+TEST(Reliability, SpeedAwareNameRoundTrips) {
+    EXPECT_EQ(placement_by_name("speed_aware"), Placement_kind::speed_aware);
+}
+
 TEST(Reliability, ProfileValidation) {
     Event_queue queue;
     Cloud_config config;
@@ -160,6 +164,44 @@ TEST(Reliability, FailureCheckpointsInFlightWorkAndConservesBilling) {
     EXPECT_NEAR(cloud.busy_seconds().value(), service.value(), 1e-9); // raw seconds for the tolerance check
     EXPECT_NEAR(cloud.busy_seconds_within(Sim_time{2000.0}).value(), // raw seconds for the tolerance check
                 service.value(), 1e-9); // raw seconds for the tolerance check
+}
+
+TEST(Reliability, FailureProcessIsDeterministicAcrossReruns) {
+    const auto run_script = [] {
+        Event_queue queue;
+        Cloud_config config;
+        config.gpu_count = 2;
+        config.placement = Placement_kind::speed_aware;
+        config.policy = Policy_kind::priority;
+        config.gpu_profiles = {Gpu_profile{0.5, Sim_duration{15.0}, Sim_duration{3.0}}, Gpu_profile{1.0, Sim_duration{25.0}, Sim_duration{5.0}}};
+        config.straggler_requeue_factor = 2.0;
+        config.preempt_label_wait = Sim_duration{2.0};
+        Cloud_runtime cloud{queue, config};
+        Job_log log{queue};
+        for (int i = 0; i < 12; ++i) {
+            queue.schedule(Sim_time{1.5 * i}, [&cloud, &log, i] {
+                cloud.submit(static_cast<std::size_t>(i % 4), Sim_duration{1.0},
+                             log.wrap(), Cloud_job_kind::label, 0.1 * i);
+                if (i % 3 == 0) {
+                    cloud.submit(static_cast<std::size_t>(i % 4), Sim_duration{6.0},
+                                 log.wrap(), Cloud_job_kind::train);
+                }
+            });
+        }
+        (void)queue.run_until(Sim_time{400.0});
+        return std::tuple{log.latencies, cloud.failures(), cloud.straggler_requeues(),
+                          cloud.busy_seconds()};
+    };
+    const auto a = run_script();
+    const auto b = run_script();
+    ASSERT_EQ(std::get<0>(a).size(), std::get<0>(b).size());
+    for (std::size_t i = 0; i < std::get<0>(a).size(); ++i) {
+        EXPECT_EQ(std::get<0>(a)[i], std::get<0>(b)[i]) << "job " << i;
+    }
+    EXPECT_EQ(std::get<1>(a), std::get<1>(b));
+    EXPECT_EQ(std::get<2>(a), std::get<2>(b));
+    EXPECT_EQ(std::get<3>(a), std::get<3>(b));
+    EXPECT_GE(std::get<1>(a), 1u); // the scenario actually exercises failures
 }
 
 TEST(Reliability, KindPartitionServesLabelsWhenEveryReservedServerFails) {
