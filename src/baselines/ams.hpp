@@ -15,13 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "core/adaptive_trainer.hpp"
-#include "core/controller.hpp"
-#include "core/labeling.hpp"
-#include "device/monitor.hpp"
+#include "core/label_loop.hpp"
 #include "sim/strategy.hpp"
 
 namespace shog::baselines {
@@ -40,17 +37,8 @@ struct Ams_config {
     bool warm_replay = true;
     std::size_t warm_samples = 1200;
     double upload_resolution = 512.0;
-    double alpha_threshold = 0.5;
     /// Edge-side model swap pause (fps dips while weights are installed).
     Sim_duration swap_seconds{0.4};
-    /// Preemption-aware resume: when the scheduler checkpoints a fine-tune
-    /// (label-wait preemption, server failure), the job re-plans its
-    /// remaining batch on resume — samples whose age exceeds
-    /// `sample_horizon` by then are dropped from the remainder instead of
-    /// being replayed, so repeated preemption stops billing GPU seconds for
-    /// training on stale data. Off reproduces the replay-the-remainder
-    /// behavior exactly (and with no preemption the two are identical).
-    bool replan_on_resume = true;
 };
 
 class Ams_strategy final : public sim::Strategy {
@@ -66,53 +54,26 @@ public:
                       const std::vector<detect::Detection>& detections) override;
 
     [[nodiscard]] std::size_t model_updates_sent() const noexcept { return updates_sent_; }
-    [[nodiscard]] const core::Sampling_controller& controller() const noexcept {
-        return controller_;
-    }
-    /// EMA of |d alpha / dt| across control rounds (see
-    /// core::Drift_estimator).
-    [[nodiscard]] double drift_rate() const noexcept { return drift_.rate(); }
 
 private:
     models::Detector& student_;
     std::unique_ptr<models::Detector> cloud_copy_;
     Ams_config config_;
     models::Deployed_profile profile_;
-    std::unique_ptr<core::Adaptive_trainer> cloud_trainer_;
-    core::Online_labeler labeler_;
-    core::Sampling_controller controller_;
-    device::Resource_monitor resource_monitor_;
-    device::Compute_model cloud_device_;
-    double teacher_infer_gflops_;
-    Rng label_rng_{0xa3a3};
+    core::Adaptive_trainer cloud_trainer_;
+    core::Label_loop loop_;
 
     std::vector<std::size_t> sample_buffer_;
     Sim_time first_buffered_at_;
-    struct Pending_batch {
-        std::vector<models::Labeled_sample> samples;
-        std::size_t frames = 0;
-        Sim_time at;
-    };
-    std::deque<Pending_batch> pending_;
-    std::size_t pending_frames_ = 0;
+    core::Label_backlog pending_;
     bool cloud_training_busy_ = false;
     std::size_t updates_sent_ = 0;
-    /// Trace key tying one batch's upload/await_labels phases together
-    /// (async spans on the device track; concurrent batches overlap).
-    std::uint64_t upload_generation_ = 0;
-
-    std::size_t predictions_seen_ = 0;
-    std::size_t predictions_accurate_ = 0;
-    core::Drift_estimator drift_;
-    std::vector<detect::Detection> last_teacher_output_;
-    bool have_last_teacher_output_ = false;
 
     void schedule_next_sample(sim::Edge_runtime& rt);
     void on_sample_tick(sim::Edge_runtime& rt);
     void upload_buffer(sim::Edge_runtime& rt);
     void cloud_label_batch(sim::Edge_runtime& rt, std::vector<std::size_t> frames);
     void maybe_train_in_cloud(sim::Edge_runtime& rt);
-    [[nodiscard]] double drain_alpha();
 };
 
 } // namespace shog::baselines

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "models/pretrain.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -291,6 +292,18 @@ void Adaptive_trainer::warm_start(const std::vector<models::Labeled_sample>& sam
     }
     const std::vector<Replay_sample> latents = latent_batch(samples);
     memory_.update_after_training(latents, rng_);
+}
+
+void Adaptive_trainer::warm_start_daytime(const video::World_model& world,
+                                          std::size_t samples) {
+    if (!memory_.enabled()) {
+        return;
+    }
+    models::Pretrain_config warm_cfg;
+    warm_cfg.domains = models::daytime_domains();
+    warm_cfg.samples = samples;
+    warm_cfg.seed = config_.seed ^ 0xab;
+    warm_start(models::synth_dataset(world, detector_.config(), warm_cfg));
 }
 
 Training_report Adaptive_trainer::train(const std::vector<models::Labeled_sample>& all_fresh) {

@@ -117,6 +117,9 @@ public:
     /// initialize the memory from the pretraining set so the first online
     /// session already rehearses the base domain.
     void warm_start(const std::vector<models::Labeled_sample>& samples);
+    /// warm_start on `samples` region samples synthesized from the daytime
+    /// domains the student was pretrained on; a no-op without replay memory.
+    void warm_start_daytime(const video::World_model& world, std::size_t samples);
 
     /// Deployed-model cost (seconds) of a session with the given sizes —
     /// usable without running one (the fps model uses it for scheduling).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "models/pretrain.hpp"
-
 namespace shog::core {
 
 Shoggoth_strategy::Shoggoth_strategy(models::Detector& student, models::Detector& teacher,
@@ -15,32 +13,22 @@ Shoggoth_strategy::Shoggoth_strategy(models::Detector& student, models::Detector
     : student_{student},
       config_{std::move(config)},
       trainer_{student, config_.trainer, std::move(edge_profile), std::move(edge_device)},
-      labeler_{teacher, config_.labeler},
-      controller_{config_.controller, config_.initial_rate},
-      resource_monitor_{Sim_duration{1.0}},
-      cloud_device_{std::move(cloud_device)},
-      teacher_infer_gflops_{
-          models::Deployed_profile::mask_rcnn_resnext101().inference_gflops()} {
+      loop_{student, teacher, config_.labeler, config_.controller, config_.initial_rate,
+            config_.upload_resolution, std::move(cloud_device)},
+      pending_{config_.sample_horizon} {
     SHOG_REQUIRE(config_.upload_batch_frames >= 1, "upload batch must be >= 1 frame");
     SHOG_REQUIRE(config_.fixed_rate > 0.0, "fixed rate must be positive");
     SHOG_REQUIRE(config_.training_wall_factor >= 1.0, "wall factor must be >= 1");
 }
 
 double Shoggoth_strategy::current_rate() const noexcept {
-    return config_.adaptive_sampling ? controller_.rate() : config_.fixed_rate;
+    return config_.adaptive_sampling ? loop_.controller().rate() : config_.fixed_rate;
 }
 
 void Shoggoth_strategy::start(sim::Edge_runtime& rt) {
-    // Decorrelate this device's labeling noise from the rest of the fleet
-    // (every device would otherwise draw the same stream of label jitter).
-    label_rng_ = rt.rng().split(0x1abe1);
-    if (config_.warm_replay && trainer_.memory().enabled()) {
-        models::Pretrain_config warm_cfg;
-        warm_cfg.domains = models::daytime_domains();
-        warm_cfg.samples = config_.warm_samples;
-        warm_cfg.seed = config_.trainer.seed ^ 0xab;
-        trainer_.warm_start(
-            models::synth_dataset(rt.stream().world(), student_.config(), warm_cfg));
+    loop_.start(rt);
+    if (config_.warm_replay) {
+        trainer_.warm_start_daytime(rt.stream().world(), config_.warm_samples);
     }
     schedule_next_sample(rt);
 }
@@ -57,10 +45,10 @@ void Shoggoth_strategy::on_sample_tick(sim::Edge_runtime& rt) {
     const std::size_t index = rt.stream().index_at(rt.now().value()); // frame-domain lookup
     if (sample_buffer_.empty()) {
         first_buffered_at_ = rt.now();
-        // The buffer phase of generation `upload_generation_` opens with its
+        // The buffer phase of the next upload generation opens with its
         // first sample and closes when upload_buffer ships it.
         SHOG_TRACE_ASYNC_BEGIN(rt.trace(), rt.now(), rt.trace_track(), "buffer",
-                               upload_generation_);
+                               loop_.generation());
         schedule_flush_timer(rt);
     }
     last_buffered_at_ = rt.now();
@@ -78,11 +66,11 @@ void Shoggoth_strategy::schedule_flush_timer(sim::Edge_runtime& rt) {
     // ticking near stream end — silently dropped a partially filled buffer
     // at the end of the stream. Clamping to the stream duration flushes any
     // remainder at stream end, inside the simulation horizon.
-    const std::uint64_t generation = upload_generation_;
+    const std::uint64_t generation = loop_.generation();
     const Sim_time at = std::min(first_buffered_at_ + config_.upload_max_wait,
                                  Sim_time{rt.stream().duration()});
     rt.schedule(std::max(Sim_duration{}, at - rt.now()), [this, &rt, generation] {
-        if (generation == upload_generation_ && !sample_buffer_.empty()) {
+        if (generation == loop_.generation() && !sample_buffer_.empty()) {
             upload_buffer(rt);
         }
     });
@@ -93,102 +81,35 @@ void Shoggoth_strategy::upload_buffer(sim::Edge_runtime& rt) {
         return;
     }
     SHOG_TRACE_ASYNC_END(rt.trace(), rt.now(), rt.trace_track(), "buffer",
-                         upload_generation_);
-    const std::uint64_t generation = upload_generation_;
-    ++upload_generation_; // invalidate any pending flush timer
-    std::vector<std::size_t> frames = std::move(sample_buffer_);
-    sample_buffer_.clear();
-    frames_uploaded_ += frames.size();
-
-    // Batch statistics for the codec model: average the sampled frames.
-    double complexity = 0.0;
-    double motion = 0.0;
-    for (std::size_t idx : frames) {
-        const video::Frame f = rt.stream().frame_at(idx);
-        complexity += f.complexity;
-        motion += f.motion_level;
-    }
-    complexity /= static_cast<double>(frames.size());
-    motion /= static_cast<double>(frames.size());
-
+                         loop_.generation());
+    const std::size_t n = sample_buffer_.size();
     const Sim_duration gap =
-        frames.size() > 1
-            ? (last_buffered_at_ - first_buffered_at_) / static_cast<double>(frames.size() - 1)
-            : Sim_duration{1.0 / current_rate()};
-    // "All images are resized to 512x512" before encoding and upload.
-    const double res = config_.upload_resolution;
-    const Bytes payload = rt.h264().batch_bytes(frames.size(), res, res, complexity, motion,
-                                                gap);
-    // Paper: compressing the buffered samples takes 1-3 seconds.
-    const Sim_duration encode = rt.h264().encode_seconds(frames.size(), res, res);
-    const Sim_duration up_delay = rt.link().send_up(rt.now(), payload);
-    SHOG_TRACE_ASYNC_BEGIN(rt.trace(), rt.now(), rt.trace_track(), "upload", generation);
-    rt.schedule(encode + up_delay, [this, &rt, frames = std::move(frames),
-                                    generation]() mutable {
-        // The batch has reached the cloud: labeling now queues on the shared
-        // GPU pool behind every other device's work. Teacher inference cost
-        // is the service time; the downlink leaves once the job completes.
-        SHOG_TRACE_ASYNC_END(rt.trace(), rt.now(), rt.trace_track(), "upload", generation);
-        SHOG_TRACE_ASYNC_BEGIN(rt.trace(), rt.now(), rt.trace_track(), "await_labels",
-                               generation);
-        const Sim_duration service =
-            static_cast<double>(frames.size()) *
-            cloud_device_.seconds_for_gflops(teacher_infer_gflops_);
-        rt.cloud().submit(
-            rt.device_id(), service,
-            [this, &rt, frames = std::move(frames), generation]() mutable {
-                SHOG_TRACE_ASYNC_END(rt.trace(), rt.now(), rt.trace_track(), "await_labels",
-                                     generation);
-                cloud_label_batch(rt, std::move(frames), generation);
-            },
-            sim::Cloud_job_kind::label, drift_.rate());
-    });
+        n > 1 ? (last_buffered_at_ - first_buffered_at_) / static_cast<double>(n - 1)
+              : Sim_duration{1.0 / current_rate()};
+    loop_.ship(rt, std::move(sample_buffer_), gap,
+               [this, &rt](std::vector<std::size_t> frames, std::uint64_t generation) {
+                   cloud_label_batch(rt, std::move(frames), generation);
+               });
+    sample_buffer_.clear();
 }
 
 void Shoggoth_strategy::cloud_label_batch(sim::Edge_runtime& rt, std::vector<std::size_t> frames,
                                           std::uint64_t generation) {
-    const video::World_model& world = rt.stream().world();
-    std::vector<models::Labeled_sample> samples;
-    Bytes label_payload;
-    double agreement_sum = 0.0;
-
-    for (std::size_t idx : frames) {
-        const video::Frame frame = rt.stream().frame_at(idx);
-        // The edge extracts the same proposals when it later trains on this
-        // frame; labeling matches teacher boxes against them (Eq. 1).
-        const std::vector<models::Proposal> proposals = student_.propose(frame, world);
-        Labeled_frame labeled = labeler_.label(frame, world, proposals, label_rng_);
-        ++frames_labeled_;
-
-        if (have_last_teacher_output_) {
-            controller_.observe_phi(
-                phi_between(labeled.teacher_detections, last_teacher_output_));
-        }
-        last_teacher_output_ = labeled.teacher_detections;
-        have_last_teacher_output_ = true;
-
-        if (config_.alpha_source == Shoggoth_config::Alpha_source::agreement) {
-            agreement_sum +=
-                detection_agreement(student_.detect_on(proposals), labeled.teacher_detections);
-        }
-
-        label_payload +=
-            netsim::label_bytes(rt.message_sizes(), labeled.teacher_detections.size());
-        for (models::Labeled_sample& s : labeled.samples) {
-            samples.push_back(std::move(s));
-        }
-    }
+    Label_loop::Batch_labels labels = loop_.label(rt, frames);
+    Bytes label_payload = labels.label_bytes;
 
     // Control round (cloud side): telemetry up, new rate down.
     bool flush_stale = false;
     if (config_.adaptive_sampling) {
-        (void)rt.link().send_up(rt.now(), rt.message_sizes().telemetry_bytes);
-        const double posterior_alpha = drain_alpha();
-        const double alpha =
-            config_.alpha_source == Shoggoth_config::Alpha_source::agreement
-                ? (frames.empty() ? posterior_alpha
-                                  : agreement_sum / static_cast<double>(frames.size()))
-                : posterior_alpha;
+        const double posterior_alpha =
+            predictions_seen_ > 0 ? static_cast<double>(predictions_accurate_) /
+                                        static_cast<double>(predictions_seen_)
+                                  : 1.0;
+        predictions_seen_ = 0;
+        predictions_accurate_ = 0;
+        const double alpha = config_.alpha_source == Shoggoth_config::Alpha_source::agreement
+                                 ? labels.agreement
+                                 : posterior_alpha;
         // Domain-break detection: a sharp alpha move between control rounds
         // means the scene the older pending labels describe no longer exists
         // (night fell, or day returned). Shipping a flush flag with the rate
@@ -197,22 +118,17 @@ void Shoggoth_strategy::cloud_label_batch(sim::Edge_runtime& rt, std::vector<std
             std::abs(alpha - last_control_alpha_) >= config_.domain_flush_alpha_delta) {
             flush_stale = true;
         }
-        // Drift-rate estimate for the cloud's staleness scheduling: how fast
-        // alpha is moving per wall second, smoothed across control rounds. A
-        // camera crossing day->night spikes this; a static scene stays ~0.
-        drift_.observe(alpha, rt.now());
         last_control_alpha_ = alpha;
-        const double lambda = resource_monitor_.drain_average();
-        (void)controller_.update(alpha, lambda);
-        control_trace_.push_back(Control_record{rt.now(), controller_.rate(), alpha,
-                                                controller_.phi_bar(), lambda});
+        const double lambda = loop_.control_round(rt, alpha);
+        control_trace_.push_back(Control_record{rt.now(), loop_.controller().rate(), alpha,
+                                                loop_.controller().phi_bar(), lambda});
         label_payload += rt.message_sizes().rate_command_bytes;
     }
 
     const Sim_duration down_delay = rt.link().send_down(rt.now(), label_payload);
     const std::size_t frame_count = frames.size();
     SHOG_TRACE_ASYNC_BEGIN(rt.trace(), rt.now(), rt.trace_track(), "download", generation);
-    rt.schedule(down_delay, [this, &rt, samples = std::move(samples), frame_count,
+    rt.schedule(down_delay, [this, &rt, samples = std::move(labels.samples), frame_count,
                              flush_stale, generation]() mutable {
         SHOG_TRACE_ASYNC_END(rt.trace(), rt.now(), rt.trace_track(), "download", generation);
         edge_receive_labels(rt, std::move(samples), frame_count, flush_stale);
@@ -226,13 +142,11 @@ void Shoggoth_strategy::edge_receive_labels(sim::Edge_runtime& rt,
         // The labels that just arrived are from the new scene (alpha was
         // measured on them); everything buffered before them is not.
         pending_.clear();
-        pending_frames_ = 0;
         ++stale_flushes_;
         SHOG_TRACE_INSTANT(rt.trace(), rt.now(), rt.trace_track(), "flush_stale",
                            stale_flushes_);
     }
-    pending_.push_back(Pending_batch{std::move(samples), frames, rt.now()});
-    pending_frames_ += frames;
+    pending_.push(std::move(samples), frames, rt.now());
     SHOG_TRACE_INSTANT(rt.trace(), rt.now(), rt.trace_track(), "apply", frames);
     maybe_start_training(rt);
 }
@@ -240,21 +154,11 @@ void Shoggoth_strategy::edge_receive_labels(sim::Edge_runtime& rt,
 void Shoggoth_strategy::maybe_start_training(sim::Edge_runtime& rt) {
     // Recent-frame horizon: labeled data from a scene that no longer exists
     // is dropped rather than trained on.
-    while (!pending_.empty() && rt.now() - pending_.front().at > config_.sample_horizon) {
-        pending_frames_ -= pending_.front().frames;
-        pending_.pop_front();
-    }
-    if (training_busy_ || pending_frames_ < config_.frames_per_session || pending_.empty()) {
+    pending_.expire(rt.now());
+    if (training_busy_ || pending_.frames() < config_.frames_per_session) {
         return;
     }
-    std::vector<models::Labeled_sample> batch;
-    while (!pending_.empty()) {
-        for (models::Labeled_sample& s : pending_.front().samples) {
-            batch.push_back(std::move(s));
-        }
-        pending_.pop_front();
-    }
-    pending_frames_ = 0;
+    std::vector<models::Labeled_sample> batch = pending_.drain().samples;
     if (batch.empty()) {
         return;
     }
@@ -278,16 +182,6 @@ void Shoggoth_strategy::maybe_start_training(sim::Edge_runtime& rt) {
     });
 }
 
-double Shoggoth_strategy::drain_alpha() {
-    const double alpha = predictions_seen_ > 0
-                             ? static_cast<double>(predictions_accurate_) /
-                                   static_cast<double>(predictions_seen_)
-                             : 1.0;
-    predictions_seen_ = 0;
-    predictions_accurate_ = 0;
-    return alpha;
-}
-
 std::vector<detect::Detection> Shoggoth_strategy::infer(sim::Edge_runtime& rt,
                                                         const video::Frame& frame) {
     return student_.detect(frame, rt.stream().world());
@@ -308,9 +202,7 @@ void Shoggoth_strategy::on_inference(sim::Edge_runtime& rt, const video::Frame& 
             ++predictions_accurate_;
         }
     }
-    resource_monitor_.record_until(
-        rt.now(),
-        rt.edge_compute().utilization(rt.stream().fps(), rt.training_active()));
+    loop_.record_load(rt);
 }
 
 } // namespace shog::core

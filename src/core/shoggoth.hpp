@@ -13,13 +13,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 
 #include "core/adaptive_trainer.hpp"
-#include "core/controller.hpp"
-#include "core/labeling.hpp"
-#include "device/monitor.hpp"
+#include "core/label_loop.hpp"
 #include "sim/strategy.hpp"
 
 namespace shog::core {
@@ -88,17 +84,12 @@ public:
     void on_inference(sim::Edge_runtime& rt, const video::Frame& frame,
                       const std::vector<detect::Detection>& detections) override;
 
-    [[nodiscard]] const Sampling_controller& controller() const noexcept { return controller_; }
     [[nodiscard]] const Adaptive_trainer& trainer() const noexcept { return trainer_; }
     [[nodiscard]] double current_rate() const noexcept;
-    [[nodiscard]] std::size_t frames_uploaded() const noexcept { return frames_uploaded_; }
-    [[nodiscard]] std::size_t frames_labeled() const noexcept { return frames_labeled_; }
+    [[nodiscard]] std::size_t frames_uploaded() const noexcept { return loop_.frames_uploaded(); }
+    [[nodiscard]] std::size_t frames_labeled() const noexcept { return loop_.frames_labeled(); }
     /// Domain breaks detected (pending labels flushed as stale).
     [[nodiscard]] std::size_t stale_flushes() const noexcept { return stale_flushes_; }
-    /// Current model-drift estimate (core::Drift_estimator over the control
-    /// rounds). Shipped with every label submission so the cloud's staleness
-    /// policy can serve the fastest-rotting device first.
-    [[nodiscard]] double drift_rate() const noexcept { return drift_.rate(); }
 
     /// One control-round snapshot (for traces, tests and the Table III bench).
     struct Control_record {
@@ -116,47 +107,26 @@ private:
     models::Detector& student_;
     Shoggoth_config config_;
     Adaptive_trainer trainer_;
-    Online_labeler labeler_;
-    Sampling_controller controller_;
-    device::Resource_monitor resource_monitor_;
-    Rng label_rng_{0x5a5a};
-
-    // Cloud inference cost of the teacher per frame.
-    device::Compute_model cloud_device_;
-    double teacher_infer_gflops_;
+    Label_loop loop_;
 
     // Edge state.
     std::vector<std::size_t> sample_buffer_; ///< frame indices awaiting upload
     Sim_time first_buffered_at_;
     Sim_time last_buffered_at_;
-    struct Pending_batch {
-        std::vector<models::Labeled_sample> samples;
-        std::size_t frames = 0;
-        Sim_time at;
-    };
-    std::deque<Pending_batch> pending_;
-    std::size_t pending_frames_ = 0;
+    Label_backlog pending_;
     bool training_busy_ = false;
-    std::size_t frames_uploaded_ = 0;
-    std::size_t frames_labeled_ = 0;
-    /// Bumped on every upload; pending flush timers from before the bump are
-    /// stale and fire as no-ops.
-    std::uint64_t upload_generation_ = 0;
 
-    // alpha bookkeeping (since the last control round).
+    // Posterior alpha bookkeeping (since the last control round).
     std::size_t predictions_seen_ = 0;
     std::size_t predictions_accurate_ = 0;
     double last_control_alpha_ = -1.0;
-    Drift_estimator drift_;
     std::size_t stale_flushes_ = 0;
-
-    // phi bookkeeping (cloud side).
-    std::vector<detect::Detection> last_teacher_output_;
-    bool have_last_teacher_output_ = false;
     std::vector<Control_record> control_trace_;
 
     void schedule_next_sample(sim::Edge_runtime& rt);
     void on_sample_tick(sim::Edge_runtime& rt);
+    /// The timer captures the upload generation it was armed for; once that
+    /// generation has shipped, the timer fires as a no-op.
     void schedule_flush_timer(sim::Edge_runtime& rt);
     void upload_buffer(sim::Edge_runtime& rt);
     /// `generation` is the upload generation this batch belongs to — the id
@@ -168,7 +138,6 @@ private:
     void edge_receive_labels(sim::Edge_runtime& rt, std::vector<models::Labeled_sample> samples,
                              std::size_t frames, bool flush_stale);
     void maybe_start_training(sim::Edge_runtime& rt);
-    [[nodiscard]] double drain_alpha();
 };
 
 } // namespace shog::core

@@ -162,19 +162,6 @@ Fleet make_ams_fleet(const Testbed& testbed, std::size_t devices, baselines::Ams
     return fleet;
 }
 
-Fleet make_mixed_fleet(const Testbed& testbed, std::size_t shoggoth_devices,
-                       std::size_t ams_devices, core::Shoggoth_config shoggoth_config,
-                       baselines::Ams_config ams_config,
-                       device::Compute_model cloud_device) {
-    SHOG_REQUIRE(shoggoth_devices + ams_devices >= 1, "fleet needs at least one device");
-    Fleet fleet = seed_fleet(testbed);
-    grow_fleet(fleet, testbed, shoggoth_devices,
-               shoggoth_factory(*fleet.teacher, std::move(shoggoth_config), cloud_device));
-    grow_fleet(fleet, testbed, ams_devices,
-               ams_factory(*fleet.teacher, std::move(ams_config), std::move(cloud_device)));
-    return fleet;
-}
-
 std::vector<Policy_setup> default_policy_setups() {
     return {
         Policy_setup{"fifo", sim::Policy_kind::fifo, Sim_duration{}},
@@ -186,43 +173,29 @@ std::vector<Policy_setup> default_policy_setups() {
 
 Fleet make_policy_sweep_fleet(const Testbed& testbed, std::size_t devices,
                               bool heterogeneous) {
-    const std::size_t ams_devices = devices / 2;
-    const std::size_t shoggoth_devices = devices - ams_devices;
-    // Policies only differ under contention: a fleet of 8 leaves a full
-    // V100 mostly idle, so the sweep runs on a proportionally scaled-down
-    // cloud share instead of simulating hundreds of devices.
-    const device::Compute_model cloud_share{"v100_share", 1.5};
-    // Halve the fine-tune trigger so AMS train jobs land in the mix well
-    // within short sweeps (under heavy FIFO queueing the default 60-frame
-    // cadence can push the first fine-tune past the end of the stream).
-    baselines::Ams_config ams_config;
-    ams_config.frames_per_session = 30;
-    Fleet fleet = seed_fleet(testbed);
-    grow_fleet(fleet, testbed, shoggoth_devices,
-               shoggoth_factory(*fleet.teacher, {}, cloud_share,
-                                heterogeneous ? default_edge_classes()
-                                              : std::vector<Edge_class>{}));
-    grow_fleet(fleet, testbed, ams_devices,
-               ams_factory(*fleet.teacher, ams_config, cloud_share));
-    if (heterogeneous) {
-        assign_heterogeneous_hardware(fleet);
-    }
-    return fleet;
+    // With one camera per device, make_scale_fleet's camera wrapping is the
+    // identity, so the two builders yield the same fleet.
+    SHOG_REQUIRE(devices <= testbed.streams.size(), "fleet size must fit the testbed's cameras");
+    return make_scale_fleet(testbed, devices, heterogeneous);
 }
 
 Fleet make_scale_fleet(const Testbed& testbed, std::size_t devices, bool heterogeneous) {
     SHOG_REQUIRE(devices >= 1, "fleet needs at least one device");
-    // Same contended operating point as make_policy_sweep_fleet (mixed
-    // Shoggoth/AMS on the scaled-down cloud share), but device i watches
-    // stream i mod cameras: the testbed's camera pool is reused so a
-    // 10^4-device fleet does not need 10^4 track populations. Devices
-    // sharing a camera still diverge — distinct harness RNG substreams,
-    // distinct edge classes, distinct cloud contention histories.
-    const device::Compute_model cloud_share{"v100_share", 1.5};
-    baselines::Ams_config ams_config;
-    ams_config.frames_per_session = 30;
+    // Device i watches stream i mod cameras: the testbed's camera pool is
+    // reused so a 10^4-device fleet does not need 10^4 track populations.
+    // Devices sharing a camera still diverge — distinct harness RNG
+    // substreams, distinct edge classes, distinct cloud contention histories.
     const std::size_t ams_devices = devices / 2;
     const std::size_t shoggoth_devices = devices - ams_devices;
+    // Policies only differ under contention: a fleet of 8 leaves a full
+    // V100 mostly idle, so the fleet runs on a proportionally scaled-down
+    // cloud share instead of simulating hundreds of devices.
+    const device::Compute_model cloud_share{"v100_share", 1.5};
+    // Halve the fine-tune trigger so AMS train jobs land in the mix well
+    // within short runs (under heavy FIFO queueing the default 60-frame
+    // cadence can push the first fine-tune past the end of the stream).
+    baselines::Ams_config ams_config;
+    ams_config.frames_per_session = 30;
     Fleet fleet = seed_fleet(testbed);
     grow_fleet(fleet, testbed, shoggoth_devices,
                shoggoth_factory(*fleet.teacher, {}, cloud_share,

@@ -99,15 +99,6 @@ void assign_heterogeneous_hardware(Fleet& fleet,
                                    baselines::Ams_config config = {},
                                    device::Compute_model cloud_device = device::v100());
 
-/// Mixed-strategy fleet: devices [0, shoggoth_devices) run Shoggoth, the
-/// next ams_devices run AMS — their whole-model cloud fine-tunes are the
-/// train jobs that contend with (and under FIFO starve) labeling.
-[[nodiscard]] Fleet make_mixed_fleet(const Testbed& testbed, std::size_t shoggoth_devices,
-                                     std::size_t ams_devices,
-                                     core::Shoggoth_config shoggoth_config = {},
-                                     baselines::Ams_config ams_config = {},
-                                     device::Compute_model cloud_device = device::v100());
-
 /// One cloud operating point for a sweep cell: how many GPU servers the
 /// cloud share is split into, which server a dispatch lands on (placement),
 /// the dispatch-order policy and its label-wait preemption bound, the
@@ -192,6 +183,7 @@ struct Policy_setup {
 /// half-AMS fleet (fine-tune cadence halved so train jobs land within short
 /// runs) against a scaled-down cloud share — the many-devices-per-GPU regime
 /// where dispatch order decides whether labeling starves behind training.
+/// This is make_scale_fleet with at most one device per camera.
 [[nodiscard]] Fleet make_policy_sweep_fleet(const Testbed& testbed, std::size_t devices,
                                             bool heterogeneous);
 

@@ -1,6 +1,7 @@
 // Tests for the adaptive frame-sampling controller (Eq. 2-3): exact R-term
 // formulas, clamping, qualitative responses, and parameterized stability
-// sweeps across gain settings.
+// sweeps across gain settings; plus the recent-frame horizon of the
+// labeled-sample backlog that feeds training sessions.
 #include <algorithm>
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "core/controller.hpp"
+#include "core/label_loop.hpp"
 
 namespace shog::core {
 namespace {
@@ -162,6 +164,24 @@ INSTANTIATE_TEST_SUITE_P(GainGrid, ControllerStability,
                          ::testing::Values(Gain_setting{0.0, 0.0}, Gain_setting{0.5, 0.5},
                                            Gain_setting{1.6, 2.0}, Gain_setting{5.0, 1.0},
                                            Gain_setting{1.0, 5.0}, Gain_setting{8.0, 8.0}));
+
+TEST(LabelBacklog, HorizonDropsOnlyOlderBatchesAndDrainEmpties) {
+    using Samples = std::vector<models::Labeled_sample>;
+    Label_backlog backlog{Sim_duration{90.0}};
+    backlog.push(Samples(2), 8, Sim_time{10.0});
+    backlog.push(Samples(3), 4, Sim_time{50.0});
+    backlog.push(Samples(1), 0, Sim_time{60.0});
+    backlog.expire(Sim_time{100.0}); // the first batch is exactly 90 s old: kept
+    EXPECT_EQ(backlog.frames(), 12u);
+    backlog.expire(Sim_time{100.5}); // now it is older than the horizon
+    EXPECT_EQ(backlog.frames(), 4u);
+    const Label_backlog::Drained drained = backlog.drain();
+    EXPECT_EQ(drained.samples.size(), 4u);
+    EXPECT_EQ(drained.labeled_at, (std::vector<Sim_time>{Sim_time{50.0}, Sim_time{50.0},
+                                                         Sim_time{50.0}, Sim_time{60.0}}));
+    EXPECT_EQ(backlog.frames(), 0u);
+    EXPECT_TRUE(backlog.drain().samples.empty());
+}
 
 } // namespace
 } // namespace shog::core
