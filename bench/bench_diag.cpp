@@ -2,10 +2,15 @@
 // adaptive-online-learning chain so calibration problems are attributable.
 #include <iostream>
 
-#include "bench_util.hpp"
+#include "baselines/edge_only.hpp"
 #include "core/adaptive_trainer.hpp"
 #include "core/labeling.hpp"
+#include "core/shoggoth.hpp"
 #include "detect/metrics.hpp"
+#include "fleet/testbed.hpp"
+#include "models/deployed.hpp"
+#include "models/pretrain.hpp"
+#include "sim/harness.hpp"
 
 using namespace shog;
 
@@ -38,15 +43,18 @@ double domain_accuracy(models::Detector& det, const video::World_model& world,
 
 int main() {
     const std::uint64_t seed = 2023;
-    benchutil::Testbed tb = benchutil::make_testbed("ua_detrac", seed, 200.0);
-    const video::World_model& world = tb.stream->world();
+    const fleet::Testbed tb = fleet::make_testbed("ua_detrac", 1, seed, 200.0);
+    const video::Video_stream& stream = *tb.streams.front();
+    const video::World_model& world = stream.world();
+    sim::Harness_config harness;
+    harness.seed = seed ^ 0x8888;
 
     std::cout << "--- classifier accuracy by domain (before adaptation) ---\n";
     for (auto [name, dom] : {std::pair{"day_sunny", video::day_sunny(0.6)},
                              std::pair{"day_rainy", video::day_rainy(0.6)},
                              std::pair{"night", video::night(0.5)}}) {
         std::cout << "  student@" << name << ": "
-                  << domain_accuracy(*tb.pristine_student, world, dom, seed ^ 1) << "\n";
+                  << domain_accuracy(*tb.pristine, world, dom, seed ^ 1) << "\n";
         std::cout << "  teacher@" << name << ": "
                   << domain_accuracy(*tb.teacher, world, dom, seed ^ 1) << "\n";
     }
@@ -56,18 +64,18 @@ int main() {
         // Find a night span: DETRAC schedule night segment.
         double night_t = 0.0;
         for (double t = 0.0; t < 600.0; t += 5.0) {
-            if (tb.stream->schedule().at(t).illumination < 0.2) {
+            if (stream.schedule().at(t).illumination < 0.2) {
                 night_t = t;
                 break;
             }
         }
         std::cout << "  night at t=" << night_t << "\n";
-        auto student = tb.fresh_student();
+        auto student = tb.pristine->clone();
         core::Online_labeler labeler{*tb.teacher};
         Rng rng{99};
         std::size_t pos = 0, pos_correct = 0, neg = 0, total_gt = 0;
         for (std::size_t k = 0; k < 40; ++k) {
-            const video::Frame f = tb.stream->frame_at(tb.stream->index_at(night_t) + k * 15);
+            const video::Frame f = stream.frame_at(stream.index_at(night_t) + k * 15);
             const auto proposals = student->propose(f, world);
             const auto labeled = labeler.label(f, world, proposals, rng);
             total_gt += f.objects.size();
@@ -93,7 +101,7 @@ int main() {
 
     std::cout << "--- student ceiling: head trained on CLEAN night labels ---\n";
     {
-        auto student = tb.fresh_student();
+        auto student = tb.pristine->clone();
         models::Pretrain_config cfg;
         cfg.domains = {video::night(0.5)};
         cfg.samples = 3000;
@@ -111,14 +119,14 @@ int main() {
 
     std::cout << "--- teacher label class mix at night vs ground truth ---\n";
     {
-        auto student = tb.fresh_student();
+        auto student = tb.pristine->clone();
         core::Online_labeler labeler{*tb.teacher};
         Rng rng{77};
         double night_t = 225.0;
         std::vector<std::size_t> label_hist(world.num_classes() + 1, 0);
         std::vector<std::size_t> gt_hist(world.num_classes() + 1, 0);
         for (std::size_t k = 0; k < 40; ++k) {
-            const video::Frame f = tb.stream->frame_at(tb.stream->index_at(night_t) + k * 15);
+            const video::Frame f = stream.frame_at(stream.index_at(night_t) + k * 15);
             for (const auto& obj : f.objects) {
                 ++gt_hist[obj.class_id];
             }
@@ -141,33 +149,35 @@ int main() {
 
     std::cout << "--- controller trace over the full stream ---\n";
     {
-        auto student = tb.fresh_student();
+        auto student = tb.pristine->clone();
         core::Shoggoth_strategy strategy{*student,
                                          *tb.teacher,
                                          core::Shoggoth_config{},
                                          models::Deployed_profile::yolov4_resnet18(),
                                          device::jetson_tx2(),
                                          device::v100()};
-        const auto result = sim::run_strategy(strategy, *tb.stream, tb.harness);
+        const auto result = sim::run_strategy(strategy, stream, harness);
         std::cout << "  mAP=" << result.map << " sessions=" << result.training_sessions
                   << " up=" << result.up_kbps << "\n";
         int shown = 0;
         for (const auto& rec : strategy.control_trace()) {
             if (shown++ % 4 == 0) {
                 std::cout << "  t=" << rec.at.value() << " illum=" // report raw seconds
-                          << tb.stream->schedule().at(rec.at.value()).illumination
+                          << stream.schedule().at(rec.at.value()).illumination
                           << " rate=" << rec.rate << " alpha=" << rec.alpha
                           << " phi=" << rec.phi_bar << " lambda=" << rec.lambda << "\n";
             }
         }
 
         std::cout << "--- windowed mAP: Shoggoth vs Edge-Only ---\n";
-        const auto edge = benchutil::run_edge_only(tb);
+        auto edge_student = tb.pristine->clone();
+        baselines::Edge_only_strategy edge_strategy{*edge_student};
+        const auto edge = sim::run_strategy(edge_strategy, stream, harness);
         for (std::size_t i = 0; i < result.windowed_map.size() &&
                                 i < edge.windowed_map.size();
              i += 2) {
             const double t = result.windowed_map[i].first;
-            std::cout << "  t=" << t << " illum=" << tb.stream->schedule().at(t).illumination
+            std::cout << "  t=" << t << " illum=" << stream.schedule().at(t).illumination
                       << " shoggoth=" << result.windowed_map[i].second
                       << " edge=" << edge.windowed_map[i].second << " gain="
                       << result.windowed_map[i].second - edge.windowed_map[i].second << "\n";
@@ -176,7 +186,7 @@ int main() {
 
     std::cout << "--- oracle adaptation session on night samples ---\n";
     {
-        auto student = tb.fresh_student();
+        auto student = tb.pristine->clone();
         const double day_before = domain_accuracy(*student, world, video::day_sunny(0.6), 7);
         const double night_before = domain_accuracy(*student, world, video::night(0.5), 8);
 
@@ -185,7 +195,7 @@ int main() {
         Rng rng{123};
         double night_t = 0.0;
         for (double t = 0.0; t < 600.0; t += 5.0) {
-            if (tb.stream->schedule().at(t).illumination < 0.2) {
+            if (stream.schedule().at(t).illumination < 0.2) {
                 night_t = t;
                 break;
             }
@@ -193,7 +203,7 @@ int main() {
         std::vector<models::Labeled_sample> batch;
         std::size_t k = 0;
         while (batch.size() < 600 && k < 1500) {
-            const video::Frame f = tb.stream->frame_at(tb.stream->index_at(night_t) + k * 7);
+            const video::Frame f = stream.frame_at(stream.index_at(night_t) + k * 7);
             const auto proposals = student->propose(f, world);
             auto labeled = labeler.label(f, world, proposals, rng);
             for (auto& s : labeled.samples) {
@@ -217,12 +227,12 @@ int main() {
         std::cout << "  night accuracy: " << night_before << " -> " << night_after << "\n";
 
         std::cout << "  night mAP (stream) before/after: ";
-        auto fresh = tb.fresh_student();
-        std::cout << span_map(*fresh, *tb.stream, night_t, night_t + 50.0) << " -> "
-                  << span_map(*student, *tb.stream, night_t, night_t + 50.0) << "\n";
+        auto fresh = tb.pristine->clone();
+        std::cout << span_map(*fresh, stream, night_t, night_t + 50.0) << " -> "
+                  << span_map(*student, stream, night_t, night_t + 50.0) << "\n";
         std::cout << "  day mAP (stream) before/after:   ";
-        std::cout << span_map(*fresh, *tb.stream, 5.0, 50.0) << " -> "
-                  << span_map(*student, *tb.stream, 5.0, 50.0) << "\n";
+        std::cout << span_map(*fresh, stream, 5.0, 50.0) << " -> "
+                  << span_map(*student, stream, 5.0, 50.0) << "\n";
     }
     return 0;
 }

@@ -87,7 +87,8 @@
 #include <utility>
 #include <vector>
 
-#include "bench_util.hpp"
+#include <sys/resource.h>
+
 #include "fleet/testbed.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/shard.hpp"
@@ -96,6 +97,18 @@
 using namespace shog;
 
 namespace {
+
+/// Peak resident set size of this process in MiB (getrusage ru_maxrss,
+/// kilobytes on Linux). Process-wide high-water mark: it only ever grows,
+/// so rows sampling it must run in ascending memory order (the fleet_scale
+/// sweep runs N ascending for exactly this reason).
+double peak_rss_mb() {
+    rusage usage{};
+    if (getrusage(RUSAGE_SELF, &usage) != 0) {
+        return -1.0;
+    }
+    return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
 
 std::string formatf(const char* fmt, ...) {
     va_list args;
@@ -452,7 +465,7 @@ void run_fleet_scale(double duration, std::uint64_t seed, std::size_t scale_max_
             devices, cameras, duration, config.harness.eval_stride, gpus,
             std::chrono::duration<double, std::milli>(run_start - setup_start).count(),
             std::chrono::duration<double, std::milli>(run_stop - run_start).count(),
-            benchutil::peak_rss_mb(), r.gpu_utilization, r.cloud_jobs, r.label_jobs,
+            peak_rss_mb(), r.gpu_utilization, r.cloud_jobs, r.label_jobs,
             r.mean_label_latency, r.p95_label_latency, r.peak_queue_depth, r.fleet_map);
         std::fflush(stdout);
     }
