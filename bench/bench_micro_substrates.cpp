@@ -84,9 +84,9 @@ BENCHMARK(BM_detector_inference);
 void BM_replay_memory_update(benchmark::State& state) {
     core::Replay_memory memory{1500};
     Rng rng{9};
-    std::vector<core::Replay_sample> batch(300);
+    std::vector<models::Labeled_sample> batch(300);
     for (auto& s : batch) {
-        s.activation.assign(64, 0.5);
+        s.feature.assign(64, 0.5);
     }
     for (auto _ : state) {
         memory.update_after_training(batch, rng);

@@ -5,7 +5,6 @@
 
 #include "models/pretrain.hpp"
 #include "nn/batchnorm.hpp"
-#include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 
 namespace shog::core {
@@ -75,174 +74,32 @@ Adaptive_trainer::Adaptive_trainer(models::Detector& detector, Trainer_config co
     }
 }
 
-std::vector<Replay_sample> Adaptive_trainer::latent_batch(
-    const std::vector<models::Labeled_sample>& fresh) {
-    models::Detector_net& net = detector_.net();
-    std::vector<Replay_sample> out;
-    out.reserve(fresh.size());
-
+std::vector<models::Labeled_sample> Adaptive_trainer::latent_batch(
+    std::span<const models::Labeled_sample> fresh) {
     if (cut_ == 0) {
         // Input replay: the latent *is* the raw feature.
-        for (const models::Labeled_sample& s : fresh) {
-            out.push_back(Replay_sample{s.feature, s.class_label, s.box_target, s.weight});
-        }
-        return out;
+        return {fresh.begin(), fresh.end()};
     }
-
     // Mini-batched pass through the front layers. Training mode when the
     // normalization moments are allowed to adapt (ours), eval mode otherwise
     // (completely freezing).
+    models::Detector_net& net = detector_.net();
     const bool training_mode = config_.front_stats_adapt;
-    const std::size_t d = net.feature_dim();
+    std::vector<models::Labeled_sample> out;
+    out.reserve(fresh.size());
     for (std::size_t start = 0; start < fresh.size(); start += config_.minibatch) {
-        const std::size_t end = std::min(fresh.size(), start + config_.minibatch);
-        Tensor features{end - start, d};
-        for (std::size_t i = start; i < end; ++i) {
-            SHOG_REQUIRE(fresh[i].feature.size() == d, "sample feature width mismatch");
-            for (std::size_t c = 0; c < d; ++c) {
-                features.at(i - start, c) = fresh[i].feature[c];
-            }
-        }
+        const std::span<const models::Labeled_sample> chunk =
+            fresh.subspan(start, std::min(fresh.size() - start, config_.minibatch));
         const Tensor latent =
-            net.trunk().forward_range(0, cut_, features, training_mode && end - start >= 2);
-        for (std::size_t i = start; i < end; ++i) {
-            Replay_sample rs;
-            rs.activation.resize(latent.cols());
-            for (std::size_t c = 0; c < latent.cols(); ++c) {
-                rs.activation[c] = latent.at(i - start, c);
-            }
-            rs.class_label = fresh[i].class_label;
-            rs.box_target = fresh[i].box_target;
-            rs.weight = fresh[i].weight;
-            out.push_back(std::move(rs));
+            net.trunk().forward_range(0, cut_, models::pack_rows(chunk, net.feature_dim()).inputs,
+                                      training_mode && chunk.size() >= 2);
+        for (std::size_t i = 0; i < chunk.size(); ++i) {
+            const double* row = latent.data() + i * latent.cols();
+            out.push_back(models::Labeled_sample{{row, row + latent.cols()}, chunk[i].class_label,
+                                                 chunk[i].box_target, chunk[i].weight});
         }
     }
     return out;
-}
-
-double Adaptive_trainer::run_latent_minibatch(const std::vector<const Replay_sample*>& fresh,
-                                              const std::vector<const Replay_sample*>& replay,
-                                              nn::Sgd& optimizer) {
-    models::Detector_net& net = detector_.net();
-    nn::Sequential& trunk = net.trunk();
-    nn::Sequential& cls = net.class_head();
-    nn::Sequential& box = net.box_head();
-
-    const std::size_t n = fresh.size() + replay.size();
-    SHOG_CHECK(n >= 2, "mini-batch too small for batch statistics");
-    const std::size_t width = net.width_at_cut(cut_);
-
-    Tensor latents{n, width};
-    std::vector<std::size_t> labels(n);
-    Tensor box_targets{n, 4};
-    std::vector<double> box_mask(n, 0.0);
-    std::vector<double> weights(n, 1.0);
-    auto fill = [&](std::size_t row, const Replay_sample& s) {
-        SHOG_CHECK(s.activation.size() == width, "replay activation width mismatch");
-        for (std::size_t c = 0; c < width; ++c) {
-            latents.at(row, c) = s.activation[c];
-        }
-        labels[row] = s.class_label;
-        weights[row] = s.weight;
-        if (s.class_label != 0) {
-            box_mask[row] = 1.0;
-            for (std::size_t c = 0; c < 4; ++c) {
-                box_targets.at(row, c) = s.box_target[c];
-            }
-        }
-    };
-    std::size_t row = 0;
-    for (const Replay_sample* s : fresh) {
-        fill(row++, *s);
-    }
-    for (const Replay_sample* s : replay) {
-        fill(row++, *s);
-    }
-
-    trunk.zero_grad();
-    cls.zero_grad();
-    box.zero_grad();
-
-    const std::size_t trunk_end = trunk.layer_count();
-    const Tensor trunk_out = trunk.forward_range(cut_, trunk_end, latents, true);
-    const Tensor logits = cls.forward(trunk_out, true);
-    Tensor box_out = box.forward(trunk_out, true);
-    box_out *= net.max_offset();
-
-    const nn::Loss_result cls_loss = nn::softmax_cross_entropy(logits, labels, weights);
-    const nn::Loss_result box_loss = nn::smooth_l1(box_out, box_targets, box_mask);
-
-    Tensor grad_trunk = cls.backward(cls_loss.grad);
-    Tensor box_grad = box_loss.grad;
-    box_grad *= net.max_offset() * config_.box_loss_weight;
-    grad_trunk += box.backward(box_grad);
-    (void)trunk.backward_range(cut_, trunk_end, grad_trunk);
-
-    std::vector<nn::Parameter*> params = trunk.parameters_range(cut_, trunk_end);
-    for (nn::Parameter* p : cls.parameters()) {
-        params.push_back(p);
-    }
-    for (nn::Parameter* p : box.parameters()) {
-        params.push_back(p);
-    }
-    optimizer.step(params);
-    return cls_loss.value + config_.box_loss_weight * box_loss.value;
-}
-
-double Adaptive_trainer::run_warmup_minibatch(const std::vector<models::Labeled_sample>& fresh,
-                                              nn::Sgd& optimizer) {
-    // First mini-batch of the first session: the front layers still learn
-    // ("adjusting the learning rate to 0 after first batch").
-    models::Detector_net& net = detector_.net();
-    nn::Sequential& trunk = net.trunk();
-    nn::Sequential& cls = net.class_head();
-    nn::Sequential& box = net.box_head();
-
-    const std::size_t n = std::min(fresh.size(), config_.minibatch);
-    if (n < 2) {
-        return 0.0;
-    }
-    Tensor features{n, net.feature_dim()};
-    std::vector<std::size_t> labels(n);
-    Tensor box_targets{n, 4};
-    std::vector<double> box_mask(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t c = 0; c < net.feature_dim(); ++c) {
-            features.at(i, c) = fresh[i].feature[c];
-        }
-        labels[i] = fresh[i].class_label;
-        if (fresh[i].class_label != 0) {
-            box_mask[i] = 1.0;
-            for (std::size_t c = 0; c < 4; ++c) {
-                box_targets.at(i, c) = fresh[i].box_target[c];
-            }
-        }
-    }
-
-    trunk.zero_grad();
-    cls.zero_grad();
-    box.zero_grad();
-    const Tensor trunk_out = trunk.forward(features, true);
-    const Tensor logits = cls.forward(trunk_out, true);
-    Tensor box_out = box.forward(trunk_out, true);
-    box_out *= net.max_offset();
-    const nn::Loss_result cls_loss = nn::softmax_cross_entropy(logits, labels);
-    const nn::Loss_result box_loss = nn::smooth_l1(box_out, box_targets, box_mask);
-    Tensor grad_trunk = cls.backward(cls_loss.grad);
-    Tensor box_grad = box_loss.grad;
-    box_grad *= net.max_offset() * config_.box_loss_weight;
-    grad_trunk += box.backward(box_grad);
-    (void)trunk.backward(grad_trunk);
-
-    std::vector<nn::Parameter*> params = trunk.parameters();
-    for (nn::Parameter* p : cls.parameters()) {
-        params.push_back(p);
-    }
-    for (nn::Parameter* p : box.parameters()) {
-        params.push_back(p);
-    }
-    optimizer.step(params);
-    return cls_loss.value + config_.box_loss_weight * box_loss.value;
 }
 
 Training_report Adaptive_trainer::estimate_session_cost(std::size_t fresh_count) const {
@@ -290,8 +147,7 @@ void Adaptive_trainer::warm_start(const std::vector<models::Labeled_sample>& sam
     if (!memory_.enabled() || samples.empty()) {
         return;
     }
-    const std::vector<Replay_sample> latents = latent_batch(samples);
-    memory_.update_after_training(latents, rng_);
+    memory_.update_after_training(latent_batch(samples), rng_);
 }
 
 void Adaptive_trainer::warm_start_daytime(const video::World_model& world,
@@ -310,33 +166,31 @@ Training_report Adaptive_trainer::train(const std::vector<models::Labeled_sample
     SHOG_REQUIRE(!all_fresh.empty(), "training session needs samples");
     models::Detector_net& net = detector_.net();
     nn::Sequential& trunk = net.trunk();
+    // Reject a mis-sized sample before any step has touched the weights.
+    for (const models::Labeled_sample& s : all_fresh) {
+        SHOG_REQUIRE(s.feature.size() == net.feature_dim(), "sample feature width mismatch");
+    }
 
     nn::Sgd optimizer{nn::Sgd_config{config_.learning_rate, config_.momentum,
                                      config_.weight_decay}};
 
     // Split off the validation holdout (tail of the batch = newest labels).
-    std::vector<const models::Labeled_sample*> holdout;
-    std::vector<models::Labeled_sample> fresh;
-    const auto holdout_count = static_cast<std::size_t>(
-        config_.validation_fraction * static_cast<double>(all_fresh.size()));
-    fresh.reserve(all_fresh.size() - holdout_count);
-    for (std::size_t i = 0; i < all_fresh.size(); ++i) {
-        if (i + holdout_count >= all_fresh.size()) {
-            holdout.push_back(&all_fresh[i]);
-        } else {
-            fresh.push_back(all_fresh[i]);
-        }
-    }
+    const std::size_t holdout_count = std::min(
+        all_fresh.size(), static_cast<std::size_t>(config_.validation_fraction *
+                                                   static_cast<double>(all_fresh.size())));
+    std::span<const models::Labeled_sample> fresh =
+        std::span{all_fresh}.first(all_fresh.size() - holdout_count);
+    std::span<const models::Labeled_sample> holdout = std::span{all_fresh}.last(holdout_count);
     if (fresh.empty()) {
-        fresh.assign(all_fresh.begin(), all_fresh.end());
-        holdout.clear();
+        fresh = all_fresh;
+        holdout = {};
     }
     const std::vector<double> pre_state = net.state_vector();
 
     Training_report report = estimate_session_cost(all_fresh.size());
     report.fresh_samples = all_fresh.size();
     if (!holdout.empty()) {
-        report.holdout_accuracy_before = holdout_accuracy(holdout);
+        report.holdout_accuracy_before = models::classifier_accuracy(detector_, holdout);
     }
 
     // --- Training control (paper §III-B) -------------------------------------
@@ -344,20 +198,32 @@ Training_report Adaptive_trainer::train(const std::vector<models::Labeled_sample
     trunk.set_update_running_stats_range(0, cut_, config_.front_stats_adapt);
     double warmup_loss = -1.0;
     if (config_.freeze_front && cut_ > 0 && !front_frozen_applied_) {
-        // "lr to 0 after the first batch": one warmup mini-batch trains the
-        // front, then it freezes. The completely-freezing ablation
-        // (front_stats_adapt == false) never touches the front at all.
+        // "lr to 0 after the first batch": one warmup mini-batch over the
+        // whole network trains the front, then it freezes. The
+        // completely-freezing ablation (front_stats_adapt == false) never
+        // touches the front at all.
         if (config_.front_stats_adapt) {
-            warmup_loss = run_warmup_minibatch(fresh, optimizer);
+            const std::size_t n = std::min(fresh.size(), config_.minibatch);
+            warmup_loss = 0.0;
+            if (n >= 2) {
+                models::Sample_rows rows = models::pack_rows(fresh.first(n), net.feature_dim());
+                // Unlike every other mini-batch this one ignores sample
+                // weights, so Eq. 1 negatives train at 1.0 here.
+                std::fill(rows.weights.begin(), rows.weights.end(), 1.0);
+                warmup_loss = net.train_step(0, rows, optimizer, config_.box_loss_weight);
+            }
         }
         trunk.set_lr_scale_range(0, cut_, 0.0);
         front_frozen_applied_ = true;
     }
 
     // --- Latent computation (front crossed once when frozen) -----------------
-    std::vector<Replay_sample> latents = latent_batch(fresh);
+    const std::vector<models::Labeled_sample> latents = latent_batch(fresh);
 
     // --- Epoch loop over the latent space -------------------------------------
+    // Each mini-batch is the ordinary training step entered at the cut:
+    // fresh rows first, then replay rows.
+    const std::size_t width = net.width_at_cut(cut_);
     const std::size_t m = memory_.size();
     const std::size_t n_fresh_mb =
         fresh_per_minibatch(config_.minibatch, latents.size(), m);
@@ -375,19 +241,21 @@ Training_report Adaptive_trainer::train(const std::vector<models::Labeled_sample
         rng_.shuffle(order);
         for (std::size_t start = 0; start < order.size(); start += n_fresh_mb) {
             const std::size_t end = std::min(order.size(), start + n_fresh_mb);
-            std::vector<const Replay_sample*> fresh_part;
-            fresh_part.reserve(end - start);
+            std::vector<const models::Labeled_sample*> batch;
+            batch.reserve(end - start + n_replay_mb);
             for (std::size_t i = start; i < end; ++i) {
-                fresh_part.push_back(&latents[order[i]]);
+                batch.push_back(&latents[order[i]]);
             }
-            std::vector<const Replay_sample*> replay_part;
             if (n_replay_mb > 0 && memory_.size() > 0) {
-                replay_part = memory_.draw(n_replay_mb, rng_);
+                for (const models::Labeled_sample* s : memory_.draw(n_replay_mb, rng_)) {
+                    batch.push_back(s);
+                }
             }
-            if (fresh_part.size() + replay_part.size() < 2) {
+            if (batch.size() < 2) {
                 continue;
             }
-            last_loss = run_latent_minibatch(fresh_part, replay_part, optimizer);
+            last_loss = net.train_step(cut_, models::pack_rows(batch, width), optimizer,
+                                       config_.box_loss_weight);
             if (first_loss < 0.0) {
                 first_loss = last_loss;
             }
@@ -399,7 +267,7 @@ Training_report Adaptive_trainer::train(const std::vector<models::Labeled_sample
 
     // --- Validation gate -------------------------------------------------------
     if (!holdout.empty()) {
-        report.holdout_accuracy_after = holdout_accuracy(holdout);
+        report.holdout_accuracy_after = models::classifier_accuracy(detector_, holdout);
         if (report.holdout_accuracy_after <
             report.holdout_accuracy_before - config_.commit_tolerance) {
             net.load_state_vector(pre_state);
@@ -411,36 +279,12 @@ Training_report Adaptive_trainer::train(const std::vector<models::Labeled_sample
     if (report.committed && memory_.enabled()) {
         // Store post-session activations (front is frozen afterwards, so
         // recomputation keeps stored latents exact).
-        const std::vector<Replay_sample> post = latent_batch(fresh);
-        memory_.update_after_training(post, rng_);
+        memory_.update_after_training(latent_batch(fresh), rng_);
     } else {
         memory_.update_after_training({}, rng_);
     }
     ++sessions_;
     return report;
-}
-
-double Adaptive_trainer::holdout_accuracy(
-    const std::vector<const models::Labeled_sample*>& holdout) {
-    models::Detector_net& net = detector_.net();
-    Tensor features{holdout.size(), net.feature_dim()};
-    for (std::size_t i = 0; i < holdout.size(); ++i) {
-        for (std::size_t c = 0; c < net.feature_dim(); ++c) {
-            features.at(i, c) = holdout[i]->feature[c];
-        }
-    }
-    const models::Detector_net::Output out = net.infer(features);
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < holdout.size(); ++i) {
-        std::size_t best = 0;
-        for (std::size_t c = 1; c <= net.num_classes(); ++c) {
-            if (out.class_probs.at(i, c) > out.class_probs.at(i, best)) {
-                best = c;
-            }
-        }
-        correct += (best == holdout[i]->class_label) ? 1 : 0;
-    }
-    return static_cast<double>(correct) / static_cast<double>(holdout.size());
 }
 
 } // namespace shog::core

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,10 +34,6 @@
 #include "models/deployed.hpp"
 #include "models/detector.hpp"
 #include "models/samples.hpp"
-
-namespace shog::nn {
-class Sgd;
-} // namespace shog::nn
 
 namespace shog::core {
 
@@ -147,16 +144,9 @@ private:
     std::size_t cut_stage_ = 0; ///< deployed-profile stage count below cut
     bool front_frozen_applied_ = false;
 
-    double run_latent_minibatch(const std::vector<const Replay_sample*>& fresh,
-                                const std::vector<const Replay_sample*>& replay,
-                                nn::Sgd& optimizer);
-    double run_warmup_minibatch(const std::vector<models::Labeled_sample>& fresh,
-                                nn::Sgd& optimizer);
-    [[nodiscard]] std::vector<Replay_sample> latent_batch(
-        const std::vector<models::Labeled_sample>& fresh);
-    /// Fraction of holdout samples whose argmax class matches the label.
-    [[nodiscard]] double holdout_accuracy(
-        const std::vector<const models::Labeled_sample*>& holdout);
+    /// The samples with `feature` replaced by their activation at the cut.
+    [[nodiscard]] std::vector<models::Labeled_sample> latent_batch(
+        std::span<const models::Labeled_sample> fresh);
 };
 
 } // namespace shog::core

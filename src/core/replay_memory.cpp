@@ -10,7 +10,7 @@ Replay_memory::Replay_memory(std::size_t capacity) : capacity_{capacity} {
     samples_.reserve(capacity);
 }
 
-const Replay_sample& Replay_memory::at(std::size_t i) const {
+const models::Labeled_sample& Replay_memory::at(std::size_t i) const {
     SHOG_REQUIRE(i < samples_.size(), "replay sample index out of range");
     return samples_[i];
 }
@@ -20,7 +20,8 @@ std::size_t Replay_memory::replacement_count(std::size_t capacity, std::size_t r
     return capacity / run; // Algorithm 1 line 7: h = Msize / i
 }
 
-void Replay_memory::update_after_training(const std::vector<Replay_sample>& batch, Rng& rng) {
+void Replay_memory::update_after_training(const std::vector<models::Labeled_sample>& batch,
+                                          Rng& rng) {
     ++runs_;
     if (capacity_ == 0 || batch.empty()) {
         return;
@@ -50,9 +51,9 @@ void Replay_memory::update_after_training(const std::vector<Replay_sample>& batc
     }
 }
 
-std::vector<const Replay_sample*> Replay_memory::draw(std::size_t k, Rng& rng) const {
+std::vector<const models::Labeled_sample*> Replay_memory::draw(std::size_t k, Rng& rng) const {
     SHOG_REQUIRE(!samples_.empty(), "cannot draw from an empty replay memory");
-    std::vector<const Replay_sample*> out;
+    std::vector<const models::Labeled_sample*> out;
     out.reserve(k);
     for (std::size_t i = 0; i < k; ++i) {
         out.push_back(&samples_[rng.index(samples_.size())]);

@@ -1,8 +1,8 @@
 // Replay memory with the management policy of the paper's Algorithm 1.
 //
-// The memory stores *latent* samples: the activation volume of each sample
-// at the configured replay layer (raw input features when the replay layer
-// is "input"), plus its training label. Updates are triggered only after an
+// The memory stores *latent* samples: labeled samples whose `feature` is the
+// activation volume at the configured replay layer (the raw input features
+// when the replay layer is "input"). Updates are triggered only after an
 // adaptive training run: when full, h = Msize / i randomly-chosen batch
 // samples replace h randomly-chosen memory slots (i = training-run counter),
 // which gives every batch ever seen an equal probability of residing in
@@ -10,20 +10,13 @@
 // forgetting. When not yet full, all available samples are memorized.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "models/samples.hpp"
 
 namespace shog::core {
-
-struct Replay_sample {
-    std::vector<double> activation; ///< at the replay layer
-    std::size_t class_label = 0;
-    std::array<double, 4> box_target{0.0, 0.0, 0.0, 0.0};
-    double weight = 1.0;
-};
 
 class Replay_memory {
 public:
@@ -31,7 +24,7 @@ public:
 
     /// Algorithm 1 lines 6-13: merge the (just trained-on) batch into the
     /// memory. Increments the training-run counter i.
-    void update_after_training(const std::vector<Replay_sample>& batch, Rng& rng);
+    void update_after_training(const std::vector<models::Labeled_sample>& batch, Rng& rng);
 
     [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
     [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -39,11 +32,13 @@ public:
     [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
     [[nodiscard]] std::size_t training_runs() const noexcept { return runs_; }
 
-    [[nodiscard]] const Replay_sample& at(std::size_t i) const;
-    [[nodiscard]] const std::vector<Replay_sample>& samples() const noexcept { return samples_; }
+    [[nodiscard]] const models::Labeled_sample& at(std::size_t i) const;
+    [[nodiscard]] const std::vector<models::Labeled_sample>& samples() const noexcept {
+        return samples_;
+    }
 
     /// Draw k samples (with replacement) for a training mini-batch.
-    [[nodiscard]] std::vector<const Replay_sample*> draw(std::size_t k, Rng& rng) const;
+    [[nodiscard]] std::vector<const models::Labeled_sample*> draw(std::size_t k, Rng& rng) const;
 
     /// The number of replacements Algorithm 1 performs at run i when full.
     [[nodiscard]] static std::size_t replacement_count(std::size_t capacity, std::size_t run);
@@ -53,7 +48,7 @@ public:
 private:
     std::size_t capacity_;
     std::size_t runs_ = 0;
-    std::vector<Replay_sample> samples_;
+    std::vector<models::Labeled_sample> samples_;
 };
 
 } // namespace shog::core

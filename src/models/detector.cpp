@@ -7,8 +7,40 @@
 #include "nn/batchnorm.hpp"
 #include "nn/dense.hpp"
 #include "nn/loss.hpp"
+#include "nn/optimizer.hpp"
 
 namespace shog::models {
+
+Sample_rows pack_rows(std::span<const Labeled_sample* const> samples, std::size_t width) {
+    const std::size_t n = samples.size();
+    Sample_rows rows{Tensor{n, width}, std::vector<std::size_t>(n), std::vector<double>(n),
+                     Tensor{n, 4}, std::vector<double>(n, 0.0)};
+    for (std::size_t i = 0; i < n; ++i) {
+        const Labeled_sample& s = *samples[i];
+        SHOG_REQUIRE(s.feature.size() == width, "sample feature width mismatch");
+        for (std::size_t c = 0; c < width; ++c) {
+            rows.inputs.at(i, c) = s.feature[c];
+        }
+        rows.labels[i] = s.class_label;
+        rows.weights[i] = s.weight;
+        if (s.class_label != 0) {
+            rows.box_mask[i] = 1.0;
+            for (std::size_t c = 0; c < 4; ++c) {
+                rows.box_targets.at(i, c) = s.box_target[c];
+            }
+        }
+    }
+    return rows;
+}
+
+Sample_rows pack_rows(std::span<const Labeled_sample> samples, std::size_t width) {
+    std::vector<const Labeled_sample*> pointers;
+    pointers.reserve(samples.size());
+    for (const Labeled_sample& s : samples) {
+        pointers.push_back(&s);
+    }
+    return pack_rows(pointers, width);
+}
 
 const std::vector<std::string>& Detector_net::stage_names() {
     static const std::vector<std::string> names = {"stem",    "conv2_x", "conv3_x",
@@ -59,6 +91,39 @@ Detector_net::Output Detector_net::infer(const Tensor& features) {
     out.box_offsets = box_head_->infer(trunk_out);
     out.box_offsets *= max_offset_scale_;
     return out;
+}
+
+double Detector_net::train_step(std::size_t from, const Sample_rows& rows, nn::Sgd& optimizer,
+                                double box_loss_weight) {
+    SHOG_REQUIRE(rows.labels.size() >= 2, "training step needs 2+ rows (batch statistics)");
+    trunk_->zero_grad();
+    class_head_->zero_grad();
+    box_head_->zero_grad();
+
+    const std::size_t end = trunk_->layer_count();
+    const Tensor trunk_out = trunk_->forward_range(from, end, rows.inputs, true);
+    const Tensor logits = class_head_->forward(trunk_out, true);
+    Tensor box_out = box_head_->forward(trunk_out, true);
+    box_out *= max_offset_scale_;
+
+    const nn::Loss_result cls_loss = nn::softmax_cross_entropy(logits, rows.labels, rows.weights);
+    const nn::Loss_result box_loss = nn::smooth_l1(box_out, rows.box_targets, rows.box_mask);
+
+    Tensor grad_trunk = class_head_->backward(cls_loss.grad);
+    Tensor box_grad = box_loss.grad;
+    box_grad *= max_offset_scale_ * box_loss_weight;
+    grad_trunk += box_head_->backward(box_grad);
+    (void)trunk_->backward_range(from, end, grad_trunk);
+
+    std::vector<nn::Parameter*> params = trunk_->parameters_range(from, end);
+    for (nn::Parameter* p : class_head_->parameters()) {
+        params.push_back(p);
+    }
+    for (nn::Parameter* p : box_head_->parameters()) {
+        params.push_back(p);
+    }
+    optimizer.step(params);
+    return cls_loss.value + box_loss_weight * box_loss.value;
 }
 
 std::size_t Detector_net::cut_after(const std::string& stage) const {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,10 @@
 #include "models/samples.hpp"
 #include "nn/sequential.hpp"
 #include "video/stream.hpp"
+
+namespace shog::nn {
+class Sgd;
+} // namespace shog::nn
 
 namespace shog::models {
 
@@ -50,6 +55,21 @@ struct Detector_config {
     std::uint64_t seed = 7;
 };
 
+/// Labeled samples packed one per row, as the detector's training step and
+/// accuracy probe consume them.
+struct Sample_rows {
+    Tensor inputs;                    ///< [n x width] sample features
+    std::vector<std::size_t> labels;  ///< class per row (0 = background)
+    std::vector<double> weights;      ///< cross-entropy weight per row
+    Tensor box_targets;               ///< [n x 4]; zero on background rows
+    std::vector<double> box_mask;     ///< 1 on positive rows, else 0
+};
+
+/// Pack samples into rows; every feature must be exactly `width` wide.
+[[nodiscard]] Sample_rows pack_rows(std::span<const Labeled_sample* const> samples,
+                                    std::size_t width);
+[[nodiscard]] Sample_rows pack_rows(std::span<const Labeled_sample> samples, std::size_t width);
+
 /// The neural network half of a detector.
 class Detector_net {
 public:
@@ -63,9 +83,17 @@ public:
     /// Inference (eval mode) on a feature batch [n x feature_dim].
     [[nodiscard]] Output infer(const Tensor& features);
 
+    /// One SGD step of the whole detector on `rows`, which enter the trunk at
+    /// layer `from` (0: input features; a stage cut: activations there).
+    /// Forward and backward run over trunk layers [from, end) and both
+    /// heads; `optimizer` updates exactly those parameters. The loss is
+    /// weighted cross-entropy plus `box_loss_weight` x smooth-L1 over the
+    /// positive rows. Returns that loss.
+    double train_step(std::size_t from, const Sample_rows& rows, nn::Sgd& optimizer,
+                      double box_loss_weight);
+
     [[nodiscard]] nn::Sequential& trunk() noexcept { return *trunk_; }
     [[nodiscard]] nn::Sequential& class_head() noexcept { return *class_head_; }
-    [[nodiscard]] nn::Sequential& box_head() noexcept { return *box_head_; }
     /// Scale applied to the (tanh-bounded) box-head output.
     [[nodiscard]] double max_offset() const noexcept { return max_offset_scale_; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 
 namespace shog::models {
@@ -62,65 +61,6 @@ std::vector<Labeled_sample> synth_dataset(const video::World_model& world,
     return dataset;
 }
 
-namespace {
-
-/// One full-network training step on a minibatch of samples; returns loss.
-double train_step(Detector_net& net, const std::vector<const Labeled_sample*>& batch,
-                  nn::Sgd& optimizer, double box_loss_weight) {
-    const std::size_t n = batch.size();
-    Tensor features{n, net.feature_dim()};
-    std::vector<std::size_t> labels(n);
-    Tensor box_targets{n, 4};
-    std::vector<double> box_mask(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const Labeled_sample& s = *batch[i];
-        SHOG_REQUIRE(s.feature.size() == net.feature_dim(), "sample feature width mismatch");
-        for (std::size_t c = 0; c < s.feature.size(); ++c) {
-            features.at(i, c) = s.feature[c];
-        }
-        labels[i] = s.class_label;
-        if (s.class_label != 0) {
-            box_mask[i] = 1.0;
-            for (std::size_t c = 0; c < 4; ++c) {
-                box_targets.at(i, c) = s.box_target[c];
-            }
-        }
-    }
-
-    nn::Sequential& trunk = net.trunk();
-    nn::Sequential& cls = net.class_head();
-    nn::Sequential& box = net.box_head();
-    trunk.zero_grad();
-    cls.zero_grad();
-    box.zero_grad();
-
-    const Tensor trunk_out = trunk.forward(features, true);
-    const Tensor logits = cls.forward(trunk_out, true);
-    Tensor box_out = box.forward(trunk_out, true);
-    box_out *= net.max_offset();
-
-    const nn::Loss_result cls_loss = nn::softmax_cross_entropy(logits, labels);
-    const nn::Loss_result box_loss = nn::smooth_l1(box_out, box_targets, box_mask);
-
-    Tensor grad_trunk = cls.backward(cls_loss.grad);
-    Tensor box_grad = box_loss.grad;
-    box_grad *= net.max_offset() * box_loss_weight;
-    grad_trunk += box.backward(box_grad);
-    (void)trunk.backward(grad_trunk);
-
-    std::vector<nn::Parameter*> params = trunk.parameters();
-    for (nn::Parameter* p : cls.parameters()) {
-        params.push_back(p);
-    }
-    for (nn::Parameter* p : box.parameters()) {
-        params.push_back(p);
-    }
-    optimizer.step(params);
-    return cls_loss.value + box_loss_weight * box_loss.value;
-}
-
-} // namespace
-
 Pretrain_report pretrain(Detector& detector, const std::vector<Labeled_sample>& dataset,
                          const Pretrain_config& config) {
     SHOG_REQUIRE(!dataset.empty(), "cannot pretrain on an empty dataset");
@@ -152,7 +92,8 @@ Pretrain_report pretrain(Detector& detector, const std::vector<Labeled_sample>& 
             for (std::size_t i = start; i < end; ++i) {
                 batch.push_back(&dataset[order[i]]);
             }
-            epoch_loss += train_step(net, batch, optimizer, config.box_loss_weight);
+            epoch_loss += net.train_step(0, pack_rows(batch, net.feature_dim()), optimizer,
+                                         config.box_loss_weight);
             ++batches;
         }
         report.final_loss = batches > 0 ? epoch_loss / static_cast<double>(batches) : 0.0;
@@ -196,16 +137,11 @@ std::unique_ptr<Detector> make_teacher(const video::World_model& world, std::uin
     return detector;
 }
 
-double classifier_accuracy(Detector& detector, const std::vector<Labeled_sample>& dataset) {
+double classifier_accuracy(Detector& detector, std::span<const Labeled_sample> dataset) {
     SHOG_REQUIRE(!dataset.empty(), "accuracy of empty dataset");
     Detector_net& net = detector.net();
-    Tensor features{dataset.size(), net.feature_dim()};
-    for (std::size_t i = 0; i < dataset.size(); ++i) {
-        for (std::size_t c = 0; c < dataset[i].feature.size(); ++c) {
-            features.at(i, c) = dataset[i].feature[c];
-        }
-    }
-    const Detector_net::Output out = net.infer(features);
+    const Sample_rows rows = pack_rows(dataset, net.feature_dim());
+    const Detector_net::Output out = net.infer(rows.inputs);
     std::size_t correct = 0;
     for (std::size_t i = 0; i < dataset.size(); ++i) {
         std::size_t best = 0;
@@ -214,7 +150,7 @@ double classifier_accuracy(Detector& detector, const std::vector<Labeled_sample>
                 best = c;
             }
         }
-        if (best == dataset[i].class_label) {
+        if (best == rows.labels[i]) {
             ++correct;
         }
     }

@@ -6,6 +6,7 @@
 // region samples under a set of domains, pretrain() runs full-network SGD.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "models/detector.hpp"
@@ -40,14 +41,17 @@ struct Pretrain_report {
     std::size_t samples = 0;
 };
 
-/// Train the whole network (trunk + heads) on the dataset. Returns a report.
+/// Train the whole network (trunk + heads) on the dataset: shuffled
+/// mini-batches, each one Detector_net::train_step from layer 0 with the
+/// samples' weights. Returns a report.
 Pretrain_report pretrain(Detector& detector, const std::vector<Labeled_sample>& dataset,
                          const Pretrain_config& config);
 
 /// Classifier accuracy of a detector's net on a labeled sample set
-/// (argmax class including background). Used by tests and calibration.
+/// (argmax class including background). The pretraining report, the
+/// adaptive trainer's validation gate, tests and calibration all use it.
 [[nodiscard]] double classifier_accuracy(Detector& detector,
-                                         const std::vector<Labeled_sample>& dataset);
+                                         std::span<const Labeled_sample> dataset);
 
 /// Convenience: domains covering all weathers and day/night, for teachers.
 [[nodiscard]] std::vector<video::Domain> all_condition_domains();

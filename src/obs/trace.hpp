@@ -90,13 +90,6 @@ inline constexpr std::uint32_t track_cloud = 0; ///< scheduler-level job lifecyc
     return 0x2000'0000u + static_cast<std::uint32_t>(d);
 }
 
-/// Engine-internal track `k` (shard coordinator rounds, sweep workers).
-/// These depend on the shard/worker count by nature and are EXCLUDED from
-/// the determinism contract — emitted only when explicitly enabled.
-[[nodiscard]] constexpr std::uint32_t track_engine(std::size_t k) noexcept {
-    return 0x3000'0000u + static_cast<std::uint32_t>(k);
-}
-
 // ---------------------------------------------------------------------------
 
 /// Append-only event log of one emitting context, with its own sequence

@@ -24,7 +24,6 @@ constexpr std::uint32_t kIndexMask = 0x07FF'FFFFu;
 constexpr std::uint32_t kClassGpu = 0x1000'0000u;
 constexpr std::uint32_t kClassGpuHealth = 0x1800'0000u;
 constexpr std::uint32_t kClassDevice = 0x2000'0000u;
-constexpr std::uint32_t kClassEngine = 0x3000'0000u;
 
 struct Track_row {
     int pid = 1;
@@ -43,8 +42,6 @@ Track_row decode_track(std::uint32_t track) {
         return Track_row{1, 11 + 2 * idx, "cloud", formatf("gpu %ld health", idx)};
     case kClassDevice:
         return Track_row{2, idx, "devices", formatf("device %ld", idx)};
-    case kClassEngine:
-        return Track_row{3, idx, "engine", formatf("engine %ld", idx)};
     default:
         return Track_row{1, 0, "cloud", "scheduler"};
     }
@@ -55,7 +52,6 @@ Track_row decode_track(std::uint32_t track) {
 const char* async_category(std::uint32_t track) {
     switch (track & kClassMask) {
     case kClassDevice: return "phase";
-    case kClassEngine: return "engine";
     default: return "job";
     }
 }

@@ -101,10 +101,6 @@ struct Obs_options {
     obs::Trace_sink* sink = nullptr;
     /// Metrics destination, snapshotted into Cluster_result::metrics.
     obs::Metrics_registry* metrics = nullptr;
-    /// Also emit engine-internal tracks (shard coordinator rounds). These
-    /// depend on the shard count by nature and are EXCLUDED from the
-    /// trace determinism contract — diagnostics only.
-    bool engine_tracks = false;
 };
 
 struct Cluster_config {

@@ -444,14 +444,6 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
             }
         };
 
-        // Coordinator-round diagnostics (opt-in): round instants depend on
-        // the shard count by nature, so they live on an engine track that
-        // is excluded from the trace determinism contract.
-        obs::Trace_channel engine_trace =
-            config.obs.engine_tracks ? detail::make_trace_channel(config.obs.sink)
-                                     : obs::Trace_channel{};
-        std::uint64_t round_index = 0;
-
         for (std::size_t d = 0; d < slots.size(); ++d) {
             update_frontier(d);
         }
@@ -459,9 +451,6 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
         while (!finished) {
             const bool have_cloud =
                 cloud_queue.pending() > 0 && cloud_queue.next_time() <= horizon;
-            SHOG_TRACE_INSTANT(engine_trace,
-                               have_cloud ? cloud_queue.next_time() : horizon,
-                               obs::track_engine(0), "round", round_index++);
             run_round(have_cloud ? cloud_queue.next_time() : horizon);
             for (std::size_t s = 0; s < shards; ++s) {
                 for (const std::size_t d : dirty[s]) {

@@ -7,7 +7,6 @@
 
 #include "common/require.hpp"
 #include "common/thread_annotations.hpp"
-#include "obs/trace.hpp"
 
 namespace shog::sim {
 namespace {
@@ -90,27 +89,15 @@ std::vector<std::string> run_sweep(std::size_t cell_count,
     workers = std::min(workers, cell_count);
 
     Sweep_shared shared{cell_count, options};
-    // Worker trace buffers are created up front on this thread, each written
-    // by exactly one worker, and published by the join — same discipline as
-    // the result slots. Engine-track events use the sim epoch as their
-    // timestamp (a sweep has no global clock; the stream is diagnostics
-    // only, see Sweep_options::trace).
-    std::vector<obs::Trace_channel> channels(workers);
-    if (options.trace != nullptr) {
-        for (std::size_t w = 0; w < workers; ++w) {
-            channels[w] = obs::Trace_channel{&options.trace->create_buffer()};
-        }
-    }
     if (workers <= 1) {
         for (std::size_t i = 0; i < cell_count; ++i) {
             shared.run_cell(cell, i);
-            SHOG_TRACE_INSTANT(channels[0], Sim_time{}, obs::track_engine(0), "cell", i);
         }
     } else {
         // Work stealing off a shared counter: completion order varies with
         // scheduling, but every result is written to its own index slot, so
         // the returned vector is order-independent by construction.
-        const auto worker = [&shared, &cell, &channels, cell_count](std::size_t w) {
+        const auto worker = [&shared, &cell, cell_count] {
             for (;;) {
                 const std::size_t i =
                     shared.next_cell.fetch_add(1, std::memory_order_relaxed);
@@ -118,13 +105,12 @@ std::vector<std::string> run_sweep(std::size_t cell_count,
                     return;
                 }
                 shared.run_cell(cell, i);
-                SHOG_TRACE_INSTANT(channels[w], Sim_time{}, obs::track_engine(w), "cell", i);
             }
         };
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (std::size_t w = 0; w < workers; ++w) {
-            pool.emplace_back(worker, w);
+            pool.emplace_back(worker);
         }
         for (std::thread& t : pool) {
             t.join();

@@ -26,10 +26,6 @@
 #include <string>
 #include <vector>
 
-namespace shog::obs {
-class Trace_sink;
-}
-
 namespace shog::sim {
 
 /// Seed for replication cell `cell_index` of a sweep based on `base_seed`.
@@ -52,14 +48,6 @@ struct Sweep_options {
     /// output. The determinism contract covers run_sweep's return value,
     /// not this stream.
     std::function<void(std::size_t done, std::size_t cell_index)> on_cell_done;
-    /// Optional engine diagnostics: when set, every worker gets its own
-    /// trace buffer (created before the pool starts, published by the join)
-    /// and marks each cell it finishes with an instant on its
-    /// obs::track_engine track. Which worker runs which cell is a
-    /// scheduling accident, so — like Obs_options::engine_tracks — this
-    /// stream is EXCLUDED from the determinism contract; the merged sweep
-    /// output stays byte-identical either way.
-    obs::Trace_sink* trace = nullptr;
 };
 
 /// Run `cell(i)` for every i in [0, cell_count) on a worker pool and return

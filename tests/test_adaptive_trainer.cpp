@@ -285,20 +285,32 @@ TEST_F(Trainer_fixture, ValidationGateRollsBackBadSessions) {
     EXPECT_LE(report.holdout_accuracy_after, 1.0);
 }
 
+TEST_F(Trainer_fixture, MisSizedSampleIsRejectedBeforeAnyStateChange) {
+    // One sample a feature short, past the warm-up mini-batch: the session
+    // must throw before the warm-up step has changed a single weight.
+    Adaptive_trainer trainer = make_trainer(ours_config());
+    auto batch = domain_samples(video::night(0.5), 300, 63);
+    batch[100].feature.pop_back();
+    const std::vector<double> state_before = student->net().state_vector();
+    EXPECT_THROW((void)trainer.train(batch), std::invalid_argument);
+    EXPECT_EQ(student->net().state_vector(), state_before);
+    EXPECT_EQ(trainer.sessions_run(), 0u);
+}
+
 TEST_F(Trainer_fixture, WarmStartFillsMemory) {
     Adaptive_trainer trainer = make_trainer(ours_config());
     EXPECT_EQ(trainer.memory().size(), 0u);
     trainer.warm_start(domain_samples(video::day_sunny(0.6), 700, 60));
     EXPECT_EQ(trainer.memory().size(), 700u);
     // Latents have the pool width, not the raw feature width.
-    EXPECT_EQ(trainer.memory().at(0).activation.size(),
+    EXPECT_EQ(trainer.memory().at(0).feature.size(),
               student->net().width_at_cut(student->net().cut_after("pool")));
 }
 
 TEST_F(Trainer_fixture, InputReplayStoresRawFeatures) {
     Adaptive_trainer trainer = make_trainer(input_replay_config());
     trainer.warm_start(domain_samples(video::day_sunny(0.6), 100, 61));
-    EXPECT_EQ(trainer.memory().at(0).activation.size(), world->feature_dim());
+    EXPECT_EQ(trainer.memory().at(0).feature.size(), world->feature_dim());
 }
 
 TEST_F(Trainer_fixture, MemoryUpdatedAfterSession) {

@@ -1,4 +1,4 @@
-// Unit tests for src/common: RNG, statistics, containers, event queue,
+// Unit tests for src/common: RNG, statistics, event queue,
 // units, table rendering.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/event_queue.hpp"
-#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -319,34 +318,6 @@ TEST(Ewma, FirstValueInitializes) {
     Ewma e{0.1};
     e.add(42.0);
     EXPECT_DOUBLE_EQ(e.value(), 42.0); // Ewma accessor, not a unit
-}
-
-// ----------------------------------------------------------- Ring_buffer ---
-
-TEST(RingBuffer, KeepsMostRecent) {
-    Ring_buffer<int> rb{3};
-    for (int i = 1; i <= 5; ++i) {
-        rb.push(i);
-    }
-    EXPECT_EQ(rb.size(), 3u);
-    EXPECT_EQ(rb.at(0), 3);
-    EXPECT_EQ(rb.at(2), 5);
-    EXPECT_EQ(rb.back(), 5);
-}
-
-TEST(RingBuffer, ToVectorOldestFirst) {
-    Ring_buffer<int> rb{4};
-    for (int i = 0; i < 6; ++i) {
-        rb.push(i);
-    }
-    EXPECT_EQ(rb.to_vector(), (std::vector<int>{2, 3, 4, 5}));
-}
-
-TEST(RingBuffer, Errors) {
-    Ring_buffer<int> rb{2};
-    EXPECT_THROW((void)rb.back(), std::invalid_argument);
-    rb.push(1);
-    EXPECT_THROW((void)rb.at(1), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- Event_queue ---

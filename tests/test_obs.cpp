@@ -297,39 +297,5 @@ TEST_F(Obs_fixture, TracedReliabilityCellShowsFullSpanTaxonomy) {
     }
 }
 
-TEST_F(Obs_fixture, EngineTracksAreOptInAndExcludedFromTheContract) {
-    // engine_tracks adds shard-round diagnostics whose content depends on
-    // the shard count; the flag must default off and, when on, must not
-    // disturb the contract-covered tracks.
-    Trace_sink plain_sink;
-    Metrics_registry plain_metrics;
-    (void)run_traced(/*shards=*/2, plain_sink, plain_metrics);
-
-    Trace_sink engine_sink;
-    sim::Obs_options obs;
-    obs.sink = &engine_sink;
-    obs.engine_tracks = true;
-    (void)fleet::run_cell(*testbed, 4, /*heterogeneous=*/true, traced_setup(), 23,
-                          /*shards=*/2, obs);
-
-    std::string plain_contract;
-    std::string engine_contract;
-    bool saw_engine_track = false;
-    for (const Trace_event& e : plain_sink.merged()) {
-        plain_contract += e.name;
-        plain_contract += ' ';
-    }
-    for (const Trace_event& e : engine_sink.merged()) {
-        if (e.track >= track_engine(0)) {
-            saw_engine_track = true;
-            continue; // excluded from the determinism contract by design
-        }
-        engine_contract += e.name;
-        engine_contract += ' ';
-    }
-    EXPECT_TRUE(saw_engine_track);
-    EXPECT_EQ(plain_contract, engine_contract);
-}
-
 } // namespace
 } // namespace shog::obs

@@ -10,15 +10,15 @@
 namespace shog::core {
 namespace {
 
-Replay_sample tagged_sample(double tag) {
-    Replay_sample s;
-    s.activation = {tag};
+models::Labeled_sample tagged_sample(double tag) {
+    models::Labeled_sample s;
+    s.feature = {tag};
     s.class_label = 1;
     return s;
 }
 
-std::vector<Replay_sample> tagged_batch(double base, std::size_t n) {
-    std::vector<Replay_sample> batch;
+std::vector<models::Labeled_sample> tagged_batch(double base, std::size_t n) {
+    std::vector<models::Labeled_sample> batch;
     for (std::size_t i = 0; i < n; ++i) {
         batch.push_back(tagged_sample(base + static_cast<double>(i)));
     }
@@ -73,9 +73,9 @@ TEST(ReplayMemory, DrawWithReplacement) {
     mem.update_after_training(tagged_batch(0.0, 5), rng);
     const auto picks = mem.draw(20, rng);
     EXPECT_EQ(picks.size(), 20u);
-    for (const Replay_sample* p : picks) {
-        EXPECT_GE(p->activation[0], 0.0);
-        EXPECT_LT(p->activation[0], 5.0);
+    for (const models::Labeled_sample* p : picks) {
+        EXPECT_GE(p->feature[0], 0.0);
+        EXPECT_LT(p->feature[0], 5.0);
     }
     Replay_memory empty{5};
     EXPECT_THROW((void)empty.draw(1, rng), std::invalid_argument);
@@ -106,7 +106,7 @@ TEST(ReplayMemory, UniformInclusionAcrossBatches) {
                                       rng);
         }
         for (std::size_t i = 0; i < mem.size(); ++i) {
-            batch_counts[static_cast<int>(mem.at(i).activation[0] / 1000.0)]++;
+            batch_counts[static_cast<int>(mem.at(i).feature[0] / 1000.0)]++;
         }
     }
     // Expected share per batch = capacity * trials / num_batches = 200.
@@ -128,7 +128,7 @@ TEST(ReplayMemory, LateBatchesStillEnter) {
     }
     bool found_late = false;
     for (std::size_t i = 0; i < mem.size(); ++i) {
-        if (mem.at(i).activation[0] >= 25000.0) {
+        if (mem.at(i).feature[0] >= 25000.0) {
             found_late = true;
         }
     }
@@ -138,14 +138,14 @@ TEST(ReplayMemory, LateBatchesStillEnter) {
 TEST(ReplayMemory, PreservesSamplePayload) {
     Replay_memory mem{4};
     Rng rng{10};
-    Replay_sample s;
-    s.activation = {1.0, 2.0, 3.0};
+    models::Labeled_sample s;
+    s.feature = {1.0, 2.0, 3.0};
     s.class_label = 2;
     s.box_target = {0.1, 0.2, 0.3, 0.4};
     s.weight = 0.5;
     mem.update_after_training({s}, rng);
-    const Replay_sample& stored = mem.at(0);
-    EXPECT_EQ(stored.activation, s.activation);
+    const models::Labeled_sample& stored = mem.at(0);
+    EXPECT_EQ(stored.feature, s.feature);
     EXPECT_EQ(stored.class_label, 2u);
     EXPECT_DOUBLE_EQ(stored.box_target[3], 0.4);
     EXPECT_DOUBLE_EQ(stored.weight, 0.5);
