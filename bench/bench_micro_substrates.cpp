@@ -114,11 +114,10 @@ void BM_h264_batch(benchmark::State& state) {
 BENCHMARK(BM_h264_batch);
 
 /// The event-engine hot loop at fleet-bench scale: schedule 1M uniformly
-/// distributed events, then drain them. Templated over the calendar queue
-/// (Event_queue) and the binary-heap reference (Heap_event_queue) so the
-/// two substrates stay directly comparable — the calendar's O(1) amortized
-/// schedule/step is the whole point of the city-scale engine.
-template <typename Queue>
+/// distributed events, then drain them — the queue's cost record. On this
+/// pure burst the binary heap ran about 1.6x slower than the calendar queue
+/// it replaced, but no end-to-end workload has this shape: a fleet run keeps
+/// far fewer events pending and spends its time inside the callbacks.
 void BM_event_queue_burst(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
@@ -128,7 +127,7 @@ void BM_event_queue_burst(benchmark::State& state) {
         for (auto& t : times) {
             t = rng.uniform() * 600.0;
         }
-        Queue queue;
+        Event_queue queue;
         std::size_t executed = 0;
         state.ResumeTiming();
         for (const double t : times) {
@@ -142,8 +141,7 @@ void BM_event_queue_burst(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_event_queue_burst<Event_queue>)->Arg(100000)->Arg(1000000);
-BENCHMARK(BM_event_queue_burst<Heap_event_queue>)->Arg(100000)->Arg(1000000);
+BENCHMARK(BM_event_queue_burst)->Arg(100000)->Arg(1000000);
 
 void BM_map_evaluation(benchmark::State& state) {
     Rng rng{11};

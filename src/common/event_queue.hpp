@@ -2,25 +2,9 @@
 // time-ordered event queue with stable FIFO ordering for simultaneous
 // events (required for deterministic replays).
 //
-// Two implementations share the same API and the same observable behaviour:
-//
-//  - Event_queue: a calendar queue (Brown 1988) — the production engine.
-//    Pending events live in fixed-width time buckets ("rungs"); only the
-//    bucket currently being drained is kept as a binary heap, future
-//    buckets are unsorted append-only vectors, and events beyond the
-//    window sit in a binary-heap overflow rung. schedule() is O(1)
-//    amortized for in-window events, which is what makes 10^7-event
-//    city-scale fleet runs cheap.
-//  - Heap_event_queue: the original single std::priority_queue. Kept as
-//    the reference implementation: the equivalence test drives both with
-//    identical traces and asserts identical execution order.
-//
-// Determinism contract (both implementations): events fire in ascending
-// (time, insertion sequence) order. Bucket geometry cannot break this:
-// the bucket index is a monotone non-decreasing function of the timestamp,
-// so a strictly smaller index implies a strictly earlier time, and events
-// that tie on time always land in the same rung, where the exact
-// (time, seq) comparison orders them.
+// Event_queue is a binary heap over (time, insertion sequence): events fire
+// in ascending (time, seq) order, so events that tie on time fire in the
+// order they were scheduled.
 //
 // Threading: deliberately NOT thread-safe. A queue is owned by exactly one
 // simulation engine, and under sim::run_sweep each parallel cell constructs
@@ -32,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -48,38 +31,32 @@ public:
 
     void schedule(Sim_time at, Action action) {
         SHOG_REQUIRE(at >= now_, "cannot schedule an event in the past");
-        insert(Entry{at, sequence_++, std::move(action)});
-        ++size_;
+        heap_.push_back(Entry{at, sequence_++, std::move(action)});
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
     }
 
     void schedule_in(Sim_duration delay, Action action) {
         schedule(now_ + delay, std::move(action));
     }
 
-    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-    [[nodiscard]] std::size_t pending() const noexcept { return size_; }
+    [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+    [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
     [[nodiscard]] Sim_time now() const noexcept { return now_; }
 
     [[nodiscard]] Sim_time next_time() const {
-        SHOG_REQUIRE(size_ > 0, "no pending events");
-        // Rung maintenance only repacks internal storage; the observable
-        // state (pending set, order, clock) is untouched, so next_time()
-        // stays logically const.
-        const_cast<Event_queue*>(this)->advance_to_nonempty();
-        return current_.front().at;
+        SHOG_REQUIRE(!heap_.empty(), "no pending events");
+        return heap_.front().at;
     }
 
     /// Pop and run the earliest event; advances the clock to its time. The
-    /// entry is moved out of the rung before it runs, so the action's
+    /// entry is moved out of the heap before it runs, so the action's
     /// closure is never copied (and re-entrant schedule() calls from inside
     /// the action cannot invalidate it).
     void step() {
-        SHOG_REQUIRE(size_ > 0, "no pending events");
-        advance_to_nonempty();
-        std::pop_heap(current_.begin(), current_.end(), Later{});
-        Entry entry = std::move(current_.back());
-        current_.pop_back();
-        --size_;
+        SHOG_REQUIRE(!heap_.empty(), "no pending events");
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        Entry entry = std::move(heap_.back());
+        heap_.pop_back();
         now_ = entry.at;
         entry.action();
     }
@@ -90,7 +67,7 @@ public:
     /// step. Returns the number of events executed.
     std::size_t run_until(Sim_time until) {
         std::size_t executed = 0;
-        while (size_ > 0 && next_time() <= until) {
+        while (!heap_.empty() && heap_.front().at <= until) {
             step();
             ++executed;
         }
@@ -104,7 +81,7 @@ public:
     /// applied at its recorded time) without firing same-time events, which
     /// by the (time, seq) contract come after the op.
     void advance_to(Sim_time to) {
-        SHOG_REQUIRE(size_ == 0 || !(next_time() < to),
+        SHOG_REQUIRE(heap_.empty() || !(heap_.front().at < to),
                      "advance_to would skip a pending event");
         now_ = std::max(now_, to);
     }
@@ -115,8 +92,8 @@ private:
         std::uint64_t seq;
         Action action;
     };
-    /// Heap comparator: "a fires later than b" — makes std:: heap
-    /// primitives yield the earliest (time, seq) at the front.
+    /// Heap comparator: "a fires later than b" — makes the std:: heap
+    /// primitives keep the earliest (time, seq) at the front.
     struct Later {
         bool operator()(const Entry& a, const Entry& b) const noexcept {
             if (a.at != b.at) {
@@ -126,196 +103,7 @@ private:
         }
     };
 
-    static constexpr std::size_t min_buckets = 64;
-    static constexpr std::size_t max_buckets = std::size_t{1} << 16;
-    static constexpr Sim_duration min_width{1e-9};
-
-    /// Bucket index of `at` under the current geometry, or `bucket_count()`
-    /// when the event belongs in the overflow rung. Monotone non-decreasing
-    /// in `at`, which is all the determinism proof needs.
-    [[nodiscard]] std::size_t bucket_index(Sim_time at) const noexcept {
-        const Sim_duration offset = at - window_start_;
-        if (offset < Sim_duration{}) {
-            // The clock can trail a rebuilt window (run_until stopped short
-            // of the overflow minimum the window was re-anchored on); such
-            // events join bucket 0, where exact comparison orders them.
-            return 0;
-        }
-        if (!(offset < span_)) { // catches infinities and FP boundary slop
-            return buckets_.size();
-        }
-        const auto idx = static_cast<std::size_t>(offset / width_);
-        return std::min(idx, buckets_.size() - 1);
-    }
-
-    void insert(Entry entry) {
-        if (buckets_.empty()) {
-            init_window(entry.at);
-        }
-        const std::size_t idx = bucket_index(entry.at);
-        if (idx >= buckets_.size()) {
-            if (entry.at > max_overflow_at_) {
-                max_overflow_at_ = entry.at;
-            }
-            overflow_.push_back(std::move(entry));
-            std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-            return;
-        }
-        if (static_cast<std::ptrdiff_t>(idx) <= cursor_) {
-            // The event's nominal bucket is already being (or has been)
-            // drained; it is still >= now_, so it joins the current rung's
-            // heap and the exact (time, seq) comparison places it.
-            current_.push_back(std::move(entry));
-            std::push_heap(current_.begin(), current_.end(), Later{});
-            return;
-        }
-        buckets_[idx].push_back(std::move(entry));
-    }
-
-    /// Make `current_` non-empty: advance the cursor over drained buckets,
-    /// heapifying the next populated one; when the window is exhausted,
-    /// rebuild it around the overflow rung. Precondition: size_ > 0.
-    void advance_to_nonempty() {
-        while (current_.empty()) {
-            std::size_t j = cursor_ < 0 ? 0 : static_cast<std::size_t>(cursor_) + 1;
-            while (j < buckets_.size() && buckets_[j].empty()) {
-                ++j;
-            }
-            if (j < buckets_.size()) {
-                cursor_ = static_cast<std::ptrdiff_t>(j);
-                current_.swap(buckets_[j]);
-                if (current_.size() > 1) {
-                    std::make_heap(current_.begin(), current_.end(), Later{});
-                }
-                continue;
-            }
-            SHOG_CHECK(!overflow_.empty(), "event rungs empty but size_ > 0");
-            rebuild_window();
-        }
-    }
-
-    void init_window(Sim_time first_at) {
-        buckets_.assign(min_buckets, {});
-        cursor_ = -1;
-        window_start_ = first_at;
-        width_ = Sim_duration{1.0 / static_cast<double>(min_buckets)};
-        span_ = width_ * static_cast<double>(buckets_.size());
-    }
-
-    /// Re-anchor the window at the overflow rung's minimum and re-derive
-    /// the geometry from its population: ~one pending event per bucket,
-    /// width spanning the observed overflow range. Events beyond the new
-    /// window stay in the overflow heap.
-    void rebuild_window() {
-        std::vector<Entry> spill;
-        spill.swap(overflow_);
-        window_start_ = spill.front().at; // heap front == minimum
-        std::size_t count = min_buckets;
-        while (count < spill.size() && count < max_buckets) {
-            count *= 2;
-        }
-        const Sim_duration range = max_overflow_at_ - window_start_;
-        width_ = std::max(range / static_cast<double>(count), min_width);
-        span_ = width_ * static_cast<double>(count);
-        buckets_.assign(count, {});
-        cursor_ = -1;
-        for (Entry& entry : spill) {
-            const std::size_t idx = bucket_index(entry.at);
-            if (idx >= buckets_.size()) {
-                overflow_.push_back(std::move(entry));
-            } else {
-                buckets_[idx].push_back(std::move(entry));
-            }
-        }
-        if (!overflow_.empty()) {
-            std::make_heap(overflow_.begin(), overflow_.end(), Later{});
-        }
-    }
-
-    std::vector<std::vector<Entry>> buckets_;
-    std::vector<Entry> current_;  ///< heap: the bucket being drained
-    std::vector<Entry> overflow_; ///< heap: events beyond the window
-    std::ptrdiff_t cursor_ = -1;  ///< index of the bucket behind current_
-    Sim_time window_start_;
-    Sim_duration width_{1.0};
-    Sim_duration span_;
-    Sim_time max_overflow_at_;
-    std::size_t size_ = 0;
-    std::uint64_t sequence_ = 0;
-    Sim_time now_;
-};
-
-/// The original binary-heap event queue. Reference implementation for the
-/// calendar queue's equivalence test; not used by the simulation harness.
-class Heap_event_queue {
-public:
-    using Action = std::function<void()>;
-
-    void schedule(Sim_time at, Action action) {
-        SHOG_REQUIRE(at >= now_, "cannot schedule an event in the past");
-        heap_.push(Entry{at, sequence_++, std::move(action)});
-    }
-
-    void schedule_in(Sim_duration delay, Action action) {
-        schedule(now_ + delay, std::move(action));
-    }
-
-    [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-    [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
-    [[nodiscard]] Sim_time now() const noexcept { return now_; }
-    [[nodiscard]] Sim_time next_time() const {
-        SHOG_REQUIRE(!heap_.empty(), "no pending events");
-        return heap_.top().at;
-    }
-
-    /// Pop and run the earliest event; advances the clock to its time.
-    void step() {
-        SHOG_REQUIRE(!heap_.empty(), "no pending events");
-        // std::priority_queue::top() is const&, but moving the action out
-        // is safe: pop()'s sift compares only (at, seq), which the move
-        // leaves intact, and the moved-from std::function is destructible.
-        Entry entry = std::move(const_cast<Entry&>(heap_.top()));
-        heap_.pop();
-        now_ = entry.at;
-        entry.action();
-    }
-
-    /// Run events until the queue drains or the clock passes `until`.
-    /// Returns the number of events executed.
-    std::size_t run_until(Sim_time until) {
-        std::size_t executed = 0;
-        while (!heap_.empty() && heap_.top().at <= until) {
-            step();
-            ++executed;
-        }
-        now_ = std::max(now_, until);
-        return executed;
-    }
-
-    /// Advance the clock to `to` without executing anything (see
-    /// Event_queue::advance_to).
-    void advance_to(Sim_time to) {
-        SHOG_REQUIRE(heap_.empty() || !(heap_.top().at < to),
-                     "advance_to would skip a pending event");
-        now_ = std::max(now_, to);
-    }
-
-private:
-    struct Entry {
-        Sim_time at;
-        std::uint64_t seq;
-        Action action;
-    };
-    struct Later {
-        bool operator()(const Entry& a, const Entry& b) const noexcept {
-            if (a.at != b.at) {
-                return a.at > b.at;
-            }
-            return a.seq > b.seq; // stable FIFO for equal times
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+    std::vector<Entry> heap_;
     std::uint64_t sequence_ = 0;
     Sim_time now_;
 };

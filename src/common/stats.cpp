@@ -59,43 +59,6 @@ double quantile(std::vector<double> values, double q) {
     return values[lo] + frac * (values[hi] - values[lo]);
 }
 
-Streaming_quantile::Streaming_quantile(double q) : q_{q} {
-    SHOG_REQUIRE(q >= 0.0 && q <= 1.0, "quantile level must lie in [0, 1]");
-}
-
-void Streaming_quantile::add(double x) {
-    if (lower_.empty() || x <= lower_.top()) {
-        lower_.push(x);
-    } else {
-        upper_.push(x);
-    }
-    // Rebalance so lower_ holds exactly floor((n-1)*q) + 1 samples — its
-    // top is then the lower order statistic of the R-7 interpolation pair.
-    const double pos = q_ * static_cast<double>(count() - 1);
-    const std::size_t target = static_cast<std::size_t>(std::floor(pos)) + 1;
-    while (lower_.size() > target) {
-        upper_.push(lower_.top());
-        lower_.pop();
-    }
-    while (lower_.size() < target) {
-        lower_.push(upper_.top());
-        upper_.pop();
-    }
-}
-
-double Streaming_quantile::value() const {
-    SHOG_REQUIRE(!empty(), "quantile of empty sample");
-    // Mirrors quantile(): pos = q * (n - 1), linear interpolation between
-    // the straddling order statistics.
-    const double pos = q_ * static_cast<double>(count() - 1);
-    const auto lo = static_cast<std::size_t>(std::floor(pos));
-    const auto hi = static_cast<std::size_t>(std::ceil(pos));
-    const double frac = pos - static_cast<double>(lo);
-    const double x_lo = lower_.top();
-    const double x_hi = hi == lo ? x_lo : upper_.top();
-    return x_lo + frac * (x_hi - x_lo);
-}
-
 Ecdf::Ecdf(std::vector<double> samples) : sorted_{std::move(samples)} {
     SHOG_REQUIRE(!sorted_.empty(), "ECDF needs at least one sample");
     std::sort(sorted_.begin(), sorted_.end());

@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <queue>
 #include <vector>
 
 namespace shog {
@@ -37,32 +35,6 @@ private:
 /// Linear-interpolated quantile of a sample (the R-7 estimator, the same
 /// definition NumPy uses by default). q in [0, 1]. Throws on empty input.
 [[nodiscard]] double quantile(std::vector<double> values, double q);
-
-/// Exact streaming quantile at a fixed level: O(log n) insertion, O(1)
-/// query, O(n) memory but no end-of-run sort or full-sample scan. The two
-/// internal heaps straddle the R-7 interpolation point, so value() returns
-/// bit-for-bit what quantile(all_samples, q) would — this is an *exact*
-/// order-statistic structure, not a sketch (pinned by the stats tests).
-/// Used for fleet aggregates (p95 label latency) that were previously
-/// sort-at-end scans over per-run vectors.
-class Streaming_quantile {
-public:
-    explicit Streaming_quantile(double q);
-
-    void add(double x);
-    [[nodiscard]] std::size_t count() const noexcept { return lower_.size() + upper_.size(); }
-    [[nodiscard]] bool empty() const noexcept { return count() == 0; }
-    /// The R-7 quantile of everything added so far. Throws when empty.
-    [[nodiscard]] double value() const;
-
-private:
-    double q_;
-    /// The smallest floor((n-1)*q) + 1 samples; top() is the lower order
-    /// statistic of the interpolation pair.
-    std::priority_queue<double> lower_;
-    /// The rest; top() is the upper order statistic.
-    std::priority_queue<double, std::vector<double>, std::greater<double>> upper_;
-};
 
 /// Empirical CDF over a fixed sample. Evaluation is O(log n).
 class Ecdf {

@@ -341,7 +341,7 @@ void Cloud_runtime::complete(const std::shared_ptr<Active_dispatch>& active) {
         if (job.kind == Cloud_job_kind::label) {
             label_wait_sum_ += active->started - job.submitted;
             label_latency_sum_ += completed - job.submitted;
-            label_latency_p95_.add((completed - job.submitted).value()); // quantile over raw seconds
+            label_latencies_.push_back((completed - job.submitted).value()); // quantile over raw seconds
         }
     }
     sample_gauges();
@@ -719,9 +719,9 @@ Sim_duration Cloud_runtime::mean_label_latency() const {
 }
 
 Sim_duration Cloud_runtime::p95_label_latency() const {
-    return label_latency_p95_.empty()
+    return label_latencies_.empty()
                ? Sim_duration{}
-               : Sim_duration{label_latency_p95_.value()}; // quantile yields raw seconds
+               : Sim_duration{quantile(label_latencies_, 0.95)}; // quantile yields raw seconds
 }
 
 Sim_duration Cloud_runtime::mean_label_wait() const {

@@ -27,7 +27,6 @@
 
 #include "common/event_queue.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -202,7 +201,7 @@ public:
 
     [[nodiscard]] std::size_t jobs_completed() const noexcept { return completions_.count; }
     [[nodiscard]] std::size_t labels_completed() const noexcept {
-        return label_latency_p95_.count();
+        return label_latencies_.size();
     }
     /// Largest number of jobs ever left waiting behind busy servers (0 on a
     /// fully uncontended cluster).
@@ -220,9 +219,8 @@ public:
     }
 
     /// Label-job statistics (training jobs excluded, so an AMS fleet's
-    /// fine-tunes don't masquerade as label latency). Maintained as running
-    /// sums plus an exact streaming quantile — no per-label vectors, no
-    /// end-of-run sort — and bit-identical to the former sort-at-end values.
+    /// fine-tunes don't masquerade as label latency). The means come from
+    /// running sums; the p95 is quantile() over every completed latency.
     [[nodiscard]] Sim_duration mean_label_latency() const;
     [[nodiscard]] Sim_duration p95_label_latency() const;
     [[nodiscard]] Sim_duration mean_label_wait() const;
@@ -404,8 +402,9 @@ private:
     Sim_time max_finalized_end_;
     Sim_duration label_latency_sum_;
     Sim_duration label_wait_sum_;
-    /// Every completed label's latency; its count() is labels_completed().
-    Streaming_quantile label_latency_p95_{0.95};
+    /// Every completed label's latency in raw seconds, in completion order;
+    /// its size() is labels_completed().
+    std::vector<double> label_latencies_;
     Completion_sink sink_;
     /// complete() handed >= 1 callback to the sink and skipped its trailing
     /// dispatch(); resume_dispatch() clears it.

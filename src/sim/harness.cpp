@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <map>
 
-#include "common/arena.hpp"
 #include "sim/run_internal.hpp"
 
 namespace shog::sim {
@@ -24,33 +24,32 @@ Cluster_result run_cluster(const std::vector<Device_spec>& devices,
     cloud.set_observability(detail::make_trace_channel(config.obs.sink),
                             config.obs.metrics);
 
-    // Device state lives in a chunked arena: event closures capture &state
-    // for the whole run, so addresses must be stable, and adjacent devices
-    // sharing chunks keeps the per-event working set tight at fleet scale.
-    Stable_arena<detail::Device_state> states;
+    // Event closures capture &state for the whole run; deque::emplace_back
+    // never relocates existing elements.
+    std::deque<detail::Device_state> states;
     Sim_time horizon;
     for (std::size_t i = 0; i < devices.size(); ++i) {
-        states.emplace_back(i, devices[i], queue, cloud, config.harness,
-                            detail::effective_hardware(devices[i], config.harness));
-        states[i].runtime.set_trace(detail::make_trace_channel(config.obs.sink));
+        detail::Device_state& state =
+            states.emplace_back(i, devices[i], queue, cloud, config.harness,
+                                detail::effective_hardware(devices[i], config.harness));
+        state.runtime.set_trace(detail::make_trace_channel(config.obs.sink));
         horizon = std::max(horizon, Sim_time{devices[i].stream->duration()});
     }
 
-    for (std::size_t i = 0; i < states.size(); ++i) {
-        detail::schedule_device_events(states[i], queue, config.harness);
+    for (detail::Device_state& state : states) {
+        detail::schedule_device_events(state, queue, config.harness);
     }
 
-    for (std::size_t i = 0; i < states.size(); ++i) {
-        states[i].spec.strategy->start(states[i].runtime);
+    for (detail::Device_state& state : states) {
+        state.spec.strategy->start(state.runtime);
     }
     (void)queue.run_until(horizon);
 
     Cluster_result cluster;
     cluster.duration = horizon.value(); // serialized metric
     cluster.devices.reserve(states.size());
-    for (std::size_t i = 0; i < states.size(); ++i) {
-        cluster.devices.push_back(
-            detail::assemble_device_result(states[i], config.harness));
+    for (detail::Device_state& state : states) {
+        cluster.devices.push_back(detail::assemble_device_result(state, config.harness));
         cluster.fleet_map += cluster.devices.back().map;
     }
     cluster.fleet_map /= static_cast<double>(cluster.devices.size());

@@ -63,6 +63,10 @@ inline void validate_cluster(const std::vector<Device_spec>& devices,
                              const Cluster_config& config) {
     SHOG_REQUIRE(!devices.empty(), "cluster needs at least one device");
     SHOG_REQUIRE(config.harness.eval_stride >= 1, "eval stride must be >= 1");
+    // Checked before any event is scheduled: a non-positive tick would turn
+    // the fps tick count into an undefined float-to-size_t conversion.
+    SHOG_REQUIRE(config.harness.fps_tick > Sim_duration{}, "fps tick must be positive");
+    SHOG_REQUIRE(config.harness.map_window > Sim_duration{}, "map window must be positive");
     for (const Device_spec& spec : devices) {
         SHOG_REQUIRE(spec.strategy != nullptr, "device needs a strategy");
         SHOG_REQUIRE(spec.stream != nullptr, "device needs a stream");

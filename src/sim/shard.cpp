@@ -66,7 +66,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/thread_annotations.hpp"
 #include "sim/run_internal.hpp"
 
@@ -209,29 +208,29 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
     cloud.set_observability(detail::make_trace_channel(config.obs.sink),
                             config.obs.metrics);
 
-    // Same stable-address arena rationale as run_cluster; the slot adds the
-    // device-local queue and proxy the event closures are wired to.
-    Stable_arena<Device_slot> slots;
+    // Stable addresses as in run_cluster; the slot adds the device-local
+    // queue and proxy the event closures are wired to.
+    std::deque<Device_slot> slots;
     Sim_time horizon;
     for (std::size_t i = 0; i < devices.size(); ++i) {
-        slots.emplace_back(i, devices[i], config);
-        slots[i].proxy.real = &cloud;
+        Device_slot& slot = slots.emplace_back(i, devices[i], config);
+        slot.proxy.real = &cloud;
         // The device buffer is phase-owned like the rest of the slot: the
         // shard worker writes it during rounds, the coordinator during
         // completion delivery, barrier-separated.
-        slots[i].state.runtime.set_trace(detail::make_trace_channel(config.obs.sink));
+        slot.state.runtime.set_trace(detail::make_trace_channel(config.obs.sink));
         horizon = std::max(horizon, Sim_time{devices[i].stream->duration()});
     }
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        detail::schedule_device_events(slots[i].state, slots[i].queue, config.harness);
+    for (Device_slot& slot : slots) {
+        detail::schedule_device_events(slot.state, slot.queue, config.harness);
     }
     // Strategy starts run serially in device order: their t=0 cloud calls
     // must replay device-ascending, exactly as the sequential start loop
     // issues them.
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        slots[i].state.spec.strategy->start(slots[i].state.runtime);
-        if (slots[i].proxy.take_submitted()) {
-            slots[i].stopped = true;
+    for (Device_slot& slot : slots) {
+        slot.state.spec.strategy->start(slot.state.runtime);
+        if (slot.proxy.take_submitted()) {
+            slot.stopped = true;
         }
     }
 
@@ -252,7 +251,7 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
             frontiers.erase(Frontier{frontier_at[d], d});
             in_set[d] = 0;
         }
-        Device_slot& slot = slots[d];
+        Device_slot& slot = slots.at(d);
         if (!slot.proxy.ops.empty()) {
             frontier_at[d] = slot.proxy.ops.front().at;
         } else if (slot.queue.pending() > 0 && slot.queue.next_time() <= horizon) {
@@ -265,7 +264,7 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
     };
 
     const auto apply_front_op = [&](std::size_t d) {
-        Device_slot& slot = slots[d];
+        Device_slot& slot = slots.at(d);
         Cloud_op op = std::move(slot.proxy.ops.front());
         slot.proxy.ops.pop_front();
         // Align the cloud clock with the op without firing same-time cloud
@@ -291,7 +290,7 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
         }
         const Sim_time t_c = cloud_queue.now();
         for (auto& [d, done] : deliveries) {
-            Device_slot& slot = slots[d];
+            Device_slot& slot = slots.at(d);
             // The frontier rule blocked this completion until the device had
             // drained its events up to t_c and its ops were applied.
             SHOG_CHECK(slot.proxy.ops.empty(),
@@ -331,7 +330,7 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
                 fire_cloud_event();
                 continue;
             }
-            if (slots[min_f.device].proxy.ops.empty()) {
+            if (slots.at(min_f.device).proxy.ops.empty()) {
                 return; // potential frontier: that device must run events first
             }
             apply_front_op(min_f.device);
@@ -365,7 +364,7 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
 
             try {
                 for (std::size_t d = begin; d < end; ++d) {
-                    Device_slot& slot = slots[d];
+                    Device_slot& slot = slots.at(d);
                     if (slot.stopped) {
                         continue; // waits for its submits to reach the cloud
                     }
@@ -472,9 +471,8 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
     Cluster_result cluster;
     cluster.duration = horizon.value(); // serialized metric
     cluster.devices.reserve(slots.size());
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        cluster.devices.push_back(
-            detail::assemble_device_result(slots[i].state, config.harness));
+    for (Device_slot& slot : slots) {
+        cluster.devices.push_back(detail::assemble_device_result(slot.state, config.harness));
         cluster.fleet_map += cluster.devices.back().map;
     }
     cluster.fleet_map /= static_cast<double>(cluster.devices.size());

@@ -9,8 +9,8 @@
 // synchronize at a barrier keyed on the global next-cloud-event time. A
 // single coordinator thread then replays the buffered interactions and the
 // cloud's own events in exactly the sequential engine's (time, seq) order,
-// so the merged Cluster_result — including Streaming_quantile fold order
-// and incremental mAP — is byte-identical for any shard count. The barrier
+// so the merged Cluster_result — including the label-latency order and
+// incremental mAP — is byte-identical for any shard count. The barrier
 // protocol and the determinism argument are documented in
 // docs/ARCHITECTURE.md ("Sharded single runs") and at the top of
 // sim/shard.cpp.

@@ -223,35 +223,6 @@ TEST(Quantile, Errors) {
     EXPECT_THROW((void)quantile({1.0}, 1.5), std::invalid_argument);
 }
 
-// -------------------------------------------------- Streaming_quantile ----
-
-TEST(StreamingQuantile, MatchesBatchQuantileBitForBit) {
-    // The two-heap structure is an exact order statistic, not a sketch:
-    // after every insertion its value() must equal the R-7 batch quantile
-    // of the samples so far, bit for bit, including the interpolation case.
-    for (double q : {0.0, 0.25, 0.5, 0.95, 1.0}) {
-        Rng rng{42};
-        Streaming_quantile streaming{q};
-        std::vector<double> samples;
-        for (int i = 0; i < 500; ++i) {
-            // Mix of ties (coarse grid) and continuous values.
-            const double x = rng.chance(0.3) ? std::floor(rng.uniform() * 10.0)
-                                             : rng.uniform() * 1000.0;
-            streaming.add(x);
-            samples.push_back(x);
-            ASSERT_EQ(streaming.value(), quantile(samples, q)) // quantile, not a unit
-                << "q=" << q << " diverged after sample " << i;
-        }
-        EXPECT_EQ(streaming.count(), samples.size());
-    }
-}
-
-TEST(StreamingQuantile, EmptyThrows) {
-    Streaming_quantile s{0.95};
-    EXPECT_TRUE(s.empty());
-    EXPECT_THROW((void)s.value(), std::invalid_argument); // quantile, not a unit
-}
-
 // ----------------------------------------------------------------- Ecdf ----
 
 TEST(Ecdf, StepFunction) {

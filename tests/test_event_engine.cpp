@@ -1,15 +1,17 @@
-// The calendar event queue against its reference: Event_queue (bucketed
-// rungs + overflow) must execute any schedule in exactly the order the old
-// binary heap (Heap_event_queue) does — same times, same stable-FIFO tie
-// order — because the whole simulator's bit-for-bit reproducibility hangs
-// on that order. These tests drive both implementations side by side on
-// randomized traces (ties, re-entrant scheduling, bursty and long-range
-// time distributions that force window rebuilds) and pin the run_until
-// horizon semantics the harness relies on.
+// The event queue's order contract: every event scheduled at or before the
+// run_until horizon fires exactly once, at its own time, and events fire in
+// strictly increasing (time, scheduling order) — the stable-FIFO tie order
+// the whole simulator's bit-for-bit reproducibility hangs on. The traces
+// cover ties, re-entrant scheduling, long-range time distributions and
+// partial horizons; the remaining tests pin the run_until horizon semantics
+// and advance_to, which the harness and the sharded engine rely on.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/event_queue.hpp"
@@ -18,49 +20,50 @@
 namespace shog {
 namespace {
 
-struct Trace_entry {
-    int id;
-    Sim_time at;
+struct Trace_params {
+    const char* name;
+    std::uint64_t first_seed;
+    std::uint64_t last_seed;
+    int initial;              ///< events scheduled before the first run_until
+    int reschedule;           ///< re-entrant scheduling attempts per fired event
+    double spread;            ///< each event lands in [not_before, not_before + spread)
+    bool integer_times;       ///< floor times onto a coarse grid: heavy ties
+    std::vector<double> horizons; ///< successive run_until bounds
 };
 
-bool operator==(const Trace_entry& a, const Trace_entry& b) {
-    return a.id == b.id && a.at == b.at;
-}
+void PrintTo(const Trace_params& p, std::ostream* os) { *os << p.name; }
 
-/// Replay one randomized schedule on a queue implementation: `initial`
-/// events are scheduled up front, and each executed event re-enters
-/// `reschedule_per_event` future events from inside its callback (the
-/// pattern the cloud runtime uses for dispatch/complete chains). Returns
-/// the execution trace (id, execution-time clock).
-template <typename Queue>
-std::vector<Trace_entry> replay(std::uint64_t seed, int initial, int reschedule_per_event,
-                                double horizon, double spread, bool integer_times) {
-    Queue queue;
+/// Run one randomized schedule: `initial` events are scheduled up front, and
+/// each fired event schedules up to `reschedule` future events from inside
+/// its callback (the pattern the cloud runtime uses for dispatch/complete
+/// chains). Ids are handed out in scheduling order, so the contract is that
+/// (fire time, id) strictly increases along the trace.
+void expect_order_contract(const Trace_params& p, std::uint64_t seed) {
+    Event_queue queue;
     Rng rng{seed};
-    std::vector<Trace_entry> trace;
-    int next_id = 0;
+    std::vector<Sim_time> scheduled_at; // by id
+    std::vector<int> fired;             // ids, in fire order
+    std::vector<Sim_time> fired_at;     // the clock each id fired at
 
-    // The self-referential scheduler: events may schedule more events.
     struct Driver {
-        Queue& queue;
+        Event_queue& queue;
         Rng& rng;
-        std::vector<Trace_entry>& trace;
-        int& next_id;
-        int reschedule;
-        double spread;
-        bool integer_times;
+        const Trace_params& p;
+        std::vector<Sim_time>& scheduled_at;
+        std::vector<int>& fired;
+        std::vector<Sim_time>& fired_at;
 
         void schedule_one(double not_before) {
-            const int id = next_id++;
-            double at = not_before + rng.uniform() * spread;
-            if (integer_times) {
-                // Coarse grid => massive tie populations, the FIFO
-                // tie-order stress case.
+            const int id = static_cast<int>(scheduled_at.size());
+            double at = not_before + rng.uniform() * p.spread;
+            if (p.integer_times) {
                 at = std::floor(at);
             }
+            scheduled_at.push_back(Sim_time{at});
             queue.schedule(Sim_time{at}, [this, id] {
-                trace.push_back(Trace_entry{id, queue.now()});
-                for (int r = 0; r < reschedule; ++r) {
+                fired.push_back(id);
+                fired_at.push_back(queue.now());
+                for (int r = 0; r < p.reschedule; ++r) {
                     if (rng.chance(0.4)) {
                         schedule_one(queue.now().value()); // raw spread arithmetic
                     }
@@ -68,134 +71,102 @@ std::vector<Trace_entry> replay(std::uint64_t seed, int initial, int reschedule_
             });
         }
     };
-    Driver driver{queue, rng, trace, next_id, reschedule_per_event, spread, integer_times};
-    for (int i = 0; i < initial; ++i) {
-        driver.schedule_one(rng.uniform() * spread);
+    Driver driver{queue, rng, p, scheduled_at, fired, fired_at};
+    for (int i = 0; i < p.initial; ++i) {
+        driver.schedule_one(rng.uniform() * p.spread);
     }
-    (void)queue.run_until(Sim_time{horizon});
-    return trace;
-}
+    for (double horizon : p.horizons) {
+        (void)queue.run_until(Sim_time{horizon});
+        ASSERT_TRUE(queue.empty() || queue.next_time() > Sim_time{horizon})
+            << "seed " << seed << ": an event at or before " << horizon << " is still pending";
+        ASSERT_EQ(queue.now(), Sim_time{horizon}) << "seed " << seed;
+    }
 
-void expect_identical_traces(std::uint64_t seed, int initial, int reschedule, double horizon,
-                             double spread, bool integer_times) {
-    const std::vector<Trace_entry> heap =
-        replay<Heap_event_queue>(seed, initial, reschedule, horizon, spread, integer_times);
-    const std::vector<Trace_entry> calendar =
-        replay<Event_queue>(seed, initial, reschedule, horizon, spread, integer_times);
-    ASSERT_EQ(heap.size(), calendar.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < heap.size(); ++i) {
-        EXPECT_TRUE(heap[i] == calendar[i])
-            << "seed " << seed << " diverged at event " << i << ": heap (" << heap[i].id
-            << ", " << heap[i].at.value() << ") vs calendar (" // diagnostic print
-            << calendar[i].id << ", " << calendar[i].at.value() << ")"; // diagnostic print
-        if (!(heap[i] == calendar[i])) {
-            break;
+    ASSERT_FALSE(fired.empty()) << "seed " << seed;
+    std::vector<char> seen(scheduled_at.size(), 0);
+    for (std::size_t i = 0; i < fired.size(); ++i) {
+        const auto id = static_cast<std::size_t>(fired[i]);
+        ASSERT_EQ(seen[id], 0) << "seed " << seed << ": event " << id << " fired twice";
+        seen[id] = 1;
+        ASSERT_EQ(fired_at[i], scheduled_at[id]) << "seed " << seed << " event " << id;
+        if (i > 0) {
+            const Sim_time t0 = fired_at[i - 1];
+            const Sim_time t1 = fired_at[i];
+            ASSERT_TRUE(t0 < t1 || (t0 == t1 && fired[i - 1] < fired[i]))
+                << "seed " << seed << ": (" << t1.value() << ", " << fired[i] // diagnostic print
+                << ") fired after (" << t0.value() << ", " << fired[i - 1] << ")"; // diagnostic print
         }
     }
+    const Sim_time last_horizon{p.horizons.back()};
+    for (std::size_t id = 0; id < scheduled_at.size(); ++id) {
+        EXPECT_EQ(seen[id] != 0, scheduled_at[id] <= last_horizon) << "seed " << seed << " event " << id;
+    }
+    EXPECT_EQ(queue.pending(), scheduled_at.size() - fired.size()) << "seed " << seed;
 }
 
-TEST(EventEngine, RandomTracesMatchHeapReference) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        expect_identical_traces(seed, 200, 2, 1.0e9, 50.0, false);
+class Order_contract : public ::testing::TestWithParam<Trace_params> {};
+
+TEST_P(Order_contract, FiresInTimeThenSchedulingOrder) {
+    const Trace_params& p = GetParam();
+    for (std::uint64_t seed = p.first_seed; seed <= p.last_seed; ++seed) {
+        expect_order_contract(p, seed);
     }
 }
 
-TEST(EventEngine, TieHeavyTracesMatchHeapReference) {
-    // Integer-grid times: dozens of events share each timestamp, so this is
-    // pure stable-FIFO tie-order coverage.
-    for (std::uint64_t seed = 11; seed <= 16; ++seed) {
-        expect_identical_traces(seed, 300, 2, 1.0e9, 12.0, true);
-    }
-}
-
-TEST(EventEngine, LongRangeTracesForceWindowRebuilds) {
-    // Spread far beyond the initial 64-bucket window so inserts land in the
-    // overflow rung and run_until crosses several window rebuilds.
-    for (std::uint64_t seed = 21; seed <= 24; ++seed) {
-        expect_identical_traces(seed, 150, 1, 1.0e12, 1.0e6, false);
-    }
-}
-
-TEST(EventEngine, PartialHorizonsMatchHeapReference) {
-    // Stop mid-schedule (events remain pending), then the next run_until
-    // continues: both engines must agree at every horizon.
-    const auto drive = [](auto queue_tag, std::uint64_t seed) {
-        using Queue = decltype(queue_tag);
-        Queue queue;
-        Rng rng{seed};
-        std::vector<Trace_entry> trace;
-        for (int i = 0; i < 400; ++i) {
-            const int id = i;
-            const Sim_time at{rng.uniform() * 100.0};
-            queue.schedule(at, [&trace, &queue, id] {
-                trace.push_back(Trace_entry{id, queue.now()});
-            });
-        }
-        for (double horizon : {10.0, 30.0, 30.0, 55.5, 100.0}) {
-            (void)queue.run_until(Sim_time{horizon});
-        }
-        EXPECT_EQ(queue.pending(), 0u);
-        return trace;
-    };
-    for (std::uint64_t seed = 31; seed <= 34; ++seed) {
-        const auto heap = drive(Heap_event_queue{}, seed);
-        const auto calendar = drive(Event_queue{}, seed);
-        ASSERT_EQ(heap.size(), calendar.size());
-        for (std::size_t i = 0; i < heap.size(); ++i) {
-            ASSERT_TRUE(heap[i] == calendar[i]) << "seed " << seed << " event " << i;
-        }
-    }
-}
+INSTANTIATE_TEST_SUITE_P(
+    EventEngine, Order_contract,
+    ::testing::Values(
+        Trace_params{"random", 1, 8, 200, 2, 50.0, false, {1.0e9}},
+        // Integer-grid times: dozens of events share each timestamp, so this
+        // is pure stable-FIFO tie-order coverage.
+        Trace_params{"tie_heavy", 11, 16, 300, 2, 12.0, true, {1.0e9}},
+        // Times spread over six decades of magnitude.
+        Trace_params{"long_range", 21, 24, 150, 1, 1.0e6, false, {1.0e12}},
+        // Stop mid-schedule with events pending, then continue; the last
+        // horizon still leaves the latest events unfired.
+        Trace_params{"partial_horizon", 31, 34, 400, 0, 100.0, false,
+                     {10.0, 30.0, 30.0, 55.5, 100.0, 150.0}}),
+    [](const ::testing::TestParamInfo<Trace_params>& info) { return std::string{info.param.name}; });
 
 TEST(EventEngine, CallbackSchedulingAtExactHorizonExecutes) {
     // A callback that schedules a new event at exactly the run_until bound
     // during the final step must still see that event execute in the same
     // run (next_time() <= until admits it). The harness depends on this:
     // fps ticks scheduled at `duration` by the last eval event must land.
-    const auto drive = [](auto queue_tag) {
-        using Queue = decltype(queue_tag);
-        Queue queue;
-        int fired = 0;
-        queue.schedule(Sim_time{10.0}, [&queue, &fired] {
-            queue.schedule(Sim_time{10.0}, [&fired] { fired += 10; });
-            fired += 1;
-        });
-        const std::size_t executed = queue.run_until(Sim_time{10.0});
-        EXPECT_EQ(executed, 2u);
-        EXPECT_EQ(fired, 11);
-        EXPECT_EQ(queue.pending(), 0u);
-        EXPECT_EQ(queue.now(), Sim_time{10.0});
-        return fired;
-    };
-    EXPECT_EQ(drive(Event_queue{}), drive(Heap_event_queue{}));
+    Event_queue queue;
+    int fired = 0;
+    queue.schedule(Sim_time{10.0}, [&queue, &fired] {
+        queue.schedule(Sim_time{10.0}, [&fired] { fired += 10; });
+        fired += 1;
+    });
+    const std::size_t executed = queue.run_until(Sim_time{10.0});
+    EXPECT_EQ(executed, 2u);
+    EXPECT_EQ(fired, 11);
+    EXPECT_EQ(queue.pending(), 0u);
+    EXPECT_EQ(queue.now(), Sim_time{10.0});
 }
 
 TEST(EventEngine, ScheduleAtNowRunsBeforeLaterEvents) {
     // schedule(at == now) from inside a callback executes in the same pass,
-    // after other already-pending same-time events but before later ones,
-    // identically on both engines. Scheduling strictly in the past throws.
-    const auto drive = [](auto queue_tag) {
-        using Queue = decltype(queue_tag);
-        Queue queue;
-        std::vector<int> order;
-        queue.schedule(Sim_time{5.0}, [&queue, &order] {
-            order.push_back(1);
-            queue.schedule(queue.now(), [&order] { order.push_back(2); });
-            EXPECT_THROW(queue.schedule(Sim_time{1.0}, [] {}), std::invalid_argument);
-        });
-        queue.schedule(Sim_time{6.0}, [&order] { order.push_back(3); });
-        (void)queue.run_until(Sim_time{100.0});
-        return order;
-    };
-    const auto calendar = drive(Event_queue{});
-    const auto heap = drive(Heap_event_queue{});
-    ASSERT_EQ(calendar, heap);
-    EXPECT_EQ(calendar, (std::vector<int>{1, 2, 3}));
+    // after other already-pending same-time events but before later ones.
+    // Scheduling strictly in the past throws.
+    Event_queue queue;
+    std::vector<int> order;
+    queue.schedule(Sim_time{5.0}, [&queue, &order] {
+        order.push_back(1);
+        queue.schedule(queue.now(), [&order] { order.push_back(2); });
+        EXPECT_THROW(queue.schedule(Sim_time{1.0}, [] {}), std::invalid_argument);
+    });
+    queue.schedule(Sim_time{6.0}, [&order] { order.push_back(3); });
+    (void)queue.run_until(Sim_time{100.0});
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventEngine, NextTimeAndSizeTrackTheSchedule) {
     Event_queue queue;
     EXPECT_EQ(queue.pending(), 0u);
+    EXPECT_THROW((void)queue.next_time(), std::invalid_argument);
+    EXPECT_THROW(queue.step(), std::invalid_argument);
     queue.schedule(Sim_time{3.0}, [] {});
     queue.schedule(Sim_time{1.5}, [] {});
     queue.schedule(Sim_time{7.0}, [] {});
@@ -210,9 +181,48 @@ TEST(EventEngine, NextTimeAndSizeTrackTheSchedule) {
     EXPECT_EQ(queue.now(), Sim_time{100.0});
 }
 
+TEST(EventEngine, AdvanceToMovesTheClockWithoutFiring) {
+    // No pending event precedes `to`: the clock moves and nothing fires,
+    // including an event at exactly `to`, which still fires afterwards.
+    Event_queue queue;
+    queue.advance_to(Sim_time{2.0});
+    EXPECT_EQ(queue.now(), Sim_time{2.0});
+    int fired = 0;
+    queue.schedule(Sim_time{5.0}, [&fired] { ++fired; });
+    queue.advance_to(Sim_time{5.0});
+    EXPECT_EQ(queue.now(), Sim_time{5.0});
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(queue.pending(), 1u);
+    EXPECT_EQ(queue.run_until(Sim_time{5.0}), 1u);
+    EXPECT_EQ(fired, 1);
+}
+
+TEST(EventEngine, AdvanceToNeverRewindsTheClock) {
+    Event_queue queue;
+    queue.advance_to(Sim_time{4.0});
+    queue.advance_to(Sim_time{1.0});
+    EXPECT_EQ(queue.now(), Sim_time{4.0});
+    (void)queue.run_until(Sim_time{9.0});
+    queue.advance_to(Sim_time{3.0});
+    EXPECT_EQ(queue.now(), Sim_time{9.0});
+}
+
+TEST(EventEngine, AdvanceToPastAPendingEventThrows) {
+    // Skipping a pending event is refused; the clock stays put and the event
+    // still fires at its own time afterwards.
+    Event_queue queue;
+    Sim_time fired_at{-1.0};
+    queue.schedule(Sim_time{4.0}, [&queue, &fired_at] { fired_at = queue.now(); });
+    EXPECT_THROW(queue.advance_to(Sim_time{6.0}), std::invalid_argument);
+    EXPECT_EQ(queue.now(), Sim_time{});
+    EXPECT_EQ(queue.pending(), 1u);
+    EXPECT_EQ(queue.run_until(Sim_time{10.0}), 1u);
+    EXPECT_EQ(fired_at, Sim_time{4.0});
+}
+
 TEST(EventEngine, MillionEventBurstDrainsInOrder) {
     // Volume test at fleet-bench scale: monotone non-decreasing execution
-    // times across bucket boundaries and window rebuilds.
+    // times over a million pending events.
     Event_queue queue;
     Rng rng{99};
     const int n = 1'000'000;

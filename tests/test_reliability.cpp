@@ -540,16 +540,15 @@ TEST(Reliability, DefaultProfilesMatchNoProfilesBitIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Strong-type refactor bit-identity: the billing sums and the streaming
-// p95 estimator must produce exactly the doubles the raw-double pipeline
-// would — the unit wrappers add algebra, never arithmetic.
+// Strong-type refactor bit-identity: the billing sums and the p95 label
+// latency must produce exactly the doubles the raw-double pipeline would — the unit wrappers add algebra, never arithmetic.
 // ---------------------------------------------------------------------------
 
 TEST(Reliability, TypedLatencyPipelineMatchesRawDoubleQuantileBitForBit) {
     // A contended mixed workload with preemption and coalescing, so the
     // latency stream is irregular. Mirror every completed label latency
-    // into a raw-double Streaming_quantile in the same order the scheduler
-    // sees them; the typed p95 accessor must agree to the last bit.
+    // into a raw-double sample in the same order the scheduler sees them;
+    // the typed p95 accessor must agree with quantile() to the last bit.
     Cloud_config config;
     config.preempt_label_wait = Sim_duration{1.5};
     config.max_batch = 2;
@@ -568,14 +567,14 @@ TEST(Reliability, TypedLatencyPipelineMatchesRawDoubleQuantileBitForBit) {
     }
     (void)queue.run_until(Sim_time{200.0});
     ASSERT_GT(labels.latencies.size(), 0u);
-    Streaming_quantile mirror{0.95};
+    std::vector<double> mirror;
     double mirror_sum = 0.0; // raw-double reference accumulation
     for (const Sim_duration latency : labels.latencies) {
-        mirror.add(latency.value());   // raw mirror feed
+        mirror.push_back(latency.value()); // raw mirror feed
         mirror_sum += latency.value(); // raw mirror feed
     }
     // Bit-identical, not approximately equal: EXPECT_EQ on the raw bits.
-    EXPECT_EQ(cloud.p95_label_latency().value(), mirror.value()); // raw bit compare
+    EXPECT_EQ(cloud.p95_label_latency().value(), quantile(mirror, 0.95)); // raw bit compare
     EXPECT_EQ(cloud.mean_label_latency().value(),                 // raw bit compare
               mirror_sum / static_cast<double>(labels.latencies.size()));
 }

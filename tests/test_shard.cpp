@@ -2,7 +2,7 @@
 // must be observationally invisible. Every test is differential — the same
 // cell through the sequential engine and the sharded engine at shard counts
 // {1, 2, 3, hardware} must serialize to identical bytes (fps timelines,
-// windowed-mAP series and Streaming_quantile fold order included), via
+// windowed-mAP series and label-latency order included), via
 // tests/determinism_harness.hpp. Plus the failure path: a device whose
 // strategy throws mid-run must propagate the exception out of
 // run_cluster_sharded with all workers joined.

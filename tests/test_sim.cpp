@@ -2,6 +2,8 @@
 // determinism, and the windowed-gain machinery behind Fig. 5.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "baselines/cloud_only.hpp"
 #include "baselines/edge_only.hpp"
 #include "models/pretrain.hpp"
@@ -117,6 +119,22 @@ TEST_F(Sim_fixture, FpsTimelineMatchesDuration) {
     const Run_result r = run_strategy(strategy, *stream, config);
     ASSERT_FALSE(r.fps_timeline.empty());
     EXPECT_LE(r.fps_timeline.back().first, stream->duration());
+}
+
+TEST_F(Sim_fixture, RejectsNonPositiveFpsTickAndMapWindow) {
+    // Rejected up front: a zero or negative tick makes the fps tick count an
+    // undefined float-to-size_t conversion, and a zero window used to fail
+    // only after the whole run.
+    baselines::Edge_only_strategy strategy{*student};
+    for (double tick : {0.0, -1.0}) {
+        Harness_config bad = config;
+        bad.fps_tick = Sim_duration{tick};
+        EXPECT_THROW((void)run_strategy(strategy, *stream, bad), std::invalid_argument)
+            << "fps_tick " << tick;
+    }
+    Harness_config bad = config;
+    bad.map_window = Sim_duration{0.0};
+    EXPECT_THROW((void)run_strategy(strategy, *stream, bad), std::invalid_argument);
 }
 
 } // namespace
