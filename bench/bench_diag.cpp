@@ -43,7 +43,11 @@ double domain_accuracy(models::Detector& det, const video::World_model& world,
 
 int main() {
     const std::uint64_t seed = 2023;
-    const fleet::Testbed tb = fleet::make_testbed("ua_detrac", 1, seed, 200.0);
+    // The stream must outlast the last frame any section reads. The night
+    // spans start at the first t with illumination < 0.2 (about 205 s) and
+    // at 225 s; the label sections read 40 frames 15 apart (20 s) past
+    // them, and the oracle section scores [night_t, night_t + 50 s].
+    const fleet::Testbed tb = fleet::make_testbed("ua_detrac", 1, seed, 300.0);
     const video::Video_stream& stream = *tb.streams.front();
     const video::World_model& world = stream.world();
     sim::Harness_config harness;
@@ -202,8 +206,9 @@ int main() {
         }
         std::vector<models::Labeled_sample> batch;
         std::size_t k = 0;
-        while (batch.size() < 600 && k < 1500) {
-            const video::Frame f = stream.frame_at(stream.index_at(night_t) + k * 7);
+        const std::size_t first = stream.index_at(night_t);
+        while (batch.size() < 600 && first + k * 7 < stream.frame_count()) {
+            const video::Frame f = stream.frame_at(first + k * 7);
             const auto proposals = student->propose(f, world);
             auto labeled = labeler.label(f, world, proposals, rng);
             for (auto& s : labeled.samples) {

@@ -7,7 +7,7 @@ namespace shog::baselines {
 
 Ams_strategy::Ams_strategy(models::Detector& student, models::Detector& teacher,
                            Ams_config config, models::Deployed_profile profile,
-                           device::Compute_model cloud_device)
+                           device::Compute_model cloud_device, core::Warm_cache* warm_cache)
     : student_{student},
       cloud_copy_{student.clone()},
       config_{std::move(config)},
@@ -15,12 +15,14 @@ Ams_strategy::Ams_strategy(models::Detector& student, models::Detector& teacher,
       cloud_trainer_{*cloud_copy_, config_.trainer, profile_, cloud_device},
       loop_{student, teacher, config_.labeler, config_.controller, config_.initial_rate,
             config_.upload_resolution, std::move(cloud_device)},
+      warm_cache_{warm_cache},
       pending_{config_.sample_horizon} {}
 
 void Ams_strategy::start(sim::Edge_runtime& rt) {
     loop_.start(rt);
     if (config_.warm_replay) {
-        cloud_trainer_.warm_start_daytime(rt.stream().world(), config_.warm_samples);
+        cloud_trainer_.warm_start_daytime(rt.stream().world(), config_.warm_samples,
+                                          warm_cache_);
     }
     schedule_next_sample(rt);
 }

@@ -43,8 +43,10 @@ struct Ams_config {
 
 class Ams_strategy final : public sim::Strategy {
 public:
+    /// `warm_cache` as for core::Shoggoth_strategy (nullable, borrowed).
     Ams_strategy(models::Detector& student, models::Detector& teacher, Ams_config config,
-                 models::Deployed_profile profile, device::Compute_model cloud_device);
+                 models::Deployed_profile profile, device::Compute_model cloud_device,
+                 core::Warm_cache* warm_cache = nullptr);
 
     [[nodiscard]] std::string name() const override { return "AMS"; }
     void start(sim::Edge_runtime& rt) override;
@@ -54,6 +56,8 @@ public:
                       const std::vector<detect::Detection>& detections) override;
 
     [[nodiscard]] std::size_t model_updates_sent() const noexcept { return updates_sent_; }
+    /// The cloud-side trainer (its detector is the cloud copy of the student).
+    [[nodiscard]] const core::Adaptive_trainer& trainer() const noexcept { return cloud_trainer_; }
 
 private:
     models::Detector& student_;
@@ -62,6 +66,7 @@ private:
     models::Deployed_profile profile_;
     core::Adaptive_trainer cloud_trainer_;
     core::Label_loop loop_;
+    core::Warm_cache* warm_cache_;
 
     std::vector<std::size_t> sample_buffer_;
     Sim_time first_buffered_at_;

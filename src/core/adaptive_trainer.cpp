@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/warm_cache.hpp"
 #include "models/pretrain.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/optimizer.hpp"
@@ -151,15 +152,38 @@ void Adaptive_trainer::warm_start(const std::vector<models::Labeled_sample>& sam
 }
 
 void Adaptive_trainer::warm_start_daytime(const video::World_model& world,
-                                          std::size_t samples) {
+                                          std::size_t samples, Warm_cache* cache) {
     if (!memory_.enabled()) {
         return;
     }
-    models::Pretrain_config warm_cfg;
-    warm_cfg.domains = models::daytime_domains();
-    warm_cfg.samples = samples;
-    warm_cfg.seed = config_.seed ^ 0xab;
-    warm_start(models::synth_dataset(world, detector_.config(), warm_cfg));
+    SHOG_REQUIRE(sessions_ == 0, "warm_start must precede online sessions");
+    // The warm pass: daytime samples through the front layers, then the
+    // state the pass left the student in.
+    const auto compute = [&] {
+        models::Pretrain_config warm_cfg;
+        warm_cfg.domains = models::daytime_domains();
+        warm_cfg.samples = samples;
+        warm_cfg.seed = config_.seed ^ 0xab;
+        std::vector<models::Labeled_sample> latents =
+            latent_batch(models::synth_dataset(world, detector_.config(), warm_cfg));
+        return Warm_set{std::move(latents), detector_.net().state_vector()};
+    };
+    Warm_set computed;
+    const Warm_set* set = &computed;
+    if (cache == nullptr) {
+        computed = compute();
+    } else {
+        const models::Detector_config& sensor = detector_.config();
+        set = &cache->find_or_fill(
+            Warm_key{world.config(), sensor.sensor_noise, sensor.domain_robustness,
+                     sensor.box_jitter, detector_.net().state_vector(), cut_,
+                     config_.minibatch, config_.front_stats_adapt,
+                     config_.front_stats_momentum, config_.seed, samples},
+            compute);
+    }
+    // One apply step for both paths: a hit ends where the pass would have.
+    detector_.net().load_state_vector(set->student_state);
+    memory_.update_after_training(set->latents, rng_);
 }
 
 Training_report Adaptive_trainer::train(const std::vector<models::Labeled_sample>& all_fresh) {

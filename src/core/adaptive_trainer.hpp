@@ -37,6 +37,8 @@
 
 namespace shog::core {
 
+class Warm_cache;
+
 struct Trainer_config {
     /// Replay cut: "input", "stem", "conv2_x", ..., "conv5_4", "pool".
     std::string replay_stage = "pool";
@@ -116,7 +118,10 @@ public:
     void warm_start(const std::vector<models::Labeled_sample>& samples);
     /// warm_start on `samples` region samples synthesized from the daytime
     /// domains the student was pretrained on; a no-op without replay memory.
-    void warm_start_daytime(const video::World_model& world, std::size_t samples);
+    /// With a `cache`, an earlier pass with the same Warm_key is reused
+    /// instead of repeated; the trainer ends in the same state either way.
+    void warm_start_daytime(const video::World_model& world, std::size_t samples,
+                            Warm_cache* cache = nullptr);
 
     /// Deployed-model cost (seconds) of a session with the given sizes —
     /// usable without running one (the fps model uses it for scheduling).

@@ -9,12 +9,14 @@ Shoggoth_strategy::Shoggoth_strategy(models::Detector& student, models::Detector
                                      Shoggoth_config config,
                                      models::Deployed_profile edge_profile,
                                      device::Compute_model edge_device,
-                                     device::Compute_model cloud_device)
+                                     device::Compute_model cloud_device,
+                                     Warm_cache* warm_cache)
     : student_{student},
       config_{std::move(config)},
       trainer_{student, config_.trainer, std::move(edge_profile), std::move(edge_device)},
       loop_{student, teacher, config_.labeler, config_.controller, config_.initial_rate,
             config_.upload_resolution, std::move(cloud_device)},
+      warm_cache_{warm_cache},
       pending_{config_.sample_horizon} {
     SHOG_REQUIRE(config_.upload_batch_frames >= 1, "upload batch must be >= 1 frame");
     SHOG_REQUIRE(config_.fixed_rate > 0.0, "fixed rate must be positive");
@@ -28,7 +30,7 @@ double Shoggoth_strategy::current_rate() const noexcept {
 void Shoggoth_strategy::start(sim::Edge_runtime& rt) {
     loop_.start(rt);
     if (config_.warm_replay) {
-        trainer_.warm_start_daytime(rt.stream().world(), config_.warm_samples);
+        trainer_.warm_start_daytime(rt.stream().world(), config_.warm_samples, warm_cache_);
     }
     schedule_next_sample(rt);
 }

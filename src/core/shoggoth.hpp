@@ -70,10 +70,13 @@ struct Shoggoth_config {
 class Shoggoth_strategy final : public sim::Strategy {
 public:
     /// `student` runs at the edge (mutated by training); `teacher` labels in
-    /// the cloud. Both borrowed; the caller keeps them alive.
+    /// the cloud. Both borrowed; the caller keeps them alive. A non-null
+    /// `warm_cache` (borrowed too) memoizes the warm replay set across the
+    /// devices that share it.
     Shoggoth_strategy(models::Detector& student, models::Detector& teacher,
                       Shoggoth_config config, models::Deployed_profile edge_profile,
-                      device::Compute_model edge_device, device::Compute_model cloud_device);
+                      device::Compute_model edge_device, device::Compute_model cloud_device,
+                      Warm_cache* warm_cache = nullptr);
 
     [[nodiscard]] std::string name() const override {
         return config_.adaptive_sampling ? "Shoggoth" : "Prompt";
@@ -108,6 +111,7 @@ private:
     Shoggoth_config config_;
     Adaptive_trainer trainer_;
     Label_loop loop_;
+    Warm_cache* warm_cache_;
 
     // Edge state.
     std::vector<std::size_t> sample_buffer_; ///< frame indices awaiting upload

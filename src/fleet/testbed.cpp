@@ -115,29 +115,29 @@ Fleet seed_fleet(const Testbed& testbed) {
     return fleet;
 }
 
-auto shoggoth_factory(models::Detector& teacher, core::Shoggoth_config config,
-                      device::Compute_model cloud_device,
+auto shoggoth_factory(const Testbed& testbed, models::Detector& teacher,
+                      core::Shoggoth_config config, device::Compute_model cloud_device,
                       std::vector<Edge_class> classes = {}) {
     // With edge classes, device i trains on its own accelerator (the trainer
     // prices session wall time from it); without, every device is a TX2.
     return [&teacher, config = std::move(config), cloud_device = std::move(cloud_device),
-            classes = std::move(classes)](models::Detector& student, std::size_t i) {
+            classes = std::move(classes),
+            cache = testbed.warm_cache.get()](models::Detector& student, std::size_t i) {
         const device::Compute_model edge =
             classes.empty() ? device::jetson_tx2() : classes[i % classes.size()].device;
         return std::make_unique<core::Shoggoth_strategy>(
             student, teacher, config, models::Deployed_profile::yolov4_resnet18(),
-            edge, cloud_device);
+            edge, cloud_device, cache);
     };
 }
 
-auto ams_factory(models::Detector& teacher, baselines::Ams_config config,
-                 device::Compute_model cloud_device) {
-    return [&teacher, config = std::move(config),
-            cloud_device = std::move(cloud_device)](models::Detector& student,
-                                                    std::size_t) {
+auto ams_factory(const Testbed& testbed, models::Detector& teacher,
+                 baselines::Ams_config config, device::Compute_model cloud_device) {
+    return [&teacher, config = std::move(config), cloud_device = std::move(cloud_device),
+            cache = testbed.warm_cache.get()](models::Detector& student, std::size_t) {
         return std::make_unique<baselines::Ams_strategy>(
             student, teacher, config,
-            models::Deployed_profile::yolov4_resnet18(), cloud_device);
+            models::Deployed_profile::yolov4_resnet18(), cloud_device, cache);
     };
 }
 
@@ -149,7 +149,8 @@ Fleet make_shoggoth_fleet(const Testbed& testbed, std::size_t devices,
     SHOG_REQUIRE(devices >= 1, "fleet needs at least one device");
     Fleet fleet = seed_fleet(testbed);
     grow_fleet(fleet, testbed, devices,
-               shoggoth_factory(*fleet.teacher, std::move(config), std::move(cloud_device)));
+               shoggoth_factory(testbed, *fleet.teacher, std::move(config),
+                                std::move(cloud_device)));
     return fleet;
 }
 
@@ -158,7 +159,7 @@ Fleet make_ams_fleet(const Testbed& testbed, std::size_t devices, baselines::Ams
     SHOG_REQUIRE(devices >= 1, "fleet needs at least one device");
     Fleet fleet = seed_fleet(testbed);
     grow_fleet(fleet, testbed, devices,
-               ams_factory(*fleet.teacher, std::move(config), std::move(cloud_device)));
+               ams_factory(testbed, *fleet.teacher, std::move(config), std::move(cloud_device)));
     return fleet;
 }
 
@@ -198,12 +199,12 @@ Fleet make_scale_fleet(const Testbed& testbed, std::size_t devices, bool heterog
     ams_config.frames_per_session = 30;
     Fleet fleet = seed_fleet(testbed);
     grow_fleet(fleet, testbed, shoggoth_devices,
-               shoggoth_factory(*fleet.teacher, {}, cloud_share,
+               shoggoth_factory(testbed, *fleet.teacher, {}, cloud_share,
                                 heterogeneous ? default_edge_classes()
                                               : std::vector<Edge_class>{}),
                /*wrap_cameras=*/true);
     grow_fleet(fleet, testbed, ams_devices,
-               ams_factory(*fleet.teacher, ams_config, cloud_share),
+               ams_factory(testbed, *fleet.teacher, ams_config, cloud_share),
                /*wrap_cameras=*/true);
     if (heterogeneous) {
         assign_heterogeneous_hardware(fleet);
@@ -282,8 +283,9 @@ std::vector<Cloud_setup> default_reliability_setups() {
 // builds its OWN Fleet (own students, own strategies, own deep-cloned
 // teacher — see make_policy_sweep_fleet) and its own Cluster_config/engine;
 // the only thing cells share is the const Testbed&, which they read through
-// const, stateless accessors. Nothing in a cell may write through the
-// testbed or touch process-global state.
+// const, stateless accessors, plus its mutex-guarded warm-set memo (see the
+// Testbed doc). Nothing else in a cell may write through the testbed or
+// touch process-global state.
 sim::Cluster_result run_cell(const Testbed& testbed, std::size_t devices, bool heterogeneous,
                              const Cloud_setup& setup, std::uint64_t seed, std::size_t shards,
                              sim::Obs_options obs) {

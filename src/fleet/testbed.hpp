@@ -17,25 +17,33 @@
 
 #include "baselines/ams.hpp"
 #include "core/shoggoth.hpp"
+#include "core/warm_cache.hpp"
 #include "sim/harness.hpp"
 #include "video/stream.hpp"
 
 namespace shog::fleet {
 
-/// Threading: one Testbed is shared *read-only* across parallel sweep
-/// cells (sim::run_sweep workers call run_cell against it concurrently).
-/// That is sound because every access from a cell is const and genuinely
-/// stateless — Video_stream::frame_at(i) is pure random access on (seed,
-/// index), and `pristine` is only cloned — with ONE exception:
-/// Detector::detect() runs through mutable network state, so `teacher` must
-/// never be used from a cell directly. fleet::Fleet deep-clones it per cell
-/// instead (see below).
+/// Threading: one Testbed is shared across parallel sweep cells
+/// (sim::run_sweep workers call run_cell against it concurrently). Cells
+/// read `streams` and `pristine` through const, stateless accessors —
+/// Video_stream::frame_at(i) is pure random access on (seed, index), and
+/// `pristine` is only cloned. Two members are not stateless:
+///  - `teacher`: Detector::detect() runs through mutable network state, so
+///    a cell never uses it directly; fleet::Fleet deep-clones it per cell
+///    (see below).
+///  - `warm_cache`: the one mutable shared member, a mutex-guarded,
+///    write-once memo of the warm replay set (core/warm_cache.hpp). The
+///    fleet factories hand it to every Shoggoth and AMS device, whose
+///    start() fills it lazily; an entry is immutable once inserted.
 /// Anything added to this struct must either stay const-and-stateless
-/// under concurrent cells or get the same clone-per-cell treatment.
+/// under concurrent cells or get one of these two treatments.
 struct Testbed {
     std::vector<std::unique_ptr<video::Video_stream>> streams; ///< one per camera
     std::unique_ptr<models::Detector> pristine;                ///< cloned per device
     std::unique_ptr<models::Detector> teacher;
+    /// Shared by every fleet built from this testbed. Held by pointer so
+    /// the testbed stays movable; a default-constructed testbed has one.
+    std::unique_ptr<core::Warm_cache> warm_cache = std::make_unique<core::Warm_cache>();
 };
 
 /// Build `cameras` same-world streams plus the pretrained model pair.

@@ -6,8 +6,9 @@
 //  - Parameters carry a per-parameter lr_scale so the adaptive trainer can
 //    implement the paper's "learning-rate-to-zero after the first batch"
 //    front-layer policy without touching the optimizer.
-//  - flops() powers the device cost models that turn per-layer work into
-//    Jetson-TX2 / V100 seconds (Table II timings, Fig. 4 fps).
+//  - flops() counts the simulation-scale network's own work; only src/nn
+//    and its tests call it. Device time (Table II timings, Fig. 4 fps) is
+//    priced from models::Deployed_profile's YOLOv4-ResNet18 FLOPs.
 #pragma once
 
 #include <cstddef>

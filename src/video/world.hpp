@@ -49,6 +49,8 @@ struct World_config {
     double occlusion_damping = 0.15; ///< occluded dims are scaled by this
 
     std::uint64_t seed = 1234;
+
+    [[nodiscard]] bool operator==(const World_config&) const = default;
 };
 
 class World_model {

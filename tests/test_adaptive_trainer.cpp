@@ -1,10 +1,14 @@
 // Tests for the adaptive trainer (paper §III-B): mini-batch composition,
 // training-control semantics (freezing, BRN statistics), the Table II
 // ablation configurations and their deployed-cost ordering, the validation
-// gate, and actual learning behaviour.
+// gate, actual learning behaviour, and the warm-set memo's exact key.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+
 #include "core/adaptive_trainer.hpp"
+#include "core/warm_cache.hpp"
 #include "models/pretrain.hpp"
 #include "nn/batchnorm.hpp"
 #include "video/presets.hpp"
@@ -321,6 +325,96 @@ TEST_F(Trainer_fixture, MemoryUpdatedAfterSession) {
     EXPECT_EQ(trainer.memory().size(), 300u);
     EXPECT_EQ(trainer.memory().training_runs(), 1u);
     EXPECT_EQ(trainer.sessions_run(), 1u);
+}
+
+
+// -------------------------------------------------------- warm-set memo ---
+
+/// Warm-start a fresh trainer on `detector` and return what it left behind:
+/// the replay memory's samples and the detector's state.
+std::pair<std::vector<models::Labeled_sample>, std::vector<double>> warm_with(
+    models::Detector& detector, const Trainer_config& cfg, const video::World_model& world,
+    std::size_t samples, Warm_cache* cache) {
+    Adaptive_trainer trainer{detector, cfg, models::Deployed_profile::yolov4_resnet18(),
+                             device::jetson_tx2()};
+    trainer.warm_start_daytime(world, samples, cache);
+    return {trainer.memory().samples(), detector.net().state_vector()};
+}
+
+void expect_same_memory(const std::vector<models::Labeled_sample>& expected,
+                        const std::vector<models::Labeled_sample>& actual) {
+    ASSERT_EQ(expected.size(), actual.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(expected[i].feature, actual[i].feature) << "slot " << i;
+        EXPECT_EQ(expected[i].class_label, actual[i].class_label);
+        EXPECT_EQ(expected[i].box_target, actual[i].box_target);
+        EXPECT_EQ(expected[i].weight, actual[i].weight);
+    }
+}
+
+TEST_F(Trainer_fixture, WarmCacheMissAndHitReproduceTheUncachedStart) {
+    const Trainer_config cfg = ours_config();
+    const auto uncached = warm_with(*student, cfg, *world, 400, nullptr);
+    // The training-mode front pass moved the running moments: the memo must
+    // carry the post-pass state, not just the latents.
+    EXPECT_NE(uncached.second, pristine->net().state_vector());
+
+    Warm_cache cache;
+    const auto miss = warm_with(*pristine->clone(), cfg, *world, 400, &cache);
+    EXPECT_EQ(cache.size(), 1u);
+    const auto hit = warm_with(*pristine->clone(), cfg, *world, 400, &cache);
+    EXPECT_EQ(cache.size(), 1u);
+    for (const auto* outcome : {&miss, &hit}) {
+        expect_same_memory(uncached.first, outcome->first);
+        EXPECT_EQ(uncached.second, outcome->second);
+    }
+}
+
+TEST_F(Trainer_fixture, EveryWarmKeyComponentMisses) {
+    Warm_cache cache;
+    const Trainer_config base = ours_config();
+    std::size_t expected = 0;
+    const auto expect_miss = [&](models::Detector& detector, const Trainer_config& cfg,
+                                 const video::World_model& w, std::size_t samples,
+                                 const char* what) {
+        (void)warm_with(detector, cfg, w, samples, &cache);
+        EXPECT_EQ(cache.size(), ++expected) << what;
+    };
+    expect_miss(*pristine->clone(), base, *world, 300, "base");
+
+    video::World_config reseeded = world->config();
+    reseeded.seed += 1;
+    expect_miss(*pristine->clone(), base, video::World_model{reseeded}, 300, "world seed");
+
+    // Same weights, noisier sensor.
+    models::Detector_config noisy = pristine->config();
+    noisy.sensor_noise += 0.01;
+    Rng rng{3};
+    models::Detector noisy_student{noisy, rng};
+    noisy_student.net().load_state_vector(pristine->net().state_vector());
+    expect_miss(noisy_student, base, *world, 300, "sensor_noise");
+
+    Trainer_config cfg = base;
+    cfg.seed += 1;
+    expect_miss(*pristine->clone(), cfg, *world, 300, "trainer seed");
+    expect_miss(*pristine->clone(), base, *world, 301, "warm_samples");
+    cfg = base;
+    cfg.replay_stage = "conv5_4";
+    expect_miss(*pristine->clone(), cfg, *world, 300, "replay_stage");
+    cfg = base;
+    cfg.front_stats_momentum *= 2.0;
+    expect_miss(*pristine->clone(), cfg, *world, 300, "front_stats_momentum");
+
+    // One weight one ulp away.
+    auto nudged = pristine->clone();
+    std::vector<double> state = nudged->net().state_vector();
+    state[0] = std::nextafter(state[0], 1e9);
+    nudged->net().load_state_vector(state);
+    expect_miss(*nudged, base, *world, 300, "one student weight");
+
+    // And the unchanged key is still a hit.
+    (void)warm_with(*pristine->clone(), base, *world, 300, &cache);
+    EXPECT_EQ(cache.size(), expected);
 }
 
 } // namespace
