@@ -5,7 +5,7 @@
 
 namespace shog::baselines {
 
-Ams_strategy::Ams_strategy(models::Detector& student, models::Detector& teacher,
+Ams_strategy::Ams_strategy(models::Detector& student, const models::Detector& teacher,
                            Ams_config config, models::Deployed_profile profile,
                            device::Compute_model cloud_device, core::Warm_cache* warm_cache)
     : student_{student},

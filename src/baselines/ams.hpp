@@ -44,7 +44,7 @@ struct Ams_config {
 class Ams_strategy final : public sim::Strategy {
 public:
     /// `warm_cache` as for core::Shoggoth_strategy (nullable, borrowed).
-    Ams_strategy(models::Detector& student, models::Detector& teacher, Ams_config config,
+    Ams_strategy(models::Detector& student, const models::Detector& teacher, Ams_config config,
                  models::Deployed_profile profile, device::Compute_model cloud_device,
                  core::Warm_cache* warm_cache = nullptr);
 

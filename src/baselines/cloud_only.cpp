@@ -2,7 +2,7 @@
 
 namespace shog::baselines {
 
-Cloud_only_strategy::Cloud_only_strategy(models::Detector& teacher,
+Cloud_only_strategy::Cloud_only_strategy(const models::Detector& teacher,
                                          device::Compute_model cloud_device,
                                          Cloud_only_config config)
     : teacher_{teacher},

@@ -21,7 +21,7 @@ struct Cloud_only_config {
 
 class Cloud_only_strategy final : public sim::Strategy {
 public:
-    Cloud_only_strategy(models::Detector& teacher, device::Compute_model cloud_device,
+    Cloud_only_strategy(const models::Detector& teacher, device::Compute_model cloud_device,
                         Cloud_only_config config = {});
 
     [[nodiscard]] std::string name() const override { return "Cloud-Only"; }
@@ -33,7 +33,7 @@ public:
     [[nodiscard]] double pipeline_fps(sim::Edge_runtime& rt) const;
 
 private:
-    models::Detector& teacher_;
+    const models::Detector& teacher_;
     device::Compute_model cloud_device_;
     Cloud_only_config config_;
     double teacher_infer_gflops_;

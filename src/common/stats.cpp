@@ -40,8 +40,6 @@ void Running_stats::merge(const Running_stats& other) noexcept {
     max_ = std::max(max_, other.max_);
 }
 
-void Running_stats::reset() noexcept { *this = Running_stats{}; }
-
 double Running_stats::variance() const noexcept {
     return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
@@ -97,30 +95,6 @@ void Moving_average::add(double x) {
 
 double Moving_average::mean() const noexcept {
     return buffer_.empty() ? 0.0 : sum_ / static_cast<double>(buffer_.size());
-}
-
-void Moving_average::reset() noexcept {
-    buffer_.clear();
-    head_ = 0;
-    sum_ = 0.0;
-}
-
-Ewma::Ewma(double alpha) : alpha_{alpha} {
-    SHOG_REQUIRE(alpha > 0.0 && alpha <= 1.0, "EWMA smoothing must lie in (0, 1]");
-}
-
-void Ewma::add(double x) noexcept {
-    if (!initialized_) {
-        value_ = x;
-        initialized_ = true;
-    } else {
-        value_ += alpha_ * (x - value_);
-    }
-}
-
-void Ewma::reset() noexcept {
-    value_ = 0.0;
-    initialized_ = false;
 }
 
 } // namespace shog

@@ -13,7 +13,6 @@ class Running_stats {
 public:
     void add(double x) noexcept;
     void merge(const Running_stats& other) noexcept;
-    void reset() noexcept;
 
     [[nodiscard]] std::size_t count() const noexcept { return n_; }
     [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
@@ -46,7 +45,6 @@ public:
     /// Inverse CDF (quantile) for p in [0, 1].
     [[nodiscard]] double inverse(double p) const;
     [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }
-    [[nodiscard]] const std::vector<double>& sorted_samples() const noexcept { return sorted_; }
 
 private:
     std::vector<double> sorted_;
@@ -61,29 +59,12 @@ public:
     [[nodiscard]] double mean() const noexcept;
     [[nodiscard]] std::size_t count() const noexcept { return buffer_.size(); }
     [[nodiscard]] bool full() const noexcept { return buffer_.size() == capacity_; }
-    void reset() noexcept;
 
 private:
     std::size_t capacity_;
     std::size_t head_ = 0;
     std::vector<double> buffer_;
     double sum_ = 0.0;
-};
-
-/// Exponentially-weighted moving average with configurable smoothing.
-class Ewma {
-public:
-    explicit Ewma(double alpha);
-
-    void add(double x) noexcept;
-    [[nodiscard]] double value() const noexcept { return value_; }
-    [[nodiscard]] bool initialized() const noexcept { return initialized_; }
-    void reset() noexcept;
-
-private:
-    double alpha_;
-    double value_ = 0.0;
-    bool initialized_ = false;
 };
 
 } // namespace shog

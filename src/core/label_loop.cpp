@@ -32,7 +32,7 @@ std::size_t Label_backlog::frames() const noexcept {
     return total;
 }
 
-Label_loop::Label_loop(models::Detector& student, models::Detector& teacher,
+Label_loop::Label_loop(models::Detector& student, const models::Detector& teacher,
                        const Labeler_config& labeler, const Controller_config& controller,
                        double initial_rate, double upload_resolution,
                        device::Compute_model cloud_device)

@@ -64,7 +64,7 @@ class Label_loop {
 public:
     /// `student` is the edge model whose proposals the teacher labels;
     /// `teacher` runs in the cloud on `cloud_device`. Both borrowed.
-    Label_loop(models::Detector& student, models::Detector& teacher,
+    Label_loop(models::Detector& student, const models::Detector& teacher,
                const Labeler_config& labeler, const Controller_config& controller,
                double initial_rate, double upload_resolution,
                device::Compute_model cloud_device);

@@ -8,7 +8,7 @@
 
 namespace shog::core {
 
-Online_labeler::Online_labeler(models::Detector& teacher, Labeler_config config)
+Online_labeler::Online_labeler(const models::Detector& teacher, Labeler_config config)
     : teacher_{teacher}, config_{config} {
     SHOG_REQUIRE(config_.match_iou > 0.0 && config_.match_iou < 1.0,
                  "match IoU must lie in (0, 1)");

@@ -46,7 +46,7 @@ struct Labeled_frame {
 class Online_labeler {
 public:
     /// The labeler borrows the teacher; the caller keeps it alive.
-    Online_labeler(models::Detector& teacher, Labeler_config config = {});
+    Online_labeler(const models::Detector& teacher, Labeler_config config = {});
 
     /// Label one frame: run the teacher, then match the edge device's
     /// proposals against the teacher detections (Eq. 1).
@@ -55,11 +55,10 @@ public:
                                       const std::vector<models::Proposal>& edge_proposals,
                                       Rng& rng) const;
 
-    [[nodiscard]] models::Detector& teacher() noexcept { return teacher_; }
     [[nodiscard]] const Labeler_config& config() const noexcept { return config_; }
 
 private:
-    models::Detector& teacher_;
+    const models::Detector& teacher_;
     Labeler_config config_;
 };
 

@@ -5,7 +5,7 @@
 
 namespace shog::core {
 
-Shoggoth_strategy::Shoggoth_strategy(models::Detector& student, models::Detector& teacher,
+Shoggoth_strategy::Shoggoth_strategy(models::Detector& student, const models::Detector& teacher,
                                      Shoggoth_config config,
                                      models::Deployed_profile edge_profile,
                                      device::Compute_model edge_device,

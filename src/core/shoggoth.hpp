@@ -73,7 +73,7 @@ public:
     /// the cloud. Both borrowed; the caller keeps them alive. A non-null
     /// `warm_cache` (borrowed too) memoizes the warm replay set across the
     /// devices that share it.
-    Shoggoth_strategy(models::Detector& student, models::Detector& teacher,
+    Shoggoth_strategy(models::Detector& student, const models::Detector& teacher,
                       Shoggoth_config config, models::Deployed_profile edge_profile,
                       device::Compute_model edge_device, device::Compute_model cloud_device,
                       Warm_cache* warm_cache = nullptr);

@@ -115,7 +115,7 @@ Fleet seed_fleet(const Testbed& testbed) {
     return fleet;
 }
 
-auto shoggoth_factory(const Testbed& testbed, models::Detector& teacher,
+auto shoggoth_factory(const Testbed& testbed, const models::Detector& teacher,
                       core::Shoggoth_config config, device::Compute_model cloud_device,
                       std::vector<Edge_class> classes = {}) {
     // With edge classes, device i trains on its own accelerator (the trainer
@@ -131,7 +131,7 @@ auto shoggoth_factory(const Testbed& testbed, models::Detector& teacher,
     };
 }
 
-auto ams_factory(const Testbed& testbed, models::Detector& teacher,
+auto ams_factory(const Testbed& testbed, const models::Detector& teacher,
                  baselines::Ams_config config, device::Compute_model cloud_device) {
     return [&teacher, config = std::move(config), cloud_device = std::move(cloud_device),
             cache = testbed.warm_cache.get()](models::Detector& student, std::size_t) {

@@ -25,18 +25,17 @@ namespace shog::fleet {
 
 /// Threading: one Testbed is shared across parallel sweep cells
 /// (sim::run_sweep workers call run_cell against it concurrently). Cells
-/// read `streams` and `pristine` through const, stateless accessors —
-/// Video_stream::frame_at(i) is pure random access on (seed, index), and
-/// `pristine` is only cloned. Two members are not stateless:
-///  - `teacher`: Detector::detect() runs through mutable network state, so
-///    a cell never uses it directly; fleet::Fleet deep-clones it per cell
-///    (see below).
+/// read `streams`, `pristine` and `teacher` through const, stateless
+/// accessors — Video_stream::frame_at(i) is pure random access on (seed,
+/// index), `pristine` is only cloned, and Detector::detect() is const (no
+/// layer's infer() writes state); fleet::Fleet still clones the teacher per
+/// cell (see below). One member is not stateless:
 ///  - `warm_cache`: the one mutable shared member, a mutex-guarded,
 ///    write-once memo of the warm replay set (core/warm_cache.hpp). The
 ///    fleet factories hand it to every Shoggoth and AMS device, whose
 ///    start() fills it lazily; an entry is immutable once inserted.
 /// Anything added to this struct must either stay const-and-stateless
-/// under concurrent cells or get one of these two treatments.
+/// under concurrent cells or get the same treatment.
 struct Testbed {
     std::vector<std::unique_ptr<video::Video_stream>> streams; ///< one per camera
     std::unique_ptr<models::Detector> pristine;                ///< cloned per device
@@ -77,12 +76,14 @@ struct Edge_class {
 /// One runnable fleet: owns the per-device students and strategies backing
 /// `specs`. Keep it alive across run_cluster.
 ///
-/// The fleet also owns a deep copy of the testbed's teacher: detect() runs
-/// through mutable network state, so sweep cells sharing one teacher would
-/// race when sim::run_sweep runs them on parallel workers. Teacher
-/// detections are a pure function of weights and frame (the per-frame RNG
-/// reseeds from the detector config), so the clone is output-identical to
-/// sharing — cells stay bit-identical to the sequential path.
+/// The fleet also owns a deep copy of the testbed's teacher. Strategies
+/// hold it as `const Detector&`, and detect() is const, so cells could
+/// share the testbed's teacher without a race; the copy stays because
+/// callers outside src/ (benchmark/src/workloads.cpp) fill `teacher`
+/// themselves. Teacher detections are a pure function of weights and frame
+/// (the per-frame RNG reseeds from the detector config), so the clone is
+/// output-identical to sharing — cells stay bit-identical to the
+/// sequential path.
 struct Fleet {
     std::unique_ptr<models::Detector> teacher;
     std::vector<std::unique_ptr<models::Detector>> students;

@@ -70,11 +70,6 @@ double Deployed_profile::forward_gflops_above(std::size_t cut_stage) const {
 
 double Deployed_profile::inference_gflops() const { return forward_gflops_above(0); }
 
-const Stage_cost& Deployed_profile::stage(std::size_t i) const {
-    SHOG_REQUIRE(i < trunk_stages_.size(), "stage index out of range");
-    return trunk_stages_[i];
-}
-
 std::size_t Deployed_profile::stage_index(const std::string& name) const {
     for (std::size_t i = 0; i < trunk_stages_.size(); ++i) {
         if (trunk_stages_[i].stage == name) {

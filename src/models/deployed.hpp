@@ -53,7 +53,6 @@ public:
     [[nodiscard]] double inference_gflops() const;
 
     [[nodiscard]] std::size_t stage_count() const noexcept { return trunk_stages_.size(); }
-    [[nodiscard]] const Stage_cost& stage(std::size_t i) const;
     /// Stage index by name; stage_count() for "pool output" cut semantics is
     /// resolved by callers via cut_stage_for().
     [[nodiscard]] std::size_t stage_index(const std::string& name) const;

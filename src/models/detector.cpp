@@ -79,7 +79,7 @@ Detector_net::Detector_net(const Detector_config& config, Rng& rng)
     max_offset_scale_ = config.max_offset;
 }
 
-Detector_net::Output Detector_net::infer(const Tensor& features) {
+Detector_net::Output Detector_net::infer(const Tensor& features) const {
     SHOG_REQUIRE(features.rank() == 2 && features.cols() == feature_dim_,
                  "feature batch width mismatch");
     Output out;
@@ -150,11 +150,6 @@ std::size_t Detector_net::width_at_cut(std::size_t cut) const {
     }
     SHOG_REQUIRE(false, "cut does not align with a stage boundary");
     return 0; // unreachable
-}
-
-std::size_t Detector_net::parameter_count() const {
-    return trunk_->parameter_count() + class_head_->parameter_count() +
-           box_head_->parameter_count();
 }
 
 std::vector<double> Detector_net::state_vector() const {
@@ -263,11 +258,11 @@ std::vector<Proposal> Detector::propose(const video::Frame& frame,
 }
 
 std::vector<detect::Detection> Detector::detect(const video::Frame& frame,
-                                                const video::World_model& world) {
+                                                const video::World_model& world) const {
     return detect_on(propose(frame, world));
 }
 
-std::vector<detect::Detection> Detector::detect_on(const std::vector<Proposal>& proposals) {
+std::vector<detect::Detection> Detector::detect_on(const std::vector<Proposal>& proposals) const {
     if (proposals.empty()) {
         return {};
     }

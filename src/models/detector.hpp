@@ -81,7 +81,7 @@ public:
     };
 
     /// Inference (eval mode) on a feature batch [n x feature_dim].
-    [[nodiscard]] Output infer(const Tensor& features);
+    [[nodiscard]] Output infer(const Tensor& features) const;
 
     /// One SGD step of the whole detector on `rows`, which enter the trunk at
     /// layer `from` (0: input features; a stage cut: activations there).
@@ -107,7 +107,6 @@ public:
 
     [[nodiscard]] std::size_t num_classes() const noexcept { return num_classes_; }
     [[nodiscard]] std::size_t feature_dim() const noexcept { return feature_dim_; }
-    [[nodiscard]] std::size_t parameter_count() const;
 
     /// Full serialized weights (trunk + heads, including norm running stats).
     [[nodiscard]] std::vector<double> state_vector() const;
@@ -145,11 +144,11 @@ public:
 
     /// End-to-end detection on a frame.
     [[nodiscard]] std::vector<detect::Detection> detect(const video::Frame& frame,
-                                                        const video::World_model& world);
+                                                        const video::World_model& world) const;
 
     /// Detection over precomputed proposals (used by the labeling pipeline).
     [[nodiscard]] std::vector<detect::Detection> detect_on(
-        const std::vector<Proposal>& proposals);
+        const std::vector<Proposal>& proposals) const;
 
     [[nodiscard]] Detector_net& net() noexcept { return *net_; }
     [[nodiscard]] const Detector_config& config() const noexcept { return config_; }

@@ -4,59 +4,18 @@
 
 namespace shog::nn {
 
-Tensor Relu::forward(const Tensor& input, bool /*training*/) {
-    width_ = input.rank() == 2 ? input.cols() : input.size();
-    mask_ = input;
-    Tensor out = input;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        if (out.at(i) > 0.0) {
-            mask_.at(i) = 1.0;
-        } else {
-            mask_.at(i) = 0.0;
-            out.at(i) = 0.0;
-        }
-    }
-    return out;
-}
-
-Tensor Relu::infer(const Tensor& input) {
-    width_ = input.rank() == 2 ? input.cols() : input.size();
-    Tensor out = input;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        if (!(out.at(i) > 0.0)) {
-            out.at(i) = 0.0;
-        }
-    }
-    return out;
-}
-
-Tensor Relu::backward(const Tensor& grad_output) {
-    SHOG_REQUIRE(!mask_.empty(), "Relu backward before forward");
-    SHOG_REQUIRE(grad_output.shape() == mask_.shape(), "Relu grad shape mismatch");
-    Tensor grad = grad_output;
-    grad *= mask_;
-    return grad;
-}
-
-Flops Relu::flops(std::size_t batch) const {
-    const double n = static_cast<double>(batch) * static_cast<double>(width_ == 0 ? 1 : width_);
-    return Flops{n, n};
-}
-
 Leaky_relu::Leaky_relu(double slope) : slope_{slope} {
     SHOG_REQUIRE(slope >= 0.0 && slope < 1.0, "leaky slope must lie in [0, 1)");
 }
 
 Tensor Leaky_relu::forward(const Tensor& input, bool /*training*/) {
-    width_ = input.rank() == 2 ? input.cols() : input.size();
     cached_input_ = input;
     Tensor out = input;
     out.apply([this](double x) { return x > 0.0 ? x : slope_ * x; });
     return out;
 }
 
-Tensor Leaky_relu::infer(const Tensor& input) {
-    width_ = input.rank() == 2 ? input.cols() : input.size();
+Tensor Leaky_relu::infer(const Tensor& input) const {
     Tensor out = input;
     out.apply([this](double x) { return x > 0.0 ? x : slope_ * x; });
     return out;
@@ -73,21 +32,14 @@ Tensor Leaky_relu::backward(const Tensor& grad_output) {
     return grad;
 }
 
-Flops Leaky_relu::flops(std::size_t batch) const {
-    const double n = static_cast<double>(batch) * static_cast<double>(width_ == 0 ? 1 : width_);
-    return Flops{n, n};
-}
-
 Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
-    width_ = input.rank() == 2 ? input.cols() : input.size();
     Tensor out = input;
     out.apply([](double x) { return std::tanh(x); });
     cached_output_ = out;
     return out;
 }
 
-Tensor Tanh::infer(const Tensor& input) {
-    width_ = input.rank() == 2 ? input.cols() : input.size();
+Tensor Tanh::infer(const Tensor& input) const {
     Tensor out = input;
     out.apply([](double x) { return std::tanh(x); });
     return out;
@@ -102,12 +54,6 @@ Tensor Tanh::backward(const Tensor& grad_output) {
         grad.at(i) *= 1.0 - y * y;
     }
     return grad;
-}
-
-Flops Tanh::flops(std::size_t batch) const {
-    const double n =
-        8.0 * static_cast<double>(batch) * static_cast<double>(width_ == 0 ? 1 : width_);
-    return Flops{n, n};
 }
 
 } // namespace shog::nn

@@ -7,23 +7,6 @@
 
 namespace shog::nn {
 
-class Relu final : public Layer {
-public:
-    Relu() = default;
-
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor infer(const Tensor& input) override;
-    [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
-    [[nodiscard]] Flops flops(std::size_t batch) const override;
-    [[nodiscard]] std::unique_ptr<Layer> clone() const override {
-        return std::make_unique<Relu>();
-    }
-
-private:
-    Tensor mask_;
-    std::size_t width_ = 0;
-};
-
 /// Leaky ReLU with fixed negative slope (used by the detection heads, whose
 /// score margins benefit from non-dying gradients during online training).
 class Leaky_relu final : public Layer {
@@ -31,9 +14,8 @@ public:
     explicit Leaky_relu(double slope = 0.1);
 
     [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor infer(const Tensor& input) override;
+    [[nodiscard]] Tensor infer(const Tensor& input) const override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
-    [[nodiscard]] Flops flops(std::size_t batch) const override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override {
         return std::make_unique<Leaky_relu>(slope_);
     }
@@ -41,7 +23,6 @@ public:
 private:
     double slope_;
     Tensor cached_input_;
-    std::size_t width_ = 0;
 };
 
 /// Hyperbolic tangent (used by the box-refinement head to bound offsets).
@@ -50,16 +31,14 @@ public:
     Tanh() = default;
 
     [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor infer(const Tensor& input) override;
+    [[nodiscard]] Tensor infer(const Tensor& input) const override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
-    [[nodiscard]] Flops flops(std::size_t batch) const override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override {
         return std::make_unique<Tanh>();
     }
 
 private:
     Tensor cached_output_;
-    std::size_t width_ = 0;
 };
 
 } // namespace shog::nn

@@ -3,150 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/units.hpp"
-
 namespace shog::nn {
-
-Batch_norm::Batch_norm(std::size_t features, double momentum, double epsilon)
-    : features_{features},
-      momentum_{momentum},
-      epsilon_{epsilon},
-      gamma_{"gamma", Tensor::full({features}, 1.0)},
-      beta_{"beta", Tensor{std::vector<std::size_t>{features}}},
-      running_mean_{std::vector<std::size_t>{features}},
-      running_var_{Tensor::full({features}, 1.0)} {
-    SHOG_REQUIRE(features > 0, "Batch_norm needs positive feature count");
-    SHOG_REQUIRE(momentum > 0.0 && momentum <= 1.0, "momentum must lie in (0, 1]");
-}
-
-void Batch_norm::update_stats(const Tensor& batch_mean, const Tensor& batch_var) noexcept {
-    for (std::size_t c = 0; c < features_; ++c) {
-        running_mean_.at(c) += momentum_ * (batch_mean.at(c) - running_mean_.at(c));
-        running_var_.at(c) += momentum_ * (batch_var.at(c) - running_var_.at(c));
-    }
-}
-
-Tensor Batch_norm::forward(const Tensor& input, bool training) {
-    SHOG_REQUIRE(input.rank() == 2 && input.cols() == features_, "Batch_norm width mismatch");
-    cached_training_ = training;
-    const std::size_t m = input.rows();
-
-    Tensor mean;
-    Tensor var;
-    if (training && m > 1) {
-        mean = input.column_mean();
-        var = input.column_variance(mean);
-        if (update_running_stats_) {
-            update_stats(mean, var);
-        }
-    } else {
-        mean = running_mean_;
-        var = running_var_;
-        cached_training_ = false; // eval-statistics path for backward
-    }
-
-    cached_centered_ = input;
-    cached_inv_std_ = Tensor{std::vector<std::size_t>{features_}};
-    for (std::size_t c = 0; c < features_; ++c) {
-        cached_inv_std_.at(c) = 1.0 / std::sqrt(var.at(c) + epsilon_);
-    }
-    for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t c = 0; c < features_; ++c) {
-            cached_centered_.at(r, c) -= mean.at(c);
-        }
-    }
-    cached_xhat_ = cached_centered_;
-    Tensor out{m, features_};
-    for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t c = 0; c < features_; ++c) {
-            cached_xhat_.at(r, c) *= cached_inv_std_.at(c);
-            out.at(r, c) = gamma_.value.at(c) * cached_xhat_.at(r, c) + beta_.value.at(c);
-        }
-    }
-    return out;
-}
-
-Tensor Batch_norm::infer(const Tensor& input) {
-    SHOG_REQUIRE(input.rank() == 2 && input.cols() == features_, "Batch_norm width mismatch");
-    // Eval-statistics path of forward() with no caches. Every output element
-    // is an independent scalar chain ((x - mu) * inv_std, then gamma/beta),
-    // so reproducing the expressions keeps the result bit-identical.
-    const std::size_t m = input.rows();
-    std::vector<double> inv_std(features_);
-    for (std::size_t c = 0; c < features_; ++c) {
-        inv_std[c] = 1.0 / std::sqrt(running_var_.at(c) + epsilon_);
-    }
-    Tensor out{m, features_};
-    for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t c = 0; c < features_; ++c) {
-            const double centered = input.at(r, c) - running_mean_.at(c);
-            const double xhat = centered * inv_std[c];
-            out.at(r, c) = gamma_.value.at(c) * xhat + beta_.value.at(c);
-        }
-    }
-    return out;
-}
-
-Tensor Batch_norm::backward(const Tensor& grad_output) {
-    SHOG_REQUIRE(!cached_xhat_.empty(), "Batch_norm backward before forward");
-    SHOG_REQUIRE(grad_output.shape() == cached_xhat_.shape(), "Batch_norm grad shape mismatch");
-    const std::size_t m = grad_output.rows();
-    const double md = static_cast<double>(m);
-
-    // Parameter grads.
-    for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t c = 0; c < features_; ++c) {
-            gamma_.grad.at(c) += grad_output.at(r, c) * cached_xhat_.at(r, c);
-            beta_.grad.at(c) += grad_output.at(r, c);
-        }
-    }
-
-    Tensor grad_in{m, features_};
-    if (!cached_training_) {
-        // Statistics were constants: dx = dy * gamma * inv_std.
-        for (std::size_t r = 0; r < m; ++r) {
-            for (std::size_t c = 0; c < features_; ++c) {
-                grad_in.at(r, c) =
-                    grad_output.at(r, c) * gamma_.value.at(c) * cached_inv_std_.at(c);
-            }
-        }
-        return grad_in;
-    }
-
-    // Full BN backward through batch statistics.
-    for (std::size_t c = 0; c < features_; ++c) {
-        double sum_dxhat = 0.0;
-        double sum_dxhat_xhat = 0.0;
-        for (std::size_t r = 0; r < m; ++r) {
-            const double dxhat = grad_output.at(r, c) * gamma_.value.at(c);
-            sum_dxhat += dxhat;
-            sum_dxhat_xhat += dxhat * cached_xhat_.at(r, c);
-        }
-        for (std::size_t r = 0; r < m; ++r) {
-            const double dxhat = grad_output.at(r, c) * gamma_.value.at(c);
-            grad_in.at(r, c) = cached_inv_std_.at(c) / md *
-                               (md * dxhat - sum_dxhat - cached_xhat_.at(r, c) * sum_dxhat_xhat);
-        }
-    }
-    return grad_in;
-}
-
-Flops Batch_norm::flops(std::size_t batch) const {
-    const double n = static_cast<double>(batch) * static_cast<double>(features_);
-    return Flops{8.0 * n, 12.0 * n};
-}
-
-std::unique_ptr<Layer> Batch_norm::clone() const {
-    auto copy = std::make_unique<Batch_norm>(features_, momentum_, epsilon_);
-    copy->gamma_.value = gamma_.value;
-    copy->beta_.value = beta_.value;
-    copy->gamma_.lr_scale = gamma_.lr_scale;
-    copy->beta_.lr_scale = beta_.lr_scale;
-    copy->running_mean_ = running_mean_;
-    copy->running_var_ = running_var_;
-    copy->update_running_stats_ = update_running_stats_;
-    return copy;
-}
 
 Batch_renorm::Batch_renorm(std::size_t features, double momentum, double epsilon, double r_max,
                            double d_max)
@@ -242,10 +99,11 @@ Tensor Batch_renorm::forward(const Tensor& input, bool training) {
     return out;
 }
 
-Tensor Batch_renorm::infer(const Tensor& input) {
+Tensor Batch_renorm::infer(const Tensor& input) const {
     SHOG_REQUIRE(input.rank() == 2 && input.cols() == features_, "Batch_renorm width mismatch");
-    // Inference path of forward() with no caches; bit-identical (see
-    // Batch_norm::infer).
+    // Eval-statistics path of forward() with no caches. Every output element
+    // is an independent scalar chain ((x - mu) * inv_std, then gamma/beta),
+    // so reproducing the expressions keeps the result bit-identical.
     const std::size_t m = input.rows();
     std::vector<double> inv_std(features_);
     for (std::size_t c = 0; c < features_; ++c) {
@@ -308,11 +166,6 @@ Tensor Batch_renorm::backward(const Tensor& grad_output) {
         }
     }
     return grad_in;
-}
-
-Flops Batch_renorm::flops(std::size_t batch) const {
-    const double n = static_cast<double>(batch) * static_cast<double>(features_);
-    return Flops{10.0 * n, 14.0 * n};
 }
 
 std::unique_ptr<Layer> Batch_renorm::clone() const {

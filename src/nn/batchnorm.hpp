@@ -1,7 +1,7 @@
-// Batch Normalization and Batch Renormalization (Ioffe, NeurIPS 2017).
+// Batch Renormalization (Ioffe, NeurIPS 2017).
 //
 // Shoggoth's training control (paper §III-B) relies on two properties that
-// these layers expose explicitly:
+// this layer exposes explicitly:
 //  - running statistics can keep adapting even when gamma/beta are frozen
 //    ("freeze the weights ... while making the BN moments adapt freely");
 //  - BRN corrects the train/inference mismatch of small mini-batches via the
@@ -15,47 +15,6 @@
 
 namespace shog::nn {
 
-/// Classic batch normalization over features (rank-2 input: batch x features).
-class Batch_norm final : public Layer {
-public:
-    Batch_norm(std::size_t features, double momentum = 0.1, double epsilon = 1e-5);
-
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor infer(const Tensor& input) override;
-    [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
-    [[nodiscard]] std::vector<Parameter*> parameters() override { return {&gamma_, &beta_}; }
-    [[nodiscard]] Flops flops(std::size_t batch) const override;
-    [[nodiscard]] std::unique_ptr<Layer> clone() const override;
-    [[nodiscard]] std::size_t output_width() const override { return features_; }
-
-    /// When false, running statistics are not updated during training
-    /// (the "completely freezing" ablation).
-    void set_update_running_stats(bool update) noexcept { update_running_stats_ = update; }
-    [[nodiscard]] bool update_running_stats() const noexcept { return update_running_stats_; }
-
-    [[nodiscard]] const Tensor& running_mean() const noexcept { return running_mean_; }
-    [[nodiscard]] const Tensor& running_var() const noexcept { return running_var_; }
-    [[nodiscard]] std::size_t features() const noexcept { return features_; }
-
-protected:
-    std::size_t features_;
-    double momentum_;
-    double epsilon_;
-    bool update_running_stats_ = true;
-    Parameter gamma_;
-    Parameter beta_;
-    Tensor running_mean_;
-    Tensor running_var_;
-
-    // forward cache
-    Tensor cached_xhat_;
-    Tensor cached_centered_;
-    Tensor cached_inv_std_;
-    bool cached_training_ = false;
-
-    void update_stats(const Tensor& batch_mean, const Tensor& batch_var) noexcept;
-};
-
 /// Batch Renormalization: train-time activations are corrected toward the
 /// inference statistics via r = clamp(sigma_B / sigma, 1/r_max, r_max) and
 /// d = clamp((mu_B - mu)/sigma, -d_max, d_max), with r and d treated as
@@ -66,15 +25,13 @@ public:
                  double r_max = 3.0, double d_max = 5.0);
 
     [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor infer(const Tensor& input) override;
+    [[nodiscard]] Tensor infer(const Tensor& input) const override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     [[nodiscard]] std::vector<Parameter*> parameters() override { return {&gamma_, &beta_}; }
-    [[nodiscard]] Flops flops(std::size_t batch) const override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override;
     [[nodiscard]] std::size_t output_width() const override { return features_; }
 
     void set_update_running_stats(bool update) noexcept { update_running_stats_ = update; }
-    [[nodiscard]] bool update_running_stats() const noexcept { return update_running_stats_; }
 
     /// Running-statistics momentum. The adaptive trainer slows the *front*
     /// layers' statistics during online adaptation so that latent-replay
@@ -82,15 +39,13 @@ public:
     void set_momentum(double momentum);
     [[nodiscard]] double momentum() const noexcept { return momentum_; }
 
-    /// Relaxation schedule knobs (r_max=1, d_max=0 degenerates to plain BN
-    /// train behaviour pinned to running stats).
+    /// Relaxation schedule knobs. r_max=1, d_max=0 is plain batch
+    /// normalization: training mode normalizes by the *batch* statistics
+    /// (r=1, d=0), and eval mode by the running ones.
     void set_clamps(double r_max, double d_max);
-    [[nodiscard]] double r_max() const noexcept { return r_max_; }
-    [[nodiscard]] double d_max() const noexcept { return d_max_; }
 
     [[nodiscard]] const Tensor& running_mean() const noexcept { return running_mean_; }
     [[nodiscard]] const Tensor& running_var() const noexcept { return running_var_; }
-    [[nodiscard]] std::size_t features() const noexcept { return features_; }
 
 private:
     std::size_t features_;

@@ -31,7 +31,7 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
     return out;
 }
 
-Tensor Dense::infer(const Tensor& input) {
+Tensor Dense::infer(const Tensor& input) const {
     SHOG_REQUIRE(input.rank() == 2 && input.cols() == in_features_,
                  "Dense input width mismatch");
     // Same arithmetic as forward() without the cached_input_ copy.
@@ -51,17 +51,6 @@ Tensor Dense::backward(const Tensor& grad_output) {
     Tensor column_grads = grad_output.column_sum();
     bias_.grad += column_grads;
     return matmul_nt(grad_output, weight_.value);
-}
-
-Flops Dense::flops(std::size_t batch) const {
-    const double b = static_cast<double>(batch);
-    const double in = static_cast<double>(in_features_);
-    const double out = static_cast<double>(out_features_);
-    Flops f;
-    f.forward = 2.0 * b * in * out;
-    // backward: dW (2*b*in*out) + dx (2*b*in*out) + db (b*out)
-    f.backward = 4.0 * b * in * out + b * out;
-    return f;
 }
 
 std::unique_ptr<Layer> Dense::clone() const { return std::unique_ptr<Dense>(new Dense(*this)); }

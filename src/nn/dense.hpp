@@ -12,15 +12,12 @@ public:
     Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
 
     [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor infer(const Tensor& input) override;
+    [[nodiscard]] Tensor infer(const Tensor& input) const override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     [[nodiscard]] std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
-    [[nodiscard]] Flops flops(std::size_t batch) const override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override;
     [[nodiscard]] std::size_t output_width() const override { return out_features_; }
 
-    [[nodiscard]] std::size_t in_features() const noexcept { return in_features_; }
-    [[nodiscard]] std::size_t out_features() const noexcept { return out_features_; }
     [[nodiscard]] Parameter& weight() noexcept { return weight_; }
     [[nodiscard]] Parameter& bias() noexcept { return bias_; }
 

@@ -6,9 +6,10 @@
 //  - Parameters carry a per-parameter lr_scale so the adaptive trainer can
 //    implement the paper's "learning-rate-to-zero after the first batch"
 //    front-layer policy without touching the optimizer.
-//  - flops() counts the simulation-scale network's own work; only src/nn
-//    and its tests call it. Device time (Table II timings, Fig. 4 fps) is
-//    priced from models::Deployed_profile's YOLOv4-ResNet18 FLOPs.
+//  - infer() is const: the inference path writes no layer state, so one
+//    network can serve concurrent readers.
+//  - Device time (Table II timings, Fig. 4 fps) is priced from
+//    models::Deployed_profile's YOLOv4-ResNet18 FLOPs, not from these layers.
 #pragma once
 
 #include <cstddef>
@@ -34,19 +35,6 @@ struct Parameter {
     void zero_grad() noexcept { grad.fill(0.0); }
 };
 
-/// Forward + backward FLOP counts for one pass over a batch.
-struct Flops {
-    double forward = 0.0;
-    double backward = 0.0;
-
-    [[nodiscard]] double total() const noexcept { return forward + backward; }
-    Flops& operator+=(const Flops& rhs) noexcept {
-        forward += rhs.forward;
-        backward += rhs.backward;
-        return *this;
-    }
-};
-
 class Layer {
 public:
     virtual ~Layer() = default;
@@ -59,12 +47,12 @@ public:
     [[nodiscard]] virtual Tensor forward(const Tensor& input, bool training) = 0;
 
     /// Pure-inference forward: numerically identical to
-    /// forward(input, false) but with no backward caches and no cache
-    /// allocations/copies. The default delegates to forward(); hot layers
-    /// override it with a cache-free path (same per-element operation
-    /// order, so outputs stay bit-identical — pinned by the nn tests).
-    /// Must NOT be followed by backward().
-    [[nodiscard]] virtual Tensor infer(const Tensor& input) { return forward(input, false); }
+    /// forward(input, false) but writes no state (no backward caches), so
+    /// it is const. Every layer implements it with the same per-element
+    /// operation order as forward(), so outputs stay bit-identical (pinned
+    /// by LayerInfer.MatchesEvalForward). Must NOT be followed by
+    /// backward().
+    [[nodiscard]] virtual Tensor infer(const Tensor& input) const = 0;
 
     /// Backward pass: accumulates parameter gradients, returns gradient with
     /// respect to the forward input. Must be called after forward().
@@ -72,17 +60,6 @@ public:
 
     /// Mutable views of the trainable parameters (empty for stateless layers).
     [[nodiscard]] virtual std::vector<Parameter*> parameters() { return {}; }
-
-    [[nodiscard]] virtual std::size_t parameter_count() const {
-        std::size_t n = 0;
-        for (const Parameter* p : const_cast<Layer*>(this)->parameters()) {
-            n += p->value.size();
-        }
-        return n;
-    }
-
-    /// FLOPs for a batch of the given size.
-    [[nodiscard]] virtual Flops flops(std::size_t batch) const = 0;
 
     /// Deep copy (used by the AMS baseline to fine-tune a cloud-side clone).
     [[nodiscard]] virtual std::unique_ptr<Layer> clone() const = 0;

@@ -10,11 +10,6 @@ Sgd::Sgd(Sgd_config config) : config_{config} {
     SHOG_REQUIRE(config.weight_decay >= 0.0, "weight decay must be non-negative");
 }
 
-void Sgd::set_learning_rate(double lr) {
-    SHOG_REQUIRE(lr > 0.0, "learning rate must be positive");
-    config_.learning_rate = lr;
-}
-
 void Sgd::step(const std::vector<Parameter*>& params) {
     for (Parameter* p : params) {
         SHOG_REQUIRE(p != nullptr, "null parameter handed to optimizer");

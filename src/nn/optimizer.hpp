@@ -25,7 +25,6 @@ public:
     void step(const std::vector<Parameter*>& params);
 
     [[nodiscard]] const Sgd_config& config() const noexcept { return config_; }
-    void set_learning_rate(double lr);
 
     /// Drop accumulated momentum (used when swapping models in/out).
     void reset_state() noexcept { velocity_.clear(); }

@@ -16,11 +16,6 @@ Layer& Sequential::layer(std::size_t i) {
     return *entries_[i].layer;
 }
 
-const std::string& Sequential::stage_name(std::size_t i) const {
-    SHOG_REQUIRE(i < entries_.size(), "layer index out of range");
-    return entries_[i].name;
-}
-
 std::size_t Sequential::index_of(const std::string& name) const {
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         if (entries_[i].name == name) {
@@ -48,7 +43,7 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
     return forward_range(0, entries_.size(), input, training);
 }
 
-Tensor Sequential::infer(const Tensor& input) {
+Tensor Sequential::infer(const Tensor& input) const {
     Tensor x = input;
     for (const Entry& entry : entries_) {
         x = entry.layer->infer(x);
@@ -94,19 +89,6 @@ std::vector<Parameter*> Sequential::parameters_range(std::size_t begin, std::siz
     return out;
 }
 
-Flops Sequential::flops(std::size_t batch) const {
-    return flops_range(0, entries_.size(), batch);
-}
-
-Flops Sequential::flops_range(std::size_t begin, std::size_t end, std::size_t batch) const {
-    check_range(begin, end);
-    Flops total;
-    for (std::size_t i = begin; i < end; ++i) {
-        total += entries_[i].layer->flops(batch);
-    }
-    return total;
-}
-
 void Sequential::set_lr_scale_range(std::size_t begin, std::size_t end, double scale) {
     check_range(begin, end);
     for (std::size_t i = begin; i < end; ++i) {
@@ -117,9 +99,7 @@ void Sequential::set_lr_scale_range(std::size_t begin, std::size_t end, double s
 void Sequential::set_update_running_stats_range(std::size_t begin, std::size_t end, bool update) {
     check_range(begin, end);
     for (std::size_t i = begin; i < end; ++i) {
-        if (auto* bn = dynamic_cast<Batch_norm*>(entries_[i].layer.get())) {
-            bn->set_update_running_stats(update);
-        } else if (auto* brn = dynamic_cast<Batch_renorm*>(entries_[i].layer.get())) {
+        if (auto* brn = dynamic_cast<Batch_renorm*>(entries_[i].layer.get())) {
             brn->set_update_running_stats(update);
         }
     }
@@ -151,12 +131,7 @@ std::vector<double> Sequential::state_vector() const {
             state.insert(state.end(), storage.begin(), storage.end());
         }
         // Normalization running stats are part of the deployable model.
-        if (const auto* bn = dynamic_cast<const Batch_norm*>(e.layer.get())) {
-            const auto& m = bn->running_mean().storage();
-            const auto& v = bn->running_var().storage();
-            state.insert(state.end(), m.begin(), m.end());
-            state.insert(state.end(), v.begin(), v.end());
-        } else if (const auto* brn = dynamic_cast<const Batch_renorm*>(e.layer.get())) {
+        if (const auto* brn = dynamic_cast<const Batch_renorm*>(e.layer.get())) {
             const auto& m = brn->running_mean().storage();
             const auto& v = brn->running_var().storage();
             state.insert(state.end(), m.begin(), m.end());
@@ -179,10 +154,7 @@ void Sequential::load_state_vector(const std::vector<double>& state) {
         for (Parameter* p : e.layer->parameters()) {
             take(p->value);
         }
-        if (auto* bn = dynamic_cast<Batch_norm*>(e.layer.get())) {
-            take(const_cast<Tensor&>(bn->running_mean()));
-            take(const_cast<Tensor&>(bn->running_var()));
-        } else if (auto* brn = dynamic_cast<Batch_renorm*>(e.layer.get())) {
+        if (auto* brn = dynamic_cast<Batch_renorm*>(e.layer.get())) {
             take(const_cast<Tensor&>(brn->running_mean()));
             take(const_cast<Tensor&>(brn->running_var()));
         }

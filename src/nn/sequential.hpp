@@ -30,7 +30,6 @@ public:
 
     [[nodiscard]] std::size_t layer_count() const noexcept { return entries_.size(); }
     [[nodiscard]] Layer& layer(std::size_t i);
-    [[nodiscard]] const std::string& stage_name(std::size_t i) const;
 
     /// Index of the first layer whose stage name matches; throws if absent.
     [[nodiscard]] std::size_t index_of(const std::string& stage_name) const;
@@ -39,10 +38,9 @@ public:
     // -- full-network Layer interface -----------------------------------------
 
     [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
-    [[nodiscard]] Tensor infer(const Tensor& input) override;
+    [[nodiscard]] Tensor infer(const Tensor& input) const override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     [[nodiscard]] std::vector<Parameter*> parameters() override;
-    [[nodiscard]] Flops flops(std::size_t batch) const override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override;
     [[nodiscard]] std::size_t output_width() const override;
 
@@ -60,14 +58,10 @@ public:
     /// Parameters of layers [begin, end).
     [[nodiscard]] std::vector<Parameter*> parameters_range(std::size_t begin, std::size_t end);
 
-    /// FLOPs of layers [begin, end) at the given batch size.
-    [[nodiscard]] Flops flops_range(std::size_t begin, std::size_t end,
-                                    std::size_t batch) const;
-
     /// Set the lr multiplier for all parameters of layers [begin, end).
     void set_lr_scale_range(std::size_t begin, std::size_t end, double scale);
 
-    /// Toggle running-statistic updates on every normalization layer in
+    /// Toggle running-statistic updates on every Batch_renorm layer in
     /// [begin, end).
     void set_update_running_stats_range(std::size_t begin, std::size_t end, bool update);
 

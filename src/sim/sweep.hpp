@@ -4,8 +4,8 @@
 // The simulator itself is single-threaded by design (one event queue, one
 // clock), but parameter sweeps and seed replications are embarrassingly
 // parallel: each cell owns its fleet, cloud, and event queue, and cells
-// never touch shared mutable state (fleets clone the teacher per cell —
-// see fleet::Fleet). run_sweep exploits exactly that: workers pull cell
+// never touch shared mutable state (the shared teacher is read through
+// const detect(); see fleet::Fleet). run_sweep exploits exactly that: workers pull cell
 // indices from a shared counter, results land in index-addressed slots,
 // and the merged output is byte-identical for ANY worker count — the
 // determinism tests pin 1 worker vs 8 workers producing identical JSON.
@@ -16,8 +16,8 @@
 // join barrier), and a mutex-guarded progress counter. Cells must be
 // self-contained: they may not touch each other's state, and anything a
 // cell reads from the enclosing scope (testbeds, configs) must be
-// logically const for the duration of the sweep — fleet::Fleet clones the
-// testbed's teacher per cell for exactly this reason.
+// logically const for the duration of the sweep — Detector::detect() is
+// const for exactly this reason.
 #pragma once
 
 #include <cstddef>

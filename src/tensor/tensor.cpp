@@ -65,11 +65,6 @@ Tensor Tensor::randn(std::vector<std::size_t> shape, Rng& rng, double mean, doub
     return t;
 }
 
-std::size_t Tensor::dim(std::size_t i) const {
-    SHOG_REQUIRE(i < shape_.size(), "shape dimension out of range");
-    return shape_[i];
-}
-
 std::size_t Tensor::rows() const {
     SHOG_REQUIRE(rank() == 2, "rows() requires a rank-2 tensor");
     return shape_[0];
@@ -154,24 +149,6 @@ Tensor& Tensor::operator+=(double s) noexcept {
     return *this;
 }
 
-Tensor Tensor::operator+(const Tensor& rhs) const {
-    Tensor out = *this;
-    out += rhs;
-    return out;
-}
-
-Tensor Tensor::operator-(const Tensor& rhs) const {
-    Tensor out = *this;
-    out -= rhs;
-    return out;
-}
-
-Tensor Tensor::operator*(double s) const {
-    Tensor out = *this;
-    out *= s;
-    return out;
-}
-
 Tensor& Tensor::add_row_vector(const Tensor& bias) {
     SHOG_REQUIRE(rank() == 2, "add_row_vector target must be rank-2");
     SHOG_REQUIRE(bias.rank() == 1 && bias.size() == cols(),
@@ -188,10 +165,6 @@ Tensor& Tensor::add_row_vector(const Tensor& bias) {
 void Tensor::fill(double value) noexcept { std::fill(data_.begin(), data_.end(), value); }
 
 double Tensor::sum() const noexcept { return std::accumulate(data_.begin(), data_.end(), 0.0); }
-
-double Tensor::mean() const noexcept {
-    return data_.empty() ? 0.0 : sum() / static_cast<double>(data_.size());
-}
 
 Tensor Tensor::column_mean() const {
     SHOG_REQUIRE(rank() == 2, "column_mean requires a rank-2 tensor");

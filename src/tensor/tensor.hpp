@@ -45,9 +45,6 @@ public:
     [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
     [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
-    /// Dimension i of the shape; throws if out of range.
-    [[nodiscard]] std::size_t dim(std::size_t i) const;
-
     /// Rows/cols for rank-2 tensors (throws otherwise).
     [[nodiscard]] std::size_t rows() const;
     [[nodiscard]] std::size_t cols() const;
@@ -75,10 +72,6 @@ public:
     Tensor& operator*=(double s) noexcept;
     Tensor& operator+=(double s) noexcept;
 
-    [[nodiscard]] Tensor operator+(const Tensor& rhs) const;
-    [[nodiscard]] Tensor operator-(const Tensor& rhs) const;
-    [[nodiscard]] Tensor operator*(double s) const;
-
     /// Add a rank-1 bias to every row of a rank-2 tensor.
     Tensor& add_row_vector(const Tensor& bias);
 
@@ -96,7 +89,6 @@ public:
     // -- reductions / views ----------------------------------------------------
 
     [[nodiscard]] double sum() const noexcept;
-    [[nodiscard]] double mean() const noexcept;
     /// Per-column mean/variance over rows of a rank-2 tensor.
     [[nodiscard]] Tensor column_mean() const;
     [[nodiscard]] Tensor column_variance(const Tensor& mean) const;

@@ -48,11 +48,6 @@ Domain_schedule::Domain_schedule(std::vector<Segment> segments, double ramp, boo
     SHOG_REQUIRE(period_ > 0.0, "schedule period must be positive");
 }
 
-const Domain_schedule::Segment& Domain_schedule::segment(std::size_t i) const {
-    SHOG_REQUIRE(i < segments_.size(), "segment index out of range");
-    return segments_[i];
-}
-
 double Domain_schedule::hold_start(std::size_t i) const noexcept {
     double t = 0.0;
     for (std::size_t k = 0; k < i; ++k) {

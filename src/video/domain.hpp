@@ -50,8 +50,6 @@ public:
     [[nodiscard]] double period() const noexcept { return period_; }
 
     [[nodiscard]] bool cycles() const noexcept { return cycle_; }
-    [[nodiscard]] std::size_t segment_count() const noexcept { return segments_.size(); }
-    [[nodiscard]] const Segment& segment(std::size_t i) const;
 
     /// Finite-difference drift speed (domain distance per second) at t.
     [[nodiscard]] double drift_rate(double t, double dt = 1.0) const;

@@ -38,12 +38,6 @@ Video_stream::Video_stream(Stream_config config, World_config world_config,
     generate_tracks();
 }
 
-const std::string& Video_stream::class_name(std::size_t class_id) const {
-    SHOG_REQUIRE(class_id >= 1 && class_id <= config_.class_names.size(),
-                 "class id out of range");
-    return config_.class_names[class_id - 1];
-}
-
 void Video_stream::generate_tracks() {
     Rng rng = Rng{config_.seed}.split(0xc0ffee);
     // Normalized class sampling CDF.

@@ -78,7 +78,6 @@ public:
     [[nodiscard]] double fps() const noexcept { return config_.fps; }
     [[nodiscard]] double duration() const noexcept { return config_.duration; }
     [[nodiscard]] std::size_t num_classes() const noexcept { return world_.num_classes(); }
-    [[nodiscard]] const std::string& class_name(std::size_t class_id) const;
 
     /// Deterministic random access to frame i in [0, frame_count).
     [[nodiscard]] Frame frame_at(std::size_t index) const;

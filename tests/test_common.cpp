@@ -277,20 +277,6 @@ TEST(MovingAverage, PartialFill) {
     EXPECT_FALSE(ma.full());
 }
 
-TEST(Ewma, ConvergesToConstant) {
-    Ewma e{0.5};
-    for (int i = 0; i < 30; ++i) {
-        e.add(7.0);
-    }
-    EXPECT_NEAR(e.value(), 7.0, 1e-6); // Ewma accessor, not a unit
-}
-
-TEST(Ewma, FirstValueInitializes) {
-    Ewma e{0.1};
-    e.add(42.0);
-    EXPECT_DOUBLE_EQ(e.value(), 42.0); // Ewma accessor, not a unit
-}
-
 // ----------------------------------------------------------- Event_queue ---
 
 TEST(EventQueue, TimeOrder) {

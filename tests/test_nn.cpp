@@ -1,6 +1,7 @@
 // Unit tests for the NN substrate: layer forward oracles, gradient checks
-// (parameterized across layer kinds and shapes), normalization semantics,
-// sequential range execution, losses and the optimizer contract.
+// and the infer()/eval-forward identity (parameterized across layer kinds),
+// normalization semantics, sequential range execution, losses and the
+// optimizer contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -42,12 +43,6 @@ TEST(Dense, BackwardBeforeForwardThrows) {
     EXPECT_THROW((void)d.backward(Tensor{1, 2}), std::invalid_argument);
 }
 
-TEST(Dense, ParameterCount) {
-    Rng rng{1};
-    Dense d{10, 7, rng};
-    EXPECT_EQ(d.parameter_count(), 10u * 7u + 7u);
-}
-
 TEST(Dense, CloneIsIndependent) {
     Rng rng{2};
     Dense d{3, 3, rng};
@@ -62,23 +57,12 @@ TEST(Dense, CloneIsIndependent) {
     EXPECT_LT(max_abs_diff(y2, y3), 1e-14);
 }
 
-TEST(Dense, FlopsScaleWithBatch) {
-    Rng rng{2};
-    Dense d{8, 4, rng};
-    const Flops f1 = d.flops(1);
-    const Flops f10 = d.flops(10);
-    EXPECT_DOUBLE_EQ(f10.forward, 10.0 * f1.forward);
-    EXPECT_GT(f1.backward, f1.forward); // backward costs more
-}
-
 // ------------------------------------------------------ gradient checks ----
 
 enum class Layer_kind {
     dense,
-    relu,
     leaky_relu,
     tanh_act,
-    batch_norm,
     batch_renorm,
     // BRN with r_max=1, d_max=0: the r/d stop-gradient corrections vanish, so
     // the training-mode backward is exactly checkable by finite differences.
@@ -86,6 +70,9 @@ enum class Layer_kind {
     // numeric gradients legitimately disagree; stat updates are also frozen
     // here so repeated probe evaluations see a pure function.)
     batch_renorm_tight,
+    // Dense -> Batch_renorm -> Leaky_relu -> Dense -> Tanh (infer test only:
+    // free BRN clamps make its training-mode gradient uncheckable).
+    sequential,
 };
 
 struct Gradcheck_case {
@@ -99,20 +86,25 @@ std::unique_ptr<Layer> make_layer(Layer_kind kind, std::size_t width, Rng& rng) 
     switch (kind) {
     case Layer_kind::dense:
         return std::make_unique<Dense>(width, width + 2, rng);
-    case Layer_kind::relu:
-        return std::make_unique<Relu>();
     case Layer_kind::leaky_relu:
         return std::make_unique<Leaky_relu>(0.1);
     case Layer_kind::tanh_act:
         return std::make_unique<Tanh>();
-    case Layer_kind::batch_norm:
-        return std::make_unique<Batch_norm>(width);
     case Layer_kind::batch_renorm:
         return std::make_unique<Batch_renorm>(width);
     case Layer_kind::batch_renorm_tight: {
         auto brn = std::make_unique<Batch_renorm>(width, 0.05, 1e-5, 1.0, 0.0);
         brn->set_update_running_stats(false);
         return brn;
+    }
+    case Layer_kind::sequential: {
+        auto seq = std::make_unique<Sequential>();
+        seq->add("fc", std::make_unique<Dense>(width, 6, rng));
+        seq->add("fc", std::make_unique<Batch_renorm>(6));
+        seq->add("fc", std::make_unique<Leaky_relu>(0.1));
+        seq->add("head", std::make_unique<Dense>(6, 4, rng));
+        seq->add("head", std::make_unique<Tanh>());
+        return seq;
     }
     }
     return nullptr;
@@ -124,7 +116,8 @@ TEST_P(LayerGradcheck, AnalyticMatchesNumeric) {
     const Gradcheck_case c = GetParam();
     Rng rng{static_cast<std::uint64_t>(c.batch * 1000 + c.width)};
     auto layer = make_layer(c.kind, c.width, rng);
-    // Offset inputs away from ReLU kinks so central differences are clean.
+    // Offset inputs away from the leaky-ReLU kink so central differences are
+    // clean.
     Tensor input = Tensor::randn({c.batch, c.width}, rng);
     input += 0.05;
     const Gradcheck_report report = gradcheck_layer(*layer, input, rng, c.training);
@@ -138,18 +131,48 @@ INSTANTIATE_TEST_SUITE_P(
     AllLayers, LayerGradcheck,
     ::testing::Values(Gradcheck_case{Layer_kind::dense, 4, 3, true},
                       Gradcheck_case{Layer_kind::dense, 1, 6, true},
-                      Gradcheck_case{Layer_kind::relu, 5, 4, true},
                       Gradcheck_case{Layer_kind::leaky_relu, 3, 5, true},
                       Gradcheck_case{Layer_kind::tanh_act, 4, 4, true},
-                      Gradcheck_case{Layer_kind::batch_norm, 6, 3, true},
-                      Gradcheck_case{Layer_kind::batch_norm, 4, 5, false},
                       Gradcheck_case{Layer_kind::batch_renorm_tight, 6, 3, true},
                       Gradcheck_case{Layer_kind::batch_renorm, 4, 5, false}));
 
-// -------------------------------------------------------- normalization ----
+// ------------------------------------------------- infer() == eval forward --
 
-TEST(BatchNorm, NormalizesTrainBatch) {
-    Batch_norm bn{2};
+class LayerInfer : public ::testing::TestWithParam<Layer_kind> {};
+
+TEST_P(LayerInfer, MatchesEvalForward) {
+    Rng rng{50};
+    const std::size_t width = 4;
+    auto layer = make_layer(GetParam(), width, rng);
+    // Training-mode forwards move Batch_renorm's running statistics off
+    // their defaults (mean 0, var 1), so eval mode reads learned values.
+    for (int i = 0; i < 3; ++i) {
+        Tensor x = Tensor::randn({8, width}, rng);
+        x *= 2.0;
+        x += 1.5;
+        (void)layer->forward(x, true);
+    }
+    if (const auto* brn = dynamic_cast<const Batch_renorm*>(layer.get())) {
+        EXPECT_GT(brn->running_mean().at(0), 0.0);
+    }
+    Tensor x = Tensor::randn({5, width}, rng);
+    x += 0.5;
+    const Layer& frozen = *layer;
+    EXPECT_EQ(max_abs_diff(frozen.infer(x), layer->forward(x, false)), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLayers, LayerInfer,
+                         ::testing::Values(Layer_kind::dense, Layer_kind::leaky_relu,
+                                           Layer_kind::tanh_act, Layer_kind::batch_renorm,
+                                           Layer_kind::sequential));
+
+// -------------------------------------------------------- normalization ----
+//
+// Batch_renorm at r_max = 1, d_max = 0 is plain batch normalization: the
+// first four tests pin that setting.
+
+TEST(BatchRenorm, NormalizesTrainBatch) {
+    Batch_renorm bn{2, 0.1, 1e-5, /*r_max=*/1.0, /*d_max=*/0.0};
     Rng rng{9};
     Tensor x = Tensor::randn({64, 2}, rng);
     x *= 3.0;
@@ -161,8 +184,8 @@ TEST(BatchNorm, NormalizesTrainBatch) {
     EXPECT_NEAR(var.at(0), 1.0, 1e-3);
 }
 
-TEST(BatchNorm, RunningStatsConverge) {
-    Batch_norm bn{1, /*momentum=*/0.2};
+TEST(BatchRenorm, RunningStatsConverge) {
+    Batch_renorm bn{1, 0.2, 1e-5, /*r_max=*/1.0, /*d_max=*/0.0};
     Rng rng{10};
     for (int i = 0; i < 200; ++i) {
         Tensor x = Tensor::randn({128, 1}, rng);
@@ -175,8 +198,8 @@ TEST(BatchNorm, RunningStatsConverge) {
     EXPECT_NEAR(bn.running_var().at(0), 4.0 * 127.0 / 128.0, 0.6);
 }
 
-TEST(BatchNorm, FrozenStatsDoNotUpdate) {
-    Batch_norm bn{2};
+TEST(BatchRenorm, FrozenStatsDoNotUpdate) {
+    Batch_renorm bn{2, 0.1, 1e-5, /*r_max=*/1.0, /*d_max=*/0.0};
     bn.set_update_running_stats(false);
     const Tensor before = bn.running_mean();
     Rng rng{11};
@@ -186,8 +209,8 @@ TEST(BatchNorm, FrozenStatsDoNotUpdate) {
     EXPECT_EQ(max_abs_diff(bn.running_mean(), before), 0.0);
 }
 
-TEST(BatchNorm, EvalUsesRunningStats) {
-    Batch_norm bn{1};
+TEST(BatchRenorm, EvalUsesRunningStats) {
+    Batch_renorm bn{1, 0.1, 1e-5, /*r_max=*/1.0, /*d_max=*/0.0};
     Rng rng{12};
     for (int i = 0; i < 40; ++i) {
         Tensor x = Tensor::randn({32, 1}, rng);
@@ -204,8 +227,8 @@ TEST(BatchNorm, EvalUsesRunningStats) {
 TEST(BatchRenorm, ClampsRAndD) {
     Batch_renorm brn{1, 0.05, 1e-5, /*r_max=*/1.0, /*d_max=*/0.0};
     Rng rng{13};
-    // With r_max=1 and d_max=0, train output must equal normalization by
-    // *running* statistics direction: r=1, d=0 regardless of batch stats.
+    // With r_max=1 and d_max=0, r=1 and d=0 whatever the batch statistics,
+    // so training mode normalizes by the *batch* statistics: plain BN.
     Tensor x = Tensor::randn({32, 1}, rng);
     x *= 5.0;
     x += 3.0;
@@ -255,9 +278,9 @@ TEST(BatchRenorm, SingleRowUsesRunningStats) {
 Sequential make_mlp(Rng& rng) {
     Sequential seq;
     seq.add("fc1", std::make_unique<Dense>(4, 8, rng));
-    seq.add("fc1", std::make_unique<Relu>());
+    seq.add("fc1", std::make_unique<Leaky_relu>(0.1));
     seq.add("fc2", std::make_unique<Dense>(8, 6, rng));
-    seq.add("fc2", std::make_unique<Relu>());
+    seq.add("fc2", std::make_unique<Leaky_relu>(0.1));
     seq.add("head", std::make_unique<Dense>(6, 3, rng));
     return seq;
 }

@@ -88,7 +88,7 @@ TEST(Training, LossDecreasesMonotonicallyOnAverage) {
     Rng rng{3};
     Sequential net;
     net.add("fc1", std::make_unique<Dense>(3, 10, rng));
-    net.add("act", std::make_unique<Relu>());
+    net.add("act", std::make_unique<Leaky_relu>(0.1));
     net.add("fc2", std::make_unique<Dense>(10, 3, rng));
     Tensor x = Tensor::randn({48, 3}, rng);
     std::vector<std::size_t> y(48);
@@ -103,21 +103,15 @@ TEST(Training, LossDecreasesMonotonicallyOnAverage) {
 
 TEST(Training, BrnNetTrainsWithTinyBatches) {
     // The paper adopts Batch Renormalization because it keeps small-batch
-    // training stable. Train the same architecture with BN and BRN on
-    // 4-sample mini-batches; the BRN run must converge to a usable model.
+    // training stable. A BRN net trained only on 4-sample mini-batches must
+    // converge to a usable model (>= 90% training accuracy in eval mode,
+    // i.e. through the running statistics).
     Rng rng{4};
-    auto build = [&rng](bool renorm) {
-        Sequential net;
-        net.add("fc1", std::make_unique<Dense>(2, 12, rng));
-        if (renorm) {
-            net.add("norm", std::make_unique<Batch_renorm>(12));
-        } else {
-            net.add("norm", std::make_unique<Batch_norm>(12));
-        }
-        net.add("act", std::make_unique<Leaky_relu>(0.1));
-        net.add("fc2", std::make_unique<Dense>(12, 2, rng));
-        return net;
-    };
+    Sequential brn_net;
+    brn_net.add("fc1", std::make_unique<Dense>(2, 12, rng));
+    brn_net.add("norm", std::make_unique<Batch_renorm>(12));
+    brn_net.add("act", std::make_unique<Leaky_relu>(0.1));
+    brn_net.add("fc2", std::make_unique<Dense>(12, 2, rng));
 
     Tensor x{120, 2};
     std::vector<std::size_t> y(120);
@@ -130,7 +124,6 @@ TEST(Training, BrnNetTrainsWithTinyBatches) {
         y[i] = (a > b) ? 1 : 0;
     }
 
-    Sequential brn_net = build(true);
     Sgd opt{Sgd_config{0.05, 0.9, 0.0}};
     for (int epoch = 0; epoch < 40; ++epoch) {
         for (std::size_t start = 0; start + 4 <= 120; start += 4) {
