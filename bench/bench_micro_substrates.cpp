@@ -17,18 +17,43 @@ namespace {
 
 using namespace shog;
 
+// The three products of one Dense layer, c (m x n) from a k-wide inner
+// dimension: matmul is the forward pass, matmul_tn the weight gradient
+// (A stored k x m) and matmul_nt the input gradient (B stored n x k). Args
+// are m, k, n; 64 x 112 x 112 is a detector training step, 3 x 96 x 112 an
+// inference batch, and the cubes keep the older square series.
+enum class Matmul_form { nn, tn, nt };
+
+template <Matmul_form Form>
 void BM_matmul(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto k = static_cast<std::size_t>(state.range(1));
+    const auto n = static_cast<std::size_t>(state.range(2));
     Rng rng{1};
-    const Tensor a = Tensor::randn({n, n}, rng);
-    const Tensor b = Tensor::randn({n, n}, rng);
+    const Tensor a = Form == Matmul_form::tn ? Tensor::randn({k, m}, rng)
+                                             : Tensor::randn({m, k}, rng);
+    const Tensor b = Form == Matmul_form::nt ? Tensor::randn({n, k}, rng)
+                                             : Tensor::randn({k, n}, rng);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(matmul(a, b));
+        if constexpr (Form == Matmul_form::nn) {
+            benchmark::DoNotOptimize(matmul(a, b));
+        } else if constexpr (Form == Matmul_form::tn) {
+            benchmark::DoNotOptimize(matmul_tn(a, b));
+        } else {
+            benchmark::DoNotOptimize(matmul_nt(a, b));
+        }
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n * n * n));
+                            static_cast<std::int64_t>(m * k * n));
 }
-BENCHMARK(BM_matmul)->Arg(16)->Arg(64)->Arg(128);
+void matmul_shapes(benchmark::internal::Benchmark* b) {
+    b->ArgNames({"m", "k", "n"});
+    b->Args({16, 16, 16})->Args({64, 64, 64})->Args({128, 128, 128});
+    b->Args({64, 112, 112})->Args({3, 96, 112});
+}
+BENCHMARK_TEMPLATE(BM_matmul, Matmul_form::nn)->Apply(matmul_shapes);
+BENCHMARK_TEMPLATE(BM_matmul, Matmul_form::tn)->Apply(matmul_shapes);
+BENCHMARK_TEMPLATE(BM_matmul, Matmul_form::nt)->Apply(matmul_shapes);
 
 void BM_softmax_cross_entropy(benchmark::State& state) {
     Rng rng{2};

@@ -65,16 +65,6 @@ Tensor Tensor::randn(std::vector<std::size_t> shape, Rng& rng, double mean, doub
     return t;
 }
 
-std::size_t Tensor::rows() const {
-    SHOG_REQUIRE(rank() == 2, "rows() requires a rank-2 tensor");
-    return shape_[0];
-}
-
-std::size_t Tensor::cols() const {
-    SHOG_REQUIRE(rank() == 2, "cols() requires a rank-2 tensor");
-    return shape_[1];
-}
-
 Tensor Tensor::reshaped(std::vector<std::size_t> shape) const {
     const std::size_t n = shape_product(shape);
     SHOG_REQUIRE(n == size(), "reshape must preserve element count");
@@ -82,28 +72,6 @@ Tensor Tensor::reshaped(std::vector<std::size_t> shape) const {
     t.shape_ = std::move(shape);
     t.data_ = data_;
     return t;
-}
-
-double& Tensor::at(std::size_t i) {
-    SHOG_REQUIRE(i < data_.size(), "flat index out of range");
-    return data_[i];
-}
-
-double Tensor::at(std::size_t i) const {
-    SHOG_REQUIRE(i < data_.size(), "flat index out of range");
-    return data_[i];
-}
-
-double& Tensor::at(std::size_t r, std::size_t c) {
-    SHOG_REQUIRE(rank() == 2, "2-index access requires a rank-2 tensor");
-    SHOG_REQUIRE(r < shape_[0] && c < shape_[1], "index out of range");
-    return data_[r * shape_[1] + c];
-}
-
-double Tensor::at(std::size_t r, std::size_t c) const {
-    SHOG_REQUIRE(rank() == 2, "2-index access requires a rank-2 tensor");
-    SHOG_REQUIRE(r < shape_[0] && c < shape_[1], "index out of range");
-    return data_[r * shape_[1] + c];
 }
 
 void Tensor::check_same_shape(const Tensor& rhs, const char* op) const {
@@ -252,13 +220,25 @@ std::string Tensor::shape_str() const {
 
 namespace {
 
-/// crow[j] += a * brow[j] for j in [0, n). Each j is an independent
-/// multiply-then-add, so the avx2 clone (SIMD across j, no FMA — the avx2
-/// target does not enable fma, so mul and add stay separate roundings)
-/// produces bit-identical results to the scalar clone. This row update is
-/// the inner loop of matmul and matmul_tn; matmul_nt's dot-product loop is
-/// a genuine reduction and deliberately stays scalar (vectorizing it would
-/// reassociate the sum and change low bits).
+/// One GEMM for matmul, matmul_tn and matmul_nt: c = A x b, where
+/// A(i, p) = a[i * row_stride + p * col_stride] is m x k, b is row-major
+/// k x n and c is row-major m x n. matmul reads A with strides (k, 1) and
+/// matmul_tn with (1, m); matmul_nt transposes its right operand and calls
+/// the (k, 1) form.
+///
+/// The kernel keeps an Mr x Nr tile of c in accumulators across the whole
+/// p loop: 4 x 8 tiles, then 1-3-row and 4- and 1-column remainder tiles,
+/// so the 3-row inference batches vectorize too.
+///
+/// Every clone gives the same bits:
+///  - each c element starts at +0.0 and adds a(i, p) * b(p, j) with p
+///    ascending; SIMD runs across j and the tile rows, never across p, so
+///    no sum is reassociated;
+///  - multiply and add round separately: -std=c++20 turns off contraction
+///    and the avx2 target does not enable fma;
+///  - a zero a(i, p) is multiplied, not skipped, which is exact for finite
+///    b: an accumulator that starts at +0.0 never becomes -0.0, so adding
+///    +-0 leaves it unchanged.
 ///
 /// Multi-versioning is disabled under TSan: target_clones emits an IFUNC
 /// whose resolver runs during relocation, *before* libtsan has set up its
@@ -278,10 +258,74 @@ namespace {
 #else
 #define SHOG_SIMD_CLONES __attribute__((target_clones("avx2", "default")))
 #endif
-SHOG_SIMD_CLONES void
-add_scaled_row(double* crow, const double a, const double* brow, const std::size_t n) {
-    for (std::size_t j = 0; j < n; ++j) {
-        crow[j] += a * brow[j];
+
+/// c[0..Mr) x [0..Nr) of a tile; a points at the tile's first row, b and c
+/// at its first column. The pragmas unroll the tile fully so that its
+/// accumulators live in registers; at -O2 gcc otherwise keeps them in
+/// memory and every add waits on a store.
+template <std::size_t Mr, std::size_t Nr>
+[[gnu::always_inline]] inline void gemm_tile(const double* a, const std::size_t row_stride,
+                                             const std::size_t col_stride, const double* b,
+                                             double* c, const std::size_t k,
+                                             const std::size_t n) {
+    double acc[Mr][Nr] = {};
+    for (std::size_t p = 0; p < k; ++p) {
+        const double* brow = b + p * n;
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < Mr; ++r) {
+            const double arp = a[r * row_stride + p * col_stride];
+#pragma GCC unroll 8
+            for (std::size_t j = 0; j < Nr; ++j) {
+                acc[r][j] += arp * brow[j];
+            }
+        }
+    }
+    for (std::size_t r = 0; r < Mr; ++r) {
+        for (std::size_t j = 0; j < Nr; ++j) {
+            c[r * n + j] = acc[r][j];
+        }
+    }
+}
+
+/// Mr rows of c, tiled across the columns.
+template <std::size_t Mr>
+[[gnu::always_inline]] inline void gemm_rows(const double* a, const std::size_t row_stride,
+                                             const std::size_t col_stride, const double* b,
+                                             double* c, const std::size_t k,
+                                             const std::size_t n) {
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        gemm_tile<Mr, 8>(a, row_stride, col_stride, b + j, c + j, k, n);
+    }
+    for (; j + 4 <= n; j += 4) {
+        gemm_tile<Mr, 4>(a, row_stride, col_stride, b + j, c + j, k, n);
+    }
+    for (; j < n; ++j) {
+        gemm_tile<Mr, 1>(a, row_stride, col_stride, b + j, c + j, k, n);
+    }
+}
+
+SHOG_SIMD_CLONES void gemm(const double* a, const std::size_t row_stride,
+                           const std::size_t col_stride, const double* b, double* c,
+                           const std::size_t m, const std::size_t k, const std::size_t n) {
+    std::size_t i = 0;
+    for (; i + 4 <= m; i += 4) {
+        gemm_rows<4>(a + i * row_stride, row_stride, col_stride, b, c + i * n, k, n);
+    }
+    const double* a_rest = a + i * row_stride;
+    double* c_rest = c + i * n;
+    switch (m - i) {
+    case 3:
+        gemm_rows<3>(a_rest, row_stride, col_stride, b, c_rest, k, n);
+        break;
+    case 2:
+        gemm_rows<2>(a_rest, row_stride, col_stride, b, c_rest, k, n);
+        break;
+    case 1:
+        gemm_rows<1>(a_rest, row_stride, col_stride, b, c_rest, k, n);
+        break;
+    default:
+        break;
     }
 }
 
@@ -294,18 +338,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
     const std::size_t k = a.cols();
     const std::size_t n = b.cols();
     Tensor c{m, n};
-    const double* ad = a.data();
-    const double* bd = b.data();
-    double* cd = c.data();
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t p = 0; p < k; ++p) {
-            const double aip = ad[i * k + p];
-            if (aip == 0.0) {
-                continue;
-            }
-            add_scaled_row(cd + i * n, aip, bd + p * n, n);
-        }
-    }
+    gemm(a.data(), k, 1, b.data(), c.data(), m, k, n);
     return c;
 }
 
@@ -315,21 +348,9 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
     const std::size_t m = a.rows();
     const std::size_t k = a.cols();
     const std::size_t n = b.rows();
+    const Tensor bt = transpose(b);
     Tensor c{m, n};
-    const double* ad = a.data();
-    const double* bd = b.data();
-    double* cd = c.data();
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            const double* arow = ad + i * k;
-            const double* brow = bd + j * k;
-            double acc = 0.0;
-            for (std::size_t p = 0; p < k; ++p) {
-                acc += arow[p] * brow[p];
-            }
-            cd[i * n + j] = acc;
-        }
-    }
+    gemm(a.data(), k, 1, bt.data(), c.data(), m, k, n);
     return c;
 }
 
@@ -340,29 +361,22 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
     const std::size_t k = a.rows();
     const std::size_t n = b.cols();
     Tensor c{m, n};
-    const double* ad = a.data();
-    const double* bd = b.data();
-    double* cd = c.data();
-    for (std::size_t p = 0; p < k; ++p) {
-        const double* arow = ad + p * m;
-        const double* brow = bd + p * n;
-        for (std::size_t i = 0; i < m; ++i) {
-            const double aval = arow[i];
-            if (aval == 0.0) {
-                continue;
-            }
-            add_scaled_row(cd + i * n, aval, brow, n);
-        }
-    }
+    gemm(a.data(), 1, m, b.data(), c.data(), m, k, n);
     return c;
 }
 
 Tensor transpose(const Tensor& a) {
     SHOG_REQUIRE(a.rank() == 2, "transpose needs a rank-2 tensor");
-    Tensor t{a.cols(), a.rows()};
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-        for (std::size_t c = 0; c < a.cols(); ++c) {
-            t.at(c, r) = a.at(r, c);
+    const std::size_t rows = a.rows();
+    const std::size_t cols = a.cols();
+    Tensor t{cols, rows};
+    const double* src = a.data();
+    double* dst = t.data();
+    // Row by row of the result: the writes stay sequential, the strided
+    // reads are the cheaper side.
+    for (std::size_t c = 0; c < cols; ++c) {
+        for (std::size_t r = 0; r < rows; ++r) {
+            dst[c * rows + r] = src[r * cols + c];
         }
     }
     return t;

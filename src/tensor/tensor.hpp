@@ -46,18 +46,39 @@ public:
     [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
     /// Rows/cols for rank-2 tensors (throws otherwise).
-    [[nodiscard]] std::size_t rows() const;
-    [[nodiscard]] std::size_t cols() const;
+    [[nodiscard]] std::size_t rows() const {
+        SHOG_REQUIRE(rank() == 2, "rows() requires a rank-2 tensor");
+        return shape_[0];
+    }
+    [[nodiscard]] std::size_t cols() const {
+        SHOG_REQUIRE(rank() == 2, "cols() requires a rank-2 tensor");
+        return shape_[1];
+    }
 
     /// Reshape preserving element count (row-major order).
     [[nodiscard]] Tensor reshaped(std::vector<std::size_t> shape) const;
 
     // -- element access ------------------------------------------------------
+    // Defined here so the per-element loops of the NN layers inline them.
 
-    [[nodiscard]] double& at(std::size_t i);
-    [[nodiscard]] double at(std::size_t i) const;
-    [[nodiscard]] double& at(std::size_t r, std::size_t c);
-    [[nodiscard]] double at(std::size_t r, std::size_t c) const;
+    [[nodiscard]] double& at(std::size_t i) {
+        SHOG_REQUIRE(i < data_.size(), "flat index out of range");
+        return data_[i];
+    }
+    [[nodiscard]] double at(std::size_t i) const {
+        SHOG_REQUIRE(i < data_.size(), "flat index out of range");
+        return data_[i];
+    }
+    [[nodiscard]] double& at(std::size_t r, std::size_t c) {
+        SHOG_REQUIRE(rank() == 2, "2-index access requires a rank-2 tensor");
+        SHOG_REQUIRE(r < shape_[0] && c < shape_[1], "index out of range");
+        return data_[r * shape_[1] + c];
+    }
+    [[nodiscard]] double at(std::size_t r, std::size_t c) const {
+        SHOG_REQUIRE(rank() == 2, "2-index access requires a rank-2 tensor");
+        SHOG_REQUIRE(r < shape_[0] && c < shape_[1], "index out of range");
+        return data_[r * shape_[1] + c];
+    }
 
     [[nodiscard]] double* data() noexcept { return data_.data(); }
     [[nodiscard]] const double* data() const noexcept { return data_.data(); }
@@ -120,7 +141,7 @@ private:
 /// C = A x B for rank-2 tensors.
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
 
-/// C = A x B^T (common in backward passes; avoids materializing transposes).
+/// C = A x B^T (Dense's input gradient): transposes B, then runs matmul's kernel.
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 /// C = A^T x B.

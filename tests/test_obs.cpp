@@ -152,6 +152,21 @@ TEST(TraceExport, ChromeTraceJsonCarriesSpansInstantsAndMetadata) {
     EXPECT_NE(json.find("\"ts\":1000000"), std::string::npos);
 }
 
+TEST(TraceExport, ChromeTraceJsonCarriesCounterValueAtFullPrecision) {
+    Trace_sink sink;
+    Trace_channel lit{&sink.create_buffer()};
+    SHOG_TRACE_COUNTER(lit, Sim_time{1.5}, track_cloud, "queue_depth", 0.1);
+
+    // The last event of the array, whole: phase C on the scheduler row, the
+    // name, and the value at %.17g (0.1 is not exact in binary, so the
+    // round-trip digits show). tools/check_trace.py accepts it: a finite ts
+    // and finite numeric args.
+    const std::string json = chrome_trace_json(sink);
+    const std::string counter = "{\"ph\":\"C\",\"ts\":1500000,\"pid\":1,\"tid\":0,"
+                                "\"name\":\"queue_depth\",\"args\":{\"value\":0.10000000000000001}}";
+    EXPECT_NE(json.find(",\n" + counter + "\n]}\n"), std::string::npos) << json;
+}
+
 TEST(TraceExport, SerializeMetricsCsvListsSeriesAndHistograms) {
     Metrics_registry registry;
     registry.counter("cloud.submits").add(Sim_time{1.5});

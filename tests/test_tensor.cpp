@@ -2,6 +2,10 @@
 // hand-computed oracles, and parameterized consistency sweeps.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iomanip>
+#include <tuple>
+
 #include "common/rng.hpp"
 #include "tensor/tensor.hpp"
 
@@ -175,49 +179,95 @@ TEST(Transpose, Involution) {
     EXPECT_LT(max_abs_diff(transpose(transpose(a)), a), 1e-12);
 }
 
-struct Matmul_shape {
-    std::size_t m, k, n;
-};
+// matmul, matmul_nt and matmul_tn must give the bits of the scalar loop that
+// sums a(i, p) * b(p, j) with p ascending from +0.0. The shapes cross every
+// row remainder (m mod 4) and column remainder (n mod 8) of the GEMM's tiles,
+// and a third of A's entries are exact zeros of either sign, which the
+// kernel multiplies instead of skipping.
+using Matmul_shape = std::tuple<std::size_t, std::size_t, std::size_t>; // m, k, n
 
 class MatmulVariants : public ::testing::TestWithParam<Matmul_shape> {};
 
-TEST_P(MatmulVariants, NtMatchesExplicitTranspose) {
-    const auto [m, k, n] = GetParam();
-    Rng rng{m * 100 + k * 10 + n};
-    const Tensor a = Tensor::randn({m, k}, rng);
-    const Tensor b = Tensor::randn({n, k}, rng);
-    EXPECT_LT(max_abs_diff(matmul_nt(a, b), matmul(a, transpose(b))), 1e-10);
+Tensor randn_with_zeros(std::size_t rows, std::size_t cols, Rng& rng) {
+    Tensor t = Tensor::randn({rows, cols}, rng);
+    for (double& x : t.storage()) {
+        const double u = rng.uniform();
+        if (u < 0.2) {
+            x = 0.0;
+        } else if (u < 0.33) {
+            x = -0.0;
+        }
+    }
+    return t;
 }
 
-TEST_P(MatmulVariants, TnMatchesExplicitTranspose) {
-    const auto [m, k, n] = GetParam();
-    Rng rng{m * 101 + k * 11 + n};
-    const Tensor a = Tensor::randn({k, m}, rng);
-    const Tensor b = Tensor::randn({k, n}, rng);
-    EXPECT_LT(max_abs_diff(matmul_tn(a, b), matmul(transpose(a), b)), 1e-10);
-}
-
-TEST_P(MatmulVariants, MatmulAgreesWithNaive) {
-    const auto [m, k, n] = GetParam();
-    Rng rng{m + k + n};
-    const Tensor a = Tensor::randn({m, k}, rng);
-    const Tensor b = Tensor::randn({k, n}, rng);
-    const Tensor c = matmul(a, b);
+/// The oracle: c(i, j) = sum over p ascending of lhs(i, p) * rhs(p, j).
+template <typename Lhs, typename Rhs>
+Tensor naive_product(std::size_t m, std::size_t k, std::size_t n, Lhs lhs, Rhs rhs) {
+    Tensor c{m, n};
     for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
             double acc = 0.0;
             for (std::size_t p = 0; p < k; ++p) {
-                acc += a.at(i, p) * b.at(p, j);
+                acc += lhs(i, p) * rhs(p, j);
             }
-            EXPECT_NEAR(c.at(i, j), acc, 1e-10);
+            c.at(i, j) = acc;
+        }
+    }
+    return c;
+}
+
+void expect_bit_identical(const Tensor& got, const Tensor& want) {
+    ASSERT_EQ(got.shape(), want.shape());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        if (std::memcmp(&got.storage()[i], &want.storage()[i], sizeof(double)) != 0) {
+            ADD_FAILURE() << std::setprecision(17) << "element " << i << ": got " << got.at(i) << ", want "
+                          << want.at(i);
+            return;
         }
     }
 }
 
+TEST_P(MatmulVariants, MatmulAgreesWithNaive) {
+    const auto [m, k, n] = GetParam();
+    Rng rng{m * 10007 + k * 101 + n};
+    const Tensor a = randn_with_zeros(m, k, rng);
+    const Tensor b = Tensor::randn({k, n}, rng);
+    expect_bit_identical(
+        matmul(a, b),
+        naive_product(
+            m, k, n, [&](std::size_t i, std::size_t p) { return a.at(i, p); },
+            [&](std::size_t p, std::size_t j) { return b.at(p, j); }));
+}
+
+TEST_P(MatmulVariants, NtAgreesWithNaive) {
+    const auto [m, k, n] = GetParam();
+    Rng rng{m * 10009 + k * 103 + n};
+    const Tensor a = randn_with_zeros(m, k, rng);
+    const Tensor b = Tensor::randn({n, k}, rng);
+    expect_bit_identical(
+        matmul_nt(a, b),
+        naive_product(
+            m, k, n, [&](std::size_t i, std::size_t p) { return a.at(i, p); },
+            [&](std::size_t p, std::size_t j) { return b.at(j, p); }));
+}
+
+TEST_P(MatmulVariants, TnAgreesWithNaive) {
+    const auto [m, k, n] = GetParam();
+    Rng rng{m * 10037 + k * 107 + n};
+    const Tensor a = randn_with_zeros(k, m, rng);
+    const Tensor b = Tensor::randn({k, n}, rng);
+    expect_bit_identical(
+        matmul_tn(a, b),
+        naive_product(
+            m, k, n, [&](std::size_t i, std::size_t p) { return a.at(p, i); },
+            [&](std::size_t p, std::size_t j) { return b.at(p, j); }));
+}
+
 INSTANTIATE_TEST_SUITE_P(Shapes, MatmulVariants,
-                         ::testing::Values(Matmul_shape{1, 1, 1}, Matmul_shape{2, 3, 4},
-                                           Matmul_shape{5, 1, 5}, Matmul_shape{7, 8, 3},
-                                           Matmul_shape{16, 16, 16}, Matmul_shape{1, 9, 2}));
+                         ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 7, 64),
+                                            ::testing::Values(1, 8, 96),
+                                            ::testing::Values(1, 3, 4, 5, 8, 9, 12, 13, 112)));
 
 TEST(ConcatRows, StacksParts) {
     const Tensor a = Tensor::from_rows({{1.0, 2.0}});
