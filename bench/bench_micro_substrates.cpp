@@ -1,6 +1,7 @@
 // google-benchmark micro-benchmarks for the substrate hot paths: tensor
-// linear algebra, detector inference, NMS/mAP, replay-memory updates and
-// the sampling controller.
+// linear algebra, the NN layers' elementwise kernels and optimizer step,
+// detector inference, NMS/mAP, replay-memory updates and the sampling
+// controller.
 #include <benchmark/benchmark.h>
 
 #include "common/event_queue.hpp"
@@ -10,7 +11,10 @@
 #include "detect/metrics.hpp"
 #include "models/pretrain.hpp"
 #include "netsim/h264.hpp"
+#include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/loss.hpp"
+#include "nn/optimizer.hpp"
 #include "video/presets.hpp"
 
 namespace {
@@ -54,6 +58,71 @@ void matmul_shapes(benchmark::internal::Benchmark* b) {
 BENCHMARK_TEMPLATE(BM_matmul, Matmul_form::nn)->Apply(matmul_shapes);
 BENCHMARK_TEMPLATE(BM_matmul, Matmul_form::tn)->Apply(matmul_shapes);
 BENCHMARK_TEMPLATE(BM_matmul, Matmul_form::nt)->Apply(matmul_shapes);
+
+// The elementwise half of a training step, per layer. Args are the rows
+// and width of the activations: 64 x 112 is a detector training batch,
+// 3 x 112 an inference batch.
+void elementwise_shapes(benchmark::internal::Benchmark* b) {
+    b->ArgNames({"m", "w"});
+    b->Args({64, 112})->Args({3, 112});
+}
+
+enum class Brn_pass { train, infer };
+
+/// train: forward with batch statistics, then backward. infer: the const
+/// eval-statistics pass.
+template <Brn_pass Pass>
+void BM_batch_renorm(benchmark::State& state) {
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto w = static_cast<std::size_t>(state.range(1));
+    Rng rng{12};
+    nn::Batch_renorm brn{w};
+    const Tensor x = Tensor::randn({m, w}, rng, 0.5, 2.0);
+    const Tensor g = Tensor::randn({m, w}, rng);
+    for (auto _ : state) {
+        if constexpr (Pass == Brn_pass::train) {
+            benchmark::DoNotOptimize(brn.forward(x, true));
+            benchmark::DoNotOptimize(brn.backward(g));
+        } else {
+            benchmark::DoNotOptimize(brn.infer(x));
+        }
+    }
+}
+BENCHMARK_TEMPLATE(BM_batch_renorm, Brn_pass::train)->Apply(elementwise_shapes);
+BENCHMARK_TEMPLATE(BM_batch_renorm, Brn_pass::infer)->Apply(elementwise_shapes);
+
+/// Forward then backward; about half the inputs are negative.
+void BM_leaky_relu(benchmark::State& state) {
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto w = static_cast<std::size_t>(state.range(1));
+    Rng rng{13};
+    nn::Leaky_relu act{0.1};
+    const Tensor x = Tensor::randn({m, w}, rng);
+    const Tensor g = Tensor::randn({m, w}, rng);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(act.forward(x, true));
+        benchmark::DoNotOptimize(act.backward(g));
+    }
+}
+BENCHMARK(BM_leaky_relu)->Apply(elementwise_shapes);
+
+/// One momentum step with pretraining's weight decay over an m x w
+/// parameter.
+void BM_sgd_step(benchmark::State& state) {
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto w = static_cast<std::size_t>(state.range(1));
+    Rng rng{14};
+    nn::Parameter param{"weight", Tensor::randn({m, w}, rng)};
+    param.grad = Tensor::randn({m, w}, rng, 0.0, 1e-3);
+    nn::Sgd sgd{nn::Sgd_config{0.01, 0.9, 1e-4}};
+    const std::vector<nn::Parameter*> params{&param};
+    for (auto _ : state) {
+        sgd.step(params);
+        benchmark::DoNotOptimize(param.value.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_sgd_step)->Apply(elementwise_shapes);
 
 void BM_softmax_cross_entropy(benchmark::State& state) {
     Rng rng{2};

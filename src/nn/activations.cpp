@@ -2,7 +2,25 @@
 
 #include <cmath>
 
+#include "common/simd.hpp"
+
 namespace shog::nn {
+
+namespace {
+
+/// x if x > 0, else slope * x, in place. The select compiles to a blend of
+/// x and slope * x (see -fno-trapping-math in common/simd.hpp), not to a
+/// branch on each element's sign.
+void leaky_relu_in_place(Tensor& t, const double slope) {
+    double* x = t.data();
+    const std::size_t n = t.size();
+    SHOG_SIMD_LOOP
+    for (std::size_t i = 0; i < n; ++i) {
+        x[i] = x[i] > 0.0 ? x[i] : slope * x[i];
+    }
+}
+
+} // namespace
 
 Leaky_relu::Leaky_relu(double slope) : slope_{slope} {
     SHOG_REQUIRE(slope >= 0.0 && slope < 1.0, "leaky slope must lie in [0, 1)");
@@ -11,13 +29,13 @@ Leaky_relu::Leaky_relu(double slope) : slope_{slope} {
 Tensor Leaky_relu::forward(const Tensor& input, bool /*training*/) {
     cached_input_ = input;
     Tensor out = input;
-    out.apply([this](double x) { return x > 0.0 ? x : slope_ * x; });
+    leaky_relu_in_place(out, slope_);
     return out;
 }
 
 Tensor Leaky_relu::infer(const Tensor& input) const {
     Tensor out = input;
-    out.apply([this](double x) { return x > 0.0 ? x : slope_ * x; });
+    leaky_relu_in_place(out, slope_);
     return out;
 }
 
@@ -26,8 +44,13 @@ Tensor Leaky_relu::backward(const Tensor& grad_output) {
     SHOG_REQUIRE(grad_output.shape() == cached_input_.shape(),
                  "Leaky_relu grad shape mismatch");
     Tensor grad = grad_output;
-    for (std::size_t i = 0; i < grad.size(); ++i) {
-        grad.at(i) *= cached_input_.at(i) > 0.0 ? 1.0 : slope_;
+    double* g = grad.data();
+    const double* x = cached_input_.data();
+    const std::size_t n = grad.size();
+    const double slope = slope_;
+    SHOG_SIMD_LOOP
+    for (std::size_t i = 0; i < n; ++i) {
+        g[i] *= x[i] > 0.0 ? 1.0 : slope;
     }
     return grad;
 }
@@ -49,9 +72,12 @@ Tensor Tanh::backward(const Tensor& grad_output) {
     SHOG_REQUIRE(!cached_output_.empty(), "Tanh backward before forward");
     SHOG_REQUIRE(grad_output.shape() == cached_output_.shape(), "Tanh grad shape mismatch");
     Tensor grad = grad_output;
-    for (std::size_t i = 0; i < grad.size(); ++i) {
-        const double y = cached_output_.at(i);
-        grad.at(i) *= 1.0 - y * y;
+    double* g = grad.data();
+    const double* y = cached_output_.data();
+    const std::size_t n = grad.size();
+    SHOG_SIMD_LOOP
+    for (std::size_t i = 0; i < n; ++i) {
+        g[i] *= 1.0 - y[i] * y[i];
     }
     return grad;
 }

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "common/simd.hpp"
 
 namespace shog::nn {
 
@@ -33,67 +36,108 @@ void Batch_renorm::set_clamps(double r_max, double d_max) {
     d_max_ = d_max;
 }
 
+// The loops below run over row-major m x features_ data through raw
+// pointers, rows outer and columns inner, after one shape check per call.
+// Every element keeps its scalar expression and every per-column sum adds
+// its rows in ascending order, so the results are the same bits as
+// indexing element by element.
+
+namespace {
+
+/// Eval-statistics normalization of m rows: xhat = (x - mean) * inv_std,
+/// out = gamma * xhat + beta. Keep_xhat also stores xhat.
+template <bool Keep_xhat>
+void normalize_eval(const double* x, const double* mean, const double* inv_std,
+                    const double* gamma, const double* beta, double* xhat_out, double* out,
+                    const std::size_t m, const std::size_t f) {
+    for (std::size_t r = 0; r < m; ++r) {
+        const double* xr = x + r * f;
+        double* hr = xhat_out + (Keep_xhat ? r * f : 0);
+        double* yr = out + r * f;
+        SHOG_SIMD_LOOP
+        for (std::size_t c = 0; c < f; ++c) {
+            const double xhat = (xr[c] - mean[c]) * inv_std[c];
+            if constexpr (Keep_xhat) {
+                hr[c] = xhat;
+            }
+            yr[c] = gamma[c] * xhat + beta[c];
+        }
+    }
+}
+
+} // namespace
+
+void Batch_renorm::require_widths() const {
+    SHOG_REQUIRE(gamma_.value.size() == features_ && gamma_.grad.size() == features_ &&
+                     beta_.value.size() == features_ && beta_.grad.size() == features_ &&
+                     running_mean_.size() == features_ && running_var_.size() == features_,
+                 "Batch_renorm parameter width drift");
+}
+
 Tensor Batch_renorm::forward(const Tensor& input, bool training) {
     SHOG_REQUIRE(input.rank() == 2 && input.cols() == features_, "Batch_renorm width mismatch");
+    require_widths();
     const std::size_t m = input.rows();
+    const std::size_t f = features_;
     cached_training_ = training && m > 1;
+    const double* gamma = gamma_.value.data();
+    const double* beta = beta_.value.data();
+    double* run_mean = running_mean_.data();
+    double* run_var = running_var_.data();
+
+    cached_inv_std_ = Tensor{std::vector<std::size_t>{f}};
+    double* inv_std = cached_inv_std_.data();
+    cached_xhat_ = Tensor{m, f};
+    Tensor out{m, f};
 
     if (!cached_training_) {
         // Inference: use running statistics directly.
         cached_centered_ = input;
-        cached_inv_std_ = Tensor{std::vector<std::size_t>{features_}};
-        for (std::size_t c = 0; c < features_; ++c) {
-            cached_inv_std_.at(c) = 1.0 / std::sqrt(running_var_.at(c) + epsilon_);
+        for (std::size_t c = 0; c < f; ++c) {
+            inv_std[c] = 1.0 / std::sqrt(run_var[c] + epsilon_);
         }
-        Tensor out{m, features_};
-        cached_xhat_ = Tensor{m, features_};
-        for (std::size_t r = 0; r < m; ++r) {
-            for (std::size_t c = 0; c < features_; ++c) {
-                const double xhat =
-                    (input.at(r, c) - running_mean_.at(c)) * cached_inv_std_.at(c);
-                cached_xhat_.at(r, c) = xhat;
-                out.at(r, c) = gamma_.value.at(c) * xhat + beta_.value.at(c);
-            }
-        }
+        normalize_eval<true>(input.data(), run_mean, inv_std, gamma, beta, cached_xhat_.data(),
+                             out.data(), m, f);
         return out;
     }
 
     const Tensor batch_mean = input.column_mean();
     const Tensor batch_var = input.column_variance(batch_mean);
+    const double* mean = batch_mean.data();
+    const double* var = batch_var.data();
 
-    cached_inv_std_ = Tensor{std::vector<std::size_t>{features_}};
-    cached_r_ = Tensor{std::vector<std::size_t>{features_}};
-    Tensor d{std::vector<std::size_t>{features_}};
-    for (std::size_t c = 0; c < features_; ++c) {
-        const double sigma_b = std::sqrt(batch_var.at(c) + epsilon_);
-        const double sigma_run = std::sqrt(running_var_.at(c) + epsilon_);
-        cached_inv_std_.at(c) = 1.0 / sigma_b;
-        cached_r_.at(c) = std::clamp(sigma_b / sigma_run, 1.0 / r_max_, r_max_);
-        d.at(c) = std::clamp((batch_mean.at(c) - running_mean_.at(c)) / sigma_run, -d_max_, d_max_);
+    cached_r_ = Tensor{std::vector<std::size_t>{f}};
+    double* r_corr = cached_r_.data();
+    std::vector<double> d(f);
+    for (std::size_t c = 0; c < f; ++c) {
+        const double sigma_b = std::sqrt(var[c] + epsilon_);
+        const double sigma_run = std::sqrt(run_var[c] + epsilon_);
+        inv_std[c] = 1.0 / sigma_b;
+        r_corr[c] = std::clamp(sigma_b / sigma_run, 1.0 / r_max_, r_max_);
+        d[c] = std::clamp((mean[c] - run_mean[c]) / sigma_run, -d_max_, d_max_);
     }
 
-    cached_centered_ = input;
+    cached_centered_ = Tensor{m, f};
+    const double* d_corr = d.data();
     for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t c = 0; c < features_; ++c) {
-            cached_centered_.at(r, c) -= batch_mean.at(c);
-        }
-    }
-
-    cached_xhat_ = Tensor{m, features_};
-    Tensor out{m, features_};
-    for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t c = 0; c < features_; ++c) {
-            const double xhat =
-                cached_centered_.at(r, c) * cached_inv_std_.at(c) * cached_r_.at(c) + d.at(c);
-            cached_xhat_.at(r, c) = xhat;
-            out.at(r, c) = gamma_.value.at(c) * xhat + beta_.value.at(c);
+        const double* xr = input.data() + r * f;
+        double* cr = cached_centered_.data() + r * f;
+        double* hr = cached_xhat_.data() + r * f;
+        double* yr = out.data() + r * f;
+        SHOG_SIMD_LOOP
+        for (std::size_t c = 0; c < f; ++c) {
+            const double centered = xr[c] - mean[c];
+            const double xhat = centered * inv_std[c] * r_corr[c] + d_corr[c];
+            cr[c] = centered;
+            hr[c] = xhat;
+            yr[c] = gamma[c] * xhat + beta[c];
         }
     }
 
     if (update_running_stats_) {
-        for (std::size_t c = 0; c < features_; ++c) {
-            running_mean_.at(c) += momentum_ * (batch_mean.at(c) - running_mean_.at(c));
-            running_var_.at(c) += momentum_ * (batch_var.at(c) - running_var_.at(c));
+        for (std::size_t c = 0; c < f; ++c) {
+            run_mean[c] += momentum_ * (mean[c] - run_mean[c]);
+            run_var[c] += momentum_ * (var[c] - run_var[c]);
         }
     }
     return out;
@@ -101,21 +145,20 @@ Tensor Batch_renorm::forward(const Tensor& input, bool training) {
 
 Tensor Batch_renorm::infer(const Tensor& input) const {
     SHOG_REQUIRE(input.rank() == 2 && input.cols() == features_, "Batch_renorm width mismatch");
+    require_widths();
     // Eval-statistics path of forward() with no caches. Every output element
     // is an independent scalar chain ((x - mu) * inv_std, then gamma/beta),
     // so reproducing the expressions keeps the result bit-identical.
     const std::size_t m = input.rows();
+    const double* run_var = running_var_.data();
     std::vector<double> inv_std(features_);
     for (std::size_t c = 0; c < features_; ++c) {
-        inv_std[c] = 1.0 / std::sqrt(running_var_.at(c) + epsilon_);
+        inv_std[c] = 1.0 / std::sqrt(run_var[c] + epsilon_);
     }
     Tensor out{m, features_};
-    for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t c = 0; c < features_; ++c) {
-            const double xhat = (input.at(r, c) - running_mean_.at(c)) * inv_std[c];
-            out.at(r, c) = gamma_.value.at(c) * xhat + beta_.value.at(c);
-        }
-    }
+    normalize_eval<false>(input.data(), running_mean_.data(), inv_std.data(),
+                          gamma_.value.data(), beta_.value.data(), nullptr, out.data(), m,
+                          features_);
     return out;
 }
 
@@ -123,22 +166,40 @@ Tensor Batch_renorm::backward(const Tensor& grad_output) {
     SHOG_REQUIRE(!cached_xhat_.empty(), "Batch_renorm backward before forward");
     SHOG_REQUIRE(grad_output.shape() == cached_xhat_.shape(),
                  "Batch_renorm grad shape mismatch");
+    require_widths();
+    // forward() sized every cache for this m x features_ batch.
+    SHOG_CHECK(cached_centered_.shape() == cached_xhat_.shape() &&
+                   cached_inv_std_.size() == features_ &&
+                   (!cached_training_ || cached_r_.size() == features_),
+               "Batch_renorm cache shape drift");
     const std::size_t m = grad_output.rows();
+    const std::size_t f = features_;
     const double md = static_cast<double>(m);
+    const double* g = grad_output.data();
+    const double* xhat = cached_xhat_.data();
+    const double* gamma = gamma_.value.data();
+    const double* inv_std = cached_inv_std_.data();
 
+    double* gamma_grad = gamma_.grad.data();
+    double* beta_grad = beta_.grad.data();
     for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t c = 0; c < features_; ++c) {
-            gamma_.grad.at(c) += grad_output.at(r, c) * cached_xhat_.at(r, c);
-            beta_.grad.at(c) += grad_output.at(r, c);
+        const double* gr = g + r * f;
+        const double* hr = xhat + r * f;
+        SHOG_SIMD_LOOP
+        for (std::size_t c = 0; c < f; ++c) {
+            gamma_grad[c] += gr[c] * hr[c];
+            beta_grad[c] += gr[c];
         }
     }
 
-    Tensor grad_in{m, features_};
+    Tensor grad_in{m, f};
     if (!cached_training_) {
         for (std::size_t r = 0; r < m; ++r) {
-            for (std::size_t c = 0; c < features_; ++c) {
-                grad_in.at(r, c) =
-                    grad_output.at(r, c) * gamma_.value.at(c) * cached_inv_std_.at(c);
+            const double* gr = g + r * f;
+            double* dr = grad_in.data() + r * f;
+            SHOG_SIMD_LOOP
+            for (std::size_t c = 0; c < f; ++c) {
+                dr[c] = gr[c] * gamma[c] * inv_std[c];
             }
         }
         return grad_in;
@@ -148,21 +209,33 @@ Tensor Batch_renorm::backward(const Tensor& grad_output) {
     // std as in BN, scaled by r:
     //   dx = (r/sigma_b) * (dxhat - mean(dxhat) - z * mean(dxhat * z))
     // with z = (x - mu_b)/sigma_b (note: z, not the r-corrected xhat).
-    for (std::size_t c = 0; c < features_; ++c) {
-        double sum_dxhat = 0.0;
-        double sum_dxhat_z = 0.0;
-        for (std::size_t r = 0; r < m; ++r) {
-            const double dxhat = grad_output.at(r, c) * gamma_.value.at(c);
-            const double z = cached_centered_.at(r, c) * cached_inv_std_.at(c);
-            sum_dxhat += dxhat;
-            sum_dxhat_z += dxhat * z;
+    const double* centered = cached_centered_.data();
+    const double* r_corr = cached_r_.data();
+    std::vector<double> sum_dxhat(f, 0.0);
+    std::vector<double> sum_dxhat_z(f, 0.0);
+    double* sum_d = sum_dxhat.data();
+    double* sum_dz = sum_dxhat_z.data();
+    for (std::size_t r = 0; r < m; ++r) {
+        const double* gr = g + r * f;
+        const double* cr = centered + r * f;
+        SHOG_SIMD_LOOP
+        for (std::size_t c = 0; c < f; ++c) {
+            const double dxhat = gr[c] * gamma[c];
+            const double z = cr[c] * inv_std[c];
+            sum_d[c] += dxhat;
+            sum_dz[c] += dxhat * z;
         }
-        const double scale = cached_r_.at(c) * cached_inv_std_.at(c);
-        for (std::size_t r = 0; r < m; ++r) {
-            const double dxhat = grad_output.at(r, c) * gamma_.value.at(c);
-            const double z = cached_centered_.at(r, c) * cached_inv_std_.at(c);
-            grad_in.at(r, c) =
-                scale * (dxhat - sum_dxhat / md - z * sum_dxhat_z / md);
+    }
+    for (std::size_t r = 0; r < m; ++r) {
+        const double* gr = g + r * f;
+        const double* cr = centered + r * f;
+        double* dr = grad_in.data() + r * f;
+        SHOG_SIMD_LOOP
+        for (std::size_t c = 0; c < f; ++c) {
+            const double dxhat = gr[c] * gamma[c];
+            const double z = cr[c] * inv_std[c];
+            const double scale = r_corr[c] * inv_std[c];
+            dr[c] = scale * (dxhat - sum_d[c] / md - z * sum_dz[c] / md);
         }
     }
     return grad_in;

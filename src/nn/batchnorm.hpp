@@ -48,6 +48,11 @@ public:
     [[nodiscard]] const Tensor& running_var() const noexcept { return running_var_; }
 
 private:
+    /// Throws unless gamma, beta, their gradients and the running
+    /// statistics all hold features_ values: the per-column loops index
+    /// them unchecked, and Parameter's tensors are public.
+    void require_widths() const;
+
     std::size_t features_;
     double momentum_;
     double epsilon_;

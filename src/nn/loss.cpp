@@ -7,23 +7,28 @@
 
 namespace shog::nn {
 
+// The loops index row-major data through raw pointers after the shape
+// checks at the top of each function; expressions and summation orders are
+// those of the element-by-element loops they replace.
+
 Tensor softmax(const Tensor& logits) {
     SHOG_REQUIRE(logits.rank() == 2, "softmax needs rank-2 logits");
     Tensor out = logits;
     const std::size_t rows = logits.rows();
     const std::size_t cols = logits.cols();
     for (std::size_t r = 0; r < rows; ++r) {
-        double max_logit = out.at(r, 0);
+        double* row = out.data() + r * cols;
+        double max_logit = row[0];
         for (std::size_t c = 1; c < cols; ++c) {
-            max_logit = std::max(max_logit, out.at(r, c));
+            max_logit = std::max(max_logit, row[c]);
         }
         double denom = 0.0;
         for (std::size_t c = 0; c < cols; ++c) {
-            out.at(r, c) = std::exp(out.at(r, c) - max_logit);
-            denom += out.at(r, c);
+            row[c] = std::exp(row[c] - max_logit);
+            denom += row[c];
         }
         for (std::size_t c = 0; c < cols; ++c) {
-            out.at(r, c) /= denom;
+            row[c] /= denom;
         }
     }
     return out;
@@ -38,21 +43,20 @@ Loss_result softmax_cross_entropy(const Tensor& logits, const std::vector<std::s
 
     const std::size_t rows = logits.rows();
     const std::size_t cols = logits.cols();
-    Tensor probs = softmax(logits);
-
     Loss_result result;
-    result.grad = probs;
+    result.grad = softmax(logits);
     double total_weight = 0.0;
     double loss = 0.0;
     for (std::size_t r = 0; r < rows; ++r) {
         SHOG_REQUIRE(labels[r] < cols, "label out of class range");
         const double w = row_weights.empty() ? 1.0 : row_weights[r];
         total_weight += w;
-        const double p = std::max(probs.at(r, labels[r]), 1e-12);
+        double* row = result.grad.data() + r * cols;
+        const double p = std::max(row[labels[r]], 1e-12);
         loss += -w * std::log(p);
-        result.grad.at(r, labels[r]) -= 1.0;
+        row[labels[r]] -= 1.0;
         for (std::size_t c = 0; c < cols; ++c) {
-            result.grad.at(r, c) *= w;
+            row[c] *= w;
         }
     }
     const double denom = total_weight > 0.0 ? total_weight : 1.0;
@@ -83,15 +87,18 @@ Loss_result smooth_l1(const Tensor& prediction, const Tensor& target,
         if (row_mask[r] == 0.0) {
             continue;
         }
+        const double* pred = prediction.data() + r * cols;
+        const double* targ = target.data() + r * cols;
+        double* grad = result.grad.data() + r * cols;
         for (std::size_t c = 0; c < cols; ++c) {
-            const double diff = prediction.at(r, c) - target.at(r, c);
+            const double diff = pred[c] - targ[c];
             const double ad = std::abs(diff);
             if (ad < 1.0) {
                 loss += 0.5 * diff * diff;
-                result.grad.at(r, c) = diff / denom;
+                grad[c] = diff / denom;
             } else {
                 loss += ad - 0.5;
-                result.grad.at(r, c) = (diff > 0.0 ? 1.0 : -1.0) / denom;
+                grad[c] = (diff > 0.0 ? 1.0 : -1.0) / denom;
             }
         }
     }

@@ -1,6 +1,7 @@
 #include "nn/optimizer.hpp"
 
 #include "common/require.hpp"
+#include "common/simd.hpp"
 
 namespace shog::nn {
 
@@ -16,17 +17,30 @@ void Sgd::step(const std::vector<Parameter*>& params) {
         if (p->lr_scale == 0.0) {
             continue;
         }
+        SHOG_REQUIRE(p->grad.shape() == p->value.shape(), "parameter gradient shape mismatch");
         const double lr = config_.learning_rate * p->lr_scale;
         auto [it, inserted] = velocity_.try_emplace(p, p->value.shape());
         Tensor& vel = it->second;
         SHOG_CHECK(vel.shape() == p->value.shape(), "optimizer state shape drift");
-        for (std::size_t i = 0; i < p->value.size(); ++i) {
-            double g = p->grad.at(i);
-            if (config_.weight_decay > 0.0) {
-                g += config_.weight_decay * p->value.at(i);
+        double* w = p->value.data();
+        const double* g = p->grad.data();
+        double* v = vel.data();
+        const std::size_t n = p->value.size();
+        const double momentum = config_.momentum;
+        const double decay = config_.weight_decay;
+        if (decay > 0.0) {
+            SHOG_SIMD_LOOP
+            for (std::size_t i = 0; i < n; ++i) {
+                const double gi = g[i] + decay * w[i];
+                v[i] = momentum * v[i] - lr * gi;
+                w[i] += v[i];
             }
-            vel.at(i) = config_.momentum * vel.at(i) - lr * g;
-            p->value.at(i) += vel.at(i);
+        } else {
+            SHOG_SIMD_LOOP
+            for (std::size_t i = 0; i < n; ++i) {
+                v[i] = momentum * v[i] - lr * g[i];
+                w[i] += v[i];
+            }
         }
     }
 }

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <sstream>
 
+#include "common/simd.hpp"
+
 namespace shog {
 
 namespace {
@@ -81,24 +83,36 @@ void Tensor::check_same_shape(const Tensor& rhs, const char* op) const {
 
 Tensor& Tensor::operator+=(const Tensor& rhs) {
     check_same_shape(rhs, "operator+=");
-    for (std::size_t i = 0; i < data_.size(); ++i) {
-        data_[i] += rhs.data_[i];
+    const std::size_t n = data_.size();
+    const double* src = rhs.data_.data();
+    double* dst = data_.data();
+    SHOG_SIMD_LOOP
+    for (std::size_t i = 0; i < n; ++i) {
+        dst[i] += src[i];
     }
     return *this;
 }
 
 Tensor& Tensor::operator-=(const Tensor& rhs) {
     check_same_shape(rhs, "operator-=");
-    for (std::size_t i = 0; i < data_.size(); ++i) {
-        data_[i] -= rhs.data_[i];
+    const std::size_t n = data_.size();
+    const double* src = rhs.data_.data();
+    double* dst = data_.data();
+    SHOG_SIMD_LOOP
+    for (std::size_t i = 0; i < n; ++i) {
+        dst[i] -= src[i];
     }
     return *this;
 }
 
 Tensor& Tensor::operator*=(const Tensor& rhs) {
     check_same_shape(rhs, "operator*=");
-    for (std::size_t i = 0; i < data_.size(); ++i) {
-        data_[i] *= rhs.data_[i];
+    const std::size_t n = data_.size();
+    const double* src = rhs.data_.data();
+    double* dst = data_.data();
+    SHOG_SIMD_LOOP
+    for (std::size_t i = 0; i < n; ++i) {
+        dst[i] *= src[i];
     }
     return *this;
 }
@@ -119,12 +133,16 @@ Tensor& Tensor::operator+=(double s) noexcept {
 
 Tensor& Tensor::add_row_vector(const Tensor& bias) {
     SHOG_REQUIRE(rank() == 2, "add_row_vector target must be rank-2");
-    SHOG_REQUIRE(bias.rank() == 1 && bias.size() == cols(),
+    const std::size_t rows = shape_[0];
+    const std::size_t cols = shape_[1];
+    SHOG_REQUIRE(bias.rank() == 1 && bias.size() == cols,
                  "bias length must equal column count");
-    for (std::size_t r = 0; r < rows(); ++r) {
-        double* row_ptr = data_.data() + r * cols();
-        for (std::size_t c = 0; c < cols(); ++c) {
-            row_ptr[c] += bias.data_[c];
+    const double* b = bias.data_.data();
+    for (std::size_t r = 0; r < rows; ++r) {
+        double* row_ptr = data_.data() + r * cols;
+        SHOG_SIMD_LOOP
+        for (std::size_t c = 0; c < cols; ++c) {
+            row_ptr[c] += b[c];
         }
     }
     return *this;
@@ -134,39 +152,47 @@ void Tensor::fill(double value) noexcept { std::fill(data_.begin(), data_.end(),
 
 double Tensor::sum() const noexcept { return std::accumulate(data_.begin(), data_.end(), 0.0); }
 
+// The column reductions run rows-outer with one accumulator per column,
+// each starting at +0.0 and adding its rows in ascending order.
+
 Tensor Tensor::column_mean() const {
-    SHOG_REQUIRE(rank() == 2, "column_mean requires a rank-2 tensor");
-    Tensor out{std::vector<std::size_t>{cols()}};
-    for (std::size_t r = 0; r < rows(); ++r) {
-        for (std::size_t c = 0; c < cols(); ++c) {
-            out.data_[c] += at(r, c);
-        }
-    }
-    out *= 1.0 / static_cast<double>(rows());
+    Tensor out = column_sum();
+    out *= 1.0 / static_cast<double>(shape_[0]);
     return out;
 }
 
 Tensor Tensor::column_variance(const Tensor& mean_vec) const {
     SHOG_REQUIRE(rank() == 2, "column_variance requires a rank-2 tensor");
-    SHOG_REQUIRE(mean_vec.rank() == 1 && mean_vec.size() == cols(),
+    const std::size_t rows = shape_[0];
+    const std::size_t cols = shape_[1];
+    SHOG_REQUIRE(mean_vec.rank() == 1 && mean_vec.size() == cols,
                  "mean vector length must equal column count");
-    Tensor out{std::vector<std::size_t>{cols()}};
-    for (std::size_t r = 0; r < rows(); ++r) {
-        for (std::size_t c = 0; c < cols(); ++c) {
-            const double d = at(r, c) - mean_vec.data_[c];
-            out.data_[c] += d * d;
+    Tensor out{std::vector<std::size_t>{cols}};
+    const double* mean = mean_vec.data_.data();
+    double* acc = out.data_.data();
+    for (std::size_t r = 0; r < rows; ++r) {
+        const double* row_ptr = data_.data() + r * cols;
+        SHOG_SIMD_LOOP
+        for (std::size_t c = 0; c < cols; ++c) {
+            const double d = row_ptr[c] - mean[c];
+            acc[c] += d * d;
         }
     }
-    out *= 1.0 / static_cast<double>(rows());
+    out *= 1.0 / static_cast<double>(rows);
     return out;
 }
 
 Tensor Tensor::column_sum() const {
-    SHOG_REQUIRE(rank() == 2, "column_sum requires a rank-2 tensor");
-    Tensor out{std::vector<std::size_t>{cols()}};
-    for (std::size_t r = 0; r < rows(); ++r) {
-        for (std::size_t c = 0; c < cols(); ++c) {
-            out.data_[c] += at(r, c);
+    SHOG_REQUIRE(rank() == 2, "column reductions require a rank-2 tensor");
+    const std::size_t rows = shape_[0];
+    const std::size_t cols = shape_[1];
+    Tensor out{std::vector<std::size_t>{cols}};
+    double* acc = out.data_.data();
+    for (std::size_t r = 0; r < rows; ++r) {
+        const double* row_ptr = data_.data() + r * cols;
+        SHOG_SIMD_LOOP
+        for (std::size_t c = 0; c < cols; ++c) {
+            acc[c] += row_ptr[c];
         }
     }
     return out;
@@ -220,45 +246,6 @@ std::string Tensor::shape_str() const {
 
 namespace {
 
-/// One GEMM for matmul, matmul_tn and matmul_nt: c = A x b, where
-/// A(i, p) = a[i * row_stride + p * col_stride] is m x k, b is row-major
-/// k x n and c is row-major m x n. matmul reads A with strides (k, 1) and
-/// matmul_tn with (1, m); matmul_nt transposes its right operand and calls
-/// the (k, 1) form.
-///
-/// The kernel keeps an Mr x Nr tile of c in accumulators across the whole
-/// p loop: 4 x 8 tiles, then 1-3-row and 4- and 1-column remainder tiles,
-/// so the 3-row inference batches vectorize too.
-///
-/// Every clone gives the same bits:
-///  - each c element starts at +0.0 and adds a(i, p) * b(p, j) with p
-///    ascending; SIMD runs across j and the tile rows, never across p, so
-///    no sum is reassociated;
-///  - multiply and add round separately: -std=c++20 turns off contraction
-///    and the avx2 target does not enable fma;
-///  - a zero a(i, p) is multiplied, not skipped, which is exact for finite
-///    b: an accumulator that starts at +0.0 never becomes -0.0, so adding
-///    +-0 leaves it unchanged.
-///
-/// Multi-versioning is disabled under TSan: target_clones emits an IFUNC
-/// whose resolver runs during relocation, *before* libtsan has set up its
-/// thread state — the instrumented resolver's first TLS access then
-/// segfaults inside the runtime (every TSan binary linking this TU died at
-/// startup). The scalar clone is bit-identical anyway, so SHOG_SANITIZE=
-/// thread just runs that.
-#if defined(__SANITIZE_THREAD__)
-#define SHOG_UNDER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SHOG_UNDER_TSAN 1
-#endif
-#endif
-#if defined(SHOG_UNDER_TSAN)
-#define SHOG_SIMD_CLONES
-#else
-#define SHOG_SIMD_CLONES __attribute__((target_clones("avx2", "default")))
-#endif
-
 /// c[0..Mr) x [0..Nr) of a tile; a points at the tile's first row, b and c
 /// at its first column. The pragmas unroll the tile fully so that its
 /// accumulators live in registers; at -O2 gcc otherwise keeps them in
@@ -305,6 +292,26 @@ template <std::size_t Mr>
     }
 }
 
+/// One GEMM for matmul, matmul_tn and matmul_nt: c = A x b, where
+/// A(i, p) = a[i * row_stride + p * col_stride] is m x k, b is row-major
+/// k x n and c is row-major m x n. matmul reads A with strides (k, 1) and
+/// matmul_tn with (1, m); matmul_nt transposes its right operand and calls
+/// the (k, 1) form.
+///
+/// The kernel keeps an Mr x Nr tile of c in accumulators across the whole
+/// p loop: 4 x 8 tiles, then 1-3-row and 4- and 1-column remainder tiles,
+/// so the 3-row inference batches vectorize too.
+///
+/// Every clone gives the same bits:
+///  - each c element starts at +0.0 and adds a(i, p) * b(p, j) with p
+///    ascending; SIMD runs across j and the tile rows, never across p, so
+///    no sum is reassociated;
+///  - multiply and add round separately: the library builds with
+///    -ffp-contract=off (see common/simd.hpp), which keeps the avx512f
+///    clone, whose target has fma, from fusing them;
+///  - a zero a(i, p) is multiplied, not skipped, which is exact for finite
+///    b: an accumulator that starts at +0.0 never becomes -0.0, so adding
+///    +-0 leaves it unchanged.
 SHOG_SIMD_CLONES void gemm(const double* a, const std::size_t row_stride,
                            const std::size_t col_stride, const double* b, double* c,
                            const std::size_t m, const std::size_t k, const std::size_t n) {

@@ -4,8 +4,11 @@
 // optimizer contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <tuple>
+#include <utility>
 
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -14,9 +17,13 @@
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
+#include "tensor_bits.hpp"
 
 namespace shog::nn {
 namespace {
+
+using testing::expect_bit_identical;
+using testing::randn_with_zeros;
 
 // ------------------------------------------------------------- Dense -------
 
@@ -271,6 +278,313 @@ TEST(BatchRenorm, SingleRowUsesRunningStats) {
     x.at(0, 0) = 1.0;
     const Tensor y = brn.forward(x, true); // batch of 1: eval path
     EXPECT_EQ(y.rows(), 1u);
+}
+
+// ------------------------------------------------ kernels vs. references ---
+//
+// Leaky_relu, Tanh::backward, Batch_renorm and Sgd::step run raw-pointer
+// loops. Each must give the bits of the element-by-element loop it
+// replaced, kept below as its reference: same expression per element, and
+// per-column sums over rows in ascending order. The shapes cover one to 64
+// rows and widths below, at and above a vector's length; a third of the
+// inputs are exact zeros of either sign, and about half the rest negative.
+
+using Rows_width = std::tuple<std::size_t, std::size_t>;
+
+class KernelReference : public ::testing::TestWithParam<Rows_width> {};
+
+Tensor reference_leaky_relu(const Tensor& x, double slope) {
+    Tensor out = x;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const double v = out.at(i);
+        out.at(i) = v > 0.0 ? v : slope * v;
+    }
+    return out;
+}
+
+Tensor reference_leaky_relu_backward(const Tensor& grad_output, const Tensor& x, double slope) {
+    Tensor grad = grad_output;
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+        grad.at(i) *= x.at(i) > 0.0 ? 1.0 : slope;
+    }
+    return grad;
+}
+
+Tensor reference_tanh_backward(const Tensor& grad_output, const Tensor& y) {
+    Tensor grad = grad_output;
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+        grad.at(i) *= 1.0 - y.at(i) * y.at(i);
+    }
+    return grad;
+}
+
+void reference_sgd_step(const Sgd_config& config, Parameter& p, Tensor& vel) {
+    const double lr = config.learning_rate * p.lr_scale;
+    for (std::size_t i = 0; i < p.value.size(); ++i) {
+        double g = p.grad.at(i);
+        if (config.weight_decay > 0.0) {
+            g += config.weight_decay * p.value.at(i);
+        }
+        vel.at(i) = config.momentum * vel.at(i) - lr * g;
+        p.value.at(i) += vel.at(i);
+    }
+}
+
+/// Batch_renorm with default momentum, epsilon and clamps, written element
+/// by element.
+struct Reference_batch_renorm {
+    double momentum = 0.05;
+    double epsilon = 1e-5;
+    double r_max = 3.0;
+    double d_max = 5.0;
+    Tensor gamma;
+    Tensor beta;
+    Tensor gamma_grad;
+    Tensor beta_grad;
+    Tensor running_mean;
+    Tensor running_var;
+    Tensor xhat;
+    Tensor centered;
+    Tensor inv_std;
+    Tensor r;
+    bool training = false;
+
+    explicit Reference_batch_renorm(std::size_t f)
+        : gamma{Tensor::full({f}, 1.0)},
+          beta{std::vector<std::size_t>{f}},
+          gamma_grad{std::vector<std::size_t>{f}},
+          beta_grad{std::vector<std::size_t>{f}},
+          running_mean{std::vector<std::size_t>{f}},
+          running_var{Tensor::full({f}, 1.0)} {}
+
+    Tensor forward(const Tensor& input, bool train) {
+        const std::size_t m = input.rows();
+        const std::size_t f = input.cols();
+        training = train && m > 1;
+        if (!training) {
+            centered = input;
+            inv_std = Tensor{std::vector<std::size_t>{f}};
+            for (std::size_t c = 0; c < f; ++c) {
+                inv_std.at(c) = 1.0 / std::sqrt(running_var.at(c) + epsilon);
+            }
+            Tensor out{m, f};
+            xhat = Tensor{m, f};
+            for (std::size_t i = 0; i < m; ++i) {
+                for (std::size_t c = 0; c < f; ++c) {
+                    xhat.at(i, c) = (input.at(i, c) - running_mean.at(c)) * inv_std.at(c);
+                    out.at(i, c) = gamma.at(c) * xhat.at(i, c) + beta.at(c);
+                }
+            }
+            return out;
+        }
+        Tensor mean{std::vector<std::size_t>{f}};
+        Tensor var{std::vector<std::size_t>{f}};
+        for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t c = 0; c < f; ++c) {
+                mean.at(c) += input.at(i, c);
+            }
+        }
+        const double per_row = 1.0 / static_cast<double>(m);
+        for (std::size_t c = 0; c < f; ++c) {
+            mean.at(c) = mean.at(c) * per_row;
+        }
+        for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t c = 0; c < f; ++c) {
+                const double d = input.at(i, c) - mean.at(c);
+                var.at(c) += d * d;
+            }
+        }
+        for (std::size_t c = 0; c < f; ++c) {
+            var.at(c) = var.at(c) * per_row;
+        }
+        inv_std = Tensor{std::vector<std::size_t>{f}};
+        r = Tensor{std::vector<std::size_t>{f}};
+        Tensor d{std::vector<std::size_t>{f}};
+        for (std::size_t c = 0; c < f; ++c) {
+            const double sigma_b = std::sqrt(var.at(c) + epsilon);
+            const double sigma_run = std::sqrt(running_var.at(c) + epsilon);
+            inv_std.at(c) = 1.0 / sigma_b;
+            r.at(c) = std::clamp(sigma_b / sigma_run, 1.0 / r_max, r_max);
+            d.at(c) = std::clamp((mean.at(c) - running_mean.at(c)) / sigma_run, -d_max, d_max);
+        }
+        centered = input;
+        xhat = Tensor{m, f};
+        Tensor out{m, f};
+        for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t c = 0; c < f; ++c) {
+                centered.at(i, c) -= mean.at(c);
+                xhat.at(i, c) = centered.at(i, c) * inv_std.at(c) * r.at(c) + d.at(c);
+                out.at(i, c) = gamma.at(c) * xhat.at(i, c) + beta.at(c);
+            }
+        }
+        for (std::size_t c = 0; c < f; ++c) {
+            running_mean.at(c) += momentum * (mean.at(c) - running_mean.at(c));
+            running_var.at(c) += momentum * (var.at(c) - running_var.at(c));
+        }
+        return out;
+    }
+
+    Tensor backward(const Tensor& grad_output) {
+        const std::size_t m = grad_output.rows();
+        const std::size_t f = grad_output.cols();
+        const double md = static_cast<double>(m);
+        for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t c = 0; c < f; ++c) {
+                gamma_grad.at(c) += grad_output.at(i, c) * xhat.at(i, c);
+                beta_grad.at(c) += grad_output.at(i, c);
+            }
+        }
+        Tensor grad_in{m, f};
+        if (!training) {
+            for (std::size_t i = 0; i < m; ++i) {
+                for (std::size_t c = 0; c < f; ++c) {
+                    grad_in.at(i, c) = grad_output.at(i, c) * gamma.at(c) * inv_std.at(c);
+                }
+            }
+            return grad_in;
+        }
+        for (std::size_t c = 0; c < f; ++c) {
+            double sum_dxhat = 0.0;
+            double sum_dxhat_z = 0.0;
+            for (std::size_t i = 0; i < m; ++i) {
+                const double dxhat = grad_output.at(i, c) * gamma.at(c);
+                const double z = centered.at(i, c) * inv_std.at(c);
+                sum_dxhat += dxhat;
+                sum_dxhat_z += dxhat * z;
+            }
+            const double scale = r.at(c) * inv_std.at(c);
+            for (std::size_t i = 0; i < m; ++i) {
+                const double dxhat = grad_output.at(i, c) * gamma.at(c);
+                const double z = centered.at(i, c) * inv_std.at(c);
+                grad_in.at(i, c) = scale * (dxhat - sum_dxhat / md - z * sum_dxhat_z / md);
+            }
+        }
+        return grad_in;
+    }
+};
+
+/// Signed inputs with exact zeros of either sign, off-centre so that the
+/// renorm clamps bind in some columns.
+Tensor kernel_input(std::size_t rows, std::size_t width, Rng& rng, double scale,
+                    double shift) {
+    Tensor x = randn_with_zeros(rows, width, rng);
+    x *= scale;
+    x += shift;
+    return x;
+}
+
+TEST_P(KernelReference, LeakyReluMatches) {
+    const auto [rows, width] = GetParam();
+    Rng rng{rows * 1009 + width};
+    const Tensor x = randn_with_zeros(rows, width, rng);
+    const Tensor g = randn_with_zeros(rows, width, rng);
+    Leaky_relu act{0.1};
+    expect_bit_identical(act.forward(x, true), reference_leaky_relu(x, 0.1));
+    expect_bit_identical(act.infer(x), reference_leaky_relu(x, 0.1));
+    expect_bit_identical(act.backward(g), reference_leaky_relu_backward(g, x, 0.1));
+}
+
+TEST_P(KernelReference, TanhBackwardMatches) {
+    const auto [rows, width] = GetParam();
+    Rng rng{rows * 1013 + width};
+    const Tensor x = kernel_input(rows, width, rng, 2.0, 0.0);
+    const Tensor g = randn_with_zeros(rows, width, rng);
+    Tanh act;
+    const Tensor y = act.forward(x, true);
+    expect_bit_identical(act.backward(g), reference_tanh_backward(g, y));
+}
+
+TEST_P(KernelReference, SgdStepMatches) {
+    const auto [rows, width] = GetParam();
+    for (const double decay : {0.0, 3e-4}) {
+        Rng rng{rows * 1019 + width};
+        const Sgd_config config{0.05, 0.9, decay};
+        Parameter got{"w", randn_with_zeros(rows, width, rng)};
+        got.lr_scale = 0.5;
+        Parameter want{"w", got.value};
+        want.lr_scale = got.lr_scale;
+        Tensor want_vel{got.value.shape()};
+        Sgd sgd{config};
+        // Three steps, so that momentum carries velocity between them.
+        for (int step = 0; step < 3; ++step) {
+            got.grad = randn_with_zeros(rows, width, rng);
+            want.grad = got.grad;
+            sgd.step({&got});
+            reference_sgd_step(config, want, want_vel);
+            expect_bit_identical(got.value, want.value);
+        }
+    }
+}
+
+TEST_P(KernelReference, BatchRenormMatches) {
+    const auto [rows, width] = GetParam();
+    Rng rng{rows * 1021 + width};
+    Batch_renorm brn{width};
+    Reference_batch_renorm ref{width};
+    // Learned-looking gamma and beta, zeros of either sign included.
+    const std::vector<Parameter*> params = brn.parameters();
+    params[0]->value = randn_with_zeros(1, width, rng).reshaped({width});
+    params[1]->value = randn_with_zeros(1, width, rng).reshaped({width});
+    ref.gamma = params[0]->value;
+    ref.beta = params[1]->value;
+
+    // Training passes move the running statistics; the first input is far
+    // from them, so r and d clamp in some columns.
+    for (const auto& [scale, shift] : {std::pair{4.0, 3.0}, std::pair{0.5, -1.0}}) {
+        const Tensor x = kernel_input(rows, width, rng, scale, shift);
+        const Tensor g = randn_with_zeros(rows, width, rng);
+        expect_bit_identical(brn.forward(x, true), ref.forward(x, true));
+        expect_bit_identical(brn.backward(g), ref.backward(g));
+        expect_bit_identical(params[0]->grad, ref.gamma_grad);
+        expect_bit_identical(params[1]->grad, ref.beta_grad);
+        expect_bit_identical(brn.running_mean(), ref.running_mean);
+        expect_bit_identical(brn.running_var(), ref.running_var);
+    }
+
+    // Eval mode: forward/backward on the running statistics, and infer().
+    const Tensor x = kernel_input(rows, width, rng, 2.0, 0.5);
+    const Tensor g = randn_with_zeros(rows, width, rng);
+    const Tensor want = ref.forward(x, false);
+    expect_bit_identical(brn.infer(x), want);
+    expect_bit_identical(brn.forward(x, false), want);
+    expect_bit_identical(brn.backward(g), ref.backward(g));
+    expect_bit_identical(params[0]->grad, ref.gamma_grad);
+    expect_bit_identical(params[1]->grad, ref.beta_grad);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, KernelReference,
+                         ::testing::Combine(::testing::Values(1, 2, 3, 64),
+                                            ::testing::Values(1, 5, 13, 112)));
+
+TEST(BatchRenorm, ParameterWidthChecked) {
+    Batch_renorm brn{3};
+    brn.parameters()[0]->value = Tensor::full({2}, 1.0);
+    const Tensor x = Tensor::full({2, 3}, 1.0);
+    EXPECT_THROW((void)brn.forward(x, true), std::invalid_argument);
+    EXPECT_THROW((void)brn.infer(x), std::invalid_argument);
+}
+
+TEST(BatchRenorm, GradShapeChecked) {
+    Batch_renorm brn{3};
+    (void)brn.forward(Tensor::full({4, 3}, 1.0), true);
+    EXPECT_THROW((void)brn.backward(Tensor{3, 3}), std::invalid_argument);
+    EXPECT_THROW((void)brn.backward(Tensor{4, 2}), std::invalid_argument);
+}
+
+TEST(Activations, GradShapeChecked) {
+    Leaky_relu leaky{0.1};
+    Tanh tanh_act;
+    (void)leaky.forward(Tensor{2, 3}, true);
+    (void)tanh_act.forward(Tensor{2, 3}, true);
+    EXPECT_THROW((void)leaky.backward(Tensor{3, 2}), std::invalid_argument);
+    EXPECT_THROW((void)tanh_act.backward(Tensor{2, 4}), std::invalid_argument);
+}
+
+TEST(Sgd, GradientShapeChecked) {
+    Parameter p{"w", Tensor{2, 3}};
+    p.grad = Tensor{3, 2};
+    Sgd sgd{Sgd_config{0.1, 0.9, 0.0}};
+    EXPECT_THROW(sgd.step({&p}), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ Sequential ---

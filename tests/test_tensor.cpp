@@ -2,15 +2,17 @@
 // hand-computed oracles, and parameterized consistency sweeps.
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <iomanip>
 #include <tuple>
 
 #include "common/rng.hpp"
 #include "tensor/tensor.hpp"
+#include "tensor_bits.hpp"
 
 namespace shog {
 namespace {
+
+using testing::expect_bit_identical;
+using testing::randn_with_zeros;
 
 TEST(Tensor, DefaultEmpty) {
     Tensor t;
@@ -117,7 +119,84 @@ TEST(Tensor, ColumnReductions) {
     const Tensor sum = a.column_sum();
     EXPECT_EQ(sum.at(0), 4.0);
     EXPECT_EQ(sum.at(1), 40.0);
+    EXPECT_THROW((void)a.column_variance(Tensor::from_vector({1.0, 2.0, 3.0})),
+                 std::invalid_argument);
+    EXPECT_THROW((void)Tensor::from_vector({1.0, 2.0}).column_mean(), std::invalid_argument);
+    EXPECT_THROW((void)Tensor::from_vector({1.0, 2.0}).column_sum(), std::invalid_argument);
 }
+
+// The column reductions and add_row_vector against the element-by-element
+// loops they replaced, kept here as references: each column starts at +0.0
+// and adds its rows in ascending order. The shapes cover one to 64 rows and
+// widths below, at and above a vector's length; a third of the entries are
+// exact zeros of either sign.
+using Rows_cols = std::tuple<std::size_t, std::size_t>;
+
+class ColumnKernels : public ::testing::TestWithParam<Rows_cols> {};
+
+Tensor reference_column_sum(const Tensor& a) {
+    Tensor out{std::vector<std::size_t>{a.cols()}};
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+        for (std::size_t c = 0; c < a.cols(); ++c) {
+            out.at(c) += a.at(r, c);
+        }
+    }
+    return out;
+}
+
+Tensor reference_column_variance(const Tensor& a, const Tensor& mean) {
+    Tensor out{std::vector<std::size_t>{a.cols()}};
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+        for (std::size_t c = 0; c < a.cols(); ++c) {
+            const double d = a.at(r, c) - mean.at(c);
+            out.at(c) += d * d;
+        }
+    }
+    return out;
+}
+
+/// Scales a column accumulator by 1 / rows, as column_mean and
+/// column_variance finish.
+Tensor reference_per_row(Tensor sums, std::size_t rows) {
+    const double scale = 1.0 / static_cast<double>(rows);
+    for (std::size_t c = 0; c < sums.size(); ++c) {
+        sums.at(c) = sums.at(c) * scale;
+    }
+    return sums;
+}
+
+TEST_P(ColumnKernels, ReductionsAgreeWithReference) {
+    const auto [rows, cols] = GetParam();
+    Rng rng{rows * 131 + cols};
+    Tensor a = randn_with_zeros(rows, cols, rng);
+    a *= 3.0;
+    a += -0.5;
+    expect_bit_identical(a.column_sum(), reference_column_sum(a));
+    const Tensor mean = a.column_mean();
+    expect_bit_identical(mean, reference_per_row(reference_column_sum(a), rows));
+    expect_bit_identical(a.column_variance(mean),
+                         reference_per_row(reference_column_variance(a, mean), rows));
+}
+
+TEST_P(ColumnKernels, AddRowVectorAgreesWithReference) {
+    const auto [rows, cols] = GetParam();
+    Rng rng{rows * 137 + cols};
+    const Tensor a = randn_with_zeros(rows, cols, rng);
+    const Tensor bias = randn_with_zeros(1, cols, rng).reshaped({cols});
+    Tensor want = a;
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+            want.at(r, c) += bias.at(c);
+        }
+    }
+    Tensor got = a;
+    got.add_row_vector(bias);
+    expect_bit_identical(got, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, ColumnKernels,
+                         ::testing::Combine(::testing::Values(1, 2, 3, 64),
+                                            ::testing::Values(1, 5, 13, 112)));
 
 TEST(Tensor, RowAccessAndSet) {
     Tensor a = Tensor::from_rows({{1.0, 2.0}, {3.0, 4.0}});
@@ -188,19 +267,6 @@ using Matmul_shape = std::tuple<std::size_t, std::size_t, std::size_t>; // m, k,
 
 class MatmulVariants : public ::testing::TestWithParam<Matmul_shape> {};
 
-Tensor randn_with_zeros(std::size_t rows, std::size_t cols, Rng& rng) {
-    Tensor t = Tensor::randn({rows, cols}, rng);
-    for (double& x : t.storage()) {
-        const double u = rng.uniform();
-        if (u < 0.2) {
-            x = 0.0;
-        } else if (u < 0.33) {
-            x = -0.0;
-        }
-    }
-    return t;
-}
-
 /// The oracle: c(i, j) = sum over p ascending of lhs(i, p) * rhs(p, j).
 template <typename Lhs, typename Rhs>
 Tensor naive_product(std::size_t m, std::size_t k, std::size_t n, Lhs lhs, Rhs rhs) {
@@ -215,17 +281,6 @@ Tensor naive_product(std::size_t m, std::size_t k, std::size_t n, Lhs lhs, Rhs r
         }
     }
     return c;
-}
-
-void expect_bit_identical(const Tensor& got, const Tensor& want) {
-    ASSERT_EQ(got.shape(), want.shape());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        if (std::memcmp(&got.storage()[i], &want.storage()[i], sizeof(double)) != 0) {
-            ADD_FAILURE() << std::setprecision(17) << "element " << i << ": got " << got.at(i) << ", want "
-                          << want.at(i);
-            return;
-        }
-    }
 }
 
 TEST_P(MatmulVariants, MatmulAgreesWithNaive) {
