@@ -118,7 +118,7 @@ void BM_sgd_step(benchmark::State& state) {
     const std::vector<nn::Parameter*> params{&param};
     for (auto _ : state) {
         sgd.step(params);
-        benchmark::DoNotOptimize(param.value.data());
+        benchmark::DoNotOptimize(param.value->data());
         benchmark::ClobberMemory();
     }
 }
@@ -174,6 +174,27 @@ void BM_detector_inference(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_detector_inference);
+
+/// The same detect() round-robin over 64 clones of one student, as a fleet
+/// runs it. Clones share the student's weight buffers, so this should stay
+/// near BM_detector_inference; clones holding private copies would make
+/// each call stream its weights from a cold cache.
+void BM_detector_inference_fleet(benchmark::State& state) {
+    const video::Dataset_preset p = video::ua_detrac_like(8, 120.0);
+    const video::Video_stream stream{p.stream, p.world, p.schedule};
+    const auto student = models::make_student(stream.world(), 8);
+    std::vector<std::unique_ptr<models::Detector>> fleet;
+    for (int i = 0; i < 64; ++i) {
+        fleet.push_back(student->clone());
+    }
+    const video::Frame frame = stream.frame_at(600);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(fleet[next]->detect(frame, stream.world()));
+        next = (next + 1) % fleet.size();
+    }
+}
+BENCHMARK(BM_detector_inference_fleet);
 
 void BM_replay_memory_update(benchmark::State& state) {
     core::Replay_memory memory{1500};

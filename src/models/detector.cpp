@@ -96,11 +96,20 @@ Detector_net::Output Detector_net::infer(const Tensor& features) const {
 double Detector_net::train_step(std::size_t from, const Sample_rows& rows, nn::Sgd& optimizer,
                                 double box_loss_weight) {
     SHOG_REQUIRE(rows.labels.size() >= 2, "training step needs 2+ rows (batch statistics)");
-    trunk_->zero_grad();
-    class_head_->zero_grad();
-    box_head_->zero_grad();
-
     const std::size_t end = trunk_->layer_count();
+    // Only these layers run and step, so only their gradients are zeroed
+    // (and, on a first step, allocated).
+    std::vector<nn::Parameter*> params = trunk_->parameters_range(from, end);
+    for (nn::Parameter* p : class_head_->parameters()) {
+        params.push_back(p);
+    }
+    for (nn::Parameter* p : box_head_->parameters()) {
+        params.push_back(p);
+    }
+    for (nn::Parameter* p : params) {
+        p->zero_grad();
+    }
+
     const Tensor trunk_out = trunk_->forward_range(from, end, rows.inputs, true);
     const Tensor logits = class_head_->forward(trunk_out, true);
     Tensor box_out = box_head_->forward(trunk_out, true);
@@ -114,14 +123,6 @@ double Detector_net::train_step(std::size_t from, const Sample_rows& rows, nn::S
     box_grad *= max_offset_scale_ * box_loss_weight;
     grad_trunk += box_head_->backward(box_grad);
     (void)trunk_->backward_range(from, end, grad_trunk);
-
-    std::vector<nn::Parameter*> params = trunk_->parameters_range(from, end);
-    for (nn::Parameter* p : class_head_->parameters()) {
-        params.push_back(p);
-    }
-    for (nn::Parameter* p : box_head_->parameters()) {
-        params.push_back(p);
-    }
     optimizer.step(params);
     return cls_loss.value + box_loss_weight * box_loss.value;
 }
@@ -161,16 +162,14 @@ std::vector<double> Detector_net::state_vector() const {
     return state;
 }
 
-void Detector_net::load_state_vector(const std::vector<double>& state) {
-    const std::size_t trunk_n = trunk_->state_vector().size();
-    const std::size_t cls_n = class_head_->state_vector().size();
-    const std::size_t box_n = box_head_->state_vector().size();
-    SHOG_REQUIRE(state.size() == trunk_n + cls_n + box_n, "state vector size mismatch");
-    trunk_->load_state_vector({state.begin(), state.begin() + static_cast<long>(trunk_n)});
-    class_head_->load_state_vector({state.begin() + static_cast<long>(trunk_n),
-                                    state.begin() + static_cast<long>(trunk_n + cls_n)});
-    box_head_->load_state_vector({state.begin() + static_cast<long>(trunk_n + cls_n),
-                                  state.end()});
+void Detector_net::load_state_vector(std::span<const double> state) {
+    const std::size_t trunk_n = trunk_->state_size();
+    const std::size_t cls_n = class_head_->state_size();
+    SHOG_REQUIRE(state.size() == trunk_n + cls_n + box_head_->state_size(),
+                 "state vector size mismatch");
+    trunk_->load_state_vector(state.first(trunk_n));
+    class_head_->load_state_vector(state.subspan(trunk_n, cls_n));
+    box_head_->load_state_vector(state.subspan(trunk_n + cls_n));
 }
 
 void Detector_net::reinit_heads(Rng& rng) {

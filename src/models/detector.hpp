@@ -86,7 +86,8 @@ public:
     /// One SGD step of the whole detector on `rows`, which enter the trunk at
     /// layer `from` (0: input features; a stage cut: activations there).
     /// Forward and backward run over trunk layers [from, end) and both
-    /// heads; `optimizer` updates exactly those parameters. The loss is
+    /// heads; only those parameters' gradients are zeroed, and `optimizer`
+    /// updates exactly those parameters. The loss is
     /// weighted cross-entropy plus `box_loss_weight` x smooth-L1 over the
     /// positive rows. Returns that loss.
     double train_step(std::size_t from, const Sample_rows& rows, nn::Sgd& optimizer,
@@ -110,12 +111,14 @@ public:
 
     /// Full serialized weights (trunk + heads, including norm running stats).
     [[nodiscard]] std::vector<double> state_vector() const;
-    void load_state_vector(const std::vector<double>& state);
+    /// Restore from state_vector() output; unchanged weights stay shared.
+    void load_state_vector(std::span<const double> state);
 
     /// Re-initialize both heads with fresh random weights, keeping the trunk.
     /// Used to build domain-specialized students on a generic backbone.
     void reinit_heads(Rng& rng);
 
+    /// A copy sharing this net's weight buffers until either writes.
     [[nodiscard]] std::unique_ptr<Detector_net> clone() const;
 
     /// Names of the trunk stages in order.

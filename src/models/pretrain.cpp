@@ -98,7 +98,6 @@ Pretrain_report pretrain(Detector& detector, const std::vector<Labeled_sample>& 
         }
         report.final_loss = batches > 0 ? epoch_loss / static_cast<double>(batches) : 0.0;
     }
-    report.train_accuracy = classifier_accuracy(detector, dataset);
     return report;
 }
 

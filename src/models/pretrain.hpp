@@ -37,13 +37,13 @@ struct Pretrain_config {
 
 struct Pretrain_report {
     double final_loss = 0.0;
-    double train_accuracy = 0.0; ///< classifier accuracy on the training set
     std::size_t samples = 0;
 };
 
 /// Train the whole network (trunk + heads) on the dataset: shuffled
 /// mini-batches, each one Detector_net::train_step from layer 0 with the
-/// samples' weights. Returns a report.
+/// samples' weights. Returns a report; classifier_accuracy() measures the
+/// result when a caller needs it.
 Pretrain_report pretrain(Detector& detector, const std::vector<Labeled_sample>& dataset,
                          const Pretrain_config& config);
 

@@ -24,6 +24,18 @@ Batch_renorm::Batch_renorm(std::size_t features, double momentum, double epsilon
     set_clamps(r_max, d_max);
 }
 
+Batch_renorm::Batch_renorm(const Batch_renorm& other)
+    : features_{other.features_},
+      momentum_{other.momentum_},
+      epsilon_{other.epsilon_},
+      r_max_{other.r_max_},
+      d_max_{other.d_max_},
+      update_running_stats_{other.update_running_stats_},
+      gamma_{other.gamma_.share()},
+      beta_{other.beta_.share()},
+      running_mean_{other.running_mean_},
+      running_var_{other.running_var_} {}
+
 void Batch_renorm::set_momentum(double momentum) {
     SHOG_REQUIRE(momentum > 0.0 && momentum <= 1.0, "momentum must lie in (0, 1]");
     momentum_ = momentum;
@@ -68,8 +80,9 @@ void normalize_eval(const double* x, const double* mean, const double* inv_std,
 } // namespace
 
 void Batch_renorm::require_widths() const {
-    SHOG_REQUIRE(gamma_.value.size() == features_ && gamma_.grad.size() == features_ &&
-                     beta_.value.size() == features_ && beta_.grad.size() == features_ &&
+    const auto grad_ok = [this](const Tensor& g) { return g.empty() || g.size() == features_; };
+    SHOG_REQUIRE(gamma_.value->size() == features_ && grad_ok(gamma_.grad) &&
+                     beta_.value->size() == features_ && grad_ok(beta_.grad) &&
                      running_mean_.size() == features_ && running_var_.size() == features_,
                  "Batch_renorm parameter width drift");
 }
@@ -80,8 +93,8 @@ Tensor Batch_renorm::forward(const Tensor& input, bool training) {
     const std::size_t m = input.rows();
     const std::size_t f = features_;
     cached_training_ = training && m > 1;
-    const double* gamma = gamma_.value.data();
-    const double* beta = beta_.value.data();
+    const double* gamma = gamma_.value->data();
+    const double* beta = beta_.value->data();
     double* run_mean = running_mean_.data();
     double* run_var = running_var_.data();
 
@@ -157,7 +170,7 @@ Tensor Batch_renorm::infer(const Tensor& input) const {
     }
     Tensor out{m, features_};
     normalize_eval<false>(input.data(), running_mean_.data(), inv_std.data(),
-                          gamma_.value.data(), beta_.value.data(), nullptr, out.data(), m,
+                          gamma_.value->data(), beta_.value->data(), nullptr, out.data(), m,
                           features_);
     return out;
 }
@@ -177,11 +190,11 @@ Tensor Batch_renorm::backward(const Tensor& grad_output) {
     const double md = static_cast<double>(m);
     const double* g = grad_output.data();
     const double* xhat = cached_xhat_.data();
-    const double* gamma = gamma_.value.data();
+    const double* gamma = gamma_.value->data();
     const double* inv_std = cached_inv_std_.data();
 
-    double* gamma_grad = gamma_.grad.data();
-    double* beta_grad = beta_.grad.data();
+    double* gamma_grad = gamma_.grad_accumulator().data();
+    double* beta_grad = beta_.grad_accumulator().data();
     for (std::size_t r = 0; r < m; ++r) {
         const double* gr = g + r * f;
         const double* hr = xhat + r * f;
@@ -242,15 +255,7 @@ Tensor Batch_renorm::backward(const Tensor& grad_output) {
 }
 
 std::unique_ptr<Layer> Batch_renorm::clone() const {
-    auto copy = std::make_unique<Batch_renorm>(features_, momentum_, epsilon_, r_max_, d_max_);
-    copy->gamma_.value = gamma_.value;
-    copy->beta_.value = beta_.value;
-    copy->gamma_.lr_scale = gamma_.lr_scale;
-    copy->beta_.lr_scale = beta_.lr_scale;
-    copy->running_mean_ = running_mean_;
-    copy->running_var_ = running_var_;
-    copy->update_running_stats_ = update_running_stats_;
-    return copy;
+    return std::unique_ptr<Batch_renorm>(new Batch_renorm(*this));
 }
 
 } // namespace shog::nn

@@ -48,9 +48,12 @@ public:
     [[nodiscard]] const Tensor& running_var() const noexcept { return running_var_; }
 
 private:
-    /// Throws unless gamma, beta, their gradients and the running
-    /// statistics all hold features_ values: the per-column loops index
-    /// them unchecked, and Parameter's tensors are public.
+    Batch_renorm(const Batch_renorm& other); // used by clone()
+
+    /// Throws unless gamma, beta and the running statistics all hold
+    /// features_ values, and each gradient holds features_ or none yet: the
+    /// per-column loops index them unchecked, and Parameter's tensors are
+    /// public.
     void require_widths() const;
 
     std::size_t features_;

@@ -58,13 +58,14 @@ Gradcheck_report gradcheck_layer(Layer& layer, const Tensor& input, Rng& rng, bo
     // Parameter gradients by central differences.
     std::size_t param_index = 0;
     for (Parameter* p : layer.parameters()) {
-        for (std::size_t i = 0; i < p->value.size(); ++i) {
-            const double saved = p->value.at(i);
-            p->value.at(i) = saved + step;
+        Tensor& value = p->value.mut();
+        for (std::size_t i = 0; i < value.size(); ++i) {
+            const double saved = value.at(i);
+            value.at(i) = saved + step;
             const double plus = probe_loss(layer, input, probe, training);
-            p->value.at(i) = saved - step;
+            value.at(i) = saved - step;
             const double minus = probe_loss(layer, input, probe, training);
-            p->value.at(i) = saved;
+            value.at(i) = saved;
             const double numeric = (plus - minus) / (2.0 * step);
             report.max_param_grad_error =
                 std::max(report.max_param_grad_error,

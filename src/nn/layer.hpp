@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/shared_tensor.hpp"
 #include "tensor/tensor.hpp"
 
 namespace shog::nn {
@@ -24,15 +25,35 @@ namespace shog::nn {
 /// A trainable tensor plus its gradient accumulator.
 struct Parameter {
     std::string name;
-    Tensor value;
+    /// Shared with the clones of this parameter until one of them writes.
+    Shared_tensor value;
+    /// Empty until the first zero_grad() or grad_accumulator(), so a clone
+    /// that never trains holds no gradient storage.
     Tensor grad;
     /// Multiplies the optimizer learning rate; 0 freezes the parameter.
     double lr_scale = 1.0;
 
-    Parameter(std::string n, Tensor v)
-        : name{std::move(n)}, value{std::move(v)}, grad{value.shape()} {}
+    Parameter(std::string n, Tensor v) : name{std::move(n)}, value{std::move(v)} {}
 
-    void zero_grad() noexcept { grad.fill(0.0); }
+    /// A parameter reading the same weights, with no gradient storage.
+    [[nodiscard]] Parameter share() const {
+        Parameter copy{name, value};
+        copy.lr_scale = lr_scale;
+        return copy;
+    }
+
+    void zero_grad() { grad_accumulator().fill(0.0); }
+
+    /// The gradient for backward() to add into; zeros if none is allocated.
+    [[nodiscard]] Tensor& grad_accumulator() {
+        if (grad.shape() != value->shape()) {
+            grad = Tensor{value->shape()};
+        }
+        return grad;
+    }
+
+private:
+    Parameter(std::string n, Shared_tensor v) : name{std::move(n)}, value{std::move(v)} {}
 };
 
 class Layer {
@@ -61,7 +82,8 @@ public:
     /// Mutable views of the trainable parameters (empty for stateless layers).
     [[nodiscard]] virtual std::vector<Parameter*> parameters() { return {}; }
 
-    /// Deep copy (used by the AMS baseline to fine-tune a cloud-side clone).
+    /// Copy whose parameters share this layer's weight buffers until either
+    /// writes (Parameter::value); gradients and caches are not copied.
     [[nodiscard]] virtual std::unique_ptr<Layer> clone() const = 0;
 
     /// Feature width of the layer output (0 when shape-preserving).

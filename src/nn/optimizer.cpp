@@ -17,15 +17,16 @@ void Sgd::step(const std::vector<Parameter*>& params) {
         if (p->lr_scale == 0.0) {
             continue;
         }
-        SHOG_REQUIRE(p->grad.shape() == p->value.shape(), "parameter gradient shape mismatch");
+        SHOG_REQUIRE(p->grad.shape() == p->value->shape(), "parameter gradient shape mismatch");
         const double lr = config_.learning_rate * p->lr_scale;
-        auto [it, inserted] = velocity_.try_emplace(p, p->value.shape());
+        Tensor& value = p->value.mut();
+        auto [it, inserted] = velocity_.try_emplace(p, value.shape());
         Tensor& vel = it->second;
-        SHOG_CHECK(vel.shape() == p->value.shape(), "optimizer state shape drift");
-        double* w = p->value.data();
+        SHOG_CHECK(vel.shape() == value.shape(), "optimizer state shape drift");
+        double* w = value.data();
         const double* g = p->grad.data();
         double* v = vel.data();
-        const std::size_t n = p->value.size();
+        const std::size_t n = value.size();
         const double momentum = config_.momentum;
         const double decay = config_.weight_decay;
         if (decay > 0.0) {

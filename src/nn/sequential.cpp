@@ -1,5 +1,8 @@
 #include "nn/sequential.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "nn/batchnorm.hpp"
 
 namespace shog::nn {
@@ -125,9 +128,10 @@ std::size_t Sequential::output_width() const {
 
 std::vector<double> Sequential::state_vector() const {
     std::vector<double> state;
+    state.reserve(state_size());
     for (const Entry& e : entries_) {
         for (Parameter* p : e.layer->parameters()) {
-            const auto& storage = p->value.storage();
+            const auto& storage = p->value->storage();
             state.insert(state.end(), storage.begin(), storage.end());
         }
         // Normalization running stats are part of the deployable model.
@@ -141,22 +145,41 @@ std::vector<double> Sequential::state_vector() const {
     return state;
 }
 
-void Sequential::load_state_vector(const std::vector<double>& state) {
-    std::size_t offset = 0;
-    auto take = [&](Tensor& dst) {
-        SHOG_REQUIRE(offset + dst.size() <= state.size(), "state vector too short");
-        for (std::size_t i = 0; i < dst.size(); ++i) {
-            dst.at(i) = state[offset + i];
+std::size_t Sequential::state_size() const {
+    std::size_t n = 0;
+    for (const Entry& e : entries_) {
+        for (const Parameter* p : e.layer->parameters()) {
+            n += p->value->size();
         }
-        offset += dst.size();
+        if (const auto* brn = dynamic_cast<const Batch_renorm*>(e.layer.get())) {
+            n += brn->running_mean().size() + brn->running_var().size();
+        }
+    }
+    return n;
+}
+
+void Sequential::load_state_vector(std::span<const double> state) {
+    std::size_t offset = 0;
+    auto take = [&](std::size_t n) {
+        SHOG_REQUIRE(offset + n <= state.size(), "state vector too short");
+        const std::span<const double> slice = state.subspan(offset, n);
+        offset += n;
+        return slice;
     };
     for (Entry& e : entries_) {
         for (Parameter* p : e.layer->parameters()) {
-            take(p->value);
+            // Equal bits leave the buffer shared with the clones that hold it.
+            const std::span<const double> slice = take(p->value->size());
+            if (!slice.empty() &&
+                std::memcmp(slice.data(), p->value->data(), slice.size_bytes()) != 0) {
+                std::copy(slice.begin(), slice.end(), p->value.mut().data());
+            }
         }
         if (auto* brn = dynamic_cast<Batch_renorm*>(e.layer.get())) {
-            take(const_cast<Tensor&>(brn->running_mean()));
-            take(const_cast<Tensor&>(brn->running_var()));
+            for (const Tensor* stats : {&brn->running_mean(), &brn->running_var()}) {
+                const std::span<const double> slice = take(stats->size());
+                std::copy(slice.begin(), slice.end(), const_cast<Tensor*>(stats)->data());
+            }
         }
     }
     SHOG_REQUIRE(offset == state.size(), "state vector too long");

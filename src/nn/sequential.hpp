@@ -11,6 +11,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,8 +70,12 @@ public:
 
     /// Flattened copy of all parameter values (optimizer state excluded).
     [[nodiscard]] std::vector<double> state_vector() const;
-    /// Restore from state_vector() output; sizes must match exactly.
-    void load_state_vector(const std::vector<double>& state);
+    /// Length of state_vector(), without building it.
+    [[nodiscard]] std::size_t state_size() const;
+    /// Restore from state_vector() output; sizes must match exactly. A
+    /// parameter whose bits already match is not written, so it stays
+    /// shared with its clones.
+    void load_state_vector(std::span<const double> state);
 
 private:
     struct Entry {

@@ -110,10 +110,10 @@ TEST(DetectorNet, CloneMatchesAndDetaches) {
     const Tensor x = Tensor::randn({2, 16}, rng);
     EXPECT_LT(max_abs_diff(net.infer(x).class_probs, copy->infer(x).class_probs), 1e-12);
     // Mutate original; clone unchanged.
-    for (nn::Parameter* p : net.trunk().parameters()) {
-        p->value *= 1.5;
-    }
     const auto before = copy->infer(x).class_probs;
+    for (nn::Parameter* p : net.trunk().parameters()) {
+        p->value.mut() *= 1.5;
+    }
     const auto after = copy->infer(x).class_probs;
     EXPECT_LT(max_abs_diff(before, after), 1e-15);
 }
@@ -212,8 +212,9 @@ TEST(Pretrain, ImprovesClassifierAccuracy) {
     const auto dataset = synth_dataset(world, det.config(), cfg);
     const double before = classifier_accuracy(det, dataset);
     const Pretrain_report report = pretrain(det, dataset, cfg);
-    EXPECT_GT(report.train_accuracy, before + 0.2);
-    EXPECT_GT(report.train_accuracy, 0.75);
+    const double after = classifier_accuracy(det, dataset);
+    EXPECT_GT(after, before + 0.2);
+    EXPECT_GT(after, 0.75);
     EXPECT_EQ(report.samples, dataset.size());
 }
 

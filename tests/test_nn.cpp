@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -30,8 +31,8 @@ using testing::randn_with_zeros;
 TEST(Dense, ForwardHandComputed) {
     Rng rng{1};
     Dense d{2, 2, rng};
-    d.weight().value = Tensor::from_rows({{1.0, 2.0}, {3.0, 4.0}});
-    d.bias().value = Tensor::from_vector({0.5, -0.5});
+    d.weight().value.mut() = Tensor::from_rows({{1.0, 2.0}, {3.0, 4.0}});
+    d.bias().value.mut() = Tensor::from_vector({0.5, -0.5});
     const Tensor x = Tensor::from_rows({{1.0, 1.0}});
     const Tensor y = d.forward(x, true);
     EXPECT_DOUBLE_EQ(y.at(0, 0), 4.5);  // 1*1 + 1*3 + 0.5
@@ -59,7 +60,7 @@ TEST(Dense, CloneIsIndependent) {
     const Tensor y2 = copy->forward(x, false);
     EXPECT_LT(max_abs_diff(y1, y2), 1e-14);
     // Mutating the original must not affect the clone.
-    d.weight().value *= 2.0;
+    d.weight().value.mut() *= 2.0;
     const Tensor y3 = copy->forward(x, false);
     EXPECT_LT(max_abs_diff(y2, y3), 1e-14);
 }
@@ -320,13 +321,14 @@ Tensor reference_tanh_backward(const Tensor& grad_output, const Tensor& y) {
 
 void reference_sgd_step(const Sgd_config& config, Parameter& p, Tensor& vel) {
     const double lr = config.learning_rate * p.lr_scale;
-    for (std::size_t i = 0; i < p.value.size(); ++i) {
+    Tensor& w = p.value.mut();
+    for (std::size_t i = 0; i < w.size(); ++i) {
         double g = p.grad.at(i);
         if (config.weight_decay > 0.0) {
-            g += config.weight_decay * p.value.at(i);
+            g += config.weight_decay * w.at(i);
         }
         vel.at(i) = config.momentum * vel.at(i) - lr * g;
-        p.value.at(i) += vel.at(i);
+        w.at(i) += vel.at(i);
     }
 }
 
@@ -501,9 +503,9 @@ TEST_P(KernelReference, SgdStepMatches) {
         const Sgd_config config{0.05, 0.9, decay};
         Parameter got{"w", randn_with_zeros(rows, width, rng)};
         got.lr_scale = 0.5;
-        Parameter want{"w", got.value};
+        Parameter want{"w", *got.value};
         want.lr_scale = got.lr_scale;
-        Tensor want_vel{got.value.shape()};
+        Tensor want_vel{got.value->shape()};
         Sgd sgd{config};
         // Three steps, so that momentum carries velocity between them.
         for (int step = 0; step < 3; ++step) {
@@ -511,7 +513,7 @@ TEST_P(KernelReference, SgdStepMatches) {
             want.grad = got.grad;
             sgd.step({&got});
             reference_sgd_step(config, want, want_vel);
-            expect_bit_identical(got.value, want.value);
+            expect_bit_identical(*got.value, *want.value);
         }
     }
 }
@@ -523,10 +525,10 @@ TEST_P(KernelReference, BatchRenormMatches) {
     Reference_batch_renorm ref{width};
     // Learned-looking gamma and beta, zeros of either sign included.
     const std::vector<Parameter*> params = brn.parameters();
-    params[0]->value = randn_with_zeros(1, width, rng).reshaped({width});
-    params[1]->value = randn_with_zeros(1, width, rng).reshaped({width});
-    ref.gamma = params[0]->value;
-    ref.beta = params[1]->value;
+    params[0]->value.mut() = randn_with_zeros(1, width, rng).reshaped({width});
+    params[1]->value.mut() = randn_with_zeros(1, width, rng).reshaped({width});
+    ref.gamma = *params[0]->value;
+    ref.beta = *params[1]->value;
 
     // Training passes move the running statistics; the first input is far
     // from them, so r and d clamp in some columns.
@@ -558,7 +560,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, KernelReference,
 
 TEST(BatchRenorm, ParameterWidthChecked) {
     Batch_renorm brn{3};
-    brn.parameters()[0]->value = Tensor::full({2}, 1.0);
+    brn.parameters()[0]->value.mut() = Tensor::full({2}, 1.0);
     const Tensor x = Tensor::full({2, 3}, 1.0);
     EXPECT_THROW((void)brn.forward(x, true), std::invalid_argument);
     EXPECT_THROW((void)brn.infer(x), std::invalid_argument);
@@ -680,6 +682,169 @@ TEST(Sequential, StateVectorIncludesNormStats) {
     EXPECT_EQ(n, 6u + 2u + 2u + 2u + 2u);
 }
 
+// ------------------------------------------------------ shared weights ----
+
+Sequential make_normed_mlp(Rng& rng) {
+    Sequential seq;
+    seq.add("fc1", std::make_unique<Dense>(4, 8, rng));
+    seq.add("fc1", std::make_unique<Batch_renorm>(8));
+    seq.add("fc1", std::make_unique<Leaky_relu>(0.1));
+    seq.add("head", std::make_unique<Dense>(8, 3, rng));
+    return seq;
+}
+
+std::unique_ptr<Sequential> clone_of(const Sequential& net) {
+    return std::unique_ptr<Sequential>(static_cast<Sequential*>(net.clone().release()));
+}
+
+/// Whether each parameter of `a` reads the same buffer as its twin in `b`.
+std::vector<bool> shared_buffers(Sequential& a, Sequential& b) {
+    const std::vector<Parameter*> pa = a.parameters();
+    const std::vector<Parameter*> pb = b.parameters();
+    EXPECT_EQ(pa.size(), pb.size());
+    std::vector<bool> shared;
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+        shared.push_back(pa[i]->value->data() == pb[i]->value->data());
+    }
+    return shared;
+}
+
+void train_steps(Sequential& net, std::uint64_t seed, int steps) {
+    Rng rng{seed};
+    Sgd opt{Sgd_config{0.05, 0.9, 1e-4}};
+    const std::vector<std::size_t> labels = {0, 1, 2, 0, 1, 2};
+    for (int s = 0; s < steps; ++s) {
+        const Tensor x = Tensor::randn({labels.size(), 4}, rng);
+        net.zero_grad();
+        const Loss_result r = softmax_cross_entropy(net.forward(x, true), labels);
+        (void)net.backward(r.grad);
+        opt.step(net.parameters());
+    }
+}
+
+void expect_same_state(const std::vector<double>& got, const std::vector<double>& want) {
+    expect_bit_identical(Tensor::from_vector(got), Tensor::from_vector(want));
+}
+
+TEST(SharedWeights, CloneSharesValueBuffers) {
+    Rng rng{60};
+    Sequential source = make_normed_mlp(rng);
+    const auto copy = clone_of(source);
+    EXPECT_EQ(shared_buffers(source, *copy), std::vector<bool>(6, true));
+    // Running statistics are per-layer state, never shared.
+    EXPECT_NE(dynamic_cast<Batch_renorm&>(source.layer(1)).running_mean().data(),
+              dynamic_cast<Batch_renorm&>(copy->layer(1)).running_mean().data());
+}
+
+TEST(SharedWeights, FreshCloneHoldsNoGradients) {
+    Rng rng{61};
+    Sequential source = make_normed_mlp(rng);
+    train_steps(source, 1, 1);
+    const auto copy = clone_of(source);
+    for (const Parameter* p : source.parameters()) {
+        EXPECT_EQ(p->grad.size(), p->value->size());
+    }
+    for (const Parameter* p : copy->parameters()) {
+        EXPECT_TRUE(p->grad.empty()) << p->name;
+    }
+    // A first step allocates them.
+    train_steps(*copy, 2, 1);
+    for (const Parameter* p : copy->parameters()) {
+        EXPECT_EQ(p->grad.size(), p->value->size());
+    }
+}
+
+TEST(SharedWeights, SgdStepUnsharesOnlySteppedParameters) {
+    Rng rng{62};
+    Sequential source = make_normed_mlp(rng);
+    const std::vector<double> before = source.state_vector();
+    const auto copy = clone_of(source);
+    copy->set_lr_scale_range(0, 1, 0.0); // freeze fc1's Dense
+    train_steps(*copy, 3, 2);
+    EXPECT_EQ(shared_buffers(source, *copy),
+              (std::vector<bool>{true, true, false, false, false, false}));
+    expect_same_state(source.state_vector(), before);
+}
+
+TEST(SharedWeights, LoadStateVectorUnsharesOnlyDifferentBits) {
+    Rng rng{63};
+    Sequential source = make_normed_mlp(rng);
+    const std::vector<double> before = source.state_vector();
+    const auto copy = clone_of(source);
+    std::vector<double> state = before;
+    // fc1's bias starts at +0.0; -0.0 compares equal but differs in bits.
+    ASSERT_EQ(std::signbit(state[4 * 8]), false);
+    state[4 * 8] = -0.0;
+    copy->load_state_vector(state);
+    EXPECT_EQ(shared_buffers(source, *copy),
+              (std::vector<bool>{true, false, true, true, true, true}));
+    expect_same_state(copy->state_vector(), state);
+    expect_same_state(source.state_vector(), before);
+}
+
+TEST(SharedWeights, LoadStateVectorWithEqualBitsKeepsSharing) {
+    Rng rng{64};
+    Sequential source = make_normed_mlp(rng);
+    train_steps(source, 4, 2); // moves the running statistics too
+    const auto copy = clone_of(source);
+    copy->load_state_vector(source.state_vector());
+    EXPECT_EQ(shared_buffers(source, *copy), std::vector<bool>(6, true));
+}
+
+TEST(SharedWeights, GradcheckUnsharesAndLeavesSourceIntact) {
+    Rng rng{65};
+    Dense source{3, 2, rng};
+    const Tensor weight_before = *source.weight().value;
+    const Tensor bias_before = *source.bias().value;
+    const auto copy = source.clone();
+    const Tensor x = Tensor::randn({4, 3}, rng);
+    const Gradcheck_report report = gradcheck_layer(*copy, x, rng, true);
+    EXPECT_LT(report.max_param_grad_error, 1e-6);
+    const std::vector<Parameter*> copied = copy->parameters();
+    EXPECT_NE(copied[0]->value->data(), source.weight().value->data());
+    EXPECT_NE(copied[1]->value->data(), source.bias().value->data());
+    expect_bit_identical(*source.weight().value, weight_before);
+    expect_bit_identical(*source.bias().value, bias_before);
+}
+
+TEST(SharedWeights, ThreadsTrainOwnClonesLikeSequentialRun) {
+    const auto run = [](bool threaded) {
+        Rng rng{66};
+        auto source = std::make_unique<Sequential>(make_normed_mlp(rng));
+        std::vector<std::unique_ptr<Sequential>> clones;
+        for (int i = 0; i < 4; ++i) {
+            clones.push_back(clone_of(*source));
+        }
+        // With the source gone, the last clone to step holds its buffers
+        // alone and writes them in place after the others copied them.
+        source.reset();
+        if (threaded) {
+            std::vector<std::thread> workers;
+            for (std::size_t i = 0; i < clones.size(); ++i) {
+                workers.emplace_back([&clones, i] { train_steps(*clones[i], 100 + i, 4); });
+            }
+            for (std::thread& w : workers) {
+                w.join();
+            }
+        } else {
+            for (std::size_t i = 0; i < clones.size(); ++i) {
+                train_steps(*clones[i], 100 + i, 4);
+            }
+        }
+        std::vector<std::vector<double>> states;
+        for (const auto& c : clones) {
+            states.push_back(c->state_vector());
+        }
+        return states;
+    };
+    const auto sequential = run(false);
+    const auto threaded = run(true);
+    ASSERT_EQ(threaded.size(), sequential.size());
+    for (std::size_t i = 0; i < sequential.size(); ++i) {
+        expect_same_state(threaded[i], sequential[i]);
+    }
+}
+
 // ----------------------------------------------------------------- loss ----
 
 TEST(Softmax, RowsSumToOne) {
@@ -777,7 +942,7 @@ TEST(SmoothL1, AllMaskedIsZero) {
 TEST(Sgd, SkipsFrozenParameters) {
     Rng rng{40};
     Dense d{2, 2, rng};
-    const Tensor w_before = d.weight().value;
+    const Tensor w_before = *d.weight().value;
     d.weight().lr_scale = 0.0;
     d.bias().lr_scale = 1.0;
     const Tensor x = Tensor::randn({4, 2}, rng);
@@ -787,15 +952,15 @@ TEST(Sgd, SkipsFrozenParameters) {
     (void)d.backward(g);
     Sgd opt{Sgd_config{0.1, 0.0, 0.0}};
     opt.step(d.parameters());
-    EXPECT_EQ(max_abs_diff(d.weight().value, w_before), 0.0);
-    EXPECT_GT(d.bias().value.at(0) * d.bias().value.at(0), 0.0); // bias moved
+    EXPECT_EQ(max_abs_diff(*d.weight().value, w_before), 0.0);
+    EXPECT_GT(d.bias().value->at(0) * d.bias().value->at(0), 0.0); // bias moved
 }
 
 TEST(Sgd, GradientDescentStep) {
     Rng rng{41};
     Dense d{1, 1, rng};
-    d.weight().value.at(0) = 2.0;
-    d.bias().value.at(0) = 0.0;
+    d.weight().value.mut().at(0) = 2.0;
+    d.bias().value.mut().at(0) = 0.0;
     d.bias().lr_scale = 0.0;
     // loss = output with input 1 -> dL/dw = 1
     Tensor x = Tensor::from_rows({{1.0}});
@@ -805,13 +970,13 @@ TEST(Sgd, GradientDescentStep) {
     (void)d.backward(g);
     Sgd opt{Sgd_config{0.5, 0.0, 0.0}};
     opt.step(d.parameters());
-    EXPECT_NEAR(d.weight().value.at(0), 1.5, 1e-12);
+    EXPECT_NEAR(d.weight().value->at(0), 1.5, 1e-12);
 }
 
 TEST(Sgd, MomentumAccumulates) {
     Rng rng{42};
     Dense d{1, 1, rng};
-    d.weight().value.at(0) = 0.0;
+    d.weight().value.mut().at(0) = 0.0;
     d.bias().lr_scale = 0.0;
     Sgd opt{Sgd_config{0.1, 0.9, 0.0}};
     Tensor x = Tensor::from_rows({{1.0}});
@@ -824,22 +989,22 @@ TEST(Sgd, MomentumAccumulates) {
         g.at(0, 0) = 1.0;
         (void)d.backward(g);
         opt.step(d.parameters());
-        const double step = prev_w - d.weight().value.at(0);
+        const double step = prev_w - d.weight().value->at(0);
         EXPECT_GT(step, prev_step); // velocity builds up
         prev_step = step;
-        prev_w = d.weight().value.at(0);
+        prev_w = d.weight().value->at(0);
     }
 }
 
 TEST(Sgd, WeightDecayShrinksWeights) {
     Rng rng{43};
     Dense d{1, 1, rng};
-    d.weight().value.at(0) = 1.0;
+    d.weight().value.mut().at(0) = 1.0;
     d.bias().lr_scale = 0.0;
     Sgd opt{Sgd_config{0.1, 0.0, 0.5}};
     d.zero_grad(); // zero gradient; only decay acts
     opt.step(d.parameters());
-    EXPECT_NEAR(d.weight().value.at(0), 1.0 - 0.1 * 0.5, 1e-12);
+    EXPECT_NEAR(d.weight().value->at(0), 1.0 - 0.1 * 0.5, 1e-12);
 }
 
 TEST(Sgd, ConfigValidation) {

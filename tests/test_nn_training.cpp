@@ -149,7 +149,7 @@ TEST(Training, FrozenFrontStillConverges) {
     net.add("front_act", std::make_unique<Leaky_relu>(0.1));
     net.add("head", std::make_unique<Dense>(8, 2, rng));
     net.set_lr_scale_range(0, 2, 0.0);
-    const Tensor w_front_before = dynamic_cast<Dense&>(net.layer(0)).weight().value;
+    const Tensor w_front_before = *dynamic_cast<Dense&>(net.layer(0)).weight().value;
 
     Tensor x{80, 2};
     std::vector<std::size_t> y(80);
@@ -163,7 +163,7 @@ TEST(Training, FrozenFrontStillConverges) {
     (void)train_classifier(net, x, y, 400, 0.05);
     EXPECT_GE(accuracy(net, x, y), 0.92);
     // Front layer untouched.
-    EXPECT_EQ(max_abs_diff(dynamic_cast<Dense&>(net.layer(0)).weight().value,
+    EXPECT_EQ(max_abs_diff(*dynamic_cast<Dense&>(net.layer(0)).weight().value,
                            w_front_before),
               0.0);
 }
@@ -204,7 +204,7 @@ TEST(Training, IdenticalRunsProduceBitIdenticalWeights) {
         }
         std::vector<Tensor> weights;
         for (const Parameter* p : net.parameters()) {
-            weights.push_back(p->value);
+            weights.push_back(*p->value);
         }
         return weights;
     };
