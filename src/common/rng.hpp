@@ -48,12 +48,6 @@ public:
         return static_cast<std::size_t>(next_u64() % n);
     }
 
-    /// Uniform integer in [lo, hi] inclusive.
-    [[nodiscard]] int uniform_int(int lo, int hi) {
-        SHOG_REQUIRE(lo <= hi, "uniform_int() empty range");
-        return lo + static_cast<int>(index(static_cast<std::size_t>(hi - lo) + 1));
-    }
-
     /// Standard normal via Box-Muller (deterministic across platforms).
     [[nodiscard]] double gaussian() noexcept {
         if (has_spare_) {

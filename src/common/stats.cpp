@@ -7,45 +7,6 @@
 
 namespace shog {
 
-void Running_stats::add(double x) noexcept {
-    if (n_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-void Running_stats::merge(const Running_stats& other) noexcept {
-    if (other.n_ == 0) {
-        return;
-    }
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    n_ += other.n_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-double Running_stats::variance() const noexcept {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double Running_stats::stddev() const noexcept { return std::sqrt(variance()); }
-
 double quantile(std::vector<double> values, double q) {
     SHOG_REQUIRE(!values.empty(), "quantile of empty sample");
     SHOG_REQUIRE(q >= 0.0 && q <= 1.0, "quantile level must lie in [0, 1]");
@@ -65,16 +26,6 @@ Ecdf::Ecdf(std::vector<double> samples) : sorted_{std::move(samples)} {
 double Ecdf::at(double x) const noexcept {
     const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
     return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
-}
-
-double Ecdf::inverse(double p) const {
-    SHOG_REQUIRE(p >= 0.0 && p <= 1.0, "ECDF inverse level must lie in [0, 1]");
-    if (p <= 0.0) {
-        return sorted_.front();
-    }
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(p * static_cast<double>(sorted_.size())));
-    return sorted_[std::min(rank, sorted_.size()) - 1];
 }
 
 Moving_average::Moving_average(std::size_t capacity) : capacity_{capacity} {

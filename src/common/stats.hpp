@@ -1,35 +1,12 @@
-// Small statistics toolkit: running moments, quantiles, empirical CDFs,
-// and windowed averages. Used by the metrics collectors and the adaptive
-// sampling controller.
+// Small statistics toolkit: quantiles, empirical CDFs and windowed
+// averages. Used by the metrics collectors and the adaptive sampling
+// controller.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace shog {
-
-/// Numerically stable running mean/variance (Welford).
-class Running_stats {
-public:
-    void add(double x) noexcept;
-    void merge(const Running_stats& other) noexcept;
-
-    [[nodiscard]] std::size_t count() const noexcept { return n_; }
-    [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
-    [[nodiscard]] double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
-    [[nodiscard]] double variance() const noexcept;
-    [[nodiscard]] double stddev() const noexcept;
-    [[nodiscard]] double min() const noexcept { return min_; }
-    [[nodiscard]] double max() const noexcept { return max_; }
-    [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(n_); }
-
-private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /// Linear-interpolated quantile of a sample (the R-7 estimator, the same
 /// definition NumPy uses by default). q in [0, 1]. Throws on empty input.
@@ -42,9 +19,6 @@ public:
 
     /// P(X <= x).
     [[nodiscard]] double at(double x) const noexcept;
-    /// Inverse CDF (quantile) for p in [0, 1].
-    [[nodiscard]] double inverse(double p) const;
-    [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }
 
 private:
     std::vector<double> sorted_;
@@ -57,8 +31,6 @@ public:
 
     void add(double x);
     [[nodiscard]] double mean() const noexcept;
-    [[nodiscard]] std::size_t count() const noexcept { return buffer_.size(); }
-    [[nodiscard]] bool full() const noexcept { return buffer_.size() == capacity_; }
 
 private:
     std::size_t capacity_;

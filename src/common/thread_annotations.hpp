@@ -67,7 +67,6 @@ public:
 
     void lock() SHOG_ACQUIRE() { mutex_.lock(); }
     void unlock() SHOG_RELEASE() { mutex_.unlock(); }
-    [[nodiscard]] bool try_lock() SHOG_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
 private:
     std::mutex mutex_;

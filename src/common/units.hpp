@@ -245,14 +245,6 @@ constexpr double k_bits_per_byte = 8.0;
                : Kbps{};
 }
 
-/// kilobits per second sustained for a duration -> bytes.
-[[nodiscard]] constexpr Bytes kbps_to_bytes(Kbps kbps, Sim_duration duration) noexcept {
-    return Bytes{kbps.value() * 1000.0 / k_bits_per_byte * duration.value()};
-}
-
-[[nodiscard]] constexpr Bytes kib(double n) noexcept { return Bytes{n * 1024.0}; }
-[[nodiscard]] constexpr Bytes mib(double n) noexcept { return Bytes{n * 1024.0 * 1024.0}; }
-
 /// Transmission delay of a payload over a link of `mbps` megabits/second.
 [[nodiscard]] constexpr Sim_duration transmit_seconds(Bytes bytes, double mbps) noexcept {
     return mbps > 0.0 ? Sim_duration{(bytes.value() * k_bits_per_byte) / (mbps * 1e6)}

@@ -112,7 +112,7 @@ private:
     models::Detector& student_;
     Online_labeler labeler_;
     Sampling_controller controller_;
-    device::Resource_monitor resource_monitor_{Sim_duration{1.0}};
+    device::Resource_monitor resource_monitor_;
     Drift_estimator drift_;
     Rng label_rng_{0x1abe1};
     double upload_resolution_;

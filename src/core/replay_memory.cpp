@@ -10,11 +10,6 @@ Replay_memory::Replay_memory(std::size_t capacity) : capacity_{capacity} {
     samples_.reserve(capacity);
 }
 
-const models::Labeled_sample& Replay_memory::at(std::size_t i) const {
-    SHOG_REQUIRE(i < samples_.size(), "replay sample index out of range");
-    return samples_[i];
-}
-
 std::size_t Replay_memory::replacement_count(std::size_t capacity, std::size_t run) {
     SHOG_REQUIRE(run >= 1, "training runs are 1-based");
     return capacity / run; // Algorithm 1 line 7: h = Msize / i
@@ -59,11 +54,6 @@ std::vector<const models::Labeled_sample*> Replay_memory::draw(std::size_t k, Rn
         out.push_back(&samples_[rng.index(samples_.size())]);
     }
     return out;
-}
-
-void Replay_memory::clear() noexcept {
-    samples_.clear();
-    runs_ = 0;
 }
 
 } // namespace shog::core

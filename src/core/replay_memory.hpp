@@ -27,12 +27,10 @@ public:
     void update_after_training(const std::vector<models::Labeled_sample>& batch, Rng& rng);
 
     [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
-    [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
     [[nodiscard]] bool full() const noexcept { return samples_.size() == capacity_; }
     [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
     [[nodiscard]] std::size_t training_runs() const noexcept { return runs_; }
 
-    [[nodiscard]] const models::Labeled_sample& at(std::size_t i) const;
     [[nodiscard]] const std::vector<models::Labeled_sample>& samples() const noexcept {
         return samples_;
     }
@@ -42,8 +40,6 @@ public:
 
     /// The number of replacements Algorithm 1 performs at run i when full.
     [[nodiscard]] static std::size_t replacement_count(std::size_t capacity, std::size_t run);
-
-    void clear() noexcept;
 
 private:
     std::size_t capacity_;

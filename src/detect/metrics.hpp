@@ -75,9 +75,6 @@ public:
     [[nodiscard]] std::vector<std::pair<double, double>> windowed_map(
         double window_seconds) const;
 
-    [[nodiscard]] std::size_t num_classes() const noexcept { return num_classes_; }
-    [[nodiscard]] double iou_threshold() const noexcept { return iou_threshold_; }
-
 private:
     /// Match outcome of one class within one frame.
     struct Class_record {

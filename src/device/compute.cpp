@@ -36,10 +36,6 @@ double Edge_compute::achieved_fps(double video_fps, bool training_active) const 
     return std::min(video_fps, capacity);
 }
 
-Sim_duration Edge_compute::training_wall_seconds(double gflops) const noexcept {
-    return model_.seconds_for_gflops(gflops) / config_.training_share;
-}
-
 double Edge_compute::utilization(double video_fps, bool training_active) const noexcept {
     if (training_active) {
         return 1.0;

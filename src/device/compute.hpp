@@ -53,15 +53,8 @@ public:
     /// Achieved fps for a video of `video_fps` (can't exceed the source).
     [[nodiscard]] double achieved_fps(double video_fps, bool training_active) const noexcept;
 
-    /// Wall-clock duration of a training session of `gflops` total work,
-    /// given that training only gets its share of the device.
-    [[nodiscard]] Sim_duration training_wall_seconds(double gflops) const noexcept;
-
     /// GPU utilization in [0,1] for the lambda resource signal.
     [[nodiscard]] double utilization(double video_fps, bool training_active) const noexcept;
-
-    [[nodiscard]] const Compute_model& model() const noexcept { return model_; }
-    [[nodiscard]] const Edge_contention_config& config() const noexcept { return config_; }
 
 private:
     Compute_model model_;

@@ -26,19 +26,6 @@ double Fps_tracker::average_fps() const noexcept {
     return span > Sim_duration{} ? weighted / span : 0.0;
 }
 
-double Fps_tracker::fps_at(Sim_time t) const noexcept {
-    for (const Sample& s : samples_) {
-        if (t >= s.from && t < s.to) {
-            return s.fps;
-        }
-    }
-    return samples_.empty() ? 0.0 : (t >= samples_.back().to ? samples_.back().fps : 0.0);
-}
-
-Resource_monitor::Resource_monitor(Sim_duration collect_period) : period_{collect_period} {
-    SHOG_REQUIRE(collect_period > Sim_duration{}, "collection period must be positive");
-}
-
 void Resource_monitor::record_until(Sim_time until, double utilization) {
     SHOG_REQUIRE(until >= cursor_, "resource record must move forward in time");
     SHOG_REQUIRE(utilization >= 0.0 && utilization <= 1.0, "utilization must lie in [0, 1]");
@@ -49,8 +36,6 @@ void Resource_monitor::record_until(Sim_time until, double utilization) {
     }
     pending_weighted_ += utilization * span;
     pending_span_ += span;
-    life_weighted_ += utilization * span;
-    life_span_ += span;
 }
 
 double Resource_monitor::drain_average() {
@@ -59,10 +44,6 @@ double Resource_monitor::drain_average() {
     pending_weighted_ = Sim_duration{};
     pending_span_ = Sim_duration{};
     return avg;
-}
-
-double Resource_monitor::lifetime_average() const noexcept {
-    return life_span_ > Sim_duration{} ? life_weighted_ / life_span_ : 0.0;
 }
 
 } // namespace shog::device

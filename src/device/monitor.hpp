@@ -1,7 +1,8 @@
 // Edge-side runtime telemetry: the fps timeline (Fig. 4) and the resource
 // usage signal lambda that the cloud's sampling-rate controller consumes
 // (paper §III-C: "only GPU or CPU resource usage in percent for every
-// second is monitored", with a configurable collection frequency).
+// second is monitored"). The caller sets the collection cadence by when it
+// drains: core::Label_loop drains once per control round.
 #pragma once
 
 #include <vector>
@@ -26,9 +27,6 @@ public:
     };
     [[nodiscard]] const std::vector<Sample>& samples() const noexcept { return samples_; }
 
-    /// fps at a given time (0 if before the first record).
-    [[nodiscard]] double fps_at(Sim_time t) const noexcept;
-
 private:
     std::vector<Sample> samples_;
     Sim_time cursor_;
@@ -37,8 +35,6 @@ private:
 /// Periodic resource-usage collector.
 class Resource_monitor {
 public:
-    explicit Resource_monitor(Sim_duration collect_period = Sim_duration{1.0});
-
     /// Record utilization (in [0,1]) covering the span since the last call.
     void record_until(Sim_time until, double utilization);
 
@@ -46,21 +42,12 @@ public:
     /// drains the accumulator.
     [[nodiscard]] double drain_average();
 
-    /// Mean utilization over everything recorded so far (not drained).
-    [[nodiscard]] double lifetime_average() const noexcept;
-
-    [[nodiscard]] Sim_duration collect_period() const noexcept { return period_; }
-
 private:
-    Sim_duration period_;
     Sim_time cursor_;
     // Pending (since last drain). The weighted accumulators are
     // utilization-scaled spans, still dimensioned as time.
     Sim_duration pending_weighted_;
     Sim_duration pending_span_;
-    // Lifetime.
-    Sim_duration life_weighted_;
-    Sim_duration life_span_;
 };
 
 } // namespace shog::device

@@ -3,15 +3,13 @@
 namespace shog::models {
 
 Deployed_profile::Deployed_profile(std::vector<Stage_cost> trunk_stages,
-                                   double heads_forward_gflops, double model_bytes,
-                                   double update_bytes)
+                                   double heads_forward_gflops, double update_bytes)
     : trunk_stages_{std::move(trunk_stages)},
       heads_forward_gflops_{heads_forward_gflops},
-      model_bytes_{model_bytes},
       update_bytes_{update_bytes} {
     SHOG_REQUIRE(!trunk_stages_.empty(), "profile needs at least one stage");
     SHOG_REQUIRE(heads_forward_gflops_ >= 0.0, "head cost must be non-negative");
-    SHOG_REQUIRE(model_bytes_ > 0.0 && update_bytes_ > 0.0, "model sizes must be positive");
+    SHOG_REQUIRE(update_bytes_ > 0.0, "update size must be positive");
     for (const Stage_cost& s : trunk_stages_) {
         SHOG_REQUIRE(s.forward_gflops >= 0.0, "stage cost must be non-negative");
     }
@@ -30,8 +28,7 @@ Deployed_profile Deployed_profile::yolov4_resnet18() {
             {"pool", 0.03}, // global pooling: negligible FLOPs
         },
         /*heads_forward_gflops=*/0.008,
-        /*model_bytes=*/44.0 * 1024 * 1024,    // ~22M params fp16
-        /*update_bytes=*/1.25 * 1024 * 1024};  // quantized delta per AMS update
+        /*update_bytes=*/1.25 * 1024 * 1024}; // quantized delta per AMS update
 }
 
 Deployed_profile Deployed_profile::mask_rcnn_resnext101() {
@@ -46,7 +43,6 @@ Deployed_profile Deployed_profile::mask_rcnn_resnext101() {
             {"pool", 10.0},
         },
         /*heads_forward_gflops=*/10.0,
-        /*model_bytes=*/340.0 * 1024 * 1024,
         /*update_bytes=*/340.0 * 1024 * 1024};
 }
 

@@ -25,7 +25,7 @@ struct Stage_cost {
 class Deployed_profile {
 public:
     Deployed_profile(std::vector<Stage_cost> trunk_stages, double heads_forward_gflops,
-                     double model_bytes, double update_bytes);
+                     double update_bytes);
 
     /// YOLOv4 with ResNet18 backbone at 512x512 (the paper's student).
     [[nodiscard]] static Deployed_profile yolov4_resnet18();
@@ -61,13 +61,11 @@ public:
     /// "stem" -> 1, ..., "pool" -> stage_count().
     [[nodiscard]] std::size_t cut_stage_for(const std::string& replay_stage) const;
 
-    [[nodiscard]] double model_bytes() const noexcept { return model_bytes_; }
     [[nodiscard]] double update_bytes() const noexcept { return update_bytes_; }
 
 private:
     std::vector<Stage_cost> trunk_stages_;
     double heads_forward_gflops_;
-    double model_bytes_;
     double update_bytes_;
 };
 

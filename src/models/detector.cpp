@@ -172,20 +172,6 @@ void Detector_net::load_state_vector(std::span<const double> state) {
     box_head_->load_state_vector(state.subspan(trunk_n + cls_n));
 }
 
-void Detector_net::reinit_heads(Rng& rng) {
-    const std::size_t trunk_width = trunk_->output_width();
-    const std::size_t hidden = box_head_->layer(0).output_width();
-
-    class_head_ = std::make_unique<nn::Sequential>();
-    class_head_->add("cls", std::make_unique<nn::Dense>(trunk_width, num_classes_ + 1, rng));
-
-    box_head_ = std::make_unique<nn::Sequential>();
-    box_head_->add("box_fc1", std::make_unique<nn::Dense>(trunk_width, hidden, rng));
-    box_head_->add("box_act1", std::make_unique<nn::Leaky_relu>(0.1));
-    box_head_->add("box_fc2", std::make_unique<nn::Dense>(hidden, 4, rng));
-    box_head_->add("box_tanh", std::make_unique<nn::Tanh>());
-}
-
 std::unique_ptr<Detector_net> Detector_net::clone() const {
     auto copy = std::unique_ptr<Detector_net>(new Detector_net());
     copy->feature_dim_ = feature_dim_;

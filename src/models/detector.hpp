@@ -114,10 +114,6 @@ public:
     /// Restore from state_vector() output; unchanged weights stay shared.
     void load_state_vector(std::span<const double> state);
 
-    /// Re-initialize both heads with fresh random weights, keeping the trunk.
-    /// Used to build domain-specialized students on a generic backbone.
-    void reinit_heads(Rng& rng);
-
     /// A copy sharing this net's weight buffers until either writes.
     [[nodiscard]] std::unique_ptr<Detector_net> clone() const;
 

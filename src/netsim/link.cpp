@@ -1,33 +1,12 @@
 #include "netsim/link.hpp"
 
-#include <algorithm>
-
 namespace shog::netsim {
 
 void Bandwidth_meter::record(Sim_time at, Bytes bytes) {
     SHOG_REQUIRE(bytes >= Bytes{}, "cannot record negative bytes");
-    SHOG_REQUIRE(records_.empty() || at >= records_.back().at,
-                 "meter records must be time-ordered");
-    records_.push_back(Record{at, bytes});
+    SHOG_REQUIRE(at >= last_at_, "meter records must be time-ordered");
+    last_at_ = at;
     total_ += bytes;
-    ++count_;
-}
-
-Kbps Bandwidth_meter::windowed_kbps(Sim_time from, Sim_time to) const {
-    SHOG_REQUIRE(to > from, "empty metering window");
-    Bytes bytes;
-    for (const Record& r : records_) {
-        if (r.at >= from && r.at < to) {
-            bytes += r.bytes;
-        }
-    }
-    return bytes_to_kbps(bytes, to - from);
-}
-
-void Bandwidth_meter::reset() noexcept {
-    records_.clear();
-    total_ = Bytes{};
-    count_ = 0;
 }
 
 Link::Link(Link_config config) : config_{config} {
@@ -44,11 +23,6 @@ Sim_duration Link::send_up(Sim_time now, Bytes bytes) {
 Sim_duration Link::send_down(Sim_time now, Bytes bytes) {
     down_.record(now, bytes);
     return config_.propagation + transmit_seconds(bytes, config_.downlink_mbps);
-}
-
-void Link::reset_meters() noexcept {
-    up_.reset();
-    down_.reset();
 }
 
 } // namespace shog::netsim

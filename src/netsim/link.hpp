@@ -6,10 +6,6 @@
 // updates in flight) is physical rather than assumed.
 #pragma once
 
-#include <cstddef>
-#include <string>
-#include <vector>
-
 #include "common/require.hpp"
 #include "common/units.hpp"
 
@@ -20,28 +16,15 @@ class Bandwidth_meter {
 public:
     void record(Sim_time at, Bytes bytes);
 
-    [[nodiscard]] Bytes total_bytes() const noexcept { return total_; }
-    [[nodiscard]] std::size_t message_count() const noexcept { return count_; }
-
     /// Average rate over an externally-known horizon.
     [[nodiscard]] Kbps average_kbps(Sim_duration horizon) const {
         SHOG_REQUIRE(horizon > Sim_duration{}, "horizon must be positive");
         return bytes_to_kbps(total_, horizon);
     }
 
-    /// Average rate within [from, to) using recorded timestamps.
-    [[nodiscard]] Kbps windowed_kbps(Sim_time from, Sim_time to) const;
-
-    void reset() noexcept;
-
 private:
-    struct Record {
-        Sim_time at;
-        Bytes bytes;
-    };
-    std::vector<Record> records_;
+    Sim_time last_at_; ///< time of the latest record; records are time-ordered
     Bytes total_;
-    std::size_t count_ = 0;
 };
 
 struct Link_config {
@@ -65,8 +48,6 @@ public:
 
     [[nodiscard]] const Bandwidth_meter& up_meter() const noexcept { return up_; }
     [[nodiscard]] const Bandwidth_meter& down_meter() const noexcept { return down_; }
-
-    void reset_meters() noexcept;
 
 private:
     Link_config config_;

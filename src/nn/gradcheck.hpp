@@ -10,10 +10,6 @@ namespace shog::nn {
 struct Gradcheck_report {
     double max_input_grad_error = 0.0;
     double max_param_grad_error = 0.0;
-
-    [[nodiscard]] bool ok(double tolerance) const noexcept {
-        return max_input_grad_error <= tolerance && max_param_grad_error <= tolerance;
-    }
 };
 
 /// Verify a layer's backward() against central finite differences of a scalar

@@ -19,25 +19,6 @@ Layer& Sequential::layer(std::size_t i) {
     return *entries_[i].layer;
 }
 
-std::size_t Sequential::index_of(const std::string& name) const {
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].name == name) {
-            return i;
-        }
-    }
-    SHOG_REQUIRE(false, "no stage named '" + name + "'");
-    return 0; // unreachable
-}
-
-bool Sequential::has_stage(const std::string& name) const noexcept {
-    for (const Entry& e : entries_) {
-        if (e.name == name) {
-            return true;
-        }
-    }
-    return false;
-}
-
 void Sequential::check_range(std::size_t begin, std::size_t end) const {
     SHOG_REQUIRE(begin <= end && end <= entries_.size(), "invalid layer range");
 }
@@ -114,16 +95,6 @@ std::unique_ptr<Layer> Sequential::clone() const {
         copy->add(e.name, e.layer->clone());
     }
     return copy;
-}
-
-std::size_t Sequential::output_width() const {
-    for (std::size_t i = entries_.size(); i > 0; --i) {
-        const std::size_t w = entries_[i - 1].layer->output_width();
-        if (w > 0) {
-            return w;
-        }
-    }
-    return 0;
 }
 
 std::vector<double> Sequential::state_vector() const {

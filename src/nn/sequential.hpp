@@ -5,9 +5,9 @@
 //   - fresh samples:   input --front layers--> replay activations
 //   - replay samples:  injected directly at the replay layer
 //   - concatenated:    replay layer --rear layers--> heads
-// forward_range/backward_range provide exactly that. Stage names ("stem",
-// "conv2_x", ..., "conv5_4", "pool") let callers address the cut point the
-// same way the paper's ablation does.
+// forward_range/backward_range provide exactly that, between layer
+// indices; models::Detector_net::cut_after maps the paper's stage names
+// ("stem", "conv2_x", ..., "conv5_4", "pool") to the index of a cut.
 #pragma once
 
 #include <memory>
@@ -25,16 +25,11 @@ public:
     Sequential(Sequential&&) = default;
     Sequential& operator=(Sequential&&) = default;
 
-    /// Append a layer under a stage name. Names need not be unique; the first
-    /// match wins for index_of(). Returns the layer index.
+    /// Append a layer under a stage name. Returns the layer index.
     std::size_t add(std::string stage_name, std::unique_ptr<Layer> layer);
 
     [[nodiscard]] std::size_t layer_count() const noexcept { return entries_.size(); }
     [[nodiscard]] Layer& layer(std::size_t i);
-
-    /// Index of the first layer whose stage name matches; throws if absent.
-    [[nodiscard]] std::size_t index_of(const std::string& stage_name) const;
-    [[nodiscard]] bool has_stage(const std::string& stage_name) const noexcept;
 
     // -- full-network Layer interface -----------------------------------------
 
@@ -43,7 +38,6 @@ public:
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     [[nodiscard]] std::vector<Parameter*> parameters() override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override;
-    [[nodiscard]] std::size_t output_width() const override;
 
     // -- partial execution -----------------------------------------------------
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "common/stats.hpp"
@@ -340,41 +341,19 @@ void Cloud_runtime::complete(const std::shared_ptr<Active_dispatch>& active) {
                              kind_label(job.kind == Cloud_job_kind::train), job.id);
         if (job.kind == Cloud_job_kind::label) {
             label_wait_sum_ += active->started - job.submitted;
-            label_latency_sum_ += completed - job.submitted;
             label_latencies_.push_back((completed - job.submitted).value()); // quantile over raw seconds
         }
     }
     sample_gauges();
     // Completions may submit follow-up work (AMS chains a training job
     // after labeling); run them before refilling the servers so queue
-    // order is preserved across the whole fleet. With a completion sink
-    // installed, callbacks are handed off instead (in the same job order)
-    // and the trailing dispatch() is deferred to resume_dispatch(), so an
-    // externally-run callback still submits before the servers refill.
-    std::size_t handed_off = 0;
-    for (Sched_job& job : active->jobs) {
-        if (!job.done) {
-            continue;
-        }
-        if (sink_) {
-            sink_(job.device, std::move(job.done));
-            ++handed_off;
-        } else {
+    // order is preserved across the whole fleet.
+    for (const Sched_job& job : active->jobs) {
+        if (job.done) {
             job.done();
         }
     }
-    if (handed_off > 0) {
-        dispatch_deferred_ = true;
-        return;
-    }
     dispatch();
-}
-
-void Cloud_runtime::resume_dispatch() {
-    if (dispatch_deferred_) {
-        dispatch_deferred_ = false;
-        dispatch();
-    }
 }
 
 bool Cloud_runtime::is_overdue(const Sched_job& job) const {
@@ -711,10 +690,11 @@ double Cloud_runtime::utilization(Sim_time horizon) const {
 }
 
 Sim_duration Cloud_runtime::mean_label_latency() const {
-    // Running sums accumulate in completion order — the same order the
-    // former per-label vectors were summed in, so the means agree exactly.
+    // Summed in completion order, as the latencies were recorded.
     return labels_completed() > 0
-               ? label_latency_sum_ / static_cast<double>(labels_completed())
+               ? Sim_duration{std::accumulate(label_latencies_.begin(),
+                                              label_latencies_.end(), 0.0)} /
+                     static_cast<double>(labels_completed())
                : Sim_duration{};
 }
 

@@ -144,22 +144,6 @@ public:
     /// queue (Cloud-Only's synchronous per-frame pipeline).
     virtual void account_direct(std::size_t device_id, Gpu_seconds gpu_seconds);
 
-    /// Hand completion callbacks to an external coordinator instead of
-    /// running them inline. When set, complete() forwards each finished
-    /// job's non-empty `done` to the sink (in job order within the
-    /// dispatch) and defers its own trailing dispatch() until
-    /// resume_dispatch() — the coordinator runs every callback (each may
-    /// submit follow-up work, and submit()'s internal dispatch must see the
-    /// servers still unfilled, exactly as an inline callback would) and
-    /// then resumes. The sharded engine uses this to route callbacks onto
-    /// the owning device's shard thread while keeping fleet-wide queue
-    /// order.
-    using Completion_sink = std::function<void(std::size_t device_id, Completion done)>;
-    void set_completion_sink(Completion_sink sink) { sink_ = std::move(sink); }
-    /// Run the dispatch() deferred by a sink handoff. No-op when nothing
-    /// was deferred.
-    void resume_dispatch();
-
     /// Install the trace channel and metrics registry (both may be null /
     /// dark — the default, a true no-op). Called once by the engines before
     /// any event runs, and only on the REAL cloud: the sharded engine's
@@ -190,8 +174,8 @@ public:
     /// since completions past the horizon never execute.
     [[nodiscard]] Gpu_seconds busy_seconds_within(Sim_time horizon) const;
     /// Per-server GPU seconds inside [0, horizon] (no direct accounting —
-    /// direct work never touches a specific server). Shard balance metric.
-    /// Same horizon contract as busy_seconds_within().
+    /// direct work never touches a specific server): which server ran how
+    /// much. Same horizon contract as busy_seconds_within().
     [[nodiscard]] std::vector<Gpu_seconds> per_gpu_busy_within(Sim_time horizon) const;
     /// GPU seconds attributed to one device.
     [[nodiscard]] virtual Gpu_seconds device_gpu_seconds(std::size_t device_id) const;
@@ -219,8 +203,8 @@ public:
     }
 
     /// Label-job statistics (training jobs excluded, so an AMS fleet's
-    /// fine-tunes don't masquerade as label latency). The means come from
-    /// running sums; the p95 is quantile() over every completed latency.
+    /// fine-tunes don't masquerade as label latency). The latency mean and
+    /// p95 read the completed latencies; the wait mean is a running sum.
     [[nodiscard]] Sim_duration mean_label_latency() const;
     [[nodiscard]] Sim_duration p95_label_latency() const;
     [[nodiscard]] Sim_duration mean_label_wait() const;
@@ -400,15 +384,10 @@ private:
     std::vector<Gpu_seconds> gpu_finalized_busy_;
     Gpu_seconds finalized_busy_;
     Sim_time max_finalized_end_;
-    Sim_duration label_latency_sum_;
     Sim_duration label_wait_sum_;
     /// Every completed label's latency in raw seconds, in completion order;
     /// its size() is labels_completed().
     std::vector<double> label_latencies_;
-    Completion_sink sink_;
-    /// complete() handed >= 1 callback to the sink and skipped its trailing
-    /// dispatch(); resume_dispatch() clears it.
-    bool dispatch_deferred_ = false;
 
     // Observability (all dark/null by default; see set_observability).
     obs::Trace_channel trace_;

@@ -1,8 +1,5 @@
 #include "sim/placement.hpp"
 
-#include <cstring>
-#include <string>
-
 #include "common/require.hpp"
 #include "sim/policy.hpp"
 
@@ -16,19 +13,6 @@ const char* to_string(Placement_kind kind) noexcept {
     case Placement_kind::speed_aware: return "speed_aware";
     }
     return "?";
-}
-
-Placement_kind placement_by_name(const char* name) {
-    SHOG_REQUIRE(name != nullptr, "placement name must not be null");
-    for (Placement_kind kind :
-         {Placement_kind::any_free, Placement_kind::device_affinity,
-          Placement_kind::kind_partition, Placement_kind::speed_aware}) {
-        if (std::strcmp(name, to_string(kind)) == 0) {
-            return kind;
-        }
-    }
-    SHOG_REQUIRE(false, std::string{"unknown placement policy '"} + name + "'");
-    return Placement_kind::any_free; // unreachable
 }
 
 namespace {

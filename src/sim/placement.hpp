@@ -51,10 +51,6 @@ enum class Placement_kind { any_free, device_affinity, kind_partition, speed_awa
 
 [[nodiscard]] const char* to_string(Placement_kind kind) noexcept;
 
-/// Inverse of to_string ("any_free", "device_affinity", "kind_partition",
-/// "speed_aware"); throws on unknown names (bench CLI input).
-[[nodiscard]] Placement_kind placement_by_name(const char* name);
-
 /// No GPU available / no device resident.
 inline constexpr std::size_t no_gpu = static_cast<std::size_t>(-1);
 inline constexpr std::size_t no_device = static_cast<std::size_t>(-1);

@@ -33,17 +33,16 @@
 //    ordered behind a cloud event it should precede. When the earliest
 //    frontier is only *potential* (no buffered op yet), the coordinator
 //    runs another parallel round to materialize or advance it.
-//  - Completion delivery: when a completion event fires, the real cloud
-//    hands each member's callback to the coordinator (Completion_sink) in
-//    job order and defers its trailing dispatch(). The frontier rule
-//    guarantees every delivering device has already drained its events up
-//    to the completion time with an empty op buffer, so the coordinator
-//    aligns the device clock (advance_to), runs the callback — every
-//    teacher-detector access in the shipped strategies happens inside
-//    these callbacks, so running them serially here is also what makes
-//    one shared teacher safe — applies any ops it produced (a follow-up
-//    submit dispatches onto the still-unfilled servers, exactly as an
-//    inline callback would), then resumes the cloud's dispatch.
+//  - Completion delivery: when the coordinator applies a buffered submit,
+//    it wraps the submit's callback. The real cloud runs the wrapper
+//    inline when the job completes, in job order and before the completed
+//    dispatch's servers refill, as the sequential engine runs the bare
+//    callback. The frontier rule guarantees every delivering device has
+//    already drained its events up to the completion time with an empty op
+//    buffer, so the wrapper aligns the device clock (advance_to), runs the
+//    callback and applies any ops it produced (a follow-up submit
+//    dispatches onto the still-unfilled servers, exactly as an inline
+//    callback would).
 //
 // Devices never run ahead of an unfired cloud event: round bounds equal
 // the earliest cloud-event time, and any event the commit phase schedules
@@ -61,6 +60,7 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -234,14 +234,6 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
         }
     }
 
-    // Completion callbacks are collected here (in job order within each
-    // dispatch) instead of running inside Cloud_runtime::complete().
-    std::vector<std::pair<std::size_t, Cloud_runtime::Completion>> deliveries;
-    cloud.set_completion_sink(
-        [&deliveries](std::size_t device, Cloud_runtime::Completion done) {
-            deliveries.emplace_back(device, std::move(done));
-        });
-
     // --- frontier bookkeeping (coordinator-only) ---
     std::set<Frontier, Frontier_less> frontiers;
     std::vector<Sim_time> frontier_at(slots.size());
@@ -263,7 +255,26 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
         in_set[d] = 1;
     };
 
-    const auto apply_front_op = [&](std::size_t d) {
+    // Device d's completion callback `done`, run on the coordinator inside
+    // the real cloud's completion at its sequential position.
+    std::function<void(std::size_t)> apply_front_op;
+    const auto deliver = [&](std::size_t d, const Cloud_runtime::Completion& done) {
+        Device_slot& slot = slots.at(d);
+        // The frontier rule blocked this completion until the device had
+        // drained its events up to now and its ops were applied.
+        SHOG_CHECK(slot.proxy.ops.empty(), "delivering device has unapplied cloud ops");
+        slot.queue.advance_to(cloud_queue.now());
+        done();
+        (void)slot.proxy.take_submitted();
+        // A follow-up submit must dispatch before the completed dispatch's
+        // servers refill (AMS chains a fine-tune after labeling).
+        while (!slot.proxy.ops.empty()) {
+            apply_front_op(d);
+        }
+        update_frontier(d);
+    };
+
+    apply_front_op = [&](std::size_t d) {
         Device_slot& slot = slots.at(d);
         Cloud_op op = std::move(slot.proxy.ops.front());
         slot.proxy.ops.pop_front();
@@ -271,7 +282,11 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
         // events: ops win ties (see the file comment).
         cloud_queue.advance_to(op.at);
         if (op.is_submit) {
-            cloud.submit(d, op.service, std::move(op.done), op.kind, op.drift_rate,
+            Cloud_runtime::Completion done;
+            if (op.done) {
+                done = [&deliver, d, inner = std::move(op.done)] { deliver(d, inner); };
+            }
+            cloud.submit(d, op.service, std::move(done), op.kind, op.drift_rate,
                          std::move(op.replan));
             --slot.proxy.buffered_submits;
             if (slot.proxy.buffered_submits == 0) {
@@ -280,34 +295,6 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
         } else {
             cloud.account_direct(d, op.gpu_seconds);
         }
-    };
-
-    const auto fire_cloud_event = [&] {
-        deliveries.clear();
-        cloud_queue.step();
-        if (deliveries.empty()) {
-            return; // failure/repair/preempt/straggler or a callback-free completion
-        }
-        const Sim_time t_c = cloud_queue.now();
-        for (auto& [d, done] : deliveries) {
-            Device_slot& slot = slots.at(d);
-            // The frontier rule blocked this completion until the device had
-            // drained its events up to t_c and its ops were applied.
-            SHOG_CHECK(slot.proxy.ops.empty(),
-                       "delivering device has unapplied cloud ops");
-            slot.queue.advance_to(t_c);
-            done();
-            (void)slot.proxy.take_submitted();
-            // A follow-up submit must dispatch before the completed
-            // dispatch's servers refill (AMS chains a fine-tune after
-            // labeling) — apply its ops now, before resume_dispatch().
-            while (!slot.proxy.ops.empty()) {
-                apply_front_op(d);
-            }
-            update_frontier(d);
-        }
-        deliveries.clear();
-        cloud.resume_dispatch();
     };
 
     // Merge buffered ops with cloud events until finished or until the
@@ -322,12 +309,12 @@ Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
                     finished = true;
                     return;
                 }
-                fire_cloud_event();
+                cloud_queue.step();
                 continue;
             }
             const Frontier min_f = *frontiers.begin();
             if (have_cloud && cloud_queue.next_time() < min_f.at) {
-                fire_cloud_event();
+                cloud_queue.step();
                 continue;
             }
             if (slots.at(min_f.device).proxy.ops.empty()) {

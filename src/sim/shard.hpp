@@ -36,9 +36,10 @@ struct Shard_options {
 /// K-way parallel execution. Each Device_spec's strategy must be exclusive
 /// to its device (run_cluster allows this too, but the sharded engine runs
 /// devices concurrently, so a strategy shared across devices would be a
-/// data race); the shared teacher detector is safe because every teacher
-/// access happens inside a cloud completion callback, and the coordinator
-/// runs all completion callbacks serially in fleet order.
+/// data race). One teacher detector may be shared across shards: label
+/// callbacks read it on the coordinator, and Cloud-Only's infer() reads it
+/// on its shard's thread while other shards run, which is safe only
+/// because Detector::detect() is const and writes no state.
 [[nodiscard]] Cluster_result run_cluster_sharded(const std::vector<Device_spec>& devices,
                                                  const Cluster_config& config,
                                                  const Shard_options& options = {});

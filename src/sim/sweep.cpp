@@ -62,18 +62,6 @@ private:
 
 } // namespace
 
-std::uint64_t sweep_cell_seed(std::uint64_t base_seed, std::size_t cell_index) noexcept {
-    if (cell_index == 0) {
-        return base_seed;
-    }
-    // splitmix64 finalizer over a golden-ratio stride.
-    std::uint64_t z =
-        base_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(cell_index);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 std::vector<std::string> run_sweep(std::size_t cell_count,
                                    const std::function<std::string(std::size_t)>& cell,
                                    const Sweep_options& options) {

@@ -28,13 +28,6 @@
 
 namespace shog::sim {
 
-/// Seed for replication cell `cell_index` of a sweep based on `base_seed`.
-/// Cell 0 keeps the base seed (so a one-cell sweep reproduces the direct
-/// run exactly); later cells get splitmix64-finalized substreams, which
-/// also keeps them disjoint from the harness's golden-ratio device seeds.
-[[nodiscard]] std::uint64_t sweep_cell_seed(std::uint64_t base_seed,
-                                            std::size_t cell_index) noexcept;
-
 struct Sweep_options {
     /// Worker threads; 0 means one per hardware thread. The pool is capped
     /// at the cell count (never more threads than cells).
@@ -52,9 +45,10 @@ struct Sweep_options {
 
 /// Run `cell(i)` for every i in [0, cell_count) on a worker pool and return
 /// the results in cell-index order regardless of completion order. `cell`
-/// must be self-contained (own model clones, own RNG substream via
-/// sweep_cell_seed) and is called at most once per index. If any cell
-/// throws, the lowest-index exception is rethrown after all workers drain.
+/// must be self-contained (own model clones, a seed fixed by its index,
+/// never by the worker that runs it) and is called at most once per index.
+/// If any cell throws, the lowest-index exception is rethrown after all
+/// workers drain.
 [[nodiscard]] std::vector<std::string> run_sweep(
     std::size_t cell_count, const std::function<std::string(std::size_t)>& cell,
     const Sweep_options& options = {});

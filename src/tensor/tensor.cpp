@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <sstream>
 
 #include "common/simd.hpp"
@@ -26,14 +25,6 @@ Tensor::Tensor(std::vector<std::size_t> shape)
     for (std::size_t d : shape_) {
         SHOG_REQUIRE(d > 0, "tensor dimensions must be positive");
     }
-}
-
-Tensor Tensor::from_vector(std::vector<double> values) {
-    SHOG_REQUIRE(!values.empty(), "from_vector needs at least one value");
-    Tensor t;
-    t.shape_ = {values.size()};
-    t.data_ = std::move(values);
-    return t;
 }
 
 Tensor Tensor::from_rows(std::initializer_list<std::initializer_list<double>> rows) {
@@ -67,15 +58,6 @@ Tensor Tensor::randn(std::vector<std::size_t> shape, Rng& rng, double mean, doub
     return t;
 }
 
-Tensor Tensor::reshaped(std::vector<std::size_t> shape) const {
-    const std::size_t n = shape_product(shape);
-    SHOG_REQUIRE(n == size(), "reshape must preserve element count");
-    Tensor t;
-    t.shape_ = std::move(shape);
-    t.data_ = data_;
-    return t;
-}
-
 void Tensor::check_same_shape(const Tensor& rhs, const char* op) const {
     SHOG_REQUIRE(shape_ == rhs.shape_,
                  std::string{op} + ": shape mismatch " + shape_str() + " vs " + rhs.shape_str());
@@ -93,40 +75,9 @@ Tensor& Tensor::operator+=(const Tensor& rhs) {
     return *this;
 }
 
-Tensor& Tensor::operator-=(const Tensor& rhs) {
-    check_same_shape(rhs, "operator-=");
-    const std::size_t n = data_.size();
-    const double* src = rhs.data_.data();
-    double* dst = data_.data();
-    SHOG_SIMD_LOOP
-    for (std::size_t i = 0; i < n; ++i) {
-        dst[i] -= src[i];
-    }
-    return *this;
-}
-
-Tensor& Tensor::operator*=(const Tensor& rhs) {
-    check_same_shape(rhs, "operator*=");
-    const std::size_t n = data_.size();
-    const double* src = rhs.data_.data();
-    double* dst = data_.data();
-    SHOG_SIMD_LOOP
-    for (std::size_t i = 0; i < n; ++i) {
-        dst[i] *= src[i];
-    }
-    return *this;
-}
-
 Tensor& Tensor::operator*=(double s) noexcept {
     for (double& x : data_) {
         x *= s;
-    }
-    return *this;
-}
-
-Tensor& Tensor::operator+=(double s) noexcept {
-    for (double& x : data_) {
-        x += s;
     }
     return *this;
 }
@@ -149,8 +100,6 @@ Tensor& Tensor::add_row_vector(const Tensor& bias) {
 }
 
 void Tensor::fill(double value) noexcept { std::fill(data_.begin(), data_.end(), value); }
-
-double Tensor::sum() const noexcept { return std::accumulate(data_.begin(), data_.end(), 0.0); }
 
 // The column reductions run rows-outer with one accumulator per column,
 // each starting at +0.0 and adding its rows in ascending order.
@@ -194,42 +143,6 @@ Tensor Tensor::column_sum() const {
         for (std::size_t c = 0; c < cols; ++c) {
             acc[c] += row_ptr[c];
         }
-    }
-    return out;
-}
-
-Tensor Tensor::row(std::size_t r) const {
-    SHOG_REQUIRE(rank() == 2, "row() requires a rank-2 tensor");
-    SHOG_REQUIRE(r < rows(), "row index out of range");
-    Tensor out{std::vector<std::size_t>{cols()}};
-    std::copy_n(data_.data() + r * cols(), cols(), out.data_.data());
-    return out;
-}
-
-void Tensor::set_row(std::size_t r, const Tensor& values) {
-    SHOG_REQUIRE(rank() == 2, "set_row() requires a rank-2 tensor");
-    SHOG_REQUIRE(r < rows(), "row index out of range");
-    SHOG_REQUIRE(values.rank() == 1 && values.size() == cols(),
-                 "row values length must equal column count");
-    std::copy_n(values.data_.data(), cols(), data_.data() + r * cols());
-}
-
-Tensor Tensor::slice_rows(std::size_t begin, std::size_t end) const {
-    SHOG_REQUIRE(rank() == 2, "slice_rows requires a rank-2 tensor");
-    SHOG_REQUIRE(begin <= end && end <= rows(), "invalid row slice");
-    SHOG_REQUIRE(begin < end, "empty row slice");
-    Tensor out{end - begin, cols()};
-    std::copy_n(data_.data() + begin * cols(), (end - begin) * cols(), out.data_.data());
-    return out;
-}
-
-Tensor Tensor::gather_rows(const std::vector<std::size_t>& indices) const {
-    SHOG_REQUIRE(rank() == 2, "gather_rows requires a rank-2 tensor");
-    SHOG_REQUIRE(!indices.empty(), "gather_rows needs at least one index");
-    Tensor out{indices.size(), cols()};
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-        SHOG_REQUIRE(indices[i] < rows(), "gather index out of range");
-        std::copy_n(data_.data() + indices[i] * cols(), cols(), out.data_.data() + i * cols());
     }
     return out;
 }
@@ -387,23 +300,6 @@ Tensor transpose(const Tensor& a) {
         }
     }
     return t;
-}
-
-Tensor concat_rows(const std::vector<Tensor>& parts) {
-    SHOG_REQUIRE(!parts.empty(), "concat_rows needs at least one part");
-    const std::size_t cols = parts.front().cols();
-    std::size_t total_rows = 0;
-    for (const Tensor& p : parts) {
-        SHOG_REQUIRE(p.rank() == 2 && p.cols() == cols, "concat_rows column mismatch");
-        total_rows += p.rows();
-    }
-    Tensor out{total_rows, cols};
-    std::size_t r = 0;
-    for (const Tensor& p : parts) {
-        std::copy_n(p.data(), p.size(), out.data() + r * cols);
-        r += p.rows();
-    }
-    return out;
 }
 
 double max_abs_diff(const Tensor& a, const Tensor& b) {

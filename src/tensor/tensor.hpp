@@ -25,9 +25,6 @@ public:
     /// rank-2 convenience.
     Tensor(std::size_t rows, std::size_t cols) : Tensor(std::vector<std::size_t>{rows, cols}) {}
 
-    /// Build a rank-1 tensor from values.
-    static Tensor from_vector(std::vector<double> values);
-
     /// Build a rank-2 tensor from nested initializer lists (row major).
     static Tensor from_rows(std::initializer_list<std::initializer_list<double>> rows);
 
@@ -54,9 +51,6 @@ public:
         SHOG_REQUIRE(rank() == 2, "cols() requires a rank-2 tensor");
         return shape_[1];
     }
-
-    /// Reshape preserving element count (row-major order).
-    [[nodiscard]] Tensor reshaped(std::vector<std::size_t> shape) const;
 
     // -- element access ------------------------------------------------------
     // Defined here so the per-element loops of the NN layers inline them.
@@ -88,10 +82,7 @@ public:
     // -- elementwise ops (shape-checked) --------------------------------------
 
     Tensor& operator+=(const Tensor& rhs);
-    Tensor& operator-=(const Tensor& rhs);
-    Tensor& operator*=(const Tensor& rhs); // Hadamard
     Tensor& operator*=(double s) noexcept;
-    Tensor& operator+=(double s) noexcept;
 
     /// Add a rank-1 bias to every row of a rank-2 tensor.
     Tensor& add_row_vector(const Tensor& bias);
@@ -107,25 +98,13 @@ public:
 
     void fill(double value) noexcept;
 
-    // -- reductions / views ----------------------------------------------------
+    // -- reductions -----------------------------------------------------------
 
-    [[nodiscard]] double sum() const noexcept;
     /// Per-column mean/variance over rows of a rank-2 tensor.
     [[nodiscard]] Tensor column_mean() const;
     [[nodiscard]] Tensor column_variance(const Tensor& mean) const;
     /// Sum over rows -> rank-1 of length cols().
     [[nodiscard]] Tensor column_sum() const;
-
-    /// Copy of row r of a rank-2 tensor, as rank-1.
-    [[nodiscard]] Tensor row(std::size_t r) const;
-    /// Overwrite row r from a rank-1 tensor of length cols().
-    void set_row(std::size_t r, const Tensor& values);
-
-    /// Rows [begin, end) of a rank-2 tensor.
-    [[nodiscard]] Tensor slice_rows(std::size_t begin, std::size_t end) const;
-
-    /// Gather rows by index into a new tensor.
-    [[nodiscard]] Tensor gather_rows(const std::vector<std::size_t>& indices) const;
 
     [[nodiscard]] std::string shape_str() const;
 
@@ -148,9 +127,6 @@ private:
 [[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
 [[nodiscard]] Tensor transpose(const Tensor& a);
-
-/// Concatenate rank-2 tensors along rows (axis 0). All must share cols.
-[[nodiscard]] Tensor concat_rows(const std::vector<Tensor>& parts);
 
 /// Max |a - b| over elements; shapes must match.
 [[nodiscard]] double max_abs_diff(const Tensor& a, const Tensor& b);

@@ -1,6 +1,7 @@
-// Bit-level tensor comparison for the kernel tests: a rewritten kernel must
-// give the same bits as the scalar loop it replaced, so results are compared
-// with std::memcmp, which also tells +0.0 from -0.0.
+// Tensor helpers for the tests. Bit-level comparison for the kernel tests:
+// a rewritten kernel must give the same bits as the scalar loop it
+// replaced, so results are compared with std::memcmp, which also tells +0.0
+// from -0.0.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <cstddef>
 #include <cstring>
 #include <iomanip>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "tensor/tensor.hpp"
@@ -23,6 +25,18 @@ inline void expect_bit_identical(const Tensor& got, const Tensor& want) {
             return;
         }
     }
+}
+
+/// Rank-1 tensor holding `values` (at least one).
+inline Tensor vector_of(const std::vector<double>& values) {
+    Tensor t{std::vector<std::size_t>{values.size()}};
+    t.storage() = values;
+    return t;
+}
+
+/// Adds `s` to every element of `t`.
+inline void offset(Tensor& t, double s) {
+    t.apply([s](double x) { return x + s; });
 }
 
 /// Gaussian entries, a fifth of them exact +0.0 and an eighth exact -0.0.

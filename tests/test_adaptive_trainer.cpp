@@ -307,14 +307,14 @@ TEST_F(Trainer_fixture, WarmStartFillsMemory) {
     trainer.warm_start(domain_samples(video::day_sunny(0.6), 700, 60));
     EXPECT_EQ(trainer.memory().size(), 700u);
     // Latents have the pool width, not the raw feature width.
-    EXPECT_EQ(trainer.memory().at(0).feature.size(),
+    EXPECT_EQ(trainer.memory().samples()[0].feature.size(),
               student->net().width_at_cut(student->net().cut_after("pool")));
 }
 
 TEST_F(Trainer_fixture, InputReplayStoresRawFeatures) {
     Adaptive_trainer trainer = make_trainer(input_replay_config());
     trainer.warm_start(domain_samples(video::day_sunny(0.6), 100, 61));
-    EXPECT_EQ(trainer.memory().at(0).feature.size(), world->feature_dim());
+    EXPECT_EQ(trainer.memory().samples()[0].feature.size(), world->feature_dim());
 }
 
 TEST_F(Trainer_fixture, MemoryUpdatedAfterSession) {

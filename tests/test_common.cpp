@@ -17,6 +17,28 @@ namespace {
 
 // ---------------------------------------------------------------- Rng ------
 
+struct Moments {
+    double mean;
+    double stddev; ///< sample (n - 1) standard deviation
+};
+
+/// Moments of `n` draws.
+template <typename Draw>
+Moments moments_of(int n, Draw draw) {
+    std::vector<double> xs(static_cast<std::size_t>(n));
+    double sum = 0.0;
+    for (double& x : xs) {
+        x = draw();
+        sum += x;
+    }
+    const double mean = sum / n;
+    double squares = 0.0;
+    for (const double x : xs) {
+        squares += (x - mean) * (x - mean);
+    }
+    return {mean, std::sqrt(squares / (n - 1))};
+}
+
 TEST(Rng, SameSeedSameSequence) {
     Rng a{42};
     Rng b{42};
@@ -46,31 +68,21 @@ TEST(Rng, UniformRange) {
 
 TEST(Rng, UniformMeanNearHalf) {
     Rng rng{3};
-    Running_stats stats;
-    for (int i = 0; i < 20000; ++i) {
-        stats.add(rng.uniform());
-    }
-    EXPECT_NEAR(stats.mean(), 0.5, 0.01);
+    EXPECT_NEAR(moments_of(20000, [&] { return rng.uniform(); }).mean, 0.5, 0.01);
 }
 
 TEST(Rng, GaussianMoments) {
     Rng rng{11};
-    Running_stats stats;
-    for (int i = 0; i < 40000; ++i) {
-        stats.add(rng.gaussian());
-    }
-    EXPECT_NEAR(stats.mean(), 0.0, 0.02);
-    EXPECT_NEAR(stats.stddev(), 1.0, 0.02);
+    const Moments m = moments_of(40000, [&] { return rng.gaussian(); });
+    EXPECT_NEAR(m.mean, 0.0, 0.02);
+    EXPECT_NEAR(m.stddev, 1.0, 0.02);
 }
 
 TEST(Rng, GaussianScaled) {
     Rng rng{13};
-    Running_stats stats;
-    for (int i = 0; i < 20000; ++i) {
-        stats.add(rng.gaussian(5.0, 2.0));
-    }
-    EXPECT_NEAR(stats.mean(), 5.0, 0.06);
-    EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
+    const Moments m = moments_of(20000, [&] { return rng.gaussian(5.0, 2.0); });
+    EXPECT_NEAR(m.mean, 5.0, 0.06);
+    EXPECT_NEAR(m.stddev, 2.0, 0.05);
 }
 
 TEST(Rng, IndexBounds) {
@@ -79,18 +91,6 @@ TEST(Rng, IndexBounds) {
         EXPECT_LT(rng.index(17), 17u);
     }
     EXPECT_THROW((void)rng.index(0), std::invalid_argument);
-}
-
-TEST(Rng, UniformIntInclusive) {
-    Rng rng{6};
-    std::set<int> seen;
-    for (int i = 0; i < 1000; ++i) {
-        const int v = rng.uniform_int(-2, 2);
-        EXPECT_GE(v, -2);
-        EXPECT_LE(v, 2);
-        seen.insert(v);
-    }
-    EXPECT_EQ(seen.size(), 5u); // all values hit
 }
 
 TEST(Rng, ChanceExtremes) {
@@ -103,11 +103,8 @@ TEST(Rng, ChanceExtremes) {
 
 TEST(Rng, PoissonMean) {
     Rng rng{9};
-    Running_stats stats;
-    for (int i = 0; i < 20000; ++i) {
-        stats.add(rng.poisson(3.0));
-    }
-    EXPECT_NEAR(stats.mean(), 3.0, 0.1);
+    EXPECT_NEAR(moments_of(20000, [&] { return static_cast<double>(rng.poisson(3.0)); }).mean,
+                3.0, 0.1);
 }
 
 TEST(Rng, PoissonZeroLambda) {
@@ -167,43 +164,6 @@ TEST(Rng, ShufflePermutes) {
     EXPECT_EQ(sorted, original);
 }
 
-// ------------------------------------------------------- Running_stats -----
-
-TEST(RunningStats, MeanAndVariance) {
-    Running_stats s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-        s.add(x);
-    }
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12); // sample variance
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, MergeMatchesCombined) {
-    Running_stats a;
-    Running_stats b;
-    Running_stats all;
-    Rng rng{77};
-    for (int i = 0; i < 500; ++i) {
-        const double x = rng.gaussian(3.0, 2.0);
-        (i % 2 == 0 ? a : b).add(x);
-        all.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(RunningStats, EmptyDefaults) {
-    Running_stats s;
-    EXPECT_TRUE(s.empty());
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
 // ------------------------------------------------------------- quantile ----
 
 TEST(Quantile, MedianAndExtremes) {
@@ -234,13 +194,6 @@ TEST(Ecdf, StepFunction) {
     EXPECT_DOUBLE_EQ(cdf.at(9.0), 1.0);
 }
 
-TEST(Ecdf, Inverse) {
-    Ecdf cdf{{10.0, 20.0, 30.0, 40.0}};
-    EXPECT_DOUBLE_EQ(cdf.inverse(0.25), 10.0);
-    EXPECT_DOUBLE_EQ(cdf.inverse(0.5), 20.0);
-    EXPECT_DOUBLE_EQ(cdf.inverse(1.0), 40.0);
-}
-
 TEST(Ecdf, MonotoneProperty) {
     Rng rng{55};
     std::vector<double> samples;
@@ -264,7 +217,6 @@ TEST(MovingAverage, WindowEviction) {
     ma.add(2.0);
     ma.add(3.0);
     EXPECT_DOUBLE_EQ(ma.mean(), 2.0);
-    EXPECT_TRUE(ma.full());
     ma.add(10.0); // evicts 1.0
     EXPECT_DOUBLE_EQ(ma.mean(), 5.0);
 }
@@ -273,8 +225,8 @@ TEST(MovingAverage, PartialFill) {
     Moving_average ma{10};
     ma.add(4.0);
     EXPECT_DOUBLE_EQ(ma.mean(), 4.0);
-    EXPECT_EQ(ma.count(), 1u);
-    EXPECT_FALSE(ma.full());
+    ma.add(6.0);
+    EXPECT_DOUBLE_EQ(ma.mean(), 5.0); // divides by the fill, not the capacity
 }
 
 // ----------------------------------------------------------- Event_queue ---
@@ -336,17 +288,9 @@ TEST(EventQueue, PastSchedulingThrows) {
 
 // ----------------------------------------------------------------- units ---
 
-TEST(Units, BytesToKbpsRoundTrip) {
-    const Kbps kbps = bytes_to_kbps(Bytes{125000.0}, Sim_duration{1.0}); // 1 Mbit in 1 s
-    EXPECT_EQ(kbps, Kbps{1000.0});
-    EXPECT_EQ(kbps_to_bytes(kbps, Sim_duration{1.0}), Bytes{125000.0});
-}
-
-TEST(Units, KbpsToBytesRoundTrip) {
-    // The other direction: a rate sustained for a window converts to a
-    // payload, and that payload over the same window recovers the rate.
-    const Bytes payload = kbps_to_bytes(Kbps{640.0}, Sim_duration{2.5});
-    EXPECT_EQ(bytes_to_kbps(payload, Sim_duration{2.5}), Kbps{640.0});
+TEST(Units, BytesToKbps) {
+    EXPECT_EQ(bytes_to_kbps(Bytes{125000.0}, Sim_duration{1.0}), Kbps{1000.0}); // 1 Mbit in 1 s
+    EXPECT_EQ(bytes_to_kbps(Bytes{200000.0}, Sim_duration{2.5}), Kbps{640.0});
     // Degenerate window: no time means no measurable rate.
     EXPECT_EQ(bytes_to_kbps(Bytes{1000.0}, Sim_duration{}), Kbps{});
 }
@@ -358,11 +302,11 @@ TEST(Units, TransmitSeconds) {
 }
 
 TEST(Units, TransmitSecondsInverse) {
-    // transmit_seconds(bytes, mbps) and kbps_to_bytes(mbps * 1000, dt) are
-    // inverses: sending the recovered payload takes the original time.
-    const Sim_duration dt = transmit_seconds(mib(4.0), 20.0);
-    const Bytes recovered = kbps_to_bytes(Kbps{20.0 * 1000.0}, dt);
-    EXPECT_NEAR(recovered.value(), mib(4.0).value(), 1e-6); // raw bytes for the tolerance check
+    // transmit_seconds(bytes, mbps) and bytes_to_kbps(bytes, dt) are
+    // inverses: the payload sent in that time runs at the link's rate.
+    const Bytes payload{4.0 * 1024.0 * 1024.0};
+    const Sim_duration dt = transmit_seconds(payload, 20.0);
+    EXPECT_NEAR(bytes_to_kbps(payload, dt).value(), 20.0 * 1000.0, 1e-9); // raw kbps for the tolerance check
 }
 
 TEST(Units, AffineTimeAlgebra) {

@@ -118,19 +118,6 @@ TEST(DetectorNet, CloneMatchesAndDetaches) {
     EXPECT_LT(max_abs_diff(before, after), 1e-15);
 }
 
-TEST(DetectorNet, ReinitHeadsChangesOutputsKeepsTrunk) {
-    Rng rng{5};
-    Detector_net net{test_student_config(), rng};
-    const Tensor x = Tensor::randn({4, 16}, rng);
-    const Tensor probs_before = net.infer(x).class_probs;
-    const std::vector<double> trunk_before = net.trunk().state_vector();
-    Rng hrng{123};
-    net.reinit_heads(hrng);
-    const Tensor probs_after = net.infer(x).class_probs;
-    EXPECT_GT(max_abs_diff(probs_before, probs_after), 1e-6);
-    EXPECT_EQ(net.trunk().state_vector(), trunk_before);
-}
-
 // ------------------------------------------------------------ Detector -----
 
 TEST(Detector, ProposalsDeterministicPerFrame) {
@@ -295,11 +282,8 @@ TEST(DeployedProfile, TeacherCostsMore) {
               10.0 * Deployed_profile::yolov4_resnet18().inference_gflops());
 }
 
-TEST(DeployedProfile, ModelBytesPositive) {
-    const Deployed_profile p = Deployed_profile::yolov4_resnet18();
-    EXPECT_GT(p.model_bytes(), 1e6);
-    EXPECT_GT(p.update_bytes(), 1e5);
-    EXPECT_LT(p.update_bytes(), p.model_bytes());
+TEST(DeployedProfile, UpdateBytesPositive) {
+    EXPECT_GT(Deployed_profile::yolov4_resnet18().update_bytes(), 1e5);
 }
 
 } // namespace

@@ -108,26 +108,14 @@ TEST(Link, MetersAccumulate) {
     (void)link.send_up(Sim_time{1.0}, Bytes{500.0});
     (void)link.send_up(Sim_time{2.0}, Bytes{700.0});
     (void)link.send_down(Sim_time{3.0}, Bytes{100.0});
-    EXPECT_EQ(link.up_meter().total_bytes(), Bytes{1200.0});
-    EXPECT_EQ(link.down_meter().total_bytes(), Bytes{100.0});
-    EXPECT_EQ(link.up_meter().message_count(), 2u);
-    link.reset_meters();
-    EXPECT_EQ(link.up_meter().total_bytes(), Bytes{});
+    EXPECT_EQ(link.up_meter().average_kbps(Sim_duration{1.0}), Kbps{9.6});   // 1200 B in 1 s
+    EXPECT_EQ(link.down_meter().average_kbps(Sim_duration{1.0}), Kbps{0.8}); // 100 B in 1 s
 }
 
 TEST(BandwidthMeter, AverageKbps) {
     Bandwidth_meter meter;
     meter.record(Sim_time{}, Bytes{12500.0}); // 100 kbit
     EXPECT_EQ(meter.average_kbps(Sim_duration{10.0}), Kbps{10.0});
-}
-
-TEST(BandwidthMeter, WindowedKbps) {
-    Bandwidth_meter meter;
-    meter.record(Sim_time{1.0}, Bytes{1250.0}); // 10 kbit at t=1
-    meter.record(Sim_time{5.0}, Bytes{2500.0}); // 20 kbit at t=5
-    meter.record(Sim_time{9.0}, Bytes{1250.0}); // 10 kbit at t=9
-    EXPECT_EQ(meter.windowed_kbps(Sim_time{}, Sim_time{10.0}), Kbps{4.0});
-    EXPECT_EQ(meter.windowed_kbps(Sim_time{4.0}, Sim_time{6.0}), Kbps{10.0});
 }
 
 TEST(BandwidthMeter, TimeOrderEnforced) {

@@ -24,7 +24,9 @@ namespace shog::nn {
 namespace {
 
 using testing::expect_bit_identical;
+using testing::offset;
 using testing::randn_with_zeros;
+using testing::vector_of;
 
 // ------------------------------------------------------------- Dense -------
 
@@ -32,7 +34,7 @@ TEST(Dense, ForwardHandComputed) {
     Rng rng{1};
     Dense d{2, 2, rng};
     d.weight().value.mut() = Tensor::from_rows({{1.0, 2.0}, {3.0, 4.0}});
-    d.bias().value.mut() = Tensor::from_vector({0.5, -0.5});
+    d.bias().value.mut() = vector_of({0.5, -0.5});
     const Tensor x = Tensor::from_rows({{1.0, 1.0}});
     const Tensor y = d.forward(x, true);
     EXPECT_DOUBLE_EQ(y.at(0, 0), 4.5);  // 1*1 + 1*3 + 0.5
@@ -127,7 +129,7 @@ TEST_P(LayerGradcheck, AnalyticMatchesNumeric) {
     // Offset inputs away from the leaky-ReLU kink so central differences are
     // clean.
     Tensor input = Tensor::randn({c.batch, c.width}, rng);
-    input += 0.05;
+    offset(input, 0.05);
     const Gradcheck_report report = gradcheck_layer(*layer, input, rng, c.training);
     EXPECT_LT(report.max_input_grad_error, 2e-5)
         << "input grad mismatch for layer kind " << static_cast<int>(c.kind);
@@ -157,14 +159,14 @@ TEST_P(LayerInfer, MatchesEvalForward) {
     for (int i = 0; i < 3; ++i) {
         Tensor x = Tensor::randn({8, width}, rng);
         x *= 2.0;
-        x += 1.5;
+        offset(x, 1.5);
         (void)layer->forward(x, true);
     }
     if (const auto* brn = dynamic_cast<const Batch_renorm*>(layer.get())) {
         EXPECT_GT(brn->running_mean().at(0), 0.0);
     }
     Tensor x = Tensor::randn({5, width}, rng);
-    x += 0.5;
+    offset(x, 0.5);
     const Layer& frozen = *layer;
     EXPECT_EQ(max_abs_diff(frozen.infer(x), layer->forward(x, false)), 0.0);
 }
@@ -184,7 +186,7 @@ TEST(BatchRenorm, NormalizesTrainBatch) {
     Rng rng{9};
     Tensor x = Tensor::randn({64, 2}, rng);
     x *= 3.0;
-    x += 5.0;
+    offset(x, 5.0);
     const Tensor y = bn.forward(x, true);
     const Tensor mean = y.column_mean();
     const Tensor var = y.column_variance(mean);
@@ -198,7 +200,7 @@ TEST(BatchRenorm, RunningStatsConverge) {
     for (int i = 0; i < 200; ++i) {
         Tensor x = Tensor::randn({128, 1}, rng);
         x *= 2.0;
-        x += 7.0;
+        offset(x, 7.0);
         (void)bn.forward(x, true);
     }
     EXPECT_NEAR(bn.running_mean().at(0), 7.0, 0.3);
@@ -212,7 +214,7 @@ TEST(BatchRenorm, FrozenStatsDoNotUpdate) {
     const Tensor before = bn.running_mean();
     Rng rng{11};
     Tensor x = Tensor::randn({16, 2}, rng);
-    x += 10.0;
+    offset(x, 10.0);
     (void)bn.forward(x, true);
     EXPECT_EQ(max_abs_diff(bn.running_mean(), before), 0.0);
 }
@@ -222,7 +224,7 @@ TEST(BatchRenorm, EvalUsesRunningStats) {
     Rng rng{12};
     for (int i = 0; i < 40; ++i) {
         Tensor x = Tensor::randn({32, 1}, rng);
-        x += 4.0;
+        offset(x, 4.0);
         (void)bn.forward(x, true);
     }
     // In eval, an input equal to the running mean maps near beta = 0.
@@ -239,7 +241,7 @@ TEST(BatchRenorm, ClampsRAndD) {
     // so training mode normalizes by the *batch* statistics: plain BN.
     Tensor x = Tensor::randn({32, 1}, rng);
     x *= 5.0;
-    x += 3.0;
+    offset(x, 3.0);
     const Tensor y = brn.forward(x, true);
     // y = gamma * ((x - mu_B)/sigma_B * 1 + 0) + beta -> batch-normalized.
     const Tensor mean = y.column_mean();
@@ -254,12 +256,12 @@ TEST(BatchRenorm, TrainApproachesEvalAfterWarmup) {
     for (int i = 0; i < 100; ++i) {
         Tensor x = Tensor::randn({64, 1}, rng);
         x *= 2.0;
-        x += 1.0;
+        offset(x, 1.0);
         (void)brn.forward(x, true);
     }
     Tensor x = Tensor::randn({64, 1}, rng);
     x *= 2.0;
-    x += 1.0;
+    offset(x, 1.0);
     const Tensor y_train = brn.forward(x, true);
     const Tensor y_eval = brn.forward(x, false);
     EXPECT_LT(max_abs_diff(y_train, y_eval), 0.15);
@@ -471,7 +473,7 @@ Tensor kernel_input(std::size_t rows, std::size_t width, Rng& rng, double scale,
                     double shift) {
     Tensor x = randn_with_zeros(rows, width, rng);
     x *= scale;
-    x += shift;
+    offset(x, shift);
     return x;
 }
 
@@ -525,8 +527,8 @@ TEST_P(KernelReference, BatchRenormMatches) {
     Reference_batch_renorm ref{width};
     // Learned-looking gamma and beta, zeros of either sign included.
     const std::vector<Parameter*> params = brn.parameters();
-    params[0]->value.mut() = randn_with_zeros(1, width, rng).reshaped({width});
-    params[1]->value.mut() = randn_with_zeros(1, width, rng).reshaped({width});
+    params[0]->value.mut() = vector_of(randn_with_zeros(1, width, rng).storage());
+    params[1]->value.mut() = vector_of(randn_with_zeros(1, width, rng).storage());
     ref.gamma = *params[0]->value;
     ref.beta = *params[1]->value;
 
@@ -609,17 +611,6 @@ TEST(Sequential, RangeComposition) {
     const Tensor mid = seq.forward_range(0, 2, x, false);
     const Tensor rest = seq.forward_range(2, seq.layer_count(), mid, false);
     EXPECT_LT(max_abs_diff(full, rest), 1e-12);
-}
-
-TEST(Sequential, IndexOfStage) {
-    Rng rng{21};
-    Sequential seq = make_mlp(rng);
-    EXPECT_EQ(seq.index_of("fc1"), 0u);
-    EXPECT_EQ(seq.index_of("fc2"), 2u);
-    EXPECT_EQ(seq.index_of("head"), 4u);
-    EXPECT_TRUE(seq.has_stage("head"));
-    EXPECT_FALSE(seq.has_stage("nope"));
-    EXPECT_THROW((void)seq.index_of("nope"), std::invalid_argument);
 }
 
 TEST(Sequential, BackwardRangeProducesEntryGrad) {
@@ -723,7 +714,7 @@ void train_steps(Sequential& net, std::uint64_t seed, int steps) {
 }
 
 void expect_same_state(const std::vector<double>& got, const std::vector<double>& want) {
-    expect_bit_identical(Tensor::from_vector(got), Tensor::from_vector(want));
+    expect_bit_identical(vector_of(got), vector_of(want));
 }
 
 TEST(SharedWeights, CloneSharesValueBuffers) {

@@ -33,10 +33,6 @@ constexpr Sim_duration never{std::numeric_limits<double>::infinity()};
 // Config surface.
 // ---------------------------------------------------------------------------
 
-TEST(Reliability, SpeedAwareNameRoundTrips) {
-    EXPECT_EQ(placement_by_name("speed_aware"), Placement_kind::speed_aware);
-}
-
 TEST(Reliability, ProfileValidation) {
     Event_queue queue;
     Cloud_config config;

@@ -81,15 +81,6 @@ TEST(ReplayMemory, DrawWithReplacement) {
     EXPECT_THROW((void)empty.draw(1, rng), std::invalid_argument);
 }
 
-TEST(ReplayMemory, ClearResets) {
-    Replay_memory mem{5};
-    Rng rng{5};
-    mem.update_after_training(tagged_batch(0.0, 5), rng);
-    mem.clear();
-    EXPECT_EQ(mem.size(), 0u);
-    EXPECT_EQ(mem.training_runs(), 0u);
-}
-
 TEST(ReplayMemory, UniformInclusionAcrossBatches) {
     // The reservoir property: after many runs, each past batch should hold
     // a roughly equal share of the memory. Tag samples by batch id and
@@ -105,8 +96,8 @@ TEST(ReplayMemory, UniformInclusionAcrossBatches) {
             mem.update_after_training(tagged_batch(static_cast<double>(b) * 1000.0, batch_size),
                                       rng);
         }
-        for (std::size_t i = 0; i < mem.size(); ++i) {
-            batch_counts[static_cast<int>(mem.at(i).feature[0] / 1000.0)]++;
+        for (const models::Labeled_sample& s : mem.samples()) {
+            batch_counts[static_cast<int>(s.feature[0] / 1000.0)]++;
         }
     }
     // Expected share per batch = capacity * trials / num_batches = 200.
@@ -127,8 +118,8 @@ TEST(ReplayMemory, LateBatchesStillEnter) {
         mem.update_after_training(tagged_batch(b * 1000.0, 50), rng);
     }
     bool found_late = false;
-    for (std::size_t i = 0; i < mem.size(); ++i) {
-        if (mem.at(i).feature[0] >= 25000.0) {
+    for (const models::Labeled_sample& s : mem.samples()) {
+        if (s.feature[0] >= 25000.0) {
             found_late = true;
         }
     }
@@ -144,7 +135,8 @@ TEST(ReplayMemory, PreservesSamplePayload) {
     s.box_target = {0.1, 0.2, 0.3, 0.4};
     s.weight = 0.5;
     mem.update_after_training({s}, rng);
-    const models::Labeled_sample& stored = mem.at(0);
+    ASSERT_EQ(mem.size(), 1u);
+    const models::Labeled_sample& stored = mem.samples()[0];
     EXPECT_EQ(stored.feature, s.feature);
     EXPECT_EQ(stored.class_label, 2u);
     EXPECT_DOUBLE_EQ(stored.box_target[3], 0.4);

@@ -16,7 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/cloud_only.hpp"
 #include "determinism_harness.hpp"
+#include "device/compute.hpp"
 #include "fleet/testbed.hpp"
 #include "sim/harness.hpp"
 #include "sim/shard.hpp"
@@ -125,6 +127,30 @@ TEST_F(Shard_fixture, ReliabilityCellWithFailuresByteIdentical) {
         EXPECT_EQ(reference,
                   shog::testing::serialize_cluster(fleet::run_cell(
                       *testbed, 4, /*heterogeneous=*/true, setup, 23, shards)))
+            << "shards=" << shards;
+    }
+}
+
+TEST_F(Shard_fixture, CloudOnlyDevicesOnDifferentShardsShareOneTeacher) {
+    // Cloud-Only reads the teacher in infer() on its shard's thread, and its
+    // per-tick GPU accounting reaches the cloud through the proxy's
+    // account_direct. Devices 0 and 2 run it against the fleet's one
+    // teacher, which also labels for the Shoggoth devices 1 and 3; from 2
+    // shards up the two Cloud-Only devices sit on different shards.
+    const auto run = [&](std::size_t shards) {
+        fleet::Fleet fleet = fleet::make_shoggoth_fleet(*testbed, 4);
+        baselines::Cloud_only_strategy cloud_a{*fleet.teacher, device::v100()};
+        baselines::Cloud_only_strategy cloud_b{*fleet.teacher, device::v100()};
+        fleet.specs[0].strategy = &cloud_a;
+        fleet.specs[2].strategy = &cloud_b;
+        return run_cluster_sharded(fleet.specs, Cluster_config{}, Shard_options{shards});
+    };
+    const Cluster_result sequential = run(0);
+    ASSERT_EQ(sequential.devices[2].strategy, "Cloud-Only");
+    ASSERT_GT(sequential.devices[2].cloud_gpu_seconds, 0.0);
+    const std::string reference = shog::testing::serialize_cluster(sequential);
+    for (const std::size_t shards : kShardCounts) {
+        EXPECT_EQ(reference, shog::testing::serialize_cluster(run(shards)))
             << "shards=" << shards;
     }
 }

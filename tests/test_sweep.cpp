@@ -11,11 +11,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "determinism_harness.hpp"
 #include "fleet/testbed.hpp"
 #include "sim/sweep.hpp"
@@ -31,26 +31,10 @@ fleet::Testbed& shared_testbed() {
     return testbed;
 }
 
-TEST(SweepCellSeed, CellZeroKeepsBaseSeed) {
-    EXPECT_EQ(sim::sweep_cell_seed(19, 0), 19u);
-    EXPECT_EQ(sim::sweep_cell_seed(0xdeadbeef, 0), 0xdeadbeefu);
-}
-
-TEST(SweepCellSeed, SubstreamsAreDeterministicAndDistinct) {
-    std::set<std::uint64_t> seeds;
-    for (std::size_t cell = 0; cell < 1000; ++cell) {
-        const std::uint64_t s = sim::sweep_cell_seed(19, cell);
-        EXPECT_EQ(s, sim::sweep_cell_seed(19, cell));
-        seeds.insert(s);
-    }
-    EXPECT_EQ(seeds.size(), 1000u);
-    EXPECT_NE(sim::sweep_cell_seed(19, 1), sim::sweep_cell_seed(20, 1));
-}
-
 TEST(RunSweep, ResultsLandInCellOrderForAnyWorkerCount) {
     const auto cell = [](std::size_t i) {
         return "cell " + std::to_string(i) + " seed " +
-               std::to_string(sim::sweep_cell_seed(7, i)) + "\n";
+               std::to_string(Rng{7}.split(i).next_u64()) + "\n";
     };
     sim::Sweep_options sequential;
     sequential.workers = 1;

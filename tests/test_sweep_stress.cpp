@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/thread_annotations.hpp"
 #include "sim/sweep.hpp"
 
@@ -24,10 +25,10 @@ namespace {
 constexpr std::size_t kCells = 256;
 
 std::string tiny_cell(std::size_t i) {
-    // Deterministic, allocation-bearing payload: the seed math plus a
-    // string build, so slots see real writes of varying length.
+    // Deterministic, allocation-bearing payload: an RNG substream draw plus
+    // a string build, so slots see real writes of varying length.
     return "cell " + std::to_string(i) + " seed " +
-           std::to_string(sim::sweep_cell_seed(0x5eed, i)) + "\n";
+           std::to_string(Rng{0x5eed}.split(i).next_u64()) + "\n";
 }
 
 std::vector<std::size_t> worker_counts() {
@@ -126,7 +127,7 @@ TEST(SweepStress, MutexWrapperSerializesCellSideState) {
         std::uint64_t value SHOG_GUARDED_BY(mutex) = 0;
     } sum;
     const auto cell = [&](std::size_t i) {
-        const std::uint64_t term = sim::sweep_cell_seed(7, i) % 1000;
+        const std::uint64_t term = Rng{7}.split(i).next_u64() % 1000;
         {
             Mutex_lock lock{sum.mutex};
             sum.value += term;
@@ -135,7 +136,7 @@ TEST(SweepStress, MutexWrapperSerializesCellSideState) {
     };
     std::uint64_t expected = 0;
     for (std::size_t i = 0; i < kCells; ++i) {
-        expected += sim::sweep_cell_seed(7, i) % 1000;
+        expected += Rng{7}.split(i).next_u64() % 1000;
     }
     sim::Sweep_options options;
     options.workers = 0; // one per hardware thread

@@ -12,7 +12,9 @@ namespace shog {
 namespace {
 
 using testing::expect_bit_identical;
+using testing::offset;
 using testing::randn_with_zeros;
+using testing::vector_of;
 
 TEST(Tensor, DefaultEmpty) {
     Tensor t;
@@ -49,8 +51,8 @@ TEST(Tensor, FromRowsRaggedRejected) {
     EXPECT_THROW(Tensor::from_rows({{1.0, 2.0}, {3.0}}), std::invalid_argument);
 }
 
-TEST(Tensor, FromVectorRank1) {
-    const Tensor t = Tensor::from_vector({1.0, 2.0, 3.0});
+TEST(Tensor, Rank1) {
+    const Tensor t{std::vector<std::size_t>{3}};
     EXPECT_EQ(t.rank(), 1u);
     EXPECT_EQ(t.size(), 3u);
     EXPECT_THROW((void)t.rows(), std::invalid_argument);
@@ -58,8 +60,9 @@ TEST(Tensor, FromVectorRank1) {
 
 TEST(Tensor, FullFills) {
     const Tensor t = Tensor::full({2, 2}, 7.5);
-    EXPECT_EQ(t.at(1, 1), 7.5);
-    EXPECT_EQ(t.sum(), 30.0);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        EXPECT_EQ(t.at(i), 7.5);
+    }
 }
 
 TEST(Tensor, RandnIsSeeded) {
@@ -70,41 +73,27 @@ TEST(Tensor, RandnIsSeeded) {
     EXPECT_EQ(max_abs_diff(a, b), 0.0);
 }
 
-TEST(Tensor, Reshape) {
-    Tensor t = Tensor::from_rows({{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}});
-    const Tensor r = t.reshaped({3, 2});
-    EXPECT_EQ(r.at(0, 0), 1.0);
-    EXPECT_EQ(r.at(2, 1), 6.0);
-    EXPECT_THROW((void)t.reshaped({4, 2}), std::invalid_argument);
-}
-
 TEST(Tensor, ElementwiseOps) {
     Tensor a = Tensor::from_rows({{1.0, 2.0}, {3.0, 4.0}});
     const Tensor b = Tensor::from_rows({{10.0, 20.0}, {30.0, 40.0}});
     a += b;
     EXPECT_EQ(a.at(1, 1), 44.0);
-    a -= b;
-    EXPECT_EQ(a.at(1, 1), 4.0);
     a *= 2.0;
-    EXPECT_EQ(a.at(0, 0), 2.0);
-    a *= b; // Hadamard
-    EXPECT_EQ(a.at(0, 1), 80.0);
+    EXPECT_EQ(a.at(0, 0), 22.0);
 }
 
 TEST(Tensor, ShapeMismatchThrows) {
     Tensor a{2, 2};
     Tensor b{2, 3};
     EXPECT_THROW(a += b, std::invalid_argument);
-    EXPECT_THROW(a -= b, std::invalid_argument);
-    EXPECT_THROW(a *= b, std::invalid_argument);
 }
 
 TEST(Tensor, AddRowVector) {
     Tensor a = Tensor::from_rows({{1.0, 2.0}, {3.0, 4.0}});
-    a.add_row_vector(Tensor::from_vector({10.0, 20.0}));
+    a.add_row_vector(vector_of({10.0, 20.0}));
     EXPECT_EQ(a.at(0, 0), 11.0);
     EXPECT_EQ(a.at(1, 1), 24.0);
-    EXPECT_THROW(a.add_row_vector(Tensor::from_vector({1.0, 2.0, 3.0})),
+    EXPECT_THROW(a.add_row_vector(vector_of({1.0, 2.0, 3.0})),
                  std::invalid_argument);
 }
 
@@ -119,10 +108,10 @@ TEST(Tensor, ColumnReductions) {
     const Tensor sum = a.column_sum();
     EXPECT_EQ(sum.at(0), 4.0);
     EXPECT_EQ(sum.at(1), 40.0);
-    EXPECT_THROW((void)a.column_variance(Tensor::from_vector({1.0, 2.0, 3.0})),
+    EXPECT_THROW((void)a.column_variance(vector_of({1.0, 2.0, 3.0})),
                  std::invalid_argument);
-    EXPECT_THROW((void)Tensor::from_vector({1.0, 2.0}).column_mean(), std::invalid_argument);
-    EXPECT_THROW((void)Tensor::from_vector({1.0, 2.0}).column_sum(), std::invalid_argument);
+    EXPECT_THROW((void)vector_of({1.0, 2.0}).column_mean(), std::invalid_argument);
+    EXPECT_THROW((void)vector_of({1.0, 2.0}).column_sum(), std::invalid_argument);
 }
 
 // The column reductions and add_row_vector against the element-by-element
@@ -170,7 +159,7 @@ TEST_P(ColumnKernels, ReductionsAgreeWithReference) {
     Rng rng{rows * 131 + cols};
     Tensor a = randn_with_zeros(rows, cols, rng);
     a *= 3.0;
-    a += -0.5;
+    offset(a, -0.5);
     expect_bit_identical(a.column_sum(), reference_column_sum(a));
     const Tensor mean = a.column_mean();
     expect_bit_identical(mean, reference_per_row(reference_column_sum(a), rows));
@@ -182,7 +171,7 @@ TEST_P(ColumnKernels, AddRowVectorAgreesWithReference) {
     const auto [rows, cols] = GetParam();
     Rng rng{rows * 137 + cols};
     const Tensor a = randn_with_zeros(rows, cols, rng);
-    const Tensor bias = randn_with_zeros(1, cols, rng).reshaped({cols});
+    const Tensor bias = vector_of(randn_with_zeros(1, cols, rng).storage());
     Tensor want = a;
     for (std::size_t r = 0; r < rows; ++r) {
         for (std::size_t c = 0; c < cols; ++c) {
@@ -197,34 +186,6 @@ TEST_P(ColumnKernels, AddRowVectorAgreesWithReference) {
 INSTANTIATE_TEST_SUITE_P(Shapes, ColumnKernels,
                          ::testing::Combine(::testing::Values(1, 2, 3, 64),
                                             ::testing::Values(1, 5, 13, 112)));
-
-TEST(Tensor, RowAccessAndSet) {
-    Tensor a = Tensor::from_rows({{1.0, 2.0}, {3.0, 4.0}});
-    const Tensor r = a.row(1);
-    EXPECT_EQ(r.at(0), 3.0);
-    a.set_row(0, Tensor::from_vector({9.0, 8.0}));
-    EXPECT_EQ(a.at(0, 1), 8.0);
-}
-
-TEST(Tensor, SliceRows) {
-    const Tensor a = Tensor::from_rows({{1.0}, {2.0}, {3.0}, {4.0}});
-    const Tensor s = a.slice_rows(1, 3);
-    EXPECT_EQ(s.rows(), 2u);
-    EXPECT_EQ(s.at(0, 0), 2.0);
-    EXPECT_EQ(s.at(1, 0), 3.0);
-    EXPECT_THROW((void)a.slice_rows(2, 2), std::invalid_argument);
-    EXPECT_THROW((void)a.slice_rows(3, 5), std::invalid_argument);
-}
-
-TEST(Tensor, GatherRows) {
-    const Tensor a = Tensor::from_rows({{1.0}, {2.0}, {3.0}});
-    const Tensor g = a.gather_rows({2, 0, 2});
-    EXPECT_EQ(g.rows(), 3u);
-    EXPECT_EQ(g.at(0, 0), 3.0);
-    EXPECT_EQ(g.at(1, 0), 1.0);
-    EXPECT_EQ(g.at(2, 0), 3.0);
-    EXPECT_THROW((void)a.gather_rows({5}), std::invalid_argument);
-}
 
 TEST(Matmul, HandComputed) {
     const Tensor a = Tensor::from_rows({{1.0, 2.0}, {3.0, 4.0}});
@@ -323,28 +284,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatmulVariants,
                          ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 7, 64),
                                             ::testing::Values(1, 8, 96),
                                             ::testing::Values(1, 3, 4, 5, 8, 9, 12, 13, 112)));
-
-TEST(ConcatRows, StacksParts) {
-    const Tensor a = Tensor::from_rows({{1.0, 2.0}});
-    const Tensor b = Tensor::from_rows({{3.0, 4.0}, {5.0, 6.0}});
-    const Tensor c = concat_rows({a, b});
-    EXPECT_EQ(c.rows(), 3u);
-    EXPECT_EQ(c.at(2, 1), 6.0);
-}
-
-TEST(ConcatRows, SliceRoundTrip) {
-    Rng rng{8};
-    const Tensor x = Tensor::randn({6, 3}, rng);
-    const Tensor top = x.slice_rows(0, 2);
-    const Tensor bottom = x.slice_rows(2, 6);
-    EXPECT_LT(max_abs_diff(concat_rows({top, bottom}), x), 1e-15);
-}
-
-TEST(ConcatRows, ColumnMismatchRejected) {
-    Tensor a{1, 2};
-    Tensor b{1, 3};
-    EXPECT_THROW((void)concat_rows({a, b}), std::invalid_argument);
-}
 
 TEST(MaxAbsDiff, Basics) {
     const Tensor a = Tensor::from_rows({{1.0, 2.0}});

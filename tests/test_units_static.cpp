@@ -149,7 +149,7 @@ TEST(UnitsStatic, ConstexprAlgebraIsUsableInConstantExpressions) {
     constexpr Sim_time deadline = Sim_time{1.0} + Sim_duration{0.5};
     static_assert(deadline.value() == 1.5); // constexpr unwrap under test
     static_assert(Sim_duration{3.0} / Sim_duration{1.5} == 2.0);
-    static_assert(kib(2.0).value() == 2048.0); // constexpr unwrap under test
+    static_assert(bytes_to_kbps(Bytes{1000.0}, Sim_duration{1.0}).value() == 8.0); // constexpr unwrap under test
     SUCCEED();
 }
 
