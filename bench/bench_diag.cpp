@@ -91,8 +91,9 @@ int main() {
                 }
                 ++pos;
                 // Check against simulation truth via the proposal provenance.
-                // (proposals[i] ordering == labeled sample ordering only when
-                // negative_keep=1, which is the default.)
+                // (proposals[i] lines up with labeled sample i only while
+                // the labeler has dropped no proposal: every negative is
+                // kept, but the ignore zone drops ambiguous ones.)
                 if (i < proposals.size() && proposals[i].from_object &&
                     f.objects[proposals[i].gt_index].class_id == s.class_label) {
                     ++pos_correct;

@@ -3,7 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
+#include "netsim/messages.hpp"
+
 namespace shog::baselines {
+
+namespace {
+
+/// Edge-side model swap pause (fps dips while weights are installed).
+constexpr Sim_duration k_swap_seconds{0.4};
+
+} // namespace
 
 Ams_strategy::Ams_strategy(models::Detector& student, const models::Detector& teacher,
                            Ams_config config, models::Deployed_profile profile,
@@ -13,7 +22,7 @@ Ams_strategy::Ams_strategy(models::Detector& student, const models::Detector& te
       config_{std::move(config)},
       profile_{profile},
       cloud_trainer_{*cloud_copy_, config_.trainer, profile_, cloud_device},
-      loop_{student, teacher, config_.labeler, config_.controller, config_.initial_rate,
+      loop_{student, teacher, config_.controller, config_.initial_rate,
             config_.upload_resolution, std::move(cloud_device)},
       warm_cache_{warm_cache},
       pending_{config_.sample_horizon} {}
@@ -67,7 +76,7 @@ void Ams_strategy::cloud_label_batch(sim::Edge_runtime& rt, std::vector<std::siz
     // Telemetry + control round (same adaptive sampling as Shoggoth), then
     // the rate command on its own downlink message.
     (void)loop_.control_round(rt, labels.agreement);
-    (void)rt.link().send_down(rt.now(), rt.message_sizes().rate_command_bytes);
+    (void)rt.link().send_down(rt.now(), netsim::k_message_sizes.rate_command_bytes);
 
     maybe_train_in_cloud(rt);
 }
@@ -144,7 +153,7 @@ void Ams_strategy::maybe_train_in_cloud(sim::Edge_runtime& rt) {
                 student_.net().load_state_vector(state);
                 SHOG_TRACE_INSTANT(rt.trace(), rt.now(), rt.trace_track(), "apply", session);
                 rt.set_training_active(true);
-                rt.schedule(config_.swap_seconds, [this, &rt] {
+                rt.schedule(k_swap_seconds, [this, &rt] {
                     rt.set_training_active(false);
                     cloud_training_busy_ = false;
                     maybe_train_in_cloud(rt);

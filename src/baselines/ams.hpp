@@ -26,7 +26,6 @@ namespace shog::baselines {
 struct Ams_config {
     core::Trainer_config trainer = core::input_replay_config();
     core::Controller_config controller;
-    core::Labeler_config labeler;
     double initial_rate = 1.0;
     std::size_t upload_batch_frames = 8;
     Sim_duration upload_max_wait{15.0};
@@ -37,8 +36,6 @@ struct Ams_config {
     bool warm_replay = true;
     std::size_t warm_samples = 1200;
     double upload_resolution = 512.0;
-    /// Edge-side model swap pause (fps dips while weights are installed).
-    Sim_duration swap_seconds{0.4};
 };
 
 class Ams_strategy final : public sim::Strategy {

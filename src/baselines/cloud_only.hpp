@@ -12,17 +12,9 @@
 
 namespace shog::baselines {
 
-struct Cloud_only_config {
-    /// Metering/model-update cadence for the continuous streams.
-    Sim_duration meter_tick{1.0};
-    /// Per-frame encode seconds on the edge HW encoder in streaming mode.
-    Sim_duration stream_encode_seconds{0.05};
-};
-
 class Cloud_only_strategy final : public sim::Strategy {
 public:
-    Cloud_only_strategy(const models::Detector& teacher, device::Compute_model cloud_device,
-                        Cloud_only_config config = {});
+    Cloud_only_strategy(const models::Detector& teacher, device::Compute_model cloud_device);
 
     [[nodiscard]] std::string name() const override { return "Cloud-Only"; }
     void start(sim::Edge_runtime& rt) override;
@@ -35,7 +27,6 @@ public:
 private:
     const models::Detector& teacher_;
     device::Compute_model cloud_device_;
-    Cloud_only_config config_;
     double teacher_infer_gflops_;
 
     void meter_tick(sim::Edge_runtime& rt);

@@ -10,6 +10,14 @@
 
 namespace shog::core {
 
+namespace {
+
+/// How far the retrained model's holdout agreement may fall below the
+/// pre-session model's before the validation gate rolls the session back.
+constexpr double k_commit_tolerance = 0.02;
+
+} // namespace
+
 Trainer_config ours_config() { return Trainer_config{}; }
 
 Trainer_config input_replay_config() {
@@ -293,7 +301,7 @@ Training_report Adaptive_trainer::train(const std::vector<models::Labeled_sample
     if (!holdout.empty()) {
         report.holdout_accuracy_after = models::classifier_accuracy(detector_, holdout);
         if (report.holdout_accuracy_after <
-            report.holdout_accuracy_before - config_.commit_tolerance) {
+            report.holdout_accuracy_before - k_commit_tolerance) {
             net.load_state_vector(pre_state);
             report.committed = false;
         }

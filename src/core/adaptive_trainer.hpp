@@ -47,7 +47,6 @@ struct Trainer_config {
     /// Let Batch-Renorm moments below the cut keep adapting (ours: true;
     /// "completely freezing": false).
     bool front_stats_adapt = true;
-    std::size_t batch_size = 300;      ///< N fresh samples per session
     std::size_t replay_capacity = 1500; ///< M
     std::size_t minibatch = 64;        ///< K
     std::size_t epochs = 8;
@@ -68,11 +67,11 @@ struct Trainer_config {
     double samples_per_image = 6.0;
     /// Validation-gated commit: this fraction of each session's samples is
     /// held out; if the retrained model's label agreement on the holdout
-    /// drops more than `commit_tolerance` below the pre-session model's, the
-    /// session is rolled back. Guards against sessions dominated by noisy or
-    /// already-stale labels. Set to 0 to disable.
+    /// drops more than a fixed tolerance (adaptive_trainer.cpp) below the
+    /// pre-session model's, the session is rolled back. Guards against
+    /// sessions dominated by noisy or already-stale labels. Set to 0 to
+    /// disable.
     double validation_fraction = 0.15;
-    double commit_tolerance = 0.02;
     std::uint64_t seed = 5;
 };
 

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "models/deployed.hpp"
+#include "netsim/messages.hpp"
 
 namespace shog::core {
 
@@ -33,11 +34,10 @@ std::size_t Label_backlog::frames() const noexcept {
 }
 
 Label_loop::Label_loop(models::Detector& student, const models::Detector& teacher,
-                       const Labeler_config& labeler, const Controller_config& controller,
-                       double initial_rate, double upload_resolution,
-                       device::Compute_model cloud_device)
+                       const Controller_config& controller, double initial_rate,
+                       double upload_resolution, device::Compute_model cloud_device)
     : student_{student},
-      labeler_{teacher, labeler},
+      labeler_{teacher},
       controller_{controller, initial_rate},
       upload_resolution_{upload_resolution},
       cloud_device_{std::move(cloud_device)},
@@ -113,7 +113,7 @@ Label_loop::Batch_labels Label_loop::label(sim::Edge_runtime& rt,
         out.agreement +=
             detection_agreement(student_.detect_on(proposals), labeled.teacher_detections);
         out.label_bytes +=
-            netsim::label_bytes(rt.message_sizes(), labeled.teacher_detections.size());
+            netsim::label_bytes(labeled.teacher_detections.size());
         last_teacher_output_ = std::move(labeled.teacher_detections);
         for (models::Labeled_sample& s : labeled.samples) {
             out.samples.push_back(std::move(s));
@@ -124,7 +124,7 @@ Label_loop::Batch_labels Label_loop::label(sim::Edge_runtime& rt,
 }
 
 double Label_loop::control_round(sim::Edge_runtime& rt, double alpha) {
-    (void)rt.link().send_up(rt.now(), rt.message_sizes().telemetry_bytes);
+    (void)rt.link().send_up(rt.now(), netsim::k_message_sizes.telemetry_bytes);
     // Drift-rate estimate for the cloud's staleness scheduling: how fast
     // alpha is moving per wall second, smoothed across control rounds. A
     // camera crossing day->night spikes this; a static scene stays ~0.

@@ -65,9 +65,8 @@ public:
     /// `student` is the edge model whose proposals the teacher labels;
     /// `teacher` runs in the cloud on `cloud_device`. Both borrowed.
     Label_loop(models::Detector& student, const models::Detector& teacher,
-               const Labeler_config& labeler, const Controller_config& controller,
-               double initial_rate, double upload_resolution,
-               device::Compute_model cloud_device);
+               const Controller_config& controller, double initial_rate,
+               double upload_resolution, device::Compute_model cloud_device);
 
     /// Deployment: decorrelate this device's labeling noise from the rest of
     /// the fleet (every device would otherwise draw the same label jitter).

@@ -3,18 +3,29 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/require.hpp"
 #include "common/units.hpp"
 
 namespace shog::core {
 
-Online_labeler::Online_labeler(const models::Detector& teacher, Labeler_config config)
-    : teacher_{teacher}, config_{config} {
-    SHOG_REQUIRE(config_.match_iou > 0.0 && config_.match_iou < 1.0,
-                 "match IoU must lie in (0, 1)");
-    SHOG_REQUIRE(config_.negative_keep > 0.0 && config_.negative_keep <= 1.0,
-                 "negative keep probability must lie in (0, 1]");
-}
+namespace {
+
+constexpr double k_match_iou = 0.5;
+/// Proposals whose best overlap with a teacher box falls in
+/// [k_ambiguous_iou, k_match_iou) are *dropped*: they are probably the same
+/// object localized differently, and labeling them negative would teach the
+/// student to suppress true objects (the standard ignore-zone of detector
+/// training).
+constexpr double k_ambiguous_iou = 0.2;
+/// Probability of keeping each negative sample (all kept; lower it to
+/// re-balance extremely cluttered scenes). The keep draw happens even at
+/// 1.0, so every later label draw depends on it.
+constexpr double k_negative_keep = 1.0;
+/// Loss weight of negative samples relative to positives.
+constexpr double k_negative_weight = 0.75;
+
+} // namespace
+
+Online_labeler::Online_labeler(const models::Detector& teacher) : teacher_{teacher} {}
 
 Labeled_frame Online_labeler::label(const video::Frame& frame,
                                     const video::World_model& world,
@@ -26,7 +37,7 @@ Labeled_frame Online_labeler::label(const video::Frame& frame,
     // Greedy one-to-one assignment of proposals to teacher detections.
     std::vector<bool> taken(out.teacher_detections.size(), false);
     for (const models::Proposal& proposal : edge_proposals) {
-        double best_match_iou = config_.match_iou;
+        double best_match_iou = k_match_iou;
         std::size_t best = models::k_no_gt;
         double best_any_iou = 0.0; // including already-taken boxes
         for (std::size_t t = 0; t < out.teacher_detections.size(); ++t) {
@@ -48,12 +59,12 @@ Labeled_frame Online_labeler::label(const video::Frame& frame,
             sample.class_label = det.class_id; // Eq. 1: positive, from detector
             sample.box_target = models::encode_box_offsets(proposal.box, det.box);
         } else {
-            if (best_any_iou >= config_.ambiguous_iou) {
+            if (best_any_iou >= k_ambiguous_iou) {
                 continue; // ignore zone: probably the same object, don't teach "background"
             }
             sample.class_label = 0; // Eq. 1: negative sample
-            sample.weight = config_.negative_weight;
-            if (!rng.chance(config_.negative_keep)) {
+            sample.weight = k_negative_weight;
+            if (!rng.chance(k_negative_keep)) {
                 continue;
             }
         }

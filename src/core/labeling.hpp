@@ -23,21 +23,6 @@
 
 namespace shog::core {
 
-struct Labeler_config {
-    double match_iou = 0.5;
-    /// Proposals whose best overlap with a teacher box falls in
-    /// [ambiguous_iou, match_iou) are *dropped*: they are probably the same
-    /// object localized differently, and labeling them negative would teach
-    /// the student to suppress true objects (the standard ignore-zone of
-    /// detector training).
-    double ambiguous_iou = 0.2;
-    /// Probability of keeping each negative sample (all kept by default; can
-    /// be lowered to re-balance extremely cluttered scenes).
-    double negative_keep = 1.0;
-    /// Loss weight of negative samples relative to positives.
-    double negative_weight = 0.75;
-};
-
 struct Labeled_frame {
     std::vector<models::Labeled_sample> samples;
     std::vector<detect::Detection> teacher_detections;
@@ -46,7 +31,7 @@ struct Labeled_frame {
 class Online_labeler {
 public:
     /// The labeler borrows the teacher; the caller keeps it alive.
-    Online_labeler(const models::Detector& teacher, Labeler_config config = {});
+    explicit Online_labeler(const models::Detector& teacher);
 
     /// Label one frame: run the teacher, then match the edge device's
     /// proposals against the teacher detections (Eq. 1).
@@ -55,11 +40,8 @@ public:
                                       const std::vector<models::Proposal>& edge_proposals,
                                       Rng& rng) const;
 
-    [[nodiscard]] const Labeler_config& config() const noexcept { return config_; }
-
 private:
     const models::Detector& teacher_;
-    Labeler_config config_;
 };
 
 /// phi between consecutive teacher outputs (both in [0, 1]; higher = faster

@@ -3,7 +3,23 @@
 #include <algorithm>
 #include <cmath>
 
+#include "netsim/messages.hpp"
+
 namespace shog::core {
+
+namespace {
+
+/// A jump of estimated accuracy by at least this much between control
+/// rounds marks a domain break: the cloud ships a flush flag with the rate
+/// command and the edge drops pending labeled batches from before the break
+/// (they describe a scene that no longer exists).
+constexpr double k_domain_flush_alpha_delta = 0.2;
+/// theta of the posterior alpha accuracy estimate.
+constexpr double k_alpha_threshold = 0.5;
+/// Wall-clock factor on the modeled training time (preemption overhead).
+constexpr double k_training_wall_factor = 1.15;
+
+} // namespace
 
 Shoggoth_strategy::Shoggoth_strategy(models::Detector& student, const models::Detector& teacher,
                                      Shoggoth_config config,
@@ -14,13 +30,12 @@ Shoggoth_strategy::Shoggoth_strategy(models::Detector& student, const models::De
     : student_{student},
       config_{std::move(config)},
       trainer_{student, config_.trainer, std::move(edge_profile), std::move(edge_device)},
-      loop_{student, teacher, config_.labeler, config_.controller, config_.initial_rate,
+      loop_{student, teacher, config_.controller, config_.initial_rate,
             config_.upload_resolution, std::move(cloud_device)},
       warm_cache_{warm_cache},
       pending_{config_.sample_horizon} {
     SHOG_REQUIRE(config_.upload_batch_frames >= 1, "upload batch must be >= 1 frame");
     SHOG_REQUIRE(config_.fixed_rate > 0.0, "fixed rate must be positive");
-    SHOG_REQUIRE(config_.training_wall_factor >= 1.0, "wall factor must be >= 1");
 }
 
 double Shoggoth_strategy::current_rate() const noexcept {
@@ -116,15 +131,15 @@ void Shoggoth_strategy::cloud_label_batch(sim::Edge_runtime& rt, std::vector<std
         // means the scene the older pending labels describe no longer exists
         // (night fell, or day returned). Shipping a flush flag with the rate
         // command keeps the next session from training on the stale domain.
-        if (config_.domain_flush_alpha_delta < 1.0 && last_control_alpha_ >= 0.0 &&
-            std::abs(alpha - last_control_alpha_) >= config_.domain_flush_alpha_delta) {
+        if (last_control_alpha_ >= 0.0 &&
+            std::abs(alpha - last_control_alpha_) >= k_domain_flush_alpha_delta) {
             flush_stale = true;
         }
         last_control_alpha_ = alpha;
         const double lambda = loop_.control_round(rt, alpha);
         control_trace_.push_back(Control_record{rt.now(), loop_.controller().rate(), alpha,
                                                 loop_.controller().phi_bar(), lambda});
-        label_payload += rt.message_sizes().rate_command_bytes;
+        label_payload += netsim::k_message_sizes.rate_command_bytes;
     }
 
     const Sim_duration down_delay = rt.link().send_down(rt.now(), label_payload);
@@ -165,7 +180,7 @@ void Shoggoth_strategy::maybe_start_training(sim::Edge_runtime& rt) {
         return;
     }
     const Training_report estimate = trainer_.estimate_session_cost(batch.size());
-    const Sim_duration wall = estimate.overall_seconds() * config_.training_wall_factor;
+    const Sim_duration wall = estimate.overall_seconds() * k_training_wall_factor;
 
     training_busy_ = true;
     rt.set_training_active(true);
@@ -200,7 +215,7 @@ void Shoggoth_strategy::on_inference(sim::Edge_runtime& rt, const video::Frame& 
     }
     for (const detect::Detection& det : detections) {
         ++predictions_seen_;
-        if (det.confidence > config_.alpha_threshold) {
+        if (det.confidence > k_alpha_threshold) {
             ++predictions_accurate_;
         }
     }

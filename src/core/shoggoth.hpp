@@ -23,7 +23,6 @@ namespace shog::core {
 struct Shoggoth_config {
     Trainer_config trainer;          ///< defaults are the paper's "ours"
     Controller_config controller;
-    Labeler_config labeler;
     bool adaptive_sampling = true;   ///< false => the Prompt baseline
     double fixed_rate = 2.0;         ///< fps used when adaptive_sampling is off
     double initial_rate = 0.5;
@@ -48,23 +47,14 @@ struct Shoggoth_config {
     /// Uploaded samples are resized to this square resolution before H.264
     /// encoding ("all images are resized to 512x512").
     double upload_resolution = 512.0;
-    /// A jump of estimated accuracy by at least this much between control
-    /// rounds marks a domain break: the cloud ships a flush flag with the
-    /// rate command and the edge drops pending labeled batches from before
-    /// the break (they describe a scene that no longer exists). >= 1
-    /// disables the mechanism.
-    double domain_flush_alpha_delta = 0.2;
-    double alpha_threshold = 0.5;    ///< theta of the alpha accuracy estimate
     /// How alpha (estimated accuracy) is obtained:
     ///  - agreement: cloud-side F1 between the edge's detections and the
     ///    teacher labels on sampled frames (robust to the over-confidence of
     ///    a drifted model; the edge ships its detections with the upload);
     ///  - posterior: the paper's literal formula (fraction of predictions
-    ///    whose posterior exceeds alpha_threshold).
+    ///    whose posterior exceeds the threshold theta; see shoggoth.cpp).
     enum class Alpha_source { agreement, posterior };
     Alpha_source alpha_source = Alpha_source::agreement;
-    /// Wall-clock factor on the modeled training time (preemption overhead).
-    double training_wall_factor = 1.15;
 };
 
 class Shoggoth_strategy final : public sim::Strategy {

@@ -29,20 +29,10 @@ struct Compute_model {
 /// NVIDIA V100 (cloud): ~7 TFLOP/s effective on this workload mix.
 [[nodiscard]] Compute_model v100();
 
-/// Edge GPU contention model.
-struct Edge_contention_config {
-    /// Fraction of device compute granted to a training session while one is
-    /// active (the remainder serves inference).
-    double training_share = 0.55;
-    /// Fixed per-frame overhead besides the network forward (pre/post
-    /// processing).
-    Sim_duration per_frame_overhead{0.004};
-};
-
+/// Edge GPU contention model of the deployed student on one accelerator.
 class Edge_compute {
 public:
-    Edge_compute(Compute_model model, Edge_contention_config config,
-                 double inference_gflops_per_frame);
+    explicit Edge_compute(Compute_model model);
 
     /// Peak inference fps with no training running.
     [[nodiscard]] double idle_fps() const noexcept;
@@ -58,8 +48,6 @@ public:
 
 private:
     Compute_model model_;
-    Edge_contention_config config_;
-    double inference_gflops_;
 };
 
 } // namespace shog::device

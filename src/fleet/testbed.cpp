@@ -53,29 +53,24 @@ Testbed make_correlated_drift_testbed(const char* preset_name, std::size_t camer
     return build_testbed(preset, cameras, seed);
 }
 
-std::vector<Edge_class> default_edge_classes() {
+std::vector<sim::Device_hardware> default_edge_classes() {
     // idle fps on the 5.2-GFLOP student: ~30 (tx2) / ~20 (mid) / ~11
     // (straggler), so the mix spans real-time down to clearly degraded.
     return {
-        Edge_class{"tx2", device::jetson_tx2(),
-                   netsim::Link_config{12.0, 40.0, Sim_duration{0.025}}, 5.2},
-        Edge_class{"mid", device::Compute_model{"mid_tier", 0.11},
-                   netsim::Link_config{8.0, 24.0, Sim_duration{0.035}}, 5.2},
-        Edge_class{"straggler", device::Compute_model{"straggler", 0.06},
-                   netsim::Link_config{3.0, 10.0, Sim_duration{0.08}}, 5.2},
+        sim::Device_hardware{netsim::Link_config{12.0, 40.0, Sim_duration{0.025}},
+                             device::jetson_tx2()},
+        sim::Device_hardware{netsim::Link_config{8.0, 24.0, Sim_duration{0.035}},
+                             device::Compute_model{"mid_tier", 0.11}},
+        sim::Device_hardware{netsim::Link_config{3.0, 10.0, Sim_duration{0.08}},
+                             device::Compute_model{"straggler", 0.06}},
     };
 }
 
-sim::Device_hardware hardware_of(const Edge_class& edge_class) {
-    return sim::Device_hardware{edge_class.link, edge_class.device,
-                                device::Edge_contention_config{},
-                                edge_class.inference_gflops};
-}
-
-void assign_heterogeneous_hardware(Fleet& fleet, const std::vector<Edge_class>& classes) {
+void assign_heterogeneous_hardware(Fleet& fleet,
+                                   const std::vector<sim::Device_hardware>& classes) {
     SHOG_REQUIRE(!classes.empty(), "heterogeneous fleet needs at least one edge class");
     for (std::size_t i = 0; i < fleet.specs.size(); ++i) {
-        fleet.specs[i].hardware = hardware_of(classes[i % classes.size()]);
+        fleet.specs[i].hardware = classes[i % classes.size()];
     }
 }
 
@@ -117,14 +112,14 @@ Fleet seed_fleet(const Testbed& testbed) {
 
 auto shoggoth_factory(const Testbed& testbed, const models::Detector& teacher,
                       core::Shoggoth_config config, device::Compute_model cloud_device,
-                      std::vector<Edge_class> classes = {}) {
+                      std::vector<sim::Device_hardware> classes = {}) {
     // With edge classes, device i trains on its own accelerator (the trainer
     // prices session wall time from it); without, every device is a TX2.
     return [&teacher, config = std::move(config), cloud_device = std::move(cloud_device),
             classes = std::move(classes),
             cache = testbed.warm_cache.get()](models::Detector& student, std::size_t i) {
         const device::Compute_model edge =
-            classes.empty() ? device::jetson_tx2() : classes[i % classes.size()].device;
+            classes.empty() ? device::jetson_tx2() : classes[i % classes.size()].edge_device;
         return std::make_unique<core::Shoggoth_strategy>(
             student, teacher, config, models::Deployed_profile::yolov4_resnet18(),
             edge, cloud_device, cache);
@@ -201,7 +196,7 @@ Fleet make_scale_fleet(const Testbed& testbed, std::size_t devices, bool heterog
     grow_fleet(fleet, testbed, shoggoth_devices,
                shoggoth_factory(testbed, *fleet.teacher, {}, cloud_share,
                                 heterogeneous ? default_edge_classes()
-                                              : std::vector<Edge_class>{}),
+                                              : std::vector<sim::Device_hardware>{}),
                /*wrap_cameras=*/true);
     grow_fleet(fleet, testbed, ams_devices,
                ams_factory(testbed, *fleet.teacher, ams_config, cloud_share),

@@ -58,20 +58,11 @@ struct Testbed {
                                                     std::size_t cameras, std::uint64_t seed,
                                                     double duration);
 
-/// One class of edge hardware in a heterogeneous fleet.
-struct Edge_class {
-    const char* name;
-    device::Compute_model device;
-    netsim::Link_config link;
-    double inference_gflops = 5.2;
-};
-
-/// The default three-way mix: a TX2-class device on a healthy link, a
-/// mid-tier device on a slower link, and a straggler (weak accelerator,
-/// thin high-latency uplink) — cf. SurveilEdge-style mixed deployments.
-[[nodiscard]] std::vector<Edge_class> default_edge_classes();
-
-[[nodiscard]] sim::Device_hardware hardware_of(const Edge_class& edge_class);
+/// The default three-way mix of edge hardware: a TX2-class device on a
+/// healthy link (sim::Device_hardware's default), a mid-tier device on a
+/// slower link, and a straggler (weak accelerator, thin high-latency
+/// uplink) — cf. SurveilEdge-style mixed deployments.
+[[nodiscard]] std::vector<sim::Device_hardware> default_edge_classes();
 
 /// One runnable fleet: owns the per-device students and strategies backing
 /// `specs`. Keep it alive across run_cluster.
@@ -92,12 +83,12 @@ struct Fleet {
 };
 
 /// Make the fleet heterogeneous: device i gets classes[i % classes.size()].
-/// This overrides the *harness-side* hardware (fps, link, lambda). A
-/// strategy that prices edge training itself (Shoggoth's Adaptive_trainer)
-/// is fixed at construction — build it with the matching edge device, as
+/// This sets the *harness-side* hardware (fps, link, lambda). A strategy
+/// that prices edge training itself (Shoggoth's Adaptive_trainer) is fixed
+/// at construction — build it with the matching edge device, as
 /// make_policy_sweep_fleet does, or straggler training runs at TX2 speed.
 void assign_heterogeneous_hardware(Fleet& fleet,
-                                   const std::vector<Edge_class>& classes =
+                                   const std::vector<sim::Device_hardware>& classes =
                                        default_edge_classes());
 
 [[nodiscard]] Fleet make_shoggoth_fleet(const Testbed& testbed, std::size_t devices,

@@ -55,24 +55,22 @@ Detector_net::Detector_net(const Detector_config& config, Rng& rng)
     trunk_ = std::make_unique<nn::Sequential>();
     std::size_t in_width = config.feature_dim;
     for (std::size_t s = 0; s < config.trunk_widths.size(); ++s) {
-        const std::string& name = stage_names()[s];
         const std::size_t out_width = config.trunk_widths[s];
-        trunk_->add(name, std::make_unique<nn::Dense>(in_width, out_width, rng));
-        trunk_->add(name, std::make_unique<nn::Batch_renorm>(out_width));
-        trunk_->add(name, std::make_unique<nn::Leaky_relu>(0.1));
+        trunk_->add(std::make_unique<nn::Dense>(in_width, out_width, rng));
+        trunk_->add(std::make_unique<nn::Batch_renorm>(out_width));
+        trunk_->add(std::make_unique<nn::Leaky_relu>(0.1));
         stage_end_.push_back(trunk_->layer_count());
         in_width = out_width;
     }
 
     class_head_ = std::make_unique<nn::Sequential>();
-    class_head_->add("cls", std::make_unique<nn::Dense>(in_width, num_classes_ + 1, rng));
+    class_head_->add(std::make_unique<nn::Dense>(in_width, num_classes_ + 1, rng));
 
     box_head_ = std::make_unique<nn::Sequential>();
-    box_head_->add("box_fc1",
-                   std::make_unique<nn::Dense>(in_width, config.box_head_hidden, rng));
-    box_head_->add("box_act1", std::make_unique<nn::Leaky_relu>(0.1));
-    box_head_->add("box_fc2", std::make_unique<nn::Dense>(config.box_head_hidden, 4, rng));
-    box_head_->add("box_tanh", std::make_unique<nn::Tanh>());
+    box_head_->add(std::make_unique<nn::Dense>(in_width, config.box_head_hidden, rng));
+    box_head_->add(std::make_unique<nn::Leaky_relu>(0.1));
+    box_head_->add(std::make_unique<nn::Dense>(config.box_head_hidden, 4, rng));
+    box_head_->add(std::make_unique<nn::Tanh>());
     // Scale tanh output to +-max_offset via the final Dense's successor: we
     // fold the scale into inference/training by multiplying outputs; keep the
     // scale as data here.

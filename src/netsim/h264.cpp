@@ -7,33 +7,45 @@
 
 namespace shog::netsim {
 
-H264_model::H264_model(H264_config config) : config_{config} {
-    SHOG_REQUIRE(config_.intra_bpp > 0.0, "intra bpp must be positive");
-    SHOG_REQUIRE(config_.p_floor > 0.0 && config_.p_floor < 1.0, "p_floor must lie in (0, 1)");
-    SHOG_REQUIRE(config_.redundancy_tau > 0.0, "tau must be positive");
-    SHOG_REQUIRE(config_.encode_mpix_per_second > 0.0, "encoder throughput must be positive");
-}
+namespace {
+
+/// Bits per pixel of an intra frame at complexity 1.0.
+constexpr double k_intra_bpp = 0.9;
+/// Sub-linear resolution scaling (larger frames compress better per px).
+constexpr double k_resolution_exponent = 0.85;
+/// Fraction of I-frame cost that a fully-redundant P-frame still costs.
+constexpr double k_p_floor = 0.40;
+/// Temporal redundancy decay time constant at motion 0 (seconds).
+constexpr double k_redundancy_tau = 1.6;
+/// Motion shortens the redundancy window: tau_eff = tau / (1 + k*motion).
+constexpr double k_motion_tau_k = 2.2;
+/// Encoder throughput in megapixels per second (drives encode latency).
+constexpr double k_encode_mpix_per_second = 9.0;
+/// Fixed per-batch encode setup latency.
+constexpr Sim_duration k_encode_setup_seconds{0.8};
+
+} // namespace
 
 double H264_model::pixel_term(double width, double height) const {
     SHOG_REQUIRE(width > 0.0 && height > 0.0, "frame size must be positive");
     // Normalize around a 512x512 frame so intra_bpp is directly the bpp there.
     const double pixels = width * height;
     const double reference = 512.0 * 512.0;
-    return reference * std::pow(pixels / reference, config_.resolution_exponent);
+    return reference * std::pow(pixels / reference, k_resolution_exponent);
 }
 
 Bytes H264_model::intra_frame_bytes(double width, double height, double complexity) const {
     const double c = std::clamp(complexity, 0.05, 1.0);
-    return Bytes{pixel_term(width, height) * config_.intra_bpp * c / k_bits_per_byte};
+    return Bytes{pixel_term(width, height) * k_intra_bpp * c / k_bits_per_byte};
 }
 
 Bytes H264_model::predicted_frame_bytes(double width, double height, double complexity,
                                         double motion, Sim_duration gap_seconds) const {
     SHOG_REQUIRE(gap_seconds >= Sim_duration{}, "gap must be non-negative");
     const double m = std::clamp(motion, 0.0, 1.0);
-    const double tau = config_.redundancy_tau / (1.0 + config_.motion_tau_k * m);
+    const double tau = k_redundancy_tau / (1.0 + k_motion_tau_k * m);
     const double novelty = 1.0 - std::exp(-gap_seconds.value() / tau); // dimensionless decay exponent
-    const double fraction = config_.p_floor + (1.0 - config_.p_floor) * novelty;
+    const double fraction = k_p_floor + (1.0 - k_p_floor) * novelty;
     return intra_frame_bytes(width, height, complexity) * fraction;
 }
 
@@ -62,7 +74,7 @@ Bytes H264_model::batch_bytes(std::size_t frames, double width, double height,
 Sim_duration H264_model::encode_seconds(std::size_t frames, double width,
                                         double height) const {
     const double mpix = static_cast<double>(frames) * width * height / 1e6;
-    return config_.encode_setup_seconds + Sim_duration{mpix / config_.encode_mpix_per_second};
+    return k_encode_setup_seconds + Sim_duration{mpix / k_encode_mpix_per_second};
 }
 
 } // namespace shog::netsim

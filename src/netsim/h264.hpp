@@ -15,29 +15,9 @@
 
 namespace shog::netsim {
 
-struct H264_config {
-    /// Bits per pixel of an intra frame at complexity 1.0.
-    double intra_bpp = 0.9;
-    /// Sub-linear resolution scaling (larger frames compress better per px).
-    double resolution_exponent = 0.85;
-    /// Fraction of I-frame cost that a fully-redundant P-frame still costs.
-    double p_floor = 0.40;
-    /// Temporal redundancy decay time constant at motion 0 (seconds).
-    double redundancy_tau = 1.6;
-    /// Motion shortens the redundancy window: tau_eff = tau / (1 + k*motion).
-    double motion_tau_k = 2.2;
-    /// Encoder throughput in megapixels per second (drives encode latency).
-    double encode_mpix_per_second = 9.0;
-    /// Fixed per-batch encode setup latency.
-    Sim_duration encode_setup_seconds{0.8};
-};
-
+/// Stateless: the codec's calibration constants live in h264.cpp.
 class H264_model {
 public:
-    explicit H264_model(H264_config config = {});
-
-    [[nodiscard]] const H264_config& config() const noexcept { return config_; }
-
     /// Bytes of an intra (I) frame.
     [[nodiscard]] Bytes intra_frame_bytes(double width, double height,
                                           double complexity) const;
@@ -64,8 +44,6 @@ public:
                                               double height) const;
 
 private:
-    H264_config config_;
-
     [[nodiscard]] double pixel_term(double width, double height) const;
 };
 

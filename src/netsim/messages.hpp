@@ -11,7 +11,7 @@
 
 namespace shog::netsim {
 
-struct Message_size_config {
+struct Message_sizes {
     Bytes label_header_bytes{180.0};   ///< per labeled frame
     Bytes label_per_box_bytes{36.0};   ///< box + class + score
     Bytes mask_per_box_bytes{280.0};   ///< RLE instance mask (teacher labels)
@@ -22,11 +22,14 @@ struct Message_size_config {
     double result_frame_overhead = 1.08;
 };
 
+/// The payload sizes every device uses.
+inline constexpr Message_sizes k_message_sizes{};
+
 /// Bytes of a label message for one frame with `boxes` detections.
-[[nodiscard]] constexpr Bytes label_bytes(const Message_size_config& cfg,
-                                          std::size_t boxes) noexcept {
-    return cfg.label_header_bytes +
-           static_cast<double>(boxes) * (cfg.label_per_box_bytes + cfg.mask_per_box_bytes);
+[[nodiscard]] constexpr Bytes label_bytes(std::size_t boxes) noexcept {
+    return k_message_sizes.label_header_bytes +
+           static_cast<double>(boxes) *
+               (k_message_sizes.label_per_box_bytes + k_message_sizes.mask_per_box_bytes);
 }
 
 } // namespace shog::netsim

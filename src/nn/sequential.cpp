@@ -7,36 +7,34 @@
 
 namespace shog::nn {
 
-std::size_t Sequential::add(std::string stage_name_in, std::unique_ptr<Layer> layer_in) {
-    SHOG_REQUIRE(layer_in != nullptr, "cannot add a null layer");
-    SHOG_REQUIRE(!stage_name_in.empty(), "stage name must be non-empty");
-    entries_.push_back(Entry{std::move(stage_name_in), std::move(layer_in)});
-    return entries_.size() - 1;
+void Sequential::add(std::unique_ptr<Layer> layer) {
+    SHOG_REQUIRE(layer != nullptr, "cannot add a null layer");
+    layers_.push_back(std::move(layer));
 }
 
 Layer& Sequential::layer(std::size_t i) {
-    SHOG_REQUIRE(i < entries_.size(), "layer index out of range");
-    return *entries_[i].layer;
+    SHOG_REQUIRE(i < layers_.size(), "layer index out of range");
+    return *layers_[i];
 }
 
 void Sequential::check_range(std::size_t begin, std::size_t end) const {
-    SHOG_REQUIRE(begin <= end && end <= entries_.size(), "invalid layer range");
+    SHOG_REQUIRE(begin <= end && end <= layers_.size(), "invalid layer range");
 }
 
 Tensor Sequential::forward(const Tensor& input, bool training) {
-    return forward_range(0, entries_.size(), input, training);
+    return forward_range(0, layers_.size(), input, training);
 }
 
 Tensor Sequential::infer(const Tensor& input) const {
     Tensor x = input;
-    for (const Entry& entry : entries_) {
-        x = entry.layer->infer(x);
+    for (const std::unique_ptr<Layer>& layer : layers_) {
+        x = layer->infer(x);
     }
     return x;
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {
-    return backward_range(0, entries_.size(), grad_output);
+    return backward_range(0, layers_.size(), grad_output);
 }
 
 Tensor Sequential::forward_range(std::size_t begin, std::size_t end, const Tensor& input,
@@ -44,7 +42,7 @@ Tensor Sequential::forward_range(std::size_t begin, std::size_t end, const Tenso
     check_range(begin, end);
     Tensor x = input;
     for (std::size_t i = begin; i < end; ++i) {
-        x = entries_[i].layer->forward(x, training);
+        x = layers_[i]->forward(x, training);
     }
     return x;
 }
@@ -53,20 +51,20 @@ Tensor Sequential::backward_range(std::size_t begin, std::size_t end, const Tens
     check_range(begin, end);
     Tensor g = grad_output;
     for (std::size_t i = end; i > begin; --i) {
-        g = entries_[i - 1].layer->backward(g);
+        g = layers_[i - 1]->backward(g);
     }
     return g;
 }
 
 std::vector<Parameter*> Sequential::parameters() {
-    return parameters_range(0, entries_.size());
+    return parameters_range(0, layers_.size());
 }
 
 std::vector<Parameter*> Sequential::parameters_range(std::size_t begin, std::size_t end) {
     check_range(begin, end);
     std::vector<Parameter*> out;
     for (std::size_t i = begin; i < end; ++i) {
-        for (Parameter* p : entries_[i].layer->parameters()) {
+        for (Parameter* p : layers_[i]->parameters()) {
             out.push_back(p);
         }
     }
@@ -76,14 +74,14 @@ std::vector<Parameter*> Sequential::parameters_range(std::size_t begin, std::siz
 void Sequential::set_lr_scale_range(std::size_t begin, std::size_t end, double scale) {
     check_range(begin, end);
     for (std::size_t i = begin; i < end; ++i) {
-        entries_[i].layer->set_lr_scale(scale);
+        layers_[i]->set_lr_scale(scale);
     }
 }
 
 void Sequential::set_update_running_stats_range(std::size_t begin, std::size_t end, bool update) {
     check_range(begin, end);
     for (std::size_t i = begin; i < end; ++i) {
-        if (auto* brn = dynamic_cast<Batch_renorm*>(entries_[i].layer.get())) {
+        if (auto* brn = dynamic_cast<Batch_renorm*>(layers_[i].get())) {
             brn->set_update_running_stats(update);
         }
     }
@@ -91,8 +89,8 @@ void Sequential::set_update_running_stats_range(std::size_t begin, std::size_t e
 
 std::unique_ptr<Layer> Sequential::clone() const {
     auto copy = std::make_unique<Sequential>();
-    for (const Entry& e : entries_) {
-        copy->add(e.name, e.layer->clone());
+    for (const std::unique_ptr<Layer>& layer : layers_) {
+        copy->add(layer->clone());
     }
     return copy;
 }
@@ -100,13 +98,13 @@ std::unique_ptr<Layer> Sequential::clone() const {
 std::vector<double> Sequential::state_vector() const {
     std::vector<double> state;
     state.reserve(state_size());
-    for (const Entry& e : entries_) {
-        for (Parameter* p : e.layer->parameters()) {
+    for (const std::unique_ptr<Layer>& layer : layers_) {
+        for (Parameter* p : layer->parameters()) {
             const auto& storage = p->value->storage();
             state.insert(state.end(), storage.begin(), storage.end());
         }
         // Normalization running stats are part of the deployable model.
-        if (const auto* brn = dynamic_cast<const Batch_renorm*>(e.layer.get())) {
+        if (const auto* brn = dynamic_cast<const Batch_renorm*>(layer.get())) {
             const auto& m = brn->running_mean().storage();
             const auto& v = brn->running_var().storage();
             state.insert(state.end(), m.begin(), m.end());
@@ -118,11 +116,11 @@ std::vector<double> Sequential::state_vector() const {
 
 std::size_t Sequential::state_size() const {
     std::size_t n = 0;
-    for (const Entry& e : entries_) {
-        for (const Parameter* p : e.layer->parameters()) {
+    for (const std::unique_ptr<Layer>& layer : layers_) {
+        for (const Parameter* p : layer->parameters()) {
             n += p->value->size();
         }
-        if (const auto* brn = dynamic_cast<const Batch_renorm*>(e.layer.get())) {
+        if (const auto* brn = dynamic_cast<const Batch_renorm*>(layer.get())) {
             n += brn->running_mean().size() + brn->running_var().size();
         }
     }
@@ -137,8 +135,8 @@ void Sequential::load_state_vector(std::span<const double> state) {
         offset += n;
         return slice;
     };
-    for (Entry& e : entries_) {
-        for (Parameter* p : e.layer->parameters()) {
+    for (const std::unique_ptr<Layer>& layer : layers_) {
+        for (Parameter* p : layer->parameters()) {
             // Equal bits leave the buffer shared with the clones that hold it.
             const std::span<const double> slice = take(p->value->size());
             if (!slice.empty() &&
@@ -146,7 +144,7 @@ void Sequential::load_state_vector(std::span<const double> state) {
                 std::copy(slice.begin(), slice.end(), p->value.mut().data());
             }
         }
-        if (auto* brn = dynamic_cast<Batch_renorm*>(e.layer.get())) {
+        if (auto* brn = dynamic_cast<Batch_renorm*>(layer.get())) {
             for (const Tensor* stats : {&brn->running_mean(), &brn->running_var()}) {
                 const std::span<const double> slice = take(stats->size());
                 std::copy(slice.begin(), slice.end(), const_cast<Tensor*>(stats)->data());

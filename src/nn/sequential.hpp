@@ -1,4 +1,4 @@
-// Sequential container with *named stages* and partial (range) execution.
+// Sequential container with partial (range) execution.
 //
 // Latent replay (paper §III-B, Fig. 3) needs to run the network in two
 // halves around the replay layer:
@@ -12,7 +12,6 @@
 
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -25,10 +24,10 @@ public:
     Sequential(Sequential&&) = default;
     Sequential& operator=(Sequential&&) = default;
 
-    /// Append a layer under a stage name. Returns the layer index.
-    std::size_t add(std::string stage_name, std::unique_ptr<Layer> layer);
+    /// Append a layer.
+    void add(std::unique_ptr<Layer> layer);
 
-    [[nodiscard]] std::size_t layer_count() const noexcept { return entries_.size(); }
+    [[nodiscard]] std::size_t layer_count() const noexcept { return layers_.size(); }
     [[nodiscard]] Layer& layer(std::size_t i);
 
     // -- full-network Layer interface -----------------------------------------
@@ -72,11 +71,7 @@ public:
     void load_state_vector(std::span<const double> state);
 
 private:
-    struct Entry {
-        std::string name;
-        std::unique_ptr<Layer> layer;
-    };
-    std::vector<Entry> entries_;
+    std::vector<std::unique_ptr<Layer>> layers_;
 
     void check_range(std::size_t begin, std::size_t end) const;
 };

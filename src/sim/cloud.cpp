@@ -29,10 +29,6 @@ Cloud_runtime::Cloud_runtime(Event_queue& queue, Cloud_config config)
       gpu_finalized_busy_(config_.gpu_count, Gpu_seconds{}) {
     SHOG_REQUIRE(config_.gpu_count >= 1, "cloud needs at least one GPU");
     SHOG_REQUIRE(config_.max_batch >= 1, "max_batch must be >= 1");
-    SHOG_REQUIRE(config_.batch_efficiency > 0.0 && config_.batch_efficiency <= 1.0,
-                 "batch_efficiency must be in (0, 1]");
-    SHOG_REQUIRE(config_.affinity_warm_factor > 0.0 && config_.affinity_warm_factor <= 1.0,
-                 "affinity_warm_factor must be in (0, 1]");
     SHOG_REQUIRE(config_.placement != Placement_kind::kind_partition ||
                      config_.label_reserved_gpus < config_.gpu_count,
                  "kind_partition must leave at least one unreserved GPU for train jobs");
@@ -242,7 +238,7 @@ void Cloud_runtime::dispatch() {
             // coalesced followers are discounted by the batching efficiency.
             active->service += active->jobs.front().id == job.id
                                    ? job.service
-                                   : job.service * config_.batch_efficiency;
+                                   : job.service * k_batch_efficiency;
             active->total_raw += job.service;
             active->all_train &= job.kind == Cloud_job_kind::train;
         }
@@ -250,7 +246,7 @@ void Cloud_runtime::dispatch() {
         // whole dispatch (weight load amortizes across coalesced members)
         // runs at a discount.
         if (where.warm) {
-            active->service *= config_.affinity_warm_factor;
+            active->service *= k_affinity_warm_factor;
             warm_dispatches_.add(queue_.now());
         }
         // Server speed: a straggler shard holds the dispatch (and bills its

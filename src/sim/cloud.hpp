@@ -54,6 +54,14 @@ struct Gpu_profile {
     Sim_duration mttr{20.0};
 };
 
+/// Cost factor on the service time of every coalesced job after the first
+/// (GPU batching amortizes weight loads and kernel launches).
+inline constexpr double k_batch_efficiency = 0.7;
+/// device_affinity only: multiplier on a dispatch's service time when it
+/// starts on the server that last ran the same device (weights still
+/// resident — no reload, warm caches).
+inline constexpr double k_affinity_warm_factor = 0.85;
+
 struct Cloud_config {
     /// Parallel GPU servers in the cloud.
     std::size_t gpu_count = 1;
@@ -65,9 +73,6 @@ struct Cloud_config {
     /// on the last idle server *eligible for the job's kind* — while other
     /// eligible servers are free, each waiting job gets its own GPU.
     std::size_t max_batch = 1;
-    /// Cost factor on the service time of every coalesced job after the
-    /// first (GPU batching amortizes weight loads and kernel launches).
-    double batch_efficiency = 0.7;
     /// Dispatch-order policy; fifo reproduces the PR 1 scheduler exactly.
     Policy_kind policy = Policy_kind::fifo;
     /// Server-placement policy; any_free reproduces the pre-sharding
@@ -77,10 +82,6 @@ struct Cloud_config {
     /// train dispatches. Must be < gpu_count (trains need at least one
     /// server); labels may use every server.
     std::size_t label_reserved_gpus = 0;
-    /// device_affinity only: multiplier on a dispatch's service time when it
-    /// starts on the server that last ran the same device (weights still
-    /// resident — no reload, warm caches). 1.0 disables the discount.
-    double affinity_warm_factor = 0.85;
     /// If > 0: when a label job has waited this long with every server busy
     /// and at least one all-train dispatch in flight, that dispatch is
     /// preempted — its executed share stays billed, the remaining service is

@@ -15,7 +15,6 @@
 #include "device/compute.hpp"
 #include "netsim/h264.hpp"
 #include "netsim/link.hpp"
-#include "netsim/messages.hpp"
 #include "obs/trace.hpp"
 #include "sim/cloud.hpp"
 #include "video/stream.hpp"
@@ -26,8 +25,7 @@ class Edge_runtime {
 public:
     Edge_runtime(std::size_t device_id, const video::Video_stream& stream, Event_queue& queue,
                  Cloud_runtime& cloud, netsim::Link_config link_config,
-                 netsim::H264_config h264_config, device::Edge_compute edge_compute,
-                 std::uint64_t seed);
+                 device::Edge_compute edge_compute, std::uint64_t seed);
 
     [[nodiscard]] std::size_t device_id() const noexcept { return device_id_; }
     [[nodiscard]] Sim_time now() const noexcept { return queue_.now(); }
@@ -38,9 +36,6 @@ public:
     [[nodiscard]] const video::Video_stream& stream() const noexcept { return stream_; }
     [[nodiscard]] netsim::Link& link() noexcept { return link_; }
     [[nodiscard]] const netsim::H264_model& h264() const noexcept { return h264_; }
-    [[nodiscard]] const netsim::Message_size_config& message_sizes() const noexcept {
-        return message_sizes_;
-    }
     [[nodiscard]] device::Edge_compute& edge_compute() noexcept { return edge_compute_; }
     [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
@@ -90,7 +85,6 @@ private:
     Cloud_runtime& cloud_;
     netsim::Link link_;
     netsim::H264_model h264_;
-    netsim::Message_size_config message_sizes_;
     device::Edge_compute edge_compute_;
     Rng rng_;
     obs::Trace_channel trace_;

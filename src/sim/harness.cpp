@@ -30,8 +30,7 @@ Cluster_result run_cluster(const std::vector<Device_spec>& devices,
     Sim_time horizon;
     for (std::size_t i = 0; i < devices.size(); ++i) {
         detail::Device_state& state =
-            states.emplace_back(i, devices[i], queue, cloud, config.harness,
-                                detail::effective_hardware(devices[i], config.harness));
+            states.emplace_back(i, devices[i], queue, cloud, config.harness);
         state.runtime.set_trace(detail::make_trace_channel(config.obs.sink));
         horizon = std::max(horizon, Sim_time{devices[i].stream->duration()});
     }

@@ -8,14 +8,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "detect/metrics.hpp"
 #include "device/compute.hpp"
-#include "netsim/h264.hpp"
 #include "netsim/link.hpp"
 #include "obs/metrics.hpp"
 #include "sim/cloud.hpp"
@@ -35,12 +33,6 @@ struct Harness_config {
     Sim_duration fps_tick{1.0};
     Sim_duration map_window{20.0}; ///< windowed mAP period for the Fig. 5 CDF
     double iou_threshold = 0.5;
-    netsim::Link_config link;
-    netsim::H264_config h264;
-    device::Edge_contention_config contention;
-    /// Deployed inference cost per frame on the edge (GFLOPs); with the TX2
-    /// model this pins the idle fps near the paper's 30.
-    double edge_inference_gflops = 5.2;
     std::uint64_t seed = 17;
 };
 
@@ -70,14 +62,12 @@ struct Run_result {
     double map_window = 0.0;
 };
 
-/// Per-device hardware for heterogeneous fleets: edge accelerator, link
-/// profile and deployed-model cost. Devices without an override inherit the
-/// cluster-wide Harness_config (so homogeneous fleets are unchanged).
+/// The hardware one device runs on: its link profile and edge accelerator.
+/// The default is the paper's edge, a Jetson TX2 on a healthy link;
+/// heterogeneous fleets (fleet::default_edge_classes) vary both.
 struct Device_hardware {
     netsim::Link_config link;
-    device::Compute_model edge_device;
-    device::Edge_contention_config contention;
-    double edge_inference_gflops = 5.2;
+    device::Compute_model edge_device = device::jetson_tx2();
 };
 
 /// One device of a cluster: a strategy driving a stream. Both borrowed; the
@@ -85,8 +75,7 @@ struct Device_hardware {
 struct Device_spec {
     Strategy* strategy = nullptr;
     const video::Video_stream* stream = nullptr;
-    /// Heterogeneous-fleet override; nullopt = cluster-wide harness config.
-    std::optional<Device_hardware> hardware;
+    Device_hardware hardware;
 };
 
 /// Observability hooks for a cluster run. Both pointers are borrows owned
@@ -104,7 +93,7 @@ struct Obs_options {
 };
 
 struct Cluster_config {
-    /// Per-device edge/link/codec settings. Device i derives its RNG
+    /// Evaluation settings and the base seed. Device i derives its RNG
     /// substream from `harness.seed` (device 0 uses it verbatim, so a
     /// cluster of one reproduces run_strategy bit-for-bit).
     Harness_config harness;

@@ -11,7 +11,7 @@
 //  - `device_affinity` — a device's jobs prefer the server that last ran a
 //                        dispatch for that device: its teacher / fine-tune
 //                        weights are still resident, modeled as a warm-start
-//                        discount (`Cloud_config::affinity_warm_factor`) on
+//                        discount (`k_affinity_warm_factor`, cloud.hpp) on
 //                        the dispatch's service time. Falls back to the
 //                        lowest-index free server (cold, full price) when no
 //                        warm server is free.
@@ -78,7 +78,7 @@ struct Placement_decision {
     std::size_t gpu = no_gpu; ///< no_gpu = no eligible free server
     /// The dispatch starts with this device's weights already resident;
     /// Cloud_runtime multiplies the dispatch service time by
-    /// `Cloud_config::affinity_warm_factor`.
+    /// `k_affinity_warm_factor`.
     bool warm = false;
 };
 

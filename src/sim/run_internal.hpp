@@ -21,34 +21,20 @@
 
 namespace shog::sim::detail {
 
-/// The hardware a device actually runs on: its override if set, otherwise
-/// the cluster-wide harness defaults (identical to the homogeneous path).
-[[nodiscard]] inline Device_hardware effective_hardware(const Device_spec& spec,
-                                                        const Harness_config& config) {
-    if (spec.hardware) {
-        return *spec.hardware;
-    }
-    return Device_hardware{config.link, device::jetson_tx2(), config.contention,
-                           config.edge_inference_gflops};
-}
-
 /// Everything the harness tracks for one device of the cluster. The queue
 /// and cloud references are the engine's choice: the sequential engine
 /// passes the single shared pair, the sharded engine a device-local queue
 /// and its cloud proxy.
 struct Device_state {
     Device_state(std::size_t device_id, const Device_spec& spec, Event_queue& queue,
-                 Cloud_runtime& cloud, const Harness_config& config,
-                 const Device_hardware& hardware)
+                 Cloud_runtime& cloud, const Harness_config& config)
         : spec{spec},
           runtime{device_id,
                   *spec.stream,
                   queue,
                   cloud,
-                  hardware.link,
-                  config.h264,
-                  device::Edge_compute{hardware.edge_device, hardware.contention,
-                                       hardware.edge_inference_gflops},
+                  spec.hardware.link,
+                  device::Edge_compute{spec.hardware.edge_device},
                   device_seed(config.seed, device_id)},
           evaluator{spec.stream->num_classes(), config.iou_threshold} {}
 

@@ -145,9 +145,7 @@ private:
 struct Device_slot {
     Device_slot(std::size_t id, const Device_spec& spec, const Cluster_config& config)
         : proxy{queue},
-          state{id,    spec,
-                queue, proxy,
-                config.harness, detail::effective_hardware(spec, config.harness)} {}
+          state{id, spec, queue, proxy, config.harness} {}
 
     Event_queue queue;
     Shard_cloud proxy;

@@ -67,7 +67,6 @@ TEST(CloudRuntime, BatchedDispatchDiscountsCoalescedJobs) {
     Event_queue queue;
     Cloud_config config;
     config.max_batch = 4;
-    config.batch_efficiency = 0.5;
     Cloud_runtime cloud{queue, config};
     Job_log log{queue};
     // First job occupies the GPU; three more queue behind it and coalesce.
@@ -78,13 +77,15 @@ TEST(CloudRuntime, BatchedDispatchDiscountsCoalescedJobs) {
     (void)queue.run_until(Sim_time{20.0});
     ASSERT_EQ(cloud.jobs_completed(), 4u);
     // Dispatch 1: job A alone (1 s). Dispatch 2: three jobs coalesced:
-    // 2 + 0.5*2 + 0.5*2 = 4 s of service after 1 s of waiting, so all three
-    // complete at t=5 with latency 5.
+    // 2 + k*2 + k*2 s of service after 1 s of waiting, so all three
+    // complete together.
+    const Sim_duration batched{1.0 + (2.0 + 2.0 * k_batch_efficiency +
+                                      2.0 * k_batch_efficiency)};
     EXPECT_EQ(log.latencies[0], Sim_duration{1.0});
-    EXPECT_EQ(log.latencies[1], Sim_duration{5.0});
-    EXPECT_EQ(log.latencies[2], Sim_duration{5.0});
-    EXPECT_EQ(log.latencies[3], Sim_duration{5.0});
-    EXPECT_DOUBLE_EQ(cloud.busy_seconds().value(), 5.0); // raw seconds: discount sum carries ulp residue
+    EXPECT_EQ(log.latencies[1], batched);
+    EXPECT_EQ(log.latencies[2], batched);
+    EXPECT_EQ(log.latencies[3], batched);
+    EXPECT_DOUBLE_EQ(cloud.busy_seconds().value(), batched.value()); // raw seconds: discount sum carries ulp residue
 }
 
 TEST(CloudRuntime, BatchingNeverStarvesIdleServers) {

@@ -27,7 +27,7 @@ TEST(ComputeModel, TeacherInferenceFitsCloudBudget) {
 
 TEST(EdgeCompute, IdleFpsNearVideoRate) {
     // The paper's student runs 30 fps video in real time on the TX2.
-    Edge_compute edge{jetson_tx2(), Edge_contention_config{}, 5.2};
+    Edge_compute edge{jetson_tx2()};
     EXPECT_GE(edge.idle_fps(), 30.0);
     EXPECT_LE(edge.idle_fps(), 45.0);
     EXPECT_DOUBLE_EQ(edge.achieved_fps(30.0, false), 30.0);
@@ -35,26 +35,18 @@ TEST(EdgeCompute, IdleFpsNearVideoRate) {
 
 TEST(EdgeCompute, TrainingHalvesFps) {
     // Fig. 4: inference drops from 30 to ~15 fps while a session runs.
-    Edge_compute edge{jetson_tx2(), Edge_contention_config{}, 5.2};
+    Edge_compute edge{jetson_tx2()};
     const double fps = edge.achieved_fps(30.0, true);
     EXPECT_GT(fps, 10.0);
     EXPECT_LT(fps, 20.0);
 }
 
 TEST(EdgeCompute, UtilizationBounds) {
-    Edge_compute edge{jetson_tx2(), Edge_contention_config{}, 5.2};
+    Edge_compute edge{jetson_tx2()};
     EXPECT_DOUBLE_EQ(edge.utilization(30.0, true), 1.0);
     const double idle_util = edge.utilization(30.0, false);
     EXPECT_GT(idle_util, 0.5);
     EXPECT_LE(idle_util, 1.0);
-}
-
-TEST(EdgeCompute, ConfigValidation) {
-    Edge_contention_config bad;
-    bad.training_share = 1.0;
-    EXPECT_THROW((Edge_compute{jetson_tx2(), bad, 5.2}), std::invalid_argument);
-    EXPECT_THROW((Edge_compute{jetson_tx2(), Edge_contention_config{}, 0.0}),
-                 std::invalid_argument);
 }
 
 // ------------------------------------------------------------ Fps_tracker --

@@ -192,13 +192,6 @@ TEST_F(Labeler_fixture, PositiveBoxTargetsPointAtTeacherBoxes) {
     EXPECT_GT(checked, 0u);
 }
 
-TEST_F(Labeler_fixture, LabelerConfigValidation) {
-    EXPECT_THROW((Online_labeler{*teacher, Labeler_config{1.5, 0.2, 1.0, 0.75}}),
-                 std::invalid_argument);
-    EXPECT_THROW((Online_labeler{*teacher, Labeler_config{0.5, 0.2, 0.0, 0.75}}),
-                 std::invalid_argument);
-}
-
 TEST_F(Labeler_fixture, TeacherLabelsAreMostlyCorrect) {
     // "we verify that the generated labels are very similar to human-
     // annotated labels" — check class correctness of positives against the

@@ -83,12 +83,6 @@ TEST(H264, EncodeLatencyInPaperRange) {
     }
 }
 
-TEST(H264, ConfigValidation) {
-    H264_config bad;
-    bad.p_floor = 1.5;
-    EXPECT_THROW((H264_model{bad}), std::invalid_argument);
-}
-
 // ----------------------------------------------------------------- Link ----
 
 TEST(Link, TransmitDelayMatchesCapacity) {
@@ -128,12 +122,11 @@ TEST(BandwidthMeter, TimeOrderEnforced) {
 // ------------------------------------------------------------- messages ----
 
 TEST(Messages, LabelBytesScaleWithBoxes) {
-    const Message_size_config cfg;
-    EXPECT_GT(label_bytes(cfg, 10), label_bytes(cfg, 1));
-    EXPECT_EQ(label_bytes(cfg, 0), cfg.label_header_bytes);
+    EXPECT_GT(label_bytes(10), label_bytes(1));
+    EXPECT_EQ(label_bytes(0), k_message_sizes.label_header_bytes);
     // Mask R-CNN labels carry instance masks: a 6-box frame costs ~2 KB.
-    EXPECT_GT(label_bytes(cfg, 6), Bytes{1000.0});
-    EXPECT_LT(label_bytes(cfg, 6), Bytes{5000.0});
+    EXPECT_GT(label_bytes(6), Bytes{1000.0});
+    EXPECT_LT(label_bytes(6), Bytes{5000.0});
 }
 
 } // namespace

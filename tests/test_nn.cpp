@@ -109,11 +109,11 @@ std::unique_ptr<Layer> make_layer(Layer_kind kind, std::size_t width, Rng& rng) 
     }
     case Layer_kind::sequential: {
         auto seq = std::make_unique<Sequential>();
-        seq->add("fc", std::make_unique<Dense>(width, 6, rng));
-        seq->add("fc", std::make_unique<Batch_renorm>(6));
-        seq->add("fc", std::make_unique<Leaky_relu>(0.1));
-        seq->add("head", std::make_unique<Dense>(6, 4, rng));
-        seq->add("head", std::make_unique<Tanh>());
+        seq->add(std::make_unique<Dense>(width, 6, rng));
+        seq->add(std::make_unique<Batch_renorm>(6));
+        seq->add(std::make_unique<Leaky_relu>(0.1));
+        seq->add(std::make_unique<Dense>(6, 4, rng));
+        seq->add(std::make_unique<Tanh>());
         return seq;
     }
     }
@@ -595,11 +595,11 @@ TEST(Sgd, GradientShapeChecked) {
 
 Sequential make_mlp(Rng& rng) {
     Sequential seq;
-    seq.add("fc1", std::make_unique<Dense>(4, 8, rng));
-    seq.add("fc1", std::make_unique<Leaky_relu>(0.1));
-    seq.add("fc2", std::make_unique<Dense>(8, 6, rng));
-    seq.add("fc2", std::make_unique<Leaky_relu>(0.1));
-    seq.add("head", std::make_unique<Dense>(6, 3, rng));
+    seq.add(std::make_unique<Dense>(4, 8, rng));
+    seq.add(std::make_unique<Leaky_relu>(0.1));
+    seq.add(std::make_unique<Dense>(8, 6, rng));
+    seq.add(std::make_unique<Leaky_relu>(0.1));
+    seq.add(std::make_unique<Dense>(6, 3, rng));
     return seq;
 }
 
@@ -666,8 +666,8 @@ TEST(Sequential, CloneSameOutputs) {
 TEST(Sequential, StateVectorIncludesNormStats) {
     Rng rng{27};
     Sequential seq;
-    seq.add("fc", std::make_unique<Dense>(2, 2, rng));
-    seq.add("bn", std::make_unique<Batch_renorm>(2));
+    seq.add(std::make_unique<Dense>(2, 2, rng));
+    seq.add(std::make_unique<Batch_renorm>(2));
     const std::size_t n = seq.state_vector().size();
     // dense (2*2+2) + gamma(2) + beta(2) + running mean(2) + running var(2)
     EXPECT_EQ(n, 6u + 2u + 2u + 2u + 2u);
@@ -677,10 +677,10 @@ TEST(Sequential, StateVectorIncludesNormStats) {
 
 Sequential make_normed_mlp(Rng& rng) {
     Sequential seq;
-    seq.add("fc1", std::make_unique<Dense>(4, 8, rng));
-    seq.add("fc1", std::make_unique<Batch_renorm>(8));
-    seq.add("fc1", std::make_unique<Leaky_relu>(0.1));
-    seq.add("head", std::make_unique<Dense>(8, 3, rng));
+    seq.add(std::make_unique<Dense>(4, 8, rng));
+    seq.add(std::make_unique<Batch_renorm>(8));
+    seq.add(std::make_unique<Leaky_relu>(0.1));
+    seq.add(std::make_unique<Dense>(8, 3, rng));
     return seq;
 }
 

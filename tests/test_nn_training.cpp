@@ -52,7 +52,7 @@ double accuracy(Sequential& net, const Tensor& x, const std::vector<std::size_t>
 TEST(Training, LearnsLinearlySeparable) {
     Rng rng{1};
     Sequential net;
-    net.add("fc", std::make_unique<Dense>(2, 2, rng));
+    net.add(std::make_unique<Dense>(2, 2, rng));
     Tensor x{64, 2};
     std::vector<std::size_t> y(64);
     for (std::size_t i = 0; i < 64; ++i) {
@@ -69,9 +69,9 @@ TEST(Training, LearnsLinearlySeparable) {
 TEST(Training, LearnsXorWithHiddenLayer) {
     Rng rng{2};
     Sequential net;
-    net.add("fc1", std::make_unique<Dense>(2, 16, rng));
-    net.add("act1", std::make_unique<Leaky_relu>(0.1));
-    net.add("fc2", std::make_unique<Dense>(16, 2, rng));
+    net.add(std::make_unique<Dense>(2, 16, rng));
+    net.add(std::make_unique<Leaky_relu>(0.1));
+    net.add(std::make_unique<Dense>(16, 2, rng));
     Tensor x{100, 2};
     std::vector<std::size_t> y(100);
     for (std::size_t i = 0; i < 100; ++i) {
@@ -88,9 +88,9 @@ TEST(Training, LearnsXorWithHiddenLayer) {
 TEST(Training, LossDecreasesMonotonicallyOnAverage) {
     Rng rng{3};
     Sequential net;
-    net.add("fc1", std::make_unique<Dense>(3, 10, rng));
-    net.add("act", std::make_unique<Leaky_relu>(0.1));
-    net.add("fc2", std::make_unique<Dense>(10, 3, rng));
+    net.add(std::make_unique<Dense>(3, 10, rng));
+    net.add(std::make_unique<Leaky_relu>(0.1));
+    net.add(std::make_unique<Dense>(10, 3, rng));
     Tensor x = Tensor::randn({48, 3}, rng);
     std::vector<std::size_t> y(48);
     for (std::size_t i = 0; i < 48; ++i) {
@@ -109,10 +109,10 @@ TEST(Training, BrnNetTrainsWithTinyBatches) {
     // i.e. through the running statistics).
     Rng rng{4};
     Sequential brn_net;
-    brn_net.add("fc1", std::make_unique<Dense>(2, 12, rng));
-    brn_net.add("norm", std::make_unique<Batch_renorm>(12));
-    brn_net.add("act", std::make_unique<Leaky_relu>(0.1));
-    brn_net.add("fc2", std::make_unique<Dense>(12, 2, rng));
+    brn_net.add(std::make_unique<Dense>(2, 12, rng));
+    brn_net.add(std::make_unique<Batch_renorm>(12));
+    brn_net.add(std::make_unique<Leaky_relu>(0.1));
+    brn_net.add(std::make_unique<Dense>(12, 2, rng));
 
     Tensor x{120, 2};
     std::vector<std::size_t> y(120);
@@ -147,9 +147,9 @@ TEST(Training, FrozenFrontStillConverges) {
     // to fit a linearly-solvable problem in latent space.
     Rng rng{6};
     Sequential net;
-    net.add("front", std::make_unique<Dense>(2, 8, rng));
-    net.add("front_act", std::make_unique<Leaky_relu>(0.1));
-    net.add("head", std::make_unique<Dense>(8, 2, rng));
+    net.add(std::make_unique<Dense>(2, 8, rng));
+    net.add(std::make_unique<Leaky_relu>(0.1));
+    net.add(std::make_unique<Dense>(8, 2, rng));
     net.set_lr_scale_range(0, 2, 0.0);
     const Tensor w_front_before = *dynamic_cast<Dense&>(net.layer(0)).weight().value;
 
@@ -183,10 +183,10 @@ TEST(Training, IdenticalRunsProduceBitIdenticalWeights) {
     const auto build_and_train = [] {
         Rng rng{42};
         Sequential net;
-        net.add("fc1", std::make_unique<Dense>(3, 12, rng));
-        net.add("bn1", std::make_unique<Batch_renorm>(12));
-        net.add("act1", std::make_unique<Leaky_relu>(0.1));
-        net.add("fc2", std::make_unique<Dense>(12, 2, rng));
+        net.add(std::make_unique<Dense>(3, 12, rng));
+        net.add(std::make_unique<Batch_renorm>(12));
+        net.add(std::make_unique<Leaky_relu>(0.1));
+        net.add(std::make_unique<Dense>(12, 2, rng));
         Tensor x{48, 3};
         std::vector<std::size_t> y(48);
         for (std::size_t i = 0; i < 48; ++i) {

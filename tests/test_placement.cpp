@@ -47,7 +47,6 @@ TEST(Placement, MultiGpuCoalescesOnlyOnTheLastIdleServer) {
     Cloud_config config;
     config.gpu_count = 2;
     config.max_batch = 4;
-    config.batch_efficiency = 0.5;
     Cloud_runtime cloud{queue, config};
     Job_log log{queue};
     for (int i = 0; i < 4; ++i) {
@@ -56,17 +55,18 @@ TEST(Placement, MultiGpuCoalescesOnlyOnTheLastIdleServer) {
     (void)queue.run_until(Sim_time{20.0});
     ASSERT_EQ(cloud.jobs_completed(), 4u);
     // Jobs 0, 1: own server, 2 s each. Jobs 2+3 coalesce at t=2 on the
-    // first freed server: 2 + 0.5*2 = 3 s of service, done at t=5.
+    // first freed server: 2 + k*2 s of service.
+    const double pair = 2.0 + 2.0 * k_batch_efficiency;
     EXPECT_EQ(log.latencies[0], Sim_duration{2.0});
     EXPECT_EQ(log.latencies[1], Sim_duration{2.0});
-    EXPECT_EQ(log.latencies[2], Sim_duration{5.0});
-    EXPECT_EQ(log.latencies[3], Sim_duration{5.0});
-    EXPECT_EQ(cloud.busy_seconds(), Gpu_seconds{7.0});
+    EXPECT_EQ(log.latencies[2], Sim_duration{2.0 + pair});
+    EXPECT_EQ(log.latencies[3], Sim_duration{2.0 + pair});
+    EXPECT_DOUBLE_EQ(cloud.busy_seconds().value(), 4.0 + pair); // raw seconds: discount sum carries ulp residue
     EXPECT_EQ(cloud.peak_queue_depth(), 2u);
     // Server 0 ran job 0 then the coalesced pair; server 1 ran job 1.
     const std::vector<Gpu_seconds> per_gpu = cloud.per_gpu_busy_within(Sim_time{20.0});
     ASSERT_EQ(per_gpu.size(), 2u);
-    EXPECT_EQ(per_gpu[0], Gpu_seconds{5.0});
+    EXPECT_EQ(per_gpu[0], Gpu_seconds{2.0 + pair});
     EXPECT_EQ(per_gpu[1], Gpu_seconds{2.0});
 }
 
@@ -119,7 +119,6 @@ TEST(Placement, DeviceAffinityDiscountsWarmStarts) {
     Event_queue queue;
     Cloud_config config;
     config.placement = Placement_kind::device_affinity;
-    config.affinity_warm_factor = 0.8;
     Cloud_runtime cloud{queue, config};
     Job_log log{queue};
     // Device 0's first dispatch is cold (nothing resident); its second, on
@@ -131,11 +130,11 @@ TEST(Placement, DeviceAffinityDiscountsWarmStarts) {
     (void)queue.run_until(Sim_time{20.0});
     ASSERT_EQ(cloud.jobs_completed(), 3u);
     EXPECT_EQ(log.latencies[0], Sim_duration{1.0}); // cold
-    EXPECT_DOUBLE_EQ(log.latencies[1].value(), 0.8); // warm; raw seconds: discount carries ulp residue
+    EXPECT_DOUBLE_EQ(log.latencies[1].value(), k_affinity_warm_factor); // warm; raw seconds: discount carries ulp residue
     EXPECT_EQ(log.latencies[2], Sim_duration{1.0}); // cold (other device)
     EXPECT_EQ(cloud.warm_dispatches(), 1u);
     // Billing follows the discounted service.
-    EXPECT_DOUBLE_EQ(cloud.device_gpu_seconds(0).value(), 1.8); // raw seconds: discount carries ulp residue
+    EXPECT_DOUBLE_EQ(cloud.device_gpu_seconds(0).value(), 1.0 + k_affinity_warm_factor); // raw seconds: discount carries ulp residue
     EXPECT_EQ(cloud.device_gpu_seconds(1), Gpu_seconds{1.0});
 }
 
@@ -144,7 +143,6 @@ TEST(Placement, DeviceAffinityPrefersTheWarmServerOverALowerIndex) {
     Cloud_config config;
     config.gpu_count = 2;
     config.placement = Placement_kind::device_affinity;
-    config.affinity_warm_factor = 0.8;
     Cloud_runtime cloud{queue, config};
     Job_log log{queue};
     // Warm up server 0 with device 0 and server 1 with device 1.
@@ -155,11 +153,11 @@ TEST(Placement, DeviceAffinityPrefersTheWarmServerOverALowerIndex) {
     queue.schedule(Sim_time{3.0}, [&] { cloud.submit(1, Sim_duration{1.0}, log.wrap()); });
     (void)queue.run_until(Sim_time{20.0});
     ASSERT_EQ(cloud.jobs_completed(), 3u);
-    EXPECT_DOUBLE_EQ(log.latencies[2].value(), 0.8); // raw seconds: discount carries ulp residue
+    EXPECT_DOUBLE_EQ(log.latencies[2].value(), k_affinity_warm_factor); // raw seconds: discount carries ulp residue
     EXPECT_EQ(cloud.warm_dispatches(), 1u);
     const std::vector<Gpu_seconds> per_gpu = cloud.per_gpu_busy_within(Sim_time{20.0});
     EXPECT_EQ(per_gpu[0], Gpu_seconds{1.0});
-    EXPECT_DOUBLE_EQ(per_gpu[1].value(), 1.8); // raw seconds: discount carries ulp residue
+    EXPECT_DOUBLE_EQ(per_gpu[1].value(), 1.0 + k_affinity_warm_factor); // raw seconds: discount carries ulp residue
 }
 
 // ---------------------------------------------------------------------------
@@ -246,7 +244,6 @@ TEST(Sharding, ShardedPoliciesAreDeterministicAcrossReruns) {
                 placement == Placement_kind::kind_partition ? 1 : 0;
             config.policy = Policy_kind::staleness;
             config.max_batch = 3;
-            config.batch_efficiency = 0.6;
             config.preempt_label_wait = Sim_duration{2.0};
             Cloud_runtime cloud{queue, config};
             Job_log log{queue};

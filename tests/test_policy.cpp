@@ -161,7 +161,6 @@ TEST(CloudRuntime, CoalescingNeverMixesLabelAndTrainJobs) {
     Event_queue queue;
     Cloud_config config;
     config.max_batch = 3;
-    config.batch_efficiency = 0.5;
     Cloud_runtime cloud{queue, config};
     Sim_time label_done_at{-1.0};
     // GPU busy; a label and a train queue behind it. Coalescing the train
@@ -235,7 +234,6 @@ TEST(SchedulingPolicy, AllPoliciesAreDeterministicAcrossReruns) {
             Cloud_config config;
             config.policy = kind;
             config.max_batch = 3;
-            config.batch_efficiency = 0.6;
             config.preempt_label_wait = Sim_duration{2.0};
             Cloud_runtime cloud{queue, config};
             Job_log log{queue};
@@ -353,7 +351,6 @@ TEST(CloudRuntime, CoalescedBillingIsArrivalOrderIndependent) {
         Event_queue queue;
         Cloud_config config;
         config.max_batch = 2;
-        config.batch_efficiency = 0.5;
         Cloud_runtime cloud{queue, config};
         cloud.submit(9, Sim_duration{1.0}, {}); // occupies the GPU so the pair coalesces
         cloud.submit(first, Sim_duration{2.0}, {});
@@ -366,8 +363,8 @@ TEST(CloudRuntime, CoalescedBillingIsArrivalOrderIndependent) {
     const auto [b0, b1] = billed(1, 0);
     EXPECT_EQ(b0, b1);
     EXPECT_EQ(a0, b0);
-    // The coalesced dispatch costs 2 + 0.5*2 = 3 GPU seconds, split evenly.
-    EXPECT_EQ(a0, Gpu_seconds{1.5});
+    // The coalesced dispatch costs 2 + k*2 GPU seconds, split evenly.
+    EXPECT_EQ(a0, Gpu_seconds{(2.0 + 2.0 * k_batch_efficiency) / 2.0});
 }
 
 TEST(Harness, WindowedGainToleratesUlpOffsetWindowStarts) {
@@ -538,20 +535,27 @@ TEST_F(Shoggoth_flush, PartialBufferShipsAtMaxWaitNotAtTheNextTick) {
 // ---------------------------------------------------------------------------
 
 TEST(FleetTestbed, HeterogeneousHardwareIsAssignedRoundRobin) {
-    const std::vector<fleet::Edge_class> classes = fleet::default_edge_classes();
+    const std::vector<Device_hardware> classes = fleet::default_edge_classes();
     ASSERT_EQ(classes.size(), 3u);
     fleet::Fleet fleet;
     fleet.specs.resize(5);
     fleet::assign_heterogeneous_hardware(fleet, classes);
     for (std::size_t i = 0; i < fleet.specs.size(); ++i) {
-        ASSERT_TRUE(fleet.specs[i].hardware.has_value());
-        const Device_hardware& hw = *fleet.specs[i].hardware;
-        EXPECT_EQ(hw.edge_device.name, classes[i % 3].device.name);
+        const Device_hardware& hw = fleet.specs[i].hardware;
+        EXPECT_EQ(hw.edge_device.name, classes[i % 3].edge_device.name);
         EXPECT_DOUBLE_EQ(hw.link.uplink_mbps, classes[i % 3].link.uplink_mbps);
     }
     // The straggler really is slower on both axes.
-    EXPECT_LT(classes[2].device.effective_tflops, classes[0].device.effective_tflops);
+    EXPECT_LT(classes[2].edge_device.effective_tflops, classes[0].edge_device.effective_tflops);
     EXPECT_LT(classes[2].link.uplink_mbps, classes[0].link.uplink_mbps);
+    // A device without a class runs the tx2 class: homogeneous and
+    // heterogeneous fleets share one description of the paper's edge.
+    const Device_hardware standard;
+    EXPECT_EQ(standard.edge_device.name, classes[0].edge_device.name);
+    EXPECT_EQ(standard.edge_device.effective_tflops, classes[0].edge_device.effective_tflops);
+    EXPECT_EQ(standard.link.uplink_mbps, classes[0].link.uplink_mbps);
+    EXPECT_EQ(standard.link.downlink_mbps, classes[0].link.downlink_mbps);
+    EXPECT_EQ(standard.link.propagation, classes[0].link.propagation);
 }
 
 } // namespace

@@ -98,7 +98,6 @@ TEST(Reliability, SpeedAwareTieBreaksToTheWarmServer) {
     Cloud_config config;
     config.gpu_count = 2;
     config.placement = Placement_kind::speed_aware;
-    config.affinity_warm_factor = 0.8;
     Cloud_runtime cloud{queue, config};
     Job_log log{queue};
     // Warm server 1 with device 7, then let both servers free up. Device
@@ -109,10 +108,10 @@ TEST(Reliability, SpeedAwareTieBreaksToTheWarmServer) {
     queue.schedule(Sim_time{5.0}, [&] { cloud.submit(7, Sim_duration{1.0}, log.wrap()); });
     (void)queue.run_until(Sim_time{100.0});
     ASSERT_EQ(cloud.jobs_completed(), 3u);
-    EXPECT_DOUBLE_EQ(log.latencies[2].value(), 0.8); // raw seconds: discount carries ulp residue
+    EXPECT_DOUBLE_EQ(log.latencies[2].value(), k_affinity_warm_factor); // raw seconds: discount carries ulp residue
     EXPECT_EQ(cloud.warm_dispatches(), 1u);
     const std::vector<Gpu_seconds> per_gpu = cloud.per_gpu_busy_within(Sim_time{100.0});
-    EXPECT_DOUBLE_EQ(per_gpu[1].value(), 1.8); // raw seconds: discount carries ulp residue
+    EXPECT_DOUBLE_EQ(per_gpu[1].value(), 1.0 + k_affinity_warm_factor); // raw seconds: discount carries ulp residue
 }
 
 TEST(Reliability, AllPlacementsSkipFailedServers) {
@@ -377,7 +376,6 @@ TEST(Reliability, CoalescedFreshLabelIsNotStrandedByARequeuedBatchMate) {
     config.gpu_profiles = {Gpu_profile{0.25, never, Sim_duration{10.0}}, Gpu_profile{}};
     config.straggler_requeue_factor = 2.0;
     config.max_batch = 2;
-    config.batch_efficiency = 1.0; // keep the service arithmetic exact
     Cloud_runtime cloud{queue, config};
     Sim_time b_done{-1.0};
     cloud.submit(9, Sim_duration{30.0}, {}); // fast server busy until t=30
@@ -389,17 +387,21 @@ TEST(Reliability, CoalescedFreshLabelIsNotStrandedByARequeuedBatchMate) {
         cloud.submit(1, Sim_duration{2.0}, [&] { b_done = queue.now(); }); // B, queued
     });
     // t=30: A is rescued onto nothing yet — L1 takes the fast server, so
-    // B coalesces with A's remainder on the straggler (batch wall 10.1 s).
-    // The batch is marked at t=35.05 (fast busy); when L1 completes at
-    // t=36 the batch checkpoints and B finishes on the fast server.
+    // B coalesces with A's remainder on the straggler. B leads the batch and
+    // A's remainder rides at the batch discount: wall (2 + k*0.525) / 0.25,
+    // about 9.47 s. The batch is marked at about t=34.7 (fast busy); when L1
+    // completes at t=36 the batch checkpoints and B finishes on the fast
+    // server.
     (void)queue.run_until(Sim_time{200.0});
     ASSERT_EQ(cloud.jobs_completed(), 4u);
     EXPECT_EQ(cloud.straggler_requeues(), 2u); // A at t=30, the batch at t=36
-    const double a_remainder = 8.0 * (1.0 - 29.9 / 32.0);      // 0.525
-    const double batch_wall = (2.0 + a_remainder) / 0.25;      // 10.1
+    const double a_remainder = 8.0 * (1.0 - 29.9 / 32.0); // 0.525
+    const double batch_wall = (2.0 + k_batch_efficiency * a_remainder) / 0.25;
+    ASSERT_LT(2.0 * 0.25 * batch_wall, 6.0); // the batch's mark precedes L1's completion
     const double b_remainder = 2.0 * (1.0 - 6.0 / batch_wall); // post-checkpoint
     EXPECT_NEAR(b_done.value(), 36.0 + b_remainder, 1e-9); // raw seconds for the tolerance check
-    EXPECT_LT(b_done, Sim_time{40.0}); // not the batch's full straggler wall (t=40.1)
+    // Not the batch's full straggler wall.
+    EXPECT_LT(b_done, Sim_time{30.0 + batch_wall});
 }
 
 // ---------------------------------------------------------------------------
@@ -548,7 +550,6 @@ TEST(Reliability, TypedLatencyPipelineMatchesRawDoubleQuantileBitForBit) {
     Cloud_config config;
     config.preempt_label_wait = Sim_duration{1.5};
     config.max_batch = 2;
-    config.batch_efficiency = 0.7;
     Event_queue queue;
     Cloud_runtime cloud{queue, config};
     Job_log labels{queue};
