@@ -3,6 +3,7 @@
 #include <iostream>
 
 #include "baselines/edge_only.hpp"
+#include "common/require.hpp"
 #include "core/adaptive_trainer.hpp"
 #include "core/labeling.hpp"
 #include "core/shoggoth.hpp"
@@ -83,19 +84,23 @@ int main() {
             const auto proposals = student->propose(f, world);
             const auto labeled = labeler.label(f, world, proposals, rng);
             total_gt += f.objects.size();
-            for (std::size_t i = 0; i < labeled.samples.size(); ++i) {
-                const auto& s = labeled.samples[i];
+            // The labeler drops some proposals without a sample, but each
+            // sample copies its proposal's feature verbatim, in proposal
+            // order: the cursor walks to the proposal a sample came from.
+            std::size_t cursor = 0;
+            for (const auto& s : labeled.samples) {
+                while (cursor < proposals.size() && proposals[cursor].feature != s.feature) {
+                    ++cursor;
+                }
+                SHOG_REQUIRE(cursor < proposals.size(), "labeled sample without a proposal");
+                const models::Proposal& source = proposals[cursor++];
                 if (s.class_label == 0) {
                     ++neg;
                     continue;
                 }
                 ++pos;
                 // Check against simulation truth via the proposal provenance.
-                // (proposals[i] lines up with labeled sample i only while
-                // the labeler has dropped no proposal: every negative is
-                // kept, but the ignore zone drops ambiguous ones.)
-                if (i < proposals.size() && proposals[i].from_object &&
-                    f.objects[proposals[i].gt_index].class_id == s.class_label) {
+                if (source.from_object && f.objects[source.gt_index].class_id == s.class_label) {
                     ++pos_correct;
                 }
             }

@@ -4,6 +4,10 @@
 // controller.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "common/event_queue.hpp"
 #include "core/adaptive_trainer.hpp"
 #include "core/controller.hpp"
@@ -196,19 +200,57 @@ void BM_detector_inference_fleet(benchmark::State& state) {
 }
 BENCHMARK(BM_detector_inference_fleet);
 
+/// A device's warm replay set: 1200 latents at the pool cut (64 wide).
+core::Replay_memory::Block warm_block() {
+    std::vector<models::Labeled_sample> warm(1200);
+    for (auto& s : warm) {
+        s.feature.assign(64, 0.25);
+    }
+    return std::make_shared<const std::vector<models::Labeled_sample>>(std::move(warm));
+}
+
+/// Seven 300-sample sessions merged into a 1500-slot memory that adopted
+/// the warm block (runs 2-8 of Algorithm 1, h = 750 down to 187 copies).
 void BM_replay_memory_update(benchmark::State& state) {
-    core::Replay_memory memory{1500};
-    Rng rng{9};
+    const core::Replay_memory::Block warm = warm_block();
     std::vector<models::Labeled_sample> batch(300);
     for (auto& s : batch) {
         s.feature.assign(64, 0.5);
     }
+    Rng rng{9};
     for (auto _ : state) {
-        memory.update_after_training(batch, rng);
+        state.PauseTiming();
+        core::Replay_memory memory{1500};
+        memory.adopt(warm, rng);
+        state.ResumeTiming();
+        for (int session = 0; session < 7; ++session) {
+            memory.update_after_training(batch, rng);
+        }
+        benchmark::DoNotOptimize(memory.slots().data());
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 300);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 7 * 300);
 }
 BENCHMARK(BM_replay_memory_update);
+
+/// A device's warm start: a 1500-slot memory seeded from the 1200-sample
+/// warm block. share:0 copies every sample (update_after_training, the
+/// path before warm blocks were shared); share:1 adopts the block.
+void BM_replay_warm_adopt(benchmark::State& state) {
+    const core::Replay_memory::Block warm = warm_block();
+    const bool share = state.range(0) != 0;
+    Rng rng{11};
+    for (auto _ : state) {
+        core::Replay_memory memory{1500};
+        if (share) {
+            memory.adopt(warm, rng);
+        } else {
+            memory.update_after_training(*warm, rng);
+        }
+        benchmark::DoNotOptimize(memory.slots().data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1200);
+}
+BENCHMARK(BM_replay_warm_adopt)->ArgName("share")->Arg(0)->Arg(1);
 
 void BM_controller_update(benchmark::State& state) {
     core::Sampling_controller controller{core::Controller_config{}, 1.0};
@@ -221,9 +263,8 @@ void BM_controller_update(benchmark::State& state) {
 BENCHMARK(BM_controller_update);
 
 void BM_h264_batch(benchmark::State& state) {
-    const netsim::H264_model codec;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(codec.batch_bytes(8, 512, 512, 0.6, 0.3, Sim_duration{1.5}));
+        benchmark::DoNotOptimize(netsim::batch_bytes(8, 512, 512, 0.6, 0.3, Sim_duration{1.5}));
     }
 }
 BENCHMARK(BM_h264_batch);

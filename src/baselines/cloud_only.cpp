@@ -1,5 +1,6 @@
 #include "baselines/cloud_only.hpp"
 
+#include "netsim/h264.hpp"
 #include "netsim/messages.hpp"
 
 namespace shog::baselines {
@@ -24,7 +25,7 @@ double Cloud_only_strategy::pipeline_fps(sim::Edge_runtime& rt) const {
     const auto& sc = rt.stream().config();
     // Use a mid-stream frame for representative codec statistics.
     const video::Frame probe = rt.stream().frame_at(rt.stream().frame_count() / 2);
-    const Bytes frame_bytes = rt.h264().stream_frame_bytes(
+    const Bytes frame_bytes = netsim::stream_frame_bytes(
         sc.image_width, sc.image_height, probe.complexity, probe.motion_level, sc.fps);
     const Bytes result_bytes = frame_bytes * netsim::k_message_sizes.result_frame_overhead;
 
@@ -48,7 +49,7 @@ void Cloud_only_strategy::meter_tick(sim::Edge_runtime& rt) {
     const video::Frame frame = rt.stream().frame_at(idx);
 
     // Full-rate video up; full-rate annotated result stream down.
-    const Bytes per_frame = rt.h264().stream_frame_bytes(
+    const Bytes per_frame = netsim::stream_frame_bytes(
         sc.image_width, sc.image_height, frame.complexity, frame.motion_level, sc.fps);
     const Bytes up_bytes = per_frame * sc.fps * k_meter_tick.value(); // frames/tick
     const Bytes down_bytes = up_bytes * netsim::k_message_sizes.result_frame_overhead;

@@ -172,8 +172,8 @@ void Adaptive_trainer::warm_start_daytime(const video::World_model& world,
         warm_cfg.domains = models::daytime_domains();
         warm_cfg.samples = samples;
         warm_cfg.seed = config_.seed ^ 0xab;
-        std::vector<models::Labeled_sample> latents =
-            latent_batch(models::synth_dataset(world, detector_.config(), warm_cfg));
+        auto latents = std::make_shared<const std::vector<models::Labeled_sample>>(
+            latent_batch(models::synth_dataset(world, detector_.config(), warm_cfg)));
         return Warm_set{std::move(latents), detector_.net().state_vector()};
     };
     Warm_set computed;
@@ -191,7 +191,7 @@ void Adaptive_trainer::warm_start_daytime(const video::World_model& world,
     }
     // One apply step for both paths: a hit ends where the pass would have.
     detector_.net().load_state_vector(set->student_state);
-    memory_.update_after_training(set->latents, rng_);
+    memory_.adopt(set->latents, rng_);
 }
 
 Training_report Adaptive_trainer::train(const std::vector<models::Labeled_sample>& all_fresh) {

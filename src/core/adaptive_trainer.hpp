@@ -119,6 +119,7 @@ public:
     /// domains the student was pretrained on; a no-op without replay memory.
     /// With a `cache`, an earlier pass with the same Warm_key is reused
     /// instead of repeated; the trainer ends in the same state either way.
+    /// Either way the memory adopts the pass's latents without copying them.
     void warm_start_daytime(const video::World_model& world, std::size_t samples,
                             Warm_cache* cache = nullptr);
 

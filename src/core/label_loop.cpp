@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "models/deployed.hpp"
+#include "netsim/h264.hpp"
 #include "netsim/messages.hpp"
 
 namespace shog::core {
@@ -67,10 +68,9 @@ void Label_loop::ship(sim::Edge_runtime& rt, std::vector<std::size_t> frames, Si
 
     // "All images are resized to 512x512" before encoding and upload.
     const double res = upload_resolution_;
-    const Bytes payload = rt.h264().batch_bytes(frames.size(), res, res, complexity, motion,
-                                                gap);
+    const Bytes payload = netsim::batch_bytes(frames.size(), res, res, complexity, motion, gap);
     // Paper: compressing the buffered samples takes 1-3 seconds.
-    const Sim_duration encode = rt.h264().encode_seconds(frames.size(), res, res);
+    const Sim_duration encode = netsim::encode_seconds(frames.size(), res, res);
     const Sim_duration up_delay = rt.link().send_up(rt.now(), payload);
     SHOG_TRACE_ASYNC_BEGIN(rt.trace(), rt.now(), rt.trace_track(), "upload", generation);
     rt.schedule(encode + up_delay, [this, &rt, frames = std::move(frames), generation,

@@ -9,8 +9,9 @@
 //
 // The cache maps an exact key — everything the pass reads — to the pass's
 // result: the replay-ready latents and the student's state after the pass.
-// A hit loads that state and hands the latents to the device's own replay
-// memory and RNG, which reproduces the uncached start bit for bit.
+// A hit loads that state and lets the device's own replay memory adopt the
+// shared latents with the device's own RNG, which reproduces the uncached
+// start bit for bit without copying a sample.
 //
 // Threading: sim::run_sweep cells share one fleet::Testbed and so one
 // cache. Lookups and fills run under one mutex; a fill computes while
@@ -27,7 +28,7 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
-#include "models/samples.hpp"
+#include "core/replay_memory.hpp"
 #include "video/world.hpp"
 
 namespace shog::core {
@@ -58,9 +59,11 @@ struct Warm_key {
 };
 
 /// One warm pass's result. The latents alone would not reproduce the
-/// student: the training-mode front pass moves its running moments.
+/// student: the training-mode front pass moves its running moments. The
+/// latents are immutable and shared: every replay memory that adopts them
+/// aliases their rows and keeps them alive, so they outlive the cache.
 struct Warm_set {
-    std::vector<models::Labeled_sample> latents;
+    Replay_memory::Block latents;
     std::vector<double> student_state; ///< Detector_net::state_vector() after the pass
 };
 

@@ -24,9 +24,7 @@ constexpr double k_encode_mpix_per_second = 9.0;
 /// Fixed per-batch encode setup latency.
 constexpr Sim_duration k_encode_setup_seconds{0.8};
 
-} // namespace
-
-double H264_model::pixel_term(double width, double height) const {
+double pixel_term(double width, double height) {
     SHOG_REQUIRE(width > 0.0 && height > 0.0, "frame size must be positive");
     // Normalize around a 512x512 frame so intra_bpp is directly the bpp there.
     const double pixels = width * height;
@@ -34,13 +32,15 @@ double H264_model::pixel_term(double width, double height) const {
     return reference * std::pow(pixels / reference, k_resolution_exponent);
 }
 
-Bytes H264_model::intra_frame_bytes(double width, double height, double complexity) const {
+} // namespace
+
+Bytes intra_frame_bytes(double width, double height, double complexity) {
     const double c = std::clamp(complexity, 0.05, 1.0);
     return Bytes{pixel_term(width, height) * k_intra_bpp * c / k_bits_per_byte};
 }
 
-Bytes H264_model::predicted_frame_bytes(double width, double height, double complexity,
-                                        double motion, Sim_duration gap_seconds) const {
+Bytes predicted_frame_bytes(double width, double height, double complexity, double motion,
+                            Sim_duration gap_seconds) {
     SHOG_REQUIRE(gap_seconds >= Sim_duration{}, "gap must be non-negative");
     const double m = std::clamp(motion, 0.0, 1.0);
     const double tau = k_redundancy_tau / (1.0 + k_motion_tau_k * m);
@@ -49,8 +49,8 @@ Bytes H264_model::predicted_frame_bytes(double width, double height, double comp
     return intra_frame_bytes(width, height, complexity) * fraction;
 }
 
-Bytes H264_model::stream_frame_bytes(double width, double height, double complexity,
-                                     double motion, double fps, std::size_t gop) const {
+Bytes stream_frame_bytes(double width, double height, double complexity, double motion,
+                         double fps, std::size_t gop) {
     SHOG_REQUIRE(fps > 0.0, "fps must be positive");
     SHOG_REQUIRE(gop >= 1, "GOP must be at least 1");
     const Bytes i_bytes = intra_frame_bytes(width, height, complexity);
@@ -60,8 +60,8 @@ Bytes H264_model::stream_frame_bytes(double width, double height, double complex
     return (i_bytes + (g - 1.0) * p_bytes) / g;
 }
 
-Bytes H264_model::batch_bytes(std::size_t frames, double width, double height,
-                              double complexity, double motion, Sim_duration gap_seconds) const {
+Bytes batch_bytes(std::size_t frames, double width, double height, double complexity,
+                  double motion, Sim_duration gap_seconds) {
     if (frames == 0) {
         return Bytes{};
     }
@@ -71,8 +71,7 @@ Bytes H264_model::batch_bytes(std::size_t frames, double width, double height,
     return i_bytes + static_cast<double>(frames - 1) * p_bytes;
 }
 
-Sim_duration H264_model::encode_seconds(std::size_t frames, double width,
-                                        double height) const {
+Sim_duration encode_seconds(std::size_t frames, double width, double height) {
     const double mpix = static_cast<double>(frames) * width * height / 1e6;
     return k_encode_setup_seconds + Sim_duration{mpix / k_encode_mpix_per_second};
 }

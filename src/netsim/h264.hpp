@@ -15,36 +15,27 @@
 
 namespace shog::netsim {
 
-/// Stateless: the codec's calibration constants live in h264.cpp.
-class H264_model {
-public:
-    /// Bytes of an intra (I) frame.
-    [[nodiscard]] Bytes intra_frame_bytes(double width, double height,
-                                          double complexity) const;
+// The codec's calibration constants live in h264.cpp.
 
-    /// Bytes of a predicted (P) frame encoded `gap_seconds` after the
-    /// previous frame in the same encode, under the given motion level.
-    [[nodiscard]] Bytes predicted_frame_bytes(double width, double height, double complexity,
-                                              double motion, Sim_duration gap_seconds) const;
+/// Bytes of an intra (I) frame.
+[[nodiscard]] Bytes intra_frame_bytes(double width, double height, double complexity);
 
-    /// Average per-frame bytes of a continuous stream at `fps` with an
-    /// I-frame every `gop` frames (Cloud-Only uplink).
-    [[nodiscard]] Bytes stream_frame_bytes(double width, double height, double complexity,
-                                           double motion, double fps,
-                                           std::size_t gop = 60) const;
+/// Bytes of a predicted (P) frame encoded `gap_seconds` after the previous
+/// frame in the same encode, under the given motion level.
+[[nodiscard]] Bytes predicted_frame_bytes(double width, double height, double complexity,
+                                          double motion, Sim_duration gap_seconds);
 
-    /// Total bytes of a buffered sample batch: first frame is intra, the
-    /// rest predicted at the batch's inter-frame gap.
-    [[nodiscard]] Bytes batch_bytes(std::size_t frames, double width, double height,
-                                    double complexity, double motion,
-                                    Sim_duration gap_seconds) const;
+/// Average per-frame bytes of a continuous stream at `fps` with an I-frame
+/// every `gop` frames (Cloud-Only uplink).
+[[nodiscard]] Bytes stream_frame_bytes(double width, double height, double complexity,
+                                       double motion, double fps, std::size_t gop = 60);
 
-    /// Wall-clock encode latency for a batch (paper: 1-3 s).
-    [[nodiscard]] Sim_duration encode_seconds(std::size_t frames, double width,
-                                              double height) const;
+/// Total bytes of a buffered sample batch: first frame is intra, the rest
+/// predicted at the batch's inter-frame gap.
+[[nodiscard]] Bytes batch_bytes(std::size_t frames, double width, double height,
+                                double complexity, double motion, Sim_duration gap_seconds);
 
-private:
-    [[nodiscard]] double pixel_term(double width, double height) const;
-};
+/// Wall-clock encode latency for a batch (paper: 1-3 s).
+[[nodiscard]] Sim_duration encode_seconds(std::size_t frames, double width, double height);
 
 } // namespace shog::netsim

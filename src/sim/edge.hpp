@@ -1,10 +1,10 @@
 // Per-device edge runtime of the cluster engine.
 //
 // One Edge_runtime per simulated device: its video stream, network link,
-// H.264 model, edge compute model and RNG substream. All devices in a
-// cluster share one discrete-event clock and one Cloud_runtime; cloud-side
-// work is submitted through `cloud()` so GPU time is contended rather than
-// per-device. A single-device run is just a cluster of one.
+// edge compute model and RNG substream. All devices in a cluster share one
+// discrete-event clock and one Cloud_runtime; cloud-side work is submitted
+// through `cloud()` so GPU time is contended rather than per-device. A
+// single-device run is just a cluster of one.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 #include "common/event_queue.hpp"
 #include "common/rng.hpp"
 #include "device/compute.hpp"
-#include "netsim/h264.hpp"
 #include "netsim/link.hpp"
 #include "obs/trace.hpp"
 #include "sim/cloud.hpp"
@@ -35,7 +34,6 @@ public:
 
     [[nodiscard]] const video::Video_stream& stream() const noexcept { return stream_; }
     [[nodiscard]] netsim::Link& link() noexcept { return link_; }
-    [[nodiscard]] const netsim::H264_model& h264() const noexcept { return h264_; }
     [[nodiscard]] device::Edge_compute& edge_compute() noexcept { return edge_compute_; }
     [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
@@ -84,7 +82,6 @@ private:
     Event_queue& queue_;
     Cloud_runtime& cloud_;
     netsim::Link link_;
-    netsim::H264_model h264_;
     device::Edge_compute edge_compute_;
     Rng rng_;
     obs::Trace_channel trace_;

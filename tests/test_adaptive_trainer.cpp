@@ -307,14 +307,14 @@ TEST_F(Trainer_fixture, WarmStartFillsMemory) {
     trainer.warm_start(domain_samples(video::day_sunny(0.6), 700, 60));
     EXPECT_EQ(trainer.memory().size(), 700u);
     // Latents have the pool width, not the raw feature width.
-    EXPECT_EQ(trainer.memory().samples()[0].feature.size(),
+    EXPECT_EQ(trainer.memory().slots()[0]->feature.size(),
               student->net().width_at_cut(student->net().cut_after("pool")));
 }
 
 TEST_F(Trainer_fixture, InputReplayStoresRawFeatures) {
     Adaptive_trainer trainer = make_trainer(input_replay_config());
     trainer.warm_start(domain_samples(video::day_sunny(0.6), 100, 61));
-    EXPECT_EQ(trainer.memory().samples()[0].feature.size(), world->feature_dim());
+    EXPECT_EQ(trainer.memory().slots()[0]->feature.size(), world->feature_dim());
 }
 
 TEST_F(Trainer_fixture, MemoryUpdatedAfterSession) {
@@ -331,14 +331,18 @@ TEST_F(Trainer_fixture, MemoryUpdatedAfterSession) {
 // -------------------------------------------------------- warm-set memo ---
 
 /// Warm-start a fresh trainer on `detector` and return what it left behind:
-/// the replay memory's samples and the detector's state.
+/// the content of every replay memory slot and the detector's state.
 std::pair<std::vector<models::Labeled_sample>, std::vector<double>> warm_with(
     models::Detector& detector, const Trainer_config& cfg, const video::World_model& world,
     std::size_t samples, Warm_cache* cache) {
     Adaptive_trainer trainer{detector, cfg, models::Deployed_profile::yolov4_resnet18(),
                              device::jetson_tx2()};
     trainer.warm_start_daytime(world, samples, cache);
-    return {trainer.memory().samples(), detector.net().state_vector()};
+    std::vector<models::Labeled_sample> memory;
+    for (const Replay_memory::Slot& slot : trainer.memory().slots()) {
+        memory.push_back(*slot);
+    }
+    return {std::move(memory), detector.net().state_vector()};
 }
 
 void expect_same_memory(const std::vector<models::Labeled_sample>& expected,

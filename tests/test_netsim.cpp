@@ -12,72 +12,61 @@ namespace {
 // ----------------------------------------------------------------- H264 ----
 
 TEST(H264, IntraScalesWithComplexity) {
-    H264_model codec;
-    EXPECT_LT(codec.intra_frame_bytes(512, 512, 0.3), codec.intra_frame_bytes(512, 512, 0.9));
+    EXPECT_LT(intra_frame_bytes(512, 512, 0.3), intra_frame_bytes(512, 512, 0.9));
 }
 
 TEST(H264, IntraScalesWithResolution) {
-    H264_model codec;
-    EXPECT_LT(codec.intra_frame_bytes(512, 512, 0.5),
-              codec.intra_frame_bytes(1280, 720, 0.5));
+    EXPECT_LT(intra_frame_bytes(512, 512, 0.5), intra_frame_bytes(1280, 720, 0.5));
     // ...but sub-linearly per pixel.
-    const double small = codec.intra_frame_bytes(512, 512, 0.5) / Bytes{512.0 * 512.0};
-    const double big = codec.intra_frame_bytes(1920, 1080, 0.5) / Bytes{1920.0 * 1080.0};
+    const double small = intra_frame_bytes(512, 512, 0.5) / Bytes{512.0 * 512.0};
+    const double big = intra_frame_bytes(1920, 1080, 0.5) / Bytes{1920.0 * 1080.0};
     EXPECT_LT(big, small);
 }
 
 TEST(H264, PredictedGrowsWithGap) {
-    H264_model codec;
     Bytes prev;
     for (double gap : {0.033, 0.1, 0.5, 2.0, 10.0}) {
-        const Bytes bytes =
-            codec.predicted_frame_bytes(512, 512, 0.6, 0.3, Sim_duration{gap});
+        const Bytes bytes = predicted_frame_bytes(512, 512, 0.6, 0.3, Sim_duration{gap});
         EXPECT_GT(bytes, prev);
         prev = bytes;
     }
     // Long gaps approach (but never exceed) the intra cost.
-    EXPECT_LE(prev, codec.intra_frame_bytes(512, 512, 0.6) + Bytes{1e-9});
+    EXPECT_LE(prev, intra_frame_bytes(512, 512, 0.6) + Bytes{1e-9});
 }
 
 TEST(H264, PredictedGrowsWithMotion) {
-    H264_model codec;
-    EXPECT_LT(codec.predicted_frame_bytes(512, 512, 0.6, 0.05, Sim_duration{0.5}),
-              codec.predicted_frame_bytes(512, 512, 0.6, 0.8, Sim_duration{0.5}));
+    EXPECT_LT(predicted_frame_bytes(512, 512, 0.6, 0.05, Sim_duration{0.5}),
+              predicted_frame_bytes(512, 512, 0.6, 0.8, Sim_duration{0.5}));
 }
 
 TEST(H264, StreamOperatingPoint) {
     // A 960x540 30fps surveillance stream should land in the low-Mbps range
     // the paper's Cloud-Only column reports (~3.3 Mbps).
-    H264_model codec;
-    const Bytes per_frame = codec.stream_frame_bytes(960, 540, 0.6, 0.25, 30.0);
+    const Bytes per_frame = stream_frame_bytes(960, 540, 0.6, 0.25, 30.0);
     const Kbps kbps = bytes_to_kbps(per_frame * 30.0, Sim_duration{1.0});
     EXPECT_GT(kbps, Kbps{1500.0});
     EXPECT_LT(kbps, Kbps{6000.0});
 }
 
 TEST(H264, SparseSamplingCostsMorePerFrame) {
-    H264_model codec;
-    const Bytes stream_frame = codec.stream_frame_bytes(512, 512, 0.6, 0.25, 30.0);
+    const Bytes stream_frame = stream_frame_bytes(512, 512, 0.6, 0.25, 30.0);
     const Bytes sparse_frame =
-        codec.batch_bytes(8, 512, 512, 0.6, 0.25, /*gap=*/Sim_duration{2.0}) / 8.0;
+        batch_bytes(8, 512, 512, 0.6, 0.25, /*gap=*/Sim_duration{2.0}) / 8.0;
     EXPECT_GT(sparse_frame, 1.3 * stream_frame);
 }
 
 TEST(H264, BatchBytesComposition) {
-    H264_model codec;
-    const Bytes one = codec.batch_bytes(1, 512, 512, 0.6, 0.3, Sim_duration{1.0});
-    EXPECT_EQ(one, codec.intra_frame_bytes(512, 512, 0.6));
-    const Bytes five = codec.batch_bytes(5, 512, 512, 0.6, 0.3, Sim_duration{1.0});
-    EXPECT_EQ(five,
-              one + 4.0 * codec.predicted_frame_bytes(512, 512, 0.6, 0.3, Sim_duration{1.0}));
-    EXPECT_EQ(codec.batch_bytes(0, 512, 512, 0.6, 0.3, Sim_duration{1.0}), Bytes{});
+    const Bytes one = batch_bytes(1, 512, 512, 0.6, 0.3, Sim_duration{1.0});
+    EXPECT_EQ(one, intra_frame_bytes(512, 512, 0.6));
+    const Bytes five = batch_bytes(5, 512, 512, 0.6, 0.3, Sim_duration{1.0});
+    EXPECT_EQ(five, one + 4.0 * predicted_frame_bytes(512, 512, 0.6, 0.3, Sim_duration{1.0}));
+    EXPECT_EQ(batch_bytes(0, 512, 512, 0.6, 0.3, Sim_duration{1.0}), Bytes{});
 }
 
 TEST(H264, EncodeLatencyInPaperRange) {
     // "compressing the buffered samples takes 1-3 seconds"
-    H264_model codec;
     for (std::size_t frames : {4u, 8u, 16u}) {
-        const Sim_duration t = codec.encode_seconds(frames, 512.0, 512.0);
+        const Sim_duration t = encode_seconds(frames, 512.0, 512.0);
         EXPECT_GE(t, Sim_duration{0.8});
         EXPECT_LE(t, Sim_duration{3.5});
     }

@@ -13,6 +13,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -193,10 +194,14 @@ std::vector<Device_image> device_images(fleet::Fleet& fleet, const video::Video_
             trainer = &ams->trainer();
         }
         EXPECT_NE(trainer, nullptr) << "device " << i;
+        std::vector<models::Labeled_sample> memory;
+        if (trainer != nullptr) {
+            for (const core::Replay_memory::Slot& slot : trainer->memory().slots()) {
+                memory.push_back(*slot);
+            }
+        }
         models::Detector& student = *fleet.students[i];
-        images.push_back(Device_image{trainer != nullptr ? trainer->memory().samples()
-                                                         : std::vector<models::Labeled_sample>{},
-                                      student.net().state_vector(),
+        images.push_back(Device_image{std::move(memory), student.net().state_vector(),
                                       student.detect(frame, stream.world())});
     }
     return images;
