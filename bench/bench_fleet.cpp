@@ -62,9 +62,10 @@
 //  6. the city-scale curve: wall-clock and peak RSS of one heterogeneous
 //     mixed-strategy run at N in {64, 256, 1000, 4000, 10000} (clamped to
 //     scale_max_devices), devices sharing a 64-camera pool. The eval
-//     stride grows with N — it strides the *measurement* of accuracy, not
-//     the simulated system, so it is quality-neutral per device and keeps
-//     10^4 devices in single-digit minutes. Rows run in ascending N
+//     stride grows with N (capped at a third of the stream's frames) — it
+//     strides the *measurement* of accuracy, not the simulated system, so
+//     it is quality-neutral per device and keeps 10^4 devices in
+//     single-digit minutes. Rows run in ascending N
 //     because peak_rss_mb() is a process-wide high-water mark:
 //       {"bench":"fleet_scale","devices":1000,"eval_stride":27,
 //        "wall_ms":...,"peak_rss_mb":...,...}
@@ -76,6 +77,7 @@
 //     along so a broken sharded run is visible at a glance:
 //       {"bench":"fleet_shard","devices":4000,"shards":4,"hw_threads":...,
 //        "wall_ms":...,"base_wall_ms":...,"speedup":...,...}
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdarg>
@@ -365,7 +367,7 @@ void run_sched_micro() {
         double preempt_s;
     };
     for (const Cell& cell : {Cell{"fifo", 0.0}, Cell{"fifo", 2.0}, Cell{"priority", 2.0},
-                             Cell{"staleness", 2.0}}) {
+                             Cell{"fair_share", 2.0}, Cell{"staleness", 2.0}}) {
         Event_queue queue;
         sim::Cloud_config config;
         config.policy = sim::policy_by_name(cell.policy);
@@ -402,28 +404,29 @@ void run_sched_micro() {
     }
 }
 
-/// Accuracy-measurement stride for an N-device city-scale row. Striding the
-/// evaluator samples the same per-device quality signal more sparsely; it
-/// does not change what the simulated devices do, so it is the one knob
-/// that may grow with N without changing the system under test.
-std::size_t scale_eval_stride(std::size_t devices) {
+/// Accuracy-measurement stride for an N-device city-scale row over streams
+/// of `frames` frames. Striding the evaluator samples the same per-device
+/// quality signal more sparsely; it does not change what the simulated
+/// devices do, so it is the one knob that may grow with N without changing
+/// the system under test.
+std::size_t scale_eval_stride(std::size_t devices, std::size_t frames) {
     // Grows with N so each row's accuracy-measurement cost stays bounded
     // (eval inference dominates small-N wall time; by N=10^4 the simulated
     // system itself is the bulk, so the top tier backs measurement off to
     // a few samples per device — the fleet mean still pools 10^4 devices).
+    std::size_t stride = 2187;
     if (devices <= 64) {
-        return 9;
+        stride = 9;
+    } else if (devices <= 256) {
+        stride = 27;
+    } else if (devices <= 1000) {
+        stride = 81;
+    } else if (devices <= 4000) {
+        stride = 243;
     }
-    if (devices <= 256) {
-        return 27;
-    }
-    if (devices <= 1000) {
-        return 81;
-    }
-    if (devices <= 4000) {
-        return 243;
-    }
-    return 2187;
+    // A short stream caps the stride at a third of its frames, so every
+    // device still evaluates at least 3 frames.
+    return std::clamp<std::size_t>(frames / 3, 1, stride);
 }
 
 void run_fleet_scale(double duration, std::uint64_t seed, std::size_t scale_max_devices,
@@ -434,6 +437,7 @@ void run_fleet_scale(double duration, std::uint64_t seed, std::size_t scale_max_
     // larger row preceded it.
     const std::size_t cameras = std::min<std::size_t>(scale_max_devices, 64);
     const fleet::Testbed testbed = fleet::make_testbed("waymo", cameras, seed, duration);
+    const std::size_t frames = testbed.streams.front()->frame_count();
     for (std::size_t devices :
          {std::size_t{64}, std::size_t{256}, std::size_t{1000}, std::size_t{4000},
           std::size_t{10000}}) {
@@ -444,7 +448,7 @@ void run_fleet_scale(double duration, std::uint64_t seed, std::size_t scale_max_
         sim::Cluster_config config;
         config.harness.seed = seed ^ 0x8888;
         config.harness.eval_stride =
-            stride_override > 0 ? stride_override : scale_eval_stride(devices);
+            stride_override > 0 ? stride_override : scale_eval_stride(devices, frames);
         config.cloud.gpu_count = gpus;
         config.cloud.policy = sim::Policy_kind::priority;
 
@@ -487,6 +491,7 @@ void run_fleet_shard(double duration, std::uint64_t seed, std::size_t scale_max_
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
     const std::size_t cameras = std::min<std::size_t>(scale_max_devices, 64);
     const fleet::Testbed testbed = fleet::make_testbed("waymo", cameras, seed, duration);
+    const std::size_t frames = testbed.streams.front()->frame_count();
     for (std::size_t devices :
          {std::size_t{256}, std::size_t{1000}, std::size_t{4000}}) {
         if (devices > scale_max_devices) {
@@ -495,7 +500,7 @@ void run_fleet_shard(double duration, std::uint64_t seed, std::size_t scale_max_
         sim::Cluster_config config;
         config.harness.seed = seed ^ 0x8888;
         config.harness.eval_stride =
-            stride_override > 0 ? stride_override : scale_eval_stride(devices);
+            stride_override > 0 ? stride_override : scale_eval_stride(devices, frames);
         config.cloud.gpu_count = std::max<std::size_t>(1, devices / 256);
         config.cloud.policy = sim::Policy_kind::priority;
 

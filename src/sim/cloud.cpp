@@ -23,8 +23,6 @@ Sim_duration exponential_delay(Rng& rng, Sim_duration mean) {
 Cloud_runtime::Cloud_runtime(Event_queue& queue, Cloud_config config)
     : queue_{queue},
       config_{std::move(config)},
-      policy_{make_policy(config_.policy)},
-      placement_{make_placement(config_.placement, config_.label_reserved_gpus)},
       gpus_(config_.gpu_count),
       gpu_finalized_busy_(config_.gpu_count, Gpu_seconds{}) {
     SHOG_REQUIRE(config_.gpu_count >= 1, "cloud needs at least one GPU");
@@ -159,61 +157,36 @@ void Cloud_runtime::dispatch() {
                          [](const Gpu_state& gpu) { return gpu.available(); })) {
             break; // every server busy or failed: nothing can be placed
         }
-        // Head job: the scheduling policy's pick (overdue labels first). If
-        // the placement policy cannot put it on any free server — a train
-        // while only label-reserved servers are idle — fall back to the
-        // oldest placeable job, so a reserved server never sits idle with
-        // eligible work queued behind an unplaceable head.
+        // Head job: the scheduling policy's pick (overdue labels first).
+        // Placement refuses only a train while just label-reserved servers
+        // are idle (kind_partition); a label is placeable on any available
+        // server. So a refused head falls back to the first waiting label —
+        // queue position order is submission order for labels, and the
+        // label counter makes the empty case O(1) — and a reserved server
+        // never sits idle with a label queued behind an unplaceable train.
+        // A place() sweep of the whole queue instead would turn every event
+        // of an all-train backlog quadratic in queue depth.
         std::size_t pick = select_next();
-        Placement_decision where =
-            placement_->place(waiting_[pick].kind, waiting_[pick].device, gpus_);
+        Placement_decision where = place(config_.placement, config_.label_reserved_gpus,
+                                         waiting_[pick].kind, waiting_[pick].device, gpus_);
         if (where.gpu == no_gpu) {
-            // Placement refuses on job *kind* only (kind_partition keeps
-            // trains off reserved servers), so the fallback candidate is the
-            // oldest job of the other kind — not a place() sweep of the
-            // whole queue, which would turn every event of an all-train
-            // backlog quadratic in queue depth. A refused train falls back
-            // to the first waiting label (queue position order is submission
-            // order for labels, and the label counter makes the empty case
-            // O(1)); the reverse direction cannot happen with the shipped
-            // placements (labels are placeable on every server) but is kept
-            // for future placements that can refuse them.
-            const Cloud_job_kind refused = waiting_[pick].kind;
-            std::size_t fallback = waiting_.size();
-            if (refused == Cloud_job_kind::train && waiting_labels_ > 0) {
-                for (std::size_t i = 0; i < waiting_.size(); ++i) {
-                    if (waiting_[i].kind == Cloud_job_kind::label) {
-                        fallback = i;
-                        break;
-                    }
-                }
-            } else if (refused == Cloud_job_kind::label &&
-                       waiting_labels_ < waiting_.size()) {
-                for (std::size_t i = 0; i < waiting_.size(); ++i) {
-                    if (waiting_[i].kind != refused &&
-                        (fallback == waiting_.size() ||
-                         fifo_before(waiting_[i], waiting_[fallback]))) {
-                        fallback = i;
-                    }
-                }
+            if (waiting_labels_ == 0) {
+                break; // only trains wait, and no free server may take one
             }
-            if (fallback == waiting_.size()) {
-                break; // no placeable job of the other kind waiting
+            pick = 0;
+            while (waiting_[pick].kind != Cloud_job_kind::label) {
+                ++pick;
             }
-            where = placement_->place(waiting_[fallback].kind, waiting_[fallback].device,
-                                      gpus_);
-            if (where.gpu == no_gpu) {
-                break; // every free server is ineligible for every waiting job
-            }
-            pick = fallback;
+            where = place(config_.placement, config_.label_reserved_gpus, waiting_[pick].kind,
+                          waiting_[pick].device, gpus_);
         }
         // Coalesce only on the last idle server eligible for this kind:
         // while other eligible servers are free, each waiting job gets its
         // own GPU (batching must never make a job wait behind a sibling when
         // idle capacity exists).
-        const std::size_t batch_limit =
-            placement_->eligible_free(waiting_[pick].kind, gpus_) == 1 ? config_.max_batch
-                                                                       : 1;
+        const bool last_eligible = eligible_free(config_.placement, config_.label_reserved_gpus,
+                                                 waiting_[pick].kind, gpus_) == 1;
+        const std::size_t batch_limit = last_eligible ? config_.max_batch : 1;
         auto active = std::make_shared<Active_dispatch>();
         // Assigned whether or not tracing is on, so traced and dark runs
         // transition through identical state.
@@ -299,22 +272,6 @@ void Cloud_runtime::dispatch() {
             const Sim_duration bound = config_.straggler_requeue_factor * nominal;
             if (!all_requeued && nominal > Sim_duration{} && bound < active->service) {
                 queue_.schedule_in(bound, [this, active] { straggler_check(active); });
-            }
-        }
-        if (active->all_train && config_.preempt_label_wait > Sim_duration{}) {
-            // Defensive backstop for the wait bound: if a train dispatch
-            // ever starts while an overdue label is still queued, re-arm its
-            // check immediately instead of letting the bound lapse for the
-            // train's whole service. With the shipped placements this branch
-            // is unreachable — overdue labels outrank every policy pick and
-            // are placeable on any free server, so a train head-pick implies
-            // no overdue label was waiting — but a future placement that can
-            // refuse labels (per-device quotas, say) would need it, and
-            // trains only enter flight here.
-            const std::size_t overdue = find_overdue();
-            if (overdue != waiting_.size()) {
-                const std::uint64_t id = waiting_[overdue].id;
-                queue_.schedule_in(Sim_duration{}, [this, id] { preempt_check(id); });
             }
         }
     }
@@ -404,7 +361,7 @@ std::size_t Cloud_runtime::select_next() const {
     if (overdue != waiting_.size()) {
         return overdue;
     }
-    return policy_->select(waiting_, per_device_seconds_, queue_.now());
+    return select_job(config_.policy, waiting_, per_device_seconds_, queue_.now());
 }
 
 void Cloud_runtime::preempt_check(std::uint64_t job_id) {
@@ -441,10 +398,9 @@ void Cloud_runtime::preempt_check(std::uint64_t job_id) {
     }
     // No victim is not a pass: the job is now marked overdue, so it outranks
     // every policy pick at the next server-free instant — no train can jump
-    // ahead of it, however long it waits. (dispatch() additionally re-arms
-    // this check if a train dispatch ever starts with the mark still queued;
-    // a *polling* re-arm would instead put every waiting label on a periodic
-    // timer and blow the event queue up quadratically when oversubscribed.)
+    // ahead of it, however long it waits. (A *polling* re-arm would instead
+    // put every waiting label on a periodic timer and blow the event queue
+    // up quadratically when oversubscribed.)
 }
 
 void Cloud_runtime::checkpoint(std::shared_ptr<Active_dispatch> active) {

@@ -5,13 +5,14 @@
 // labeling + whole-model fine-tuning for AMS) is submitted as a job with a
 // service time; jobs from all devices drain through `gpu_count` individually
 // tracked GPU servers, optionally coalesced into batched dispatches.
-// Dispatch *order* is a pluggable Scheduling_policy (sim/policy.hpp): FIFO
-// by default, label-first priority, per-device fair share, or drift-weighted
-// staleness; *which server* a dispatch lands on is a pluggable
-// Placement_policy (sim/placement.hpp): any free server, device affinity
-// with a warm-start discount, or a kind partition that reserves servers for
-// labels. In-flight all-train dispatches can be preempted when a label job
-// has waited too long. Cloud GPU seconds, queueing delay and label latency
+// Dispatch *order* is one of four policies (select_job, sim/policy.hpp):
+// FIFO by default, label-first priority, per-device fair share, or
+// drift-weighted staleness; *which server* a dispatch lands on is one of
+// four placements (place, sim/placement.hpp): any free server, device
+// affinity with a warm-start discount, a kind partition that reserves
+// servers for labels, or speed-aware routing on a heterogeneous cloud.
+// In-flight all-train dispatches can be preempted when a label job has
+// waited too long. Cloud GPU seconds, queueing delay and label latency
 // therefore *emerge* from contention instead of being summed per-run, which
 // is what makes the paper's devices-per-GPU scalability claim measurable.
 #pragma once
@@ -73,7 +74,7 @@ struct Cloud_config {
     /// on the last idle server *eligible for the job's kind* — while other
     /// eligible servers are free, each waiting job gets its own GPU.
     std::size_t max_batch = 1;
-    /// Dispatch-order policy; fifo reproduces the PR 1 scheduler exactly.
+    /// Dispatch-order policy; fifo serves jobs in enqueue order.
     Policy_kind policy = Policy_kind::fifo;
     /// Server-placement policy; any_free reproduces the pre-sharding
     /// undifferentiated pool exactly (lowest-index free server).
@@ -270,8 +271,7 @@ private:
     /// overdue, then checkpoints the in-flight all-train dispatch with the
     /// most remaining service and re-queues its remainder. No victim right
     /// now is not a pass — the overdue mark outranks every policy pick from
-    /// then on (and dispatch() keeps a defensive re-arm for placements that
-    /// could refuse labels).
+    /// then on, and every placement takes a label on any free server.
     void preempt_check(std::uint64_t job_id);
     /// Shared checkpoint/resume core of preemption, server failure and
     /// straggler re-queueing: refund the unexecuted share of the bill,
@@ -341,8 +341,6 @@ private:
 
     Event_queue& queue_;
     Cloud_config config_;
-    std::unique_ptr<Scheduling_policy> policy_;
-    std::unique_ptr<Placement_policy> placement_;
     std::deque<Sched_job> waiting_; ///< insertion-ordered (== seq order)
     std::size_t waiting_labels_ = 0; ///< label jobs currently in waiting_
     /// Ids of waiting jobs: O(1) is_waiting instead of a queue scan per

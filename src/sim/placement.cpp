@@ -26,31 +26,29 @@ std::size_t lowest_free(const std::vector<Gpu_state>& gpus, std::size_t from = 0
     return no_gpu;
 }
 
-std::size_t count_free(const std::vector<Gpu_state>& gpus, std::size_t from = 0) {
-    std::size_t free = 0;
-    for (std::size_t g = from; g < gpus.size(); ++g) {
-        free += gpus[g].available() ? 1 : 0;
-    }
-    return free;
+/// First server a `job` dispatch may use: kind_partition keeps trains off
+/// the reserved low-index servers; everything else may use any server.
+std::size_t first_eligible(Placement_kind kind, std::size_t label_reserved_gpus,
+                           Cloud_job_kind job) {
+    return kind == Placement_kind::kind_partition && job == Cloud_job_kind::train
+               ? label_reserved_gpus
+               : 0;
 }
 
-class Any_free_placement final : public Placement_policy {
-public:
-    [[nodiscard]] Placement_decision place(Cloud_job_kind, std::size_t,
-                                           const std::vector<Gpu_state>& gpus) const override {
-        return Placement_decision{lowest_free(gpus), false};
-    }
+} // namespace
 
-    [[nodiscard]] std::size_t eligible_free(Cloud_job_kind,
-                                            const std::vector<Gpu_state>& gpus) const override {
-        return count_free(gpus);
-    }
-};
-
-class Device_affinity_placement final : public Placement_policy {
-public:
-    [[nodiscard]] Placement_decision place(Cloud_job_kind, std::size_t device,
-                                           const std::vector<Gpu_state>& gpus) const override {
+Placement_decision place(Placement_kind kind, std::size_t label_reserved_gpus,
+                         Cloud_job_kind job, std::size_t device,
+                         const std::vector<Gpu_state>& gpus) {
+    switch (kind) {
+    case Placement_kind::any_free:
+    case Placement_kind::kind_partition:
+        // Lowest-index eligible server. Under kind_partition labels fill the
+        // reserved low-index servers first and trains are kept off them
+        // entirely, so a fine-tune burst can never occupy every GPU.
+        return Placement_decision{
+            lowest_free(gpus, first_eligible(kind, label_reserved_gpus, job)), false};
+    case Placement_kind::device_affinity:
         // Warm server first: the one that last loaded this device's weights.
         for (std::size_t g = 0; g < gpus.size(); ++g) {
             if (gpus[g].available() && gpus[g].resident_device == device) {
@@ -58,39 +56,7 @@ public:
             }
         }
         return Placement_decision{lowest_free(gpus), false};
-    }
-
-    [[nodiscard]] std::size_t eligible_free(Cloud_job_kind,
-                                            const std::vector<Gpu_state>& gpus) const override {
-        return count_free(gpus);
-    }
-};
-
-class Kind_partition_placement final : public Placement_policy {
-public:
-    explicit Kind_partition_placement(std::size_t reserved) : reserved_{reserved} {}
-
-    [[nodiscard]] Placement_decision place(Cloud_job_kind kind, std::size_t,
-                                           const std::vector<Gpu_state>& gpus) const override {
-        // Labels fill the reserved low-index servers first; trains are kept
-        // off them entirely, so a fine-tune burst can never occupy every GPU.
-        const std::size_t from = kind == Cloud_job_kind::train ? reserved_ : 0;
-        return Placement_decision{lowest_free(gpus, from), false};
-    }
-
-    [[nodiscard]] std::size_t eligible_free(Cloud_job_kind kind,
-                                            const std::vector<Gpu_state>& gpus) const override {
-        return count_free(gpus, kind == Cloud_job_kind::train ? reserved_ : 0);
-    }
-
-private:
-    std::size_t reserved_;
-};
-
-class Speed_aware_placement final : public Placement_policy {
-public:
-    [[nodiscard]] Placement_decision place(Cloud_job_kind kind, std::size_t device,
-                                           const std::vector<Gpu_state>& gpus) const override {
+    case Placement_kind::speed_aware: {
         // Label dispatches take the fastest free server; train dispatches
         // take the *slowest*. A fine-tune has no latency bound, so it should
         // soak the straggler shard and leave the fast servers for the
@@ -100,7 +66,7 @@ public:
         // (measurably worse p95 than even index-blind placement). Equal
         // speeds tie-break to the warm server (the one holding this device's
         // weights — same discount as device_affinity), then lowest index.
-        const bool fastest = kind != Cloud_job_kind::train;
+        const bool fastest = job != Cloud_job_kind::train;
         std::size_t best = no_gpu;
         for (std::size_t g = 0; g < gpus.size(); ++g) {
             if (!gpus[g].available()) {
@@ -121,26 +87,18 @@ public:
         return Placement_decision{best,
                                   best != no_gpu && gpus[best].resident_device == device};
     }
-
-    [[nodiscard]] std::size_t eligible_free(Cloud_job_kind,
-                                            const std::vector<Gpu_state>& gpus) const override {
-        return count_free(gpus);
     }
-};
+    SHOG_REQUIRE(false, "unknown placement kind");
+    return Placement_decision{}; // unreachable
+}
 
-} // namespace
-
-std::unique_ptr<Placement_policy> make_placement(Placement_kind kind,
-                                                 std::size_t label_reserved_gpus) {
-    switch (kind) {
-    case Placement_kind::any_free: return std::make_unique<Any_free_placement>();
-    case Placement_kind::device_affinity: return std::make_unique<Device_affinity_placement>();
-    case Placement_kind::kind_partition:
-        return std::make_unique<Kind_partition_placement>(label_reserved_gpus);
-    case Placement_kind::speed_aware: return std::make_unique<Speed_aware_placement>();
+std::size_t eligible_free(Placement_kind kind, std::size_t label_reserved_gpus,
+                          Cloud_job_kind job, const std::vector<Gpu_state>& gpus) {
+    std::size_t free = 0;
+    for (std::size_t g = first_eligible(kind, label_reserved_gpus, job); g < gpus.size(); ++g) {
+        free += gpus[g].available() ? 1 : 0;
     }
-    SHOG_REQUIRE(false, "unknown placement policy kind");
-    return nullptr; // unreachable
+    return free;
 }
 
 } // namespace shog::sim

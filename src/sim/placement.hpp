@@ -1,9 +1,9 @@
 // Multi-GPU placement policies for the sharded cloud.
 //
 // Cloud_runtime models the cloud as `gpu_count` individually tracked GPU
-// servers rather than an undifferentiated pool. A Placement_policy decides
-// *which* free server a dispatch lands on (the Scheduling_policy in
-// sim/policy.hpp decides which job goes next):
+// servers rather than an undifferentiated pool. Cloud_config::placement
+// picks one of four rules for *which* free server a dispatch lands on
+// (`place`; `select_job` in sim/policy.hpp decides which job goes next):
 //
 //  - `any_free`        — lowest-index free server; at gpu_count = 1 (and for
 //                        any gpu_count with the default knobs) this is
@@ -31,14 +31,13 @@
 //                        server wins (affinity tie-break, with the same
 //                        warm-start discount), then the lowest index.
 //
-// Every policy skips *failed* servers (Gpu_state::failed — a server down
+// Every placement skips *failed* servers (Gpu_state::failed — a server down
 // between its MTBF/MTTR events takes no dispatches until repaired).
 //
 // Placement is deterministic: equal GPU states always yield the same server.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "common/units.hpp"
@@ -55,7 +54,7 @@ enum class Placement_kind { any_free, device_affinity, kind_partition, speed_awa
 inline constexpr std::size_t no_gpu = static_cast<std::size_t>(-1);
 inline constexpr std::size_t no_device = static_cast<std::size_t>(-1);
 
-/// One GPU server of the sharded cloud as the placement policy sees it.
+/// One GPU server of the sharded cloud as the placement sees it.
 struct Gpu_state {
     bool busy = false;
     /// Down between a failure event and its repair (Cloud_runtime drives the
@@ -82,29 +81,18 @@ struct Placement_decision {
     bool warm = false;
 };
 
-class Placement_policy {
-public:
-    virtual ~Placement_policy() = default;
-
-    /// Server for a dispatch headed by a `kind` job from `device`, or
-    /// `no_gpu` when no free server may take it (kind_partition keeps trains
-    /// off the reserved servers even when those are idle).
-    [[nodiscard]] virtual Placement_decision place(
-        Cloud_job_kind kind, std::size_t device,
-        const std::vector<Gpu_state>& gpus) const = 0;
-
-    /// How many free servers could take a `kind` dispatch right now. The
-    /// scheduler coalesces (max_batch > 1) only on the *last* eligible idle
-    /// server, so this drives the batching decision.
-    [[nodiscard]] virtual std::size_t eligible_free(
-        Cloud_job_kind kind, const std::vector<Gpu_state>& gpus) const = 0;
-
-protected:
-    Placement_policy() = default;
-};
-
+/// Server for a dispatch headed by a job of kind `job` from `device`, or
+/// `no_gpu` when no free server may take it (kind_partition keeps trains
+/// off the reserved servers even when those are idle).
 /// `label_reserved_gpus` is only read by kind_partition.
-[[nodiscard]] std::unique_ptr<Placement_policy> make_placement(
-    Placement_kind kind, std::size_t label_reserved_gpus);
+[[nodiscard]] Placement_decision place(Placement_kind kind, std::size_t label_reserved_gpus,
+                                       Cloud_job_kind job, std::size_t device,
+                                       const std::vector<Gpu_state>& gpus);
+
+/// How many free servers could take a dispatch of kind `job` right now. The
+/// scheduler coalesces (max_batch > 1) only on the *last* eligible idle
+/// server, so this drives the batching decision.
+[[nodiscard]] std::size_t eligible_free(Placement_kind kind, std::size_t label_reserved_gpus,
+                                        Cloud_job_kind job, const std::vector<Gpu_state>& gpus);
 
 } // namespace shog::sim

@@ -33,49 +33,55 @@ Policy_kind policy_by_name(const char* name) {
 
 namespace {
 
-class Fifo_policy final : public Scheduling_policy {
-public:
-    [[nodiscard]] std::size_t select(const std::deque<Sched_job>& waiting,
-                                     const std::vector<Gpu_seconds>&, Sim_time) const override {
+/// Devices without a drift estimate age at this rate (alpha per second).
+constexpr double drift_floor = 1e-3;
+
+double staleness(const Sched_job& job, Sim_time now) {
+    // Dimensionless priority score: age x (alpha per second) drift rate.
+    return (now - job.submitted).value() // raw age: multiplied by a per-second rate
+           * std::max(job.drift_rate, drift_floor);
+}
+
+/// The argmax loop of the ordering policies: scanning in queue order, a job
+/// becomes the pick when `ranks_before(job, pick)` holds, so ties keep the
+/// earlier job.
+template <typename Ranks_before>
+std::size_t first_ranked(const std::deque<Sched_job>& waiting, Ranks_before ranks_before) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < waiting.size(); ++i) {
+        if (ranks_before(waiting[i], waiting[best])) {
+            best = i;
+        }
+    }
+    return best;
+}
+
+bool is_label(const Sched_job& job) {
+    return job.kind == Cloud_job_kind::label;
+}
+
+} // namespace
+
+std::size_t select_job(Policy_kind kind, const std::deque<Sched_job>& waiting,
+                       const std::vector<Gpu_seconds>& device_gpu_seconds, Sim_time now) {
+    switch (kind) {
+    case Policy_kind::fifo:
         // The queue is insertion-ordered, so the front is the lowest enqueue
         // counter in O(1). A preempted remainder re-enters at the back with
         // a fresh seq, so FIFO serves jobs submitted before the preemption
         // first — exactly the pre-sharding deque semantics.
-        (void)waiting;
         return 0;
-    }
-};
-
-class Priority_policy final : public Scheduling_policy {
-public:
-    [[nodiscard]] std::size_t select(const std::deque<Sched_job>& waiting,
-                                     const std::vector<Gpu_seconds>&, Sim_time) const override {
+    case Policy_kind::priority:
         // Label jobs before train jobs; within a kind, oldest submission
         // first (preemption re-queues break enqueue order, so compare
         // submission times rather than trusting seq alone).
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < waiting.size(); ++i) {
-            const bool i_label = waiting[i].kind == Cloud_job_kind::label;
-            const bool best_label = waiting[best].kind == Cloud_job_kind::label;
-            if (i_label != best_label) {
-                if (i_label) {
-                    best = i;
-                }
-                continue;
+        return first_ranked(waiting, [](const Sched_job& a, const Sched_job& b) {
+            if (is_label(a) != is_label(b)) {
+                return is_label(a);
             }
-            if (fifo_before(waiting[i], waiting[best])) {
-                best = i;
-            }
-        }
-        return best;
-    }
-};
-
-class Fair_share_policy final : public Scheduling_policy {
-public:
-    [[nodiscard]] std::size_t select(const std::deque<Sched_job>& waiting,
-                                     const std::vector<Gpu_seconds>& device_gpu_seconds,
-                                     Sim_time) const override {
+            return fifo_before(a, b);
+        });
+    case Policy_kind::fair_share: {
         // Deficit round-robin: the waiting device that has consumed the
         // least GPU time goes first (largest service deficit). Ties fall to
         // the oldest submission, then the enqueue order, so the policy
@@ -88,31 +94,19 @@ public:
             return device < device_gpu_seconds.size() ? device_gpu_seconds[device]
                                                       : Gpu_seconds{};
         };
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < waiting.size(); ++i) {
+        return first_ranked(waiting, [&](const Sched_job& a, const Sched_job& b) {
             // Raw doubles for the epsilon-band tie test: the band scales off
             // fabs() magnitudes, which has no dimensional reading.
-            const double ci = consumed(waiting[i].device).value(); // ledger residue compare
-            const double cb = consumed(waiting[best].device).value(); // ledger residue compare
-            const double eps = 1e-9 * std::max({1.0, std::abs(ci), std::abs(cb)});
-            if (std::abs(ci - cb) > eps) {
-                if (ci < cb) {
-                    best = i;
-                }
-                continue;
+            const double ca = consumed(a.device).value(); // ledger residue compare
+            const double cb = consumed(b.device).value(); // ledger residue compare
+            const double eps = 1e-9 * std::max({1.0, std::abs(ca), std::abs(cb)});
+            if (std::abs(ca - cb) > eps) {
+                return ca < cb;
             }
-            if (fifo_before(waiting[i], waiting[best])) {
-                best = i;
-            }
-        }
-        return best;
+            return fifo_before(a, b);
+        });
     }
-};
-
-class Staleness_policy final : public Scheduling_policy {
-public:
-    [[nodiscard]] std::size_t select(const std::deque<Sched_job>& waiting,
-                                     const std::vector<Gpu_seconds>&, Sim_time now) const override {
+    case Policy_kind::staleness:
         // Label jobs before train jobs (a fine-tune must never starve the
         // labeling path — same guarantee as `priority`). Among labels, the
         // highest *drift-weighted age* goes first: age is time since first
@@ -121,55 +115,22 @@ public:
         // batch from a static scene. The floor keeps devices with no drift
         // signal comparable (pure age ordering among themselves) instead of
         // permanently last. Among trains: plain FIFO order.
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < waiting.size(); ++i) {
-            const bool i_label = waiting[i].kind == Cloud_job_kind::label;
-            const bool best_label = waiting[best].kind == Cloud_job_kind::label;
-            if (i_label != best_label) {
-                if (i_label) {
-                    best = i;
-                }
-                continue;
+        return first_ranked(waiting, [now](const Sched_job& a, const Sched_job& b) {
+            if (is_label(a) != is_label(b)) {
+                return is_label(a);
             }
-            if (i_label) {
-                const double si = staleness(waiting[i], now);
-                const double sb = staleness(waiting[best], now);
-                if (si != sb) {
-                    if (si > sb) {
-                        best = i;
-                    }
-                    continue;
+            if (is_label(a)) {
+                const double sa = staleness(a, now);
+                const double sb = staleness(b, now);
+                if (sa != sb) {
+                    return sa > sb;
                 }
             }
-            if (fifo_before(waiting[i], waiting[best])) {
-                best = i;
-            }
-        }
-        return best;
-    }
-
-private:
-    /// Devices without a drift estimate age at this rate (alpha per second).
-    static constexpr double drift_floor = 1e-3;
-
-    static double staleness(const Sched_job& job, Sim_time now) {
-        // Dimensionless priority score: age x (alpha per second) drift rate.
-        return (now - job.submitted).value() // raw age: multiplied by a per-second rate
-               * std::max(job.drift_rate, drift_floor);
-    }
-};
-
-} // namespace
-
-std::unique_ptr<Scheduling_policy> make_policy(Policy_kind kind) {
-    switch (kind) {
-    case Policy_kind::fifo: return std::make_unique<Fifo_policy>();
-    case Policy_kind::priority: return std::make_unique<Priority_policy>();
-    case Policy_kind::fair_share: return std::make_unique<Fair_share_policy>();
-    case Policy_kind::staleness: return std::make_unique<Staleness_policy>();
+            return fifo_before(a, b);
+        });
     }
     SHOG_REQUIRE(false, "unknown scheduling policy kind");
-    return nullptr; // unreachable
+    return 0; // unreachable
 }
 
 } // namespace shog::sim

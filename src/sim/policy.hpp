@@ -1,13 +1,14 @@
 // Cloud GPU scheduling policies.
 //
-// Cloud_runtime's dispatch order is a strategy object: given the waiting
-// jobs and the per-device GPU-seconds ledger, a policy picks which job
-// starts (or joins a coalesced dispatch) next. `fifo` reproduces the PR 1
-// scheduler bit-for-bit; `priority` serves label jobs before train jobs so
-// AMS-style whole-model fine-tunes cannot starve Shoggoth's small labeling
-// requests; `fair_share` is a deficit round-robin on accumulated per-device
-// GPU seconds, so one chatty (or fine-tune-heavy) device cannot monopolize
-// the pool under a heterogeneous fleet; `staleness` orders label jobs by
+// Cloud_runtime's dispatch order is one of four policies, chosen by
+// Cloud_config::policy: given the waiting jobs and the per-device
+// GPU-seconds ledger, select_job picks which job starts (or joins a
+// coalesced dispatch) next. `fifo` serves jobs in enqueue order;
+// `priority` serves label jobs before train jobs so AMS-style whole-model
+// fine-tunes cannot starve Shoggoth's small labeling requests;
+// `fair_share` is a deficit round-robin on accumulated per-device GPU
+// seconds, so one chatty (or fine-tune-heavy) device cannot monopolize the
+// pool under a heterogeneous fleet; `staleness` orders label jobs by
 // time-since-submission weighted by the submitting device's drift rate (cf.
 // AMS, Khani et al.), so the device whose deployed model is rotting fastest
 // gets labeled first.
@@ -23,7 +24,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/units.hpp"
@@ -92,21 +92,14 @@ struct Sched_job {
     return a.seq < b.seq;
 }
 
-class Scheduling_policy {
-public:
-    virtual ~Scheduling_policy() = default;
-
-    /// Index into `waiting` (non-empty, insertion-ordered) of the job to
-    /// dispatch next. `device_gpu_seconds` is the billed-GPU-seconds ledger
-    /// indexed by device id (devices beyond its size have consumed
-    /// nothing); `now` is the simulation clock (staleness ages jobs against
-    /// it). Must be deterministic: equal inputs always pick the same job,
-    /// with tiebreaks bottoming out on `seq`.
-    [[nodiscard]] virtual std::size_t select(
-        const std::deque<Sched_job>& waiting,
-        const std::vector<Gpu_seconds>& device_gpu_seconds, Sim_time now) const = 0;
-};
-
-[[nodiscard]] std::unique_ptr<Scheduling_policy> make_policy(Policy_kind kind);
+/// Index into `waiting` (non-empty, insertion-ordered) of the job `kind`
+/// dispatches next. `device_gpu_seconds` is the billed-GPU-seconds ledger
+/// indexed by device id (devices beyond its size have consumed nothing);
+/// `now` is the simulation clock (staleness ages jobs against it).
+/// Deterministic: equal inputs always pick the same job, with tiebreaks
+/// bottoming out on `seq`.
+[[nodiscard]] std::size_t select_job(Policy_kind kind, const std::deque<Sched_job>& waiting,
+                                     const std::vector<Gpu_seconds>& device_gpu_seconds,
+                                     Sim_time now);
 
 } // namespace shog::sim

@@ -1,8 +1,8 @@
-// Tests for the pluggable cloud scheduling policies (priority ordering,
-// fair-share deficit bound, preemption checkpoint/resume, per-policy
-// determinism) and regression tests for the PR 2 simulator bugfixes:
-// end-of-stream sample loss, arrival-order GPU billing skew, fps-tick float
-// drift, and float-keyed mAP-window matching.
+// Tests for the cloud scheduling policies (priority ordering, fair-share
+// deficit bound, preemption checkpoint/resume, per-policy determinism) and
+// regression tests for simulator bugfixes: end-of-stream sample loss,
+// arrival-order GPU billing skew, fps-tick float drift, and float-keyed
+// mAP-window matching.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -10,7 +10,10 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -121,16 +124,15 @@ TEST(Reliability, AllPlacementsSkipFailedServers) {
     for (Placement_kind kind :
          {Placement_kind::any_free, Placement_kind::device_affinity,
           Placement_kind::kind_partition, Placement_kind::speed_aware}) {
-        const auto placement = make_placement(kind, 1);
         for (Cloud_job_kind job_kind : {Cloud_job_kind::label, Cloud_job_kind::train}) {
-            EXPECT_EQ(placement->place(job_kind, 0, gpus).gpu, 1u) << to_string(kind);
-            EXPECT_EQ(placement->eligible_free(job_kind, gpus), 1u) << to_string(kind);
+            EXPECT_EQ(place(kind, 1, job_kind, 0, gpus).gpu, 1u) << to_string(kind);
+            EXPECT_EQ(eligible_free(kind, 1, job_kind, gpus), 1u) << to_string(kind);
         }
     }
     // device_affinity: a warm but failed server is not warm capacity.
     gpus[0].resident_device = 4;
-    const auto affinity = make_placement(Placement_kind::device_affinity, 0);
-    const Placement_decision where = affinity->place(Cloud_job_kind::label, 4, gpus);
+    const Placement_decision where =
+        place(Placement_kind::device_affinity, 0, Cloud_job_kind::label, 4, gpus);
     EXPECT_EQ(where.gpu, 1u);
     EXPECT_FALSE(where.warm);
 }
@@ -606,8 +608,9 @@ TEST(Reliability, TypedBillingSumsMatchRawDoubleAccumulationBitForBit) {
 // Randomized invariants: a seeded label/train stream from 4 devices through
 // every cell of a gpu_count x placement x policy x batching x preemption x
 // straggler x failure x requeue cross, checked from outside the class
-// against a per-job log and the metrics registry. Each cell runs twice, so
-// this is also the rerun-determinism check for every policy and placement.
+// against a per-job log, the metrics registry and the merged trace. Each
+// cell runs twice, dark and then observed, so this is also the
+// rerun-determinism check for every policy and placement.
 // ---------------------------------------------------------------------------
 
 /// Registry series of the lifecycle edges in Invariant_run::edges.
@@ -624,12 +627,57 @@ struct Invariant_run {
     bool operator==(const Invariant_run&) const = default;
 };
 
-/// Drives one cell and checks the invariants that hold within a run.
+/// Checks a cell's merged trace against three scheduler rules:
+///  (a) on every server's occupancy track span begins and ends alternate,
+///      so no server holds two dispatches;
+///  (b) once a label's `overdue` instant is out, no train is dispatched
+///      until that label's own `dispatch` instant (a job's kind is the name
+///      of its async_begin);
+///  (c) the async spans still open are exactly the `open_jobs` jobs the
+///      cloud has not completed.
+void check_trace(const obs::Trace_sink& trace, std::size_t gpu_count, std::size_t open_jobs) {
+    std::vector<bool> holding(gpu_count, false);
+    std::map<std::uint64_t, bool> is_train;
+    std::set<std::uint64_t> overdue; ///< overdue labels not yet dispatched
+    std::set<std::uint64_t> open;
+    for (const obs::Trace_event& event : trace.merged()) {
+        const double at = event.at.since_start().value(); // raw seconds for failure messages
+        const bool begin = event.kind == obs::Trace_kind::span_begin;
+        if (event.track >= obs::track_gpu(0) && event.track < obs::track_gpu(gpu_count) &&
+            (begin || event.kind == obs::Trace_kind::span_end)) {
+            const std::size_t g = event.track - obs::track_gpu(0);
+            EXPECT_NE(holding[g], begin) << "server " << g << " at " << at;
+            holding[g] = begin;
+        }
+        if (event.track != obs::track_cloud) {
+            continue;
+        }
+        const std::string_view name{event.name};
+        if (event.kind == obs::Trace_kind::async_begin) {
+            is_train[event.id] = name == "train";
+            open.insert(event.id);
+        } else if (event.kind == obs::Trace_kind::async_end) {
+            open.erase(event.id);
+        } else if (event.kind == obs::Trace_kind::instant && name == "overdue") {
+            overdue.insert(event.id);
+        } else if (event.kind == obs::Trace_kind::instant && name == "dispatch" &&
+                   overdue.erase(event.id) == 0 && is_train.at(event.id)) {
+            EXPECT_TRUE(overdue.empty()) << "train " << event.id << " dispatched past overdue "
+                                         << *overdue.begin() << " at " << at;
+        }
+    }
+    EXPECT_EQ(open.size(), open_jobs);
+}
+
+/// Drives one cell and checks the invariants that hold within a run;
+/// `trace`, when given, records the run and is checked by check_trace.
 Invariant_run run_invariant_cell(const Cloud_config& config, Rng stream,
-                                 obs::Metrics_registry* metrics) {
+                                 obs::Metrics_registry* metrics, obs::Trace_sink* trace) {
     Event_queue queue;
     Cloud_runtime cloud{queue, config};
-    cloud.set_observability(obs::Trace_channel{}, metrics);
+    cloud.set_observability(
+        trace != nullptr ? obs::Trace_channel{&trace->create_buffer()} : obs::Trace_channel{},
+        metrics);
     Job_log jobs{queue};
     Job_log labels{queue};
     std::size_t submitted = 0;
@@ -679,6 +727,9 @@ Invariant_run run_invariant_cell(const Cloud_config& config, Rng stream,
         EXPECT_EQ(points.empty() ? 0.0 : points.back().value, static_cast<double>(run.edges[e]))
             << lifecycle_series[e];
     }
+    if (trace != nullptr) {
+        check_trace(*trace, config.gpu_count, submitted - cloud.jobs_completed());
+    }
     return run;
 }
 
@@ -717,9 +768,11 @@ TEST(Reliability, RandomizedCloudInvariantsHoldInEveryCell) {
         config.gpu_profiles.assign(config.gpu_count, Gpu_profile{1.0, mtbf, Sim_duration{5.0}});
         config.gpu_profiles[0].speed = slow_speed;
         SCOPED_TRACE("cell " + std::to_string(cell));
-        const Invariant_run dark = run_invariant_cell(config, base.split(cell), nullptr);
+        const Invariant_run dark =
+            run_invariant_cell(config, base.split(cell), nullptr, nullptr);
         obs::Metrics_registry registry;
-        EXPECT_TRUE(run_invariant_cell(config, base.split(cell), &registry) == dark);
+        obs::Trace_sink trace;
+        EXPECT_TRUE(run_invariant_cell(config, base.split(cell), &registry, &trace) == dark);
         ++cells;
         for (std::size_t e = 0; e < totals.size(); ++e) {
             totals[e] += dark.edges[e];
