@@ -1,7 +1,7 @@
 // google-benchmark micro-benchmarks for the substrate hot paths: tensor
 // linear algebra, the NN layers' elementwise kernels and optimizer step,
-// detector inference, NMS/mAP, replay-memory updates and the sampling
-// controller.
+// detector inference, an adaptive training session, NMS/mAP, replay-memory
+// updates and the sampling controller.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -199,6 +199,35 @@ void BM_detector_inference_fleet(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_detector_inference_fleet);
+
+/// One Adaptive_trainer::train of a fixed 60-frame batch (360 region
+/// samples at the trainer's 6 per frame), repeated on one trainer whose
+/// replay memory was warm-started; config:0 is ours_config(), config:1
+/// input_replay_config(). Each session ends by freeing the detector's
+/// gradients and backward caches, so its first step allocates them again;
+/// this times what that costs against the session.
+void BM_training_session(benchmark::State& state) {
+    const video::Dataset_preset p = video::ua_detrac_like(8, 120.0);
+    const video::World_model world{p.world};
+    const auto student = models::make_student(world, 8);
+    core::Trainer_config config =
+        state.range(0) == 0 ? core::ours_config() : core::input_replay_config();
+    core::Adaptive_trainer trainer{*student, config, models::Deployed_profile::yolov4_resnet18(),
+                                   device::jetson_tx2()};
+    trainer.warm_start_daytime(world, 1200);
+    models::Pretrain_config batch_config;
+    batch_config.domains = {video::night(0.5)};
+    batch_config.samples = 360;
+    batch_config.seed = 12;
+    const std::vector<models::Labeled_sample> batch =
+        models::synth_dataset(world, student->config(), batch_config);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(trainer.train(batch));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(batch.size()));
+}
+BENCHMARK(BM_training_session)->ArgName("config")->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// A device's warm replay set: 1200 latents at the pool cut (64 wide).
 core::Replay_memory::Block warm_block() {

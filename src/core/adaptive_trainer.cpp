@@ -157,6 +157,7 @@ void Adaptive_trainer::warm_start(const std::vector<models::Labeled_sample>& sam
         return;
     }
     memory_.update_after_training(latent_batch(samples), rng_);
+    detector_.net().release_training_state();
 }
 
 void Adaptive_trainer::warm_start_daytime(const video::World_model& world,
@@ -192,6 +193,7 @@ void Adaptive_trainer::warm_start_daytime(const video::World_model& world,
     // One apply step for both paths: a hit ends where the pass would have.
     detector_.net().load_state_vector(set->student_state);
     memory_.adopt(set->latents, rng_);
+    detector_.net().release_training_state();
 }
 
 Training_report Adaptive_trainer::train(const std::vector<models::Labeled_sample>& all_fresh) {
@@ -315,6 +317,7 @@ Training_report Adaptive_trainer::train(const std::vector<models::Labeled_sample
     } else {
         memory_.update_after_training({}, rng_);
     }
+    net.release_training_state();
     ++sessions_;
     return report;
 }

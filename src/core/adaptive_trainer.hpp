@@ -107,7 +107,9 @@ public:
                      models::Deployed_profile profile, device::Compute_model device);
 
     /// Run one adaptive training session on freshly-labeled samples.
-    /// Updates the replay memory per Algorithm 1 afterwards.
+    /// Updates the replay memory per Algorithm 1 afterwards. Like both warm
+    /// starts, it ends by freeing the detector's gradients and backward
+    /// caches (Detector_net::release_training_state).
     Training_report train(const std::vector<models::Labeled_sample>& fresh);
 
     /// Seed the replay memory with (typically offline/pretraining) samples

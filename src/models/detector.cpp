@@ -125,6 +125,12 @@ double Detector_net::train_step(std::size_t from, const Sample_rows& rows, nn::S
     return cls_loss.value + box_loss_weight * box_loss.value;
 }
 
+void Detector_net::release_training_state() {
+    trunk_->release_training_state();
+    class_head_->release_training_state();
+    box_head_->release_training_state();
+}
+
 std::size_t Detector_net::cut_after(const std::string& stage) const {
     if (stage == "input") {
         return 0;

@@ -93,8 +93,14 @@ public:
     double train_step(std::size_t from, const Sample_rows& rows, nn::Sgd& optimizer,
                       double box_loss_weight);
 
+    /// Frees the gradients and backward caches of the trunk and both heads
+    /// (nn::Layer::release_training_state). pretrain(), every
+    /// core::Adaptive_trainer session and warm start end with it.
+    void release_training_state();
+
     [[nodiscard]] nn::Sequential& trunk() noexcept { return *trunk_; }
     [[nodiscard]] nn::Sequential& class_head() noexcept { return *class_head_; }
+    [[nodiscard]] nn::Sequential& box_head() noexcept { return *box_head_; }
     /// Scale applied to the (tanh-bounded) box-head output.
     [[nodiscard]] double max_offset() const noexcept { return max_offset_scale_; }
 

@@ -98,6 +98,7 @@ Pretrain_report pretrain(Detector& detector, const std::vector<Labeled_sample>& 
         }
         report.final_loss = batches > 0 ? epoch_loss / static_cast<double>(batches) : 0.0;
     }
+    net.release_training_state();
     return report;
 }
 

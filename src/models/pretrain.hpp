@@ -42,8 +42,9 @@ struct Pretrain_report {
 
 /// Train the whole network (trunk + heads) on the dataset: shuffled
 /// mini-batches, each one Detector_net::train_step from layer 0 with the
-/// samples' weights. Returns a report; classifier_accuracy() measures the
-/// result when a caller needs it.
+/// samples' weights, then frees the detector's gradients and backward caches
+/// (Detector_net::release_training_state). Returns a report;
+/// classifier_accuracy() measures the result when a caller needs it.
 Pretrain_report pretrain(Detector& detector, const std::vector<Labeled_sample>& dataset,
                          const Pretrain_config& config);
 

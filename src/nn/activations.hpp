@@ -16,6 +16,7 @@ public:
     [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
     [[nodiscard]] Tensor infer(const Tensor& input) const override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
+    void release_training_state() override { cached_input_ = Tensor{}; }
     [[nodiscard]] std::unique_ptr<Layer> clone() const override {
         return std::make_unique<Leaky_relu>(slope_);
     }
@@ -33,6 +34,7 @@ public:
     [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
     [[nodiscard]] Tensor infer(const Tensor& input) const override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
+    void release_training_state() override { cached_output_ = Tensor{}; }
     [[nodiscard]] std::unique_ptr<Layer> clone() const override {
         return std::make_unique<Tanh>();
     }

@@ -254,6 +254,14 @@ Tensor Batch_renorm::backward(const Tensor& grad_output) {
     return grad_in;
 }
 
+void Batch_renorm::release_training_state() {
+    Layer::release_training_state();
+    cached_xhat_ = Tensor{};
+    cached_centered_ = Tensor{};
+    cached_inv_std_ = Tensor{};
+    cached_r_ = Tensor{};
+}
+
 std::unique_ptr<Layer> Batch_renorm::clone() const {
     return std::unique_ptr<Batch_renorm>(new Batch_renorm(*this));
 }

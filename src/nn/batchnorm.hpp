@@ -27,6 +27,7 @@ public:
     [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
     [[nodiscard]] Tensor infer(const Tensor& input) const override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
+    void release_training_state() override;
     [[nodiscard]] std::vector<Parameter*> parameters() override { return {&gamma_, &beta_}; }
     [[nodiscard]] std::unique_ptr<Layer> clone() const override;
     [[nodiscard]] std::size_t output_width() const override { return features_; }

@@ -50,6 +50,11 @@ Tensor Dense::backward(const Tensor& grad_output) {
     return matmul_nt(grad_output, *weight_.value);
 }
 
+void Dense::release_training_state() {
+    Layer::release_training_state();
+    cached_input_ = Tensor{};
+}
+
 std::unique_ptr<Layer> Dense::clone() const { return std::unique_ptr<Dense>(new Dense(*this)); }
 
 } // namespace shog::nn

@@ -3,6 +3,11 @@
 // Design notes for the Shoggoth use-case:
 //  - Each layer caches what it needs during forward() and consumes the cache
 //    in backward(); param gradients accumulate until zero_grad().
+//  - Training state has session scope: pretraining, an adaptive training
+//    session and a warm start each end with release_training_state(), which
+//    frees every gradient and backward cache. Within one of them the buffers
+//    are reused from step to step; between them a trained detector holds
+//    only its weights and normalization statistics, like a clone.
 //  - Parameters carry a per-parameter lr_scale so the adaptive trainer can
 //    implement the paper's "learning-rate-to-zero after the first batch"
 //    front-layer policy without touching the optimizer.
@@ -27,8 +32,8 @@ struct Parameter {
     std::string name;
     /// Shared with the clones of this parameter until one of them writes.
     Shared_tensor value;
-    /// Empty until the first zero_grad() or grad_accumulator(), so a clone
-    /// that never trains holds no gradient storage.
+    /// Empty outside training: the first zero_grad() or grad_accumulator()
+    /// of a session allocates it, Layer::release_training_state() frees it.
     Tensor grad;
     /// Multiplies the optimizer learning rate; 0 freezes the parameter.
     double lr_scale = 1.0;
@@ -78,6 +83,16 @@ public:
     /// Backward pass: accumulates parameter gradients, returns gradient with
     /// respect to the forward input. Must be called after forward().
     [[nodiscard]] virtual Tensor backward(const Tensor& grad_output) = 0;
+
+    /// Frees what only training reads: every parameter gradient and the
+    /// forward caches backward() consumes, so backward() throws until the
+    /// next forward(). Weights and running statistics are untouched. Layers
+    /// that cache extend it; containers forward it to their layers.
+    virtual void release_training_state() {
+        for (Parameter* p : parameters()) {
+            p->grad = Tensor{};
+        }
+    }
 
     /// Mutable views of the trainable parameters (empty for stateless layers).
     [[nodiscard]] virtual std::vector<Parameter*> parameters() { return {}; }

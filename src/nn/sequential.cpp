@@ -56,6 +56,12 @@ Tensor Sequential::backward_range(std::size_t begin, std::size_t end, const Tens
     return g;
 }
 
+void Sequential::release_training_state() {
+    for (const std::unique_ptr<Layer>& layer : layers_) {
+        layer->release_training_state();
+    }
+}
+
 std::vector<Parameter*> Sequential::parameters() {
     return parameters_range(0, layers_.size());
 }

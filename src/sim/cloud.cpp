@@ -392,7 +392,8 @@ void Cloud_runtime::preempt_check(std::uint64_t job_id) {
     }
     if (victim) {
         preemptions_.add(queue_.now());
-        SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "preempt", victim->trace_id);
+        SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_gpu(victim->gpu), "preempt",
+                           victim->trace_id);
         checkpoint(victim);
         dispatch();
     }
@@ -418,12 +419,13 @@ void Cloud_runtime::checkpoint(std::shared_ptr<Active_dispatch> active) {
     active->cancelled = true;
     active_.erase(std::find(active_.begin(), active_.end(), active));
     gpus_[active->gpu].busy = false;
-    // The occupancy span ends truncated at the checkpoint; the cancelled
-    // completion event emits nothing, so the track stays well-nested.
+    // The occupancy span ends truncated at the checkpoint, which it encloses;
+    // the cancelled completion event emits nothing, so the track stays
+    // well-nested.
+    SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_gpu(active->gpu), "checkpoint",
+                       active->trace_id);
     SHOG_TRACE_SPAN_END(trace_, queue_.now(), obs::track_gpu(active->gpu),
                         kind_label(active->all_train), active->trace_id);
-    SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "checkpoint",
-                       active->trace_id);
     // Checkpoint/resume: the unexecuted remainder goes back in the queue as
     // the same jobs with proportionally reduced service; `submitted` stays
     // at first submission so latency covers the interruption. The warm
@@ -484,8 +486,8 @@ void Cloud_runtime::fail_server(std::size_t g) {
     // Outage span on the server's *health* track (separate from occupancy,
     // so a failure mid-dispatch never interleaves with the dispatch span's
     // B/E nesting).
-    SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "server_fail", g);
     SHOG_TRACE_SPAN_BEGIN(trace_, queue_.now(), obs::track_gpu_health(g), "down", g);
+    SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_gpu_health(g), "server_fail", g);
     // Checkpoint the in-flight dispatch (if any) exactly like a preemption:
     // the executed share stays billed, the remainder re-queues at the
     // original submission time. A dispatch completing at this very instant
@@ -504,8 +506,8 @@ void Cloud_runtime::fail_server(std::size_t g) {
 
 void Cloud_runtime::repair_server(std::size_t g) {
     gpus_[g].failed = false;
+    SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_gpu_health(g), "server_repair", g);
     SHOG_TRACE_SPAN_END(trace_, queue_.now(), obs::track_gpu_health(g), "down", g);
-    SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "server_repair", g);
     schedule_failure(g); // next failure clock starts at repair
     dispatch();
 }
@@ -583,7 +585,7 @@ void Cloud_runtime::requeue_overdue_stragglers() {
 
 void Cloud_runtime::requeue_straggler(const std::shared_ptr<Active_dispatch>& active) {
     straggler_requeues_.add(queue_.now());
-    SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_cloud, "straggler_requeue",
+    SHOG_TRACE_INSTANT(trace_, queue_.now(), obs::track_gpu(active->gpu), "straggler_requeue",
                        active->trace_id);
     for (Sched_job& job : active->jobs) {
         job.straggler_requeued = true;

@@ -4,7 +4,10 @@
 // gate, actual learning behaviour, and the warm-set memo's exact key.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "core/adaptive_trainer.hpp"
@@ -419,6 +422,123 @@ TEST_F(Trainer_fixture, EveryWarmKeyComponentMisses) {
     // And the unchanged key is still a hit.
     (void)warm_with(*pristine->clone(), base, *world, 300, &cache);
     EXPECT_EQ(cache.size(), expected);
+}
+
+// ------------------------------------------------------- training state ---
+// Gradients and backward caches live only inside pretraining, a training
+// session or a warm start; each ends by freeing them.
+
+using TrainingState = Trainer_fixture;
+
+/// No parameter of `net` holds a gradient, and backward() on every layer
+/// (Dense, Batch_renorm and both activations) throws because no forward()
+/// ran, not for a batch-size mismatch: no backward cache survived either.
+void expect_released(models::Detector_net& net) {
+    for (nn::Sequential* part : {&net.trunk(), &net.class_head(), &net.box_head()}) {
+        for (const nn::Parameter* p : part->parameters()) {
+            EXPECT_TRUE(p->grad.empty()) << p->name;
+        }
+        for (std::size_t i = 0; i < part->layer_count(); ++i) {
+            nn::Layer& layer = part->layer(i);
+            const Tensor grad{4, std::max<std::size_t>(1, layer.output_width())};
+            try {
+                (void)layer.backward(grad);
+                ADD_FAILURE() << "layer " << i << ": backward() did not throw";
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string_view{e.what()}.find("backward before forward"),
+                          std::string_view::npos)
+                    << "layer " << i << ": " << e.what();
+            }
+        }
+    }
+}
+
+TEST_F(TrainingState, PretrainReleases) {
+    Rng rng{5};
+    models::Detector detector{
+        models::student_config(world->feature_dim(), world->num_classes(), 5), rng};
+    models::Pretrain_config cfg;
+    cfg.domains = models::daytime_domains();
+    cfg.samples = 200;
+    cfg.epochs = 1;
+    (void)models::pretrain(detector, models::synth_dataset(*world, detector.config(), cfg), cfg);
+    expect_released(detector.net());
+}
+
+TEST_F(TrainingState, OursSessionReleases) {
+    Trainer_config cfg = ours_config();
+    cfg.epochs = 2;
+    Adaptive_trainer trainer = make_trainer(cfg);
+    trainer.warm_start(domain_samples(video::day_sunny(0.6), 300, 80));
+    expect_released(student->net());
+    (void)trainer.train(domain_samples(video::night(0.5), 150, 81));
+    EXPECT_EQ(trainer.sessions_run(), 1u);
+    expect_released(student->net());
+}
+
+TEST_F(TrainingState, InputReplaySessionReleases) {
+    Trainer_config cfg = input_replay_config();
+    cfg.epochs = 2;
+    Adaptive_trainer trainer = make_trainer(cfg);
+    (void)trainer.train(domain_samples(video::night(0.5), 150, 82));
+    EXPECT_EQ(trainer.sessions_run(), 1u);
+    expect_released(student->net());
+}
+
+TEST_F(TrainingState, WarmStartDaytimeReleases) {
+    Adaptive_trainer trainer = make_trainer(ours_config());
+    trainer.warm_start_daytime(*world, 300);
+    EXPECT_EQ(trainer.memory().size(), 300u);
+    expect_released(student->net());
+}
+
+TEST_F(TrainingState, CallsBetweenSessionsChangeNothing) {
+    // Three sessions, with and without inference and eval-mode forward
+    // passes on unrelated data between them: the stale forward caches those
+    // leave must not reach the next session.
+    Trainer_config cfg = ours_config();
+    cfg.epochs = 2;
+    cfg.seed = 77;
+    struct Outcome {
+        std::vector<double> state;
+        std::vector<models::Labeled_sample> slots;
+        std::vector<models::Labeled_sample> draws;
+    };
+    const auto run = [&](bool interleave) {
+        auto detector = pristine->clone();
+        Adaptive_trainer trainer{*detector, cfg, models::Deployed_profile::yolov4_resnet18(),
+                                 device::jetson_tx2()};
+        trainer.warm_start(domain_samples(video::day_sunny(0.6), 300, 83));
+        models::Detector_net& net = detector->net();
+        const Tensor unrelated =
+            models::pack_rows(domain_samples(video::dusk(0.5), 40, 84), net.feature_dim()).inputs;
+        for (std::uint64_t session = 0; session < 3; ++session) {
+            if (interleave) {
+                (void)net.infer(unrelated);
+                const Tensor trunk_out = net.trunk().forward(unrelated, false);
+                (void)net.class_head().forward(trunk_out, false);
+                (void)net.box_head().forward(trunk_out, false);
+            }
+            (void)trainer.train(domain_samples(video::night(0.5), 150, 85 + session));
+        }
+        Outcome out{net.state_vector(), {}, {}};
+        for (const Replay_memory::Slot& slot : trainer.memory().slots()) {
+            out.slots.push_back(*slot);
+        }
+        Rng draw_rng{99};
+        for (const models::Labeled_sample* s : trainer.memory().draw(64, draw_rng)) {
+            out.draws.push_back(*s);
+        }
+        return out;
+    };
+    const Outcome plain = run(false);
+    const Outcome interleaved = run(true);
+    ASSERT_EQ(plain.state.size(), interleaved.state.size());
+    EXPECT_EQ(std::memcmp(plain.state.data(), interleaved.state.data(),
+                          plain.state.size() * sizeof(double)),
+              0);
+    expect_same_memory(plain.slots, interleaved.slots);
+    expect_same_memory(plain.draws, interleaved.draws);
 }
 
 } // namespace

@@ -627,43 +627,63 @@ struct Invariant_run {
     bool operator==(const Invariant_run&) const = default;
 };
 
-/// Checks a cell's merged trace against three scheduler rules:
+/// Checks a cell's merged trace against five scheduler rules:
 ///  (a) on every server's occupancy track span begins and ends alternate,
 ///      so no server holds two dispatches;
 ///  (b) once a label's `overdue` instant is out, no train is dispatched
 ///      until that label's own `dispatch` instant (a job's kind is the name
 ///      of its async_begin);
 ///  (c) the async spans still open are exactly the `open_jobs` jobs the
-///      cloud has not completed.
+///      cloud has not completed;
+///  (d) every instant on the scheduler track names a job whose async span
+///      is open: that track carries job ids only;
+///  (e) every instant on a server's occupancy or health track lies inside
+///      the span open there and carries its id (a dispatch or the server).
 void check_trace(const obs::Trace_sink& trace, std::size_t gpu_count, std::size_t open_jobs) {
-    std::vector<bool> holding(gpu_count, false);
+    std::map<std::uint32_t, std::uint64_t> open_span; ///< server track -> id of its open span
     std::map<std::uint64_t, bool> is_train;
     std::set<std::uint64_t> overdue; ///< overdue labels not yet dispatched
     std::set<std::uint64_t> open;
     for (const obs::Trace_event& event : trace.merged()) {
         const double at = event.at.since_start().value(); // raw seconds for failure messages
-        const bool begin = event.kind == obs::Trace_kind::span_begin;
-        if (event.track >= obs::track_gpu(0) && event.track < obs::track_gpu(gpu_count) &&
-            (begin || event.kind == obs::Trace_kind::span_end)) {
-            const std::size_t g = event.track - obs::track_gpu(0);
-            EXPECT_NE(holding[g], begin) << "server " << g << " at " << at;
-            holding[g] = begin;
+        const std::string_view name{event.name};
+        const bool server_track =
+            (event.track >= obs::track_gpu(0) && event.track < obs::track_gpu(gpu_count)) ||
+            (event.track >= obs::track_gpu_health(0) &&
+             event.track < obs::track_gpu_health(gpu_count));
+        if (server_track) {
+            const auto held = open_span.find(event.track);
+            if (event.kind == obs::Trace_kind::span_begin) {
+                EXPECT_TRUE(held == open_span.end()) << "track " << event.track << " at " << at;
+                open_span[event.track] = event.id;
+            } else if (event.kind == obs::Trace_kind::span_end) {
+                EXPECT_TRUE(held != open_span.end() && held->second == event.id)
+                    << "track " << event.track << " at " << at;
+                open_span.erase(event.track);
+            } else if (event.kind == obs::Trace_kind::instant) {
+                EXPECT_TRUE(held != open_span.end() && held->second == event.id)
+                    << name << " " << event.id << " outside its span at " << at;
+            }
+            continue;
         }
         if (event.track != obs::track_cloud) {
             continue;
         }
-        const std::string_view name{event.name};
         if (event.kind == obs::Trace_kind::async_begin) {
             is_train[event.id] = name == "train";
             open.insert(event.id);
         } else if (event.kind == obs::Trace_kind::async_end) {
             open.erase(event.id);
-        } else if (event.kind == obs::Trace_kind::instant && name == "overdue") {
-            overdue.insert(event.id);
-        } else if (event.kind == obs::Trace_kind::instant && name == "dispatch" &&
-                   overdue.erase(event.id) == 0 && is_train.at(event.id)) {
-            EXPECT_TRUE(overdue.empty()) << "train " << event.id << " dispatched past overdue "
-                                         << *overdue.begin() << " at " << at;
+        } else if (event.kind == obs::Trace_kind::instant) {
+            EXPECT_EQ(open.count(event.id), 1u) << name << " " << event.id << " at " << at;
+            if (name == "overdue") {
+                overdue.insert(event.id);
+            } else if (name == "dispatch" && overdue.erase(event.id) == 0 &&
+                       is_train.at(event.id)) {
+                EXPECT_TRUE(overdue.empty()) << "train " << event.id
+                                             << " dispatched past overdue " << *overdue.begin()
+                                             << " at " << at;
+            }
         }
     }
     EXPECT_EQ(open.size(), open_jobs);

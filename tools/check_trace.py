@@ -12,7 +12,12 @@ Structural contract (docs/OBSERVABILITY.md):
   * async spans pair: every `e` has an open `b` with the same
     (cat, id, name); unterminated `b`s are allowed (in-flight at horizon)
     and reported;
-  * instants carry scope "t"; counters carry a numeric value.
+  * instants carry scope "t"; counters carry a numeric value;
+  * every server instant (`preempt`, `checkpoint`, `straggler_requeue`,
+    `warm` on a GPU occupancy row, `server_fail`/`server_repair` on a GPU
+    health row) lies inside the sync span open on its own row and carries
+    that span's id: the dispatch it interrupts or marks, or the server.
+    The scheduler row carries job ids only, so none of these belong there.
 
 Exit status 0 when the trace is well-formed, 1 on any violation (each is
 printed). Stdlib only; used by the CI trace-smoke step:
@@ -26,10 +31,19 @@ import json
 import math
 import sys
 
+# Instants that mark an edge of the span open on their own server row.
+SERVER_INSTANTS = {"preempt", "checkpoint", "straggler_requeue", "warm", "server_fail",
+                   "server_repair"}
+
 
 def fail(errors: list[str], message: str) -> None:
     errors.append(message)
     print(f"error: {message}", file=sys.stderr)
+
+
+def span_id(e: dict):
+    """The id a sync span or instant carries in its args."""
+    return e.get("args", {}).get("id")
 
 
 def check(events: list[dict]) -> tuple[list[str], dict]:
@@ -45,7 +59,7 @@ def check(events: list[dict]) -> tuple[list[str], dict]:
         "counters": 0,
         "tracks": set(),
     }
-    # (pid, tid) -> stack of (name, ts) for sync B/E nesting.
+    # (pid, tid) -> stack of (name, ts, id) for sync B/E nesting.
     sync_stacks: dict[tuple, list[tuple]] = {}
     # (cat, id, name) -> count of open async begins.
     async_open: dict[tuple, int] = {}
@@ -73,13 +87,13 @@ def check(events: list[dict]) -> tuple[list[str], dict]:
         stats["tracks"].add(key)
 
         if phase == "B":
-            sync_stacks.setdefault(key, []).append((e.get("name"), ts))
+            sync_stacks.setdefault(key, []).append((e.get("name"), ts, span_id(e)))
         elif phase == "E":
             stack = sync_stacks.get(key, [])
             if not stack:
                 fail(errors, f"{where}: E with no open span on track {key}")
                 continue
-            name, begin_ts = stack.pop()
+            name, begin_ts, _ = stack.pop()
             if name != e.get("name"):
                 fail(errors, f"{where}: E closes {name!r}, not {e.get('name')!r} "
                              f"(broken nesting on track {key})")
@@ -99,6 +113,11 @@ def check(events: list[dict]) -> tuple[list[str], dict]:
         elif phase == "i":
             if e.get("s") != "t":
                 fail(errors, f"{where}: instant scope {e.get('s')!r}, expected 't'")
+            if e.get("name") in SERVER_INSTANTS:
+                stack = sync_stacks.get(key, [])
+                if not stack or stack[-1][2] != span_id(e):
+                    fail(errors, f"{where}: id {span_id(e)} is not the span open on "
+                                 f"track {key}")
             stats["instants"] += 1
         elif phase == "C":
             args = e.get("args", {})
