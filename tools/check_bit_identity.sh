@@ -8,11 +8,14 @@
 # unchanged); those two files are hashed against a second golden,
 # tools/trace_identity.sha256, so every trace and metric emission site is
 # pinned byte for byte, not only checked for structure. A third leg runs
-# `bench_paper 180 2023 table1 ua_detrac` from the same build directory and
-# hashes its stdout against tools/paper_identity.sha256: the fleet cell
-# barely trains, while this run completes Shoggoth, Prompt and AMS training
-# sessions, so it pins Adaptive_trainer::train, the validation gate and the
-# labeler too. The engine is contractually deterministic, so the stream
+# `bench_paper 180 2023 table1 table2 ablation ua_detrac` from the same
+# build directory and hashes its stdout against tools/paper_identity.sha256:
+# the fleet cell barely trains, while this run completes Shoggoth, Prompt
+# and AMS training sessions, so it pins Adaptive_trainer::train, the
+# validation gate and the labeler too. Table II and the ablation add the
+# trainer configurations Table I does not run (input replay, no replay,
+# the conv5_4 cut and the completely-freezing front, whose latents go
+# through the inference path), so every replay cut is pinned as well. The engine is contractually deterministic, so the stream
 # must be byte-identical run over run and
 # commit over commit: any numeric drift — a reordered floating-point
 # reduction, an eager unit conversion, an "innocent" refactor of the event
@@ -72,9 +75,11 @@ traced="$(cd "$tmp" && sha256sum trace.json trace.json.metrics.csv)"
 # stdout hash file to drift out of sync.
 sharded="$("$bench" 30 19 2 0 1 --shards 4 2>/dev/null | grep -v '"wall_ms"' | sha256sum | cut -d' ' -f1)"
 
-# Table I on one preset: every strategy, real training sessions. bench_paper
-# prints no wall-clock values, so nothing is stripped.
-paper="$("$paper_bench" 180 2023 table1 ua_detrac 2>/dev/null | sha256sum | cut -d' ' -f1)"
+# Table I on one preset (every strategy, real training sessions), Table II
+# and the ablation (every trainer configuration). bench_paper prints no
+# wall-clock values, so nothing is stripped.
+paper="$("$paper_bench" 180 2023 table1 table2 ablation ua_detrac 2>/dev/null |
+    sha256sum | cut -d' ' -f1)"
 
 if [ "$update" -eq 1 ]; then
     printf '%s\n' "$actual" > "$golden"
@@ -130,7 +135,7 @@ fi
 
 paper_expected="$(tr -d '[:space:]' < "$paper_golden")"
 if [ "$paper" != "$paper_expected" ]; then
-    echo "check_bit_identity: FAIL — bench_paper 180 2023 table1 ua_detrac drifted" >&2
+    echo "check_bit_identity: FAIL — bench_paper 180 2023 table1 table2 ablation ua_detrac drifted" >&2
     echo "  expected: $paper_expected" >&2
     echo "  actual:   $paper" >&2
     echo "If the change is intentional, rerun with --update and justify the" >&2
@@ -138,4 +143,4 @@ if [ "$paper" != "$paper_expected" ]; then
     exit 1
 fi
 
-echo "check_bit_identity: OK ($actual, trace and metrics identical, sharded engine identical, paper table1 identical)"
+echo "check_bit_identity: OK ($actual, trace and metrics identical, sharded engine identical, paper table1/table2/ablation identical)"
