@@ -74,7 +74,7 @@ void elementwise_shapes(benchmark::internal::Benchmark* b) {
 enum class Brn_pass { train, infer };
 
 /// train: forward with batch statistics, then backward. infer: the const
-/// eval-statistics pass.
+/// running-statistics pass.
 template <Brn_pass Pass>
 void BM_batch_renorm(benchmark::State& state) {
     const auto m = static_cast<std::size_t>(state.range(0));
@@ -85,7 +85,7 @@ void BM_batch_renorm(benchmark::State& state) {
     const Tensor g = Tensor::randn({m, w}, rng);
     for (auto _ : state) {
         if constexpr (Pass == Brn_pass::train) {
-            benchmark::DoNotOptimize(brn.forward(x, true));
+            benchmark::DoNotOptimize(brn.forward(x));
             benchmark::DoNotOptimize(brn.backward(g));
         } else {
             benchmark::DoNotOptimize(brn.infer(x));
@@ -104,7 +104,7 @@ void BM_leaky_relu(benchmark::State& state) {
     const Tensor x = Tensor::randn({m, w}, rng);
     const Tensor g = Tensor::randn({m, w}, rng);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(act.forward(x, true));
+        benchmark::DoNotOptimize(act.forward(x));
         benchmark::DoNotOptimize(act.backward(g));
     }
 }

@@ -89,19 +89,21 @@ std::vector<models::Labeled_sample> Adaptive_trainer::latent_batch(
         // Input replay: the latent *is* the raw feature.
         return {fresh.begin(), fresh.end()};
     }
-    // Mini-batched pass through the front layers. Training mode when the
-    // normalization moments are allowed to adapt (ours), eval mode otherwise
-    // (completely freezing).
+    // Mini-batched pass through the front layers: a training forward when
+    // the normalization moments are allowed to adapt (ours), inference when
+    // they are frozen (completely freezing) or a chunk has one row, which
+    // has no batch statistics.
     models::Detector_net& net = detector_.net();
-    const bool training_mode = config_.front_stats_adapt;
+    nn::Sequential& front = net.trunk();
     std::vector<models::Labeled_sample> out;
     out.reserve(fresh.size());
     for (std::size_t start = 0; start < fresh.size(); start += config_.minibatch) {
         const std::span<const models::Labeled_sample> chunk =
             fresh.subspan(start, std::min(fresh.size() - start, config_.minibatch));
-        const Tensor latent =
-            net.trunk().forward_range(0, cut_, models::pack_rows(chunk, net.feature_dim()).inputs,
-                                      training_mode && chunk.size() >= 2);
+        const Tensor inputs = models::pack_rows(chunk, net.feature_dim()).inputs;
+        const Tensor latent = config_.front_stats_adapt && chunk.size() >= 2
+                                  ? front.forward_range(0, cut_, inputs)
+                                  : front.infer_range(0, cut_, inputs);
         for (std::size_t i = 0; i < chunk.size(); ++i) {
             const double* row = latent.data() + i * latent.cols();
             out.push_back(models::Labeled_sample{{row, row + latent.cols()}, chunk[i].class_label,
@@ -228,8 +230,6 @@ Training_report Adaptive_trainer::train(const std::vector<models::Labeled_sample
     }
 
     // --- Training control (paper §III-B) -------------------------------------
-    // Statistics policy first, so even the warmup pass honors it.
-    trunk.set_update_running_stats_range(0, cut_, config_.front_stats_adapt);
     double warmup_loss = -1.0;
     if (config_.freeze_front && cut_ > 0 && !front_frozen_applied_) {
         // "lr to 0 after the first batch": one warmup mini-batch over the

@@ -172,7 +172,7 @@ void Shoggoth_strategy::maybe_start_training(sim::Edge_runtime& rt) {
     // Recent-frame horizon: labeled data from a scene that no longer exists
     // is dropped rather than trained on.
     pending_.expire(rt.now());
-    if (training_busy_ || pending_.frames() < config_.frames_per_session) {
+    if (rt.training_active() || pending_.frames() < config_.frames_per_session) {
         return;
     }
     std::vector<models::Labeled_sample> batch = pending_.drain().samples;
@@ -182,11 +182,10 @@ void Shoggoth_strategy::maybe_start_training(sim::Edge_runtime& rt) {
     const Training_report estimate = trainer_.estimate_session_cost(batch.size());
     const Sim_duration wall = estimate.overall_seconds() * k_training_wall_factor;
 
-    training_busy_ = true;
     rt.set_training_active(true);
     rt.count_training_session();
-    // Edge training is serialized by training_busy_, so the span is a plain
-    // sync span on the device track (never overlaps itself).
+    // Edge training is serialized by training_active(), so the span is a
+    // plain sync span on the device track (never overlaps itself).
     SHOG_TRACE_SPAN_BEGIN(rt.trace(), rt.now(), rt.trace_track(), "train",
                           rt.training_sessions());
     rt.schedule(wall, [this, &rt, batch = std::move(batch),
@@ -194,7 +193,6 @@ void Shoggoth_strategy::maybe_start_training(sim::Edge_runtime& rt) {
         SHOG_TRACE_SPAN_END(rt.trace(), rt.now(), rt.trace_track(), "train", session);
         (void)trainer_.train(batch);
         rt.set_training_active(false);
-        training_busy_ = false;
         maybe_start_training(rt); // drain any batch that filled meanwhile
     });
 }

@@ -108,7 +108,6 @@ private:
     Sim_time first_buffered_at_;
     Sim_time last_buffered_at_;
     Label_backlog pending_;
-    bool training_busy_ = false;
 
     // Posterior alpha bookkeeping (since the last control round).
     std::size_t predictions_seen_ = 0;

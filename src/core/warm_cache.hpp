@@ -35,11 +35,10 @@ namespace shog::core {
 
 /// Everything the warm pass reads. Compared exactly — the student state bit
 /// for bit — never by a digest alone, so a changed world, sensor, trainer
-/// knob or weight can never reuse a stale entry. Layer settings outside
-/// state_vector() (Batch-Renorm clamps and running-stats update flags) are
-/// not in it: only a training session changes them, and a warm start runs
-/// on a student no session has touched (in a fleet, a fresh clone of the
-/// pristine student).
+/// knob or weight can never reuse a stale entry. Of the layer settings
+/// outside state_vector(), the front momentum is in it as the trainer knob
+/// that sets it; the Batch-Renorm clamps are not, as they are fixed when
+/// the layer is built.
 struct Warm_key {
     video::World_config world;
     // The Detector_config fields synth_dataset reads.
@@ -59,7 +58,7 @@ struct Warm_key {
 };
 
 /// One warm pass's result. The latents alone would not reproduce the
-/// student: the training-mode front pass moves its running moments. The
+/// student: the front's training forward moves its running moments. The
 /// latents are immutable and shared: every replay memory that adopts them
 /// aliases their rows and keeps them alive, so they outlive the cache.
 struct Warm_set {

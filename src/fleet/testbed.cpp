@@ -66,9 +66,8 @@ std::vector<sim::Device_hardware> default_edge_classes() {
     };
 }
 
-void assign_heterogeneous_hardware(Fleet& fleet,
-                                   const std::vector<sim::Device_hardware>& classes) {
-    SHOG_REQUIRE(!classes.empty(), "heterogeneous fleet needs at least one edge class");
+void assign_heterogeneous_hardware(Fleet& fleet) {
+    const std::vector<sim::Device_hardware> classes = default_edge_classes();
     for (std::size_t i = 0; i < fleet.specs.size(); ++i) {
         fleet.specs[i].hardware = classes[i % classes.size()];
     }
@@ -78,19 +77,16 @@ namespace {
 
 /// `factory(student, device_index)` builds one device's strategy around its
 /// cloned student (the index lets heterogeneous fleets pick per-device
-/// hardware at construction time). With `wrap_cameras`, device i watches
-/// stream i mod cameras — the city-scale fleets reuse a camera pool far
-/// smaller than the fleet so stream construction stays O(cameras), not
-/// O(devices); without it, oversubscribing the testbed is an error.
+/// hardware at construction time). Device i watches stream i mod cameras —
+/// the city-scale fleets reuse a camera pool far smaller than the fleet so
+/// stream construction stays O(cameras), not O(devices); the builders that
+/// give each device its own camera check that the fleet fits first.
 template <typename Factory>
-void grow_fleet(Fleet& fleet, const Testbed& testbed, std::size_t devices,
-                Factory&& factory, bool wrap_cameras = false) {
+void grow_fleet(Fleet& fleet, const Testbed& testbed, std::size_t devices, Factory&& factory) {
+    SHOG_REQUIRE(!testbed.streams.empty(), "fleet needs at least one camera");
     for (std::size_t i = 0; i < devices; ++i) {
         const std::size_t device = fleet.specs.size();
-        const std::size_t camera =
-            wrap_cameras ? device % testbed.streams.size() : device;
-        SHOG_REQUIRE(camera < testbed.streams.size(),
-                     "fleet size must fit the testbed's cameras");
+        const std::size_t camera = device % testbed.streams.size();
         fleet.students.push_back(testbed.pristine->clone());
         // The factory keys off the device position (not the camera) so the
         // per-device edge-class cycle stays aligned with
@@ -138,23 +134,20 @@ auto ams_factory(const Testbed& testbed, const models::Detector& teacher,
 
 } // namespace
 
-Fleet make_shoggoth_fleet(const Testbed& testbed, std::size_t devices,
-                          core::Shoggoth_config config,
-                          device::Compute_model cloud_device) {
+Fleet make_shoggoth_fleet(const Testbed& testbed, std::size_t devices) {
     SHOG_REQUIRE(devices >= 1, "fleet needs at least one device");
+    SHOG_REQUIRE(devices <= testbed.streams.size(), "fleet size must fit the testbed's cameras");
     Fleet fleet = seed_fleet(testbed);
     grow_fleet(fleet, testbed, devices,
-               shoggoth_factory(testbed, *fleet.teacher, std::move(config),
-                                std::move(cloud_device)));
+               shoggoth_factory(testbed, *fleet.teacher, {}, device::v100()));
     return fleet;
 }
 
-Fleet make_ams_fleet(const Testbed& testbed, std::size_t devices, baselines::Ams_config config,
-                     device::Compute_model cloud_device) {
+Fleet make_ams_fleet(const Testbed& testbed, std::size_t devices) {
     SHOG_REQUIRE(devices >= 1, "fleet needs at least one device");
+    SHOG_REQUIRE(devices <= testbed.streams.size(), "fleet size must fit the testbed's cameras");
     Fleet fleet = seed_fleet(testbed);
-    grow_fleet(fleet, testbed, devices,
-               ams_factory(testbed, *fleet.teacher, std::move(config), std::move(cloud_device)));
+    grow_fleet(fleet, testbed, devices, ams_factory(testbed, *fleet.teacher, {}, device::v100()));
     return fleet;
 }
 
@@ -196,11 +189,9 @@ Fleet make_scale_fleet(const Testbed& testbed, std::size_t devices, bool heterog
     grow_fleet(fleet, testbed, shoggoth_devices,
                shoggoth_factory(testbed, *fleet.teacher, {}, cloud_share,
                                 heterogeneous ? default_edge_classes()
-                                              : std::vector<sim::Device_hardware>{}),
-               /*wrap_cameras=*/true);
+                                              : std::vector<sim::Device_hardware>{}));
     grow_fleet(fleet, testbed, ams_devices,
-               ams_factory(testbed, *fleet.teacher, ams_config, cloud_share),
-               /*wrap_cameras=*/true);
+               ams_factory(testbed, *fleet.teacher, ams_config, cloud_share));
     if (heterogeneous) {
         assign_heterogeneous_hardware(fleet);
     }

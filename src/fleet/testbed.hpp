@@ -82,22 +82,18 @@ struct Fleet {
     std::vector<sim::Device_spec> specs;
 };
 
-/// Make the fleet heterogeneous: device i gets classes[i % classes.size()].
+/// Make the fleet heterogeneous: of the n default_edge_classes(), device i
+/// gets entry i % n.
 /// This sets the *harness-side* hardware (fps, link, lambda). A strategy
 /// that prices edge training itself (Shoggoth's Adaptive_trainer) is fixed
 /// at construction — build it with the matching edge device, as
 /// make_policy_sweep_fleet does, or straggler training runs at TX2 speed.
-void assign_heterogeneous_hardware(Fleet& fleet,
-                                   const std::vector<sim::Device_hardware>& classes =
-                                       default_edge_classes());
+void assign_heterogeneous_hardware(Fleet& fleet);
 
-[[nodiscard]] Fleet make_shoggoth_fleet(const Testbed& testbed, std::size_t devices,
-                                        core::Shoggoth_config config = {},
-                                        device::Compute_model cloud_device = device::v100());
-
-[[nodiscard]] Fleet make_ams_fleet(const Testbed& testbed, std::size_t devices,
-                                   baselines::Ams_config config = {},
-                                   device::Compute_model cloud_device = device::v100());
+/// Homogeneous fleets on a full V100: `devices` Shoggoth (or AMS) devices
+/// with default configs, one camera each.
+[[nodiscard]] Fleet make_shoggoth_fleet(const Testbed& testbed, std::size_t devices);
+[[nodiscard]] Fleet make_ams_fleet(const Testbed& testbed, std::size_t devices);
 
 /// One cloud operating point for a sweep cell: how many GPU servers the
 /// cloud share is split into, which server a dispatch lands on (placement),

@@ -81,9 +81,8 @@ Detector_net::Output Detector_net::infer(const Tensor& features) const {
     SHOG_REQUIRE(features.rank() == 2 && features.cols() == feature_dim_,
                  "feature batch width mismatch");
     Output out;
-    // Cache-free inference path (bit-identical to forward(..., false)); the
-    // eval stride drives this for every device, so the backward caches that
-    // forward() keeps alive would be pure overhead at fleet scale.
+    // The eval stride drives this for every device; it writes no backward
+    // cache, so a deployed detector holds only its weights and statistics.
     const Tensor trunk_out = trunk_->infer(features);
     out.class_probs = nn::softmax(class_head_->infer(trunk_out));
     out.box_offsets = box_head_->infer(trunk_out);
@@ -108,9 +107,9 @@ double Detector_net::train_step(std::size_t from, const Sample_rows& rows, nn::S
         p->zero_grad();
     }
 
-    const Tensor trunk_out = trunk_->forward_range(from, end, rows.inputs, true);
-    const Tensor logits = class_head_->forward(trunk_out, true);
-    Tensor box_out = box_head_->forward(trunk_out, true);
+    const Tensor trunk_out = trunk_->forward_range(from, end, rows.inputs);
+    const Tensor logits = class_head_->forward(trunk_out);
+    Tensor box_out = box_head_->forward(trunk_out);
     box_out *= max_offset_scale_;
 
     const nn::Loss_result cls_loss = nn::softmax_cross_entropy(logits, rows.labels, rows.weights);

@@ -6,36 +6,27 @@
 
 namespace shog::nn {
 
-namespace {
-
-/// x if x > 0, else slope * x, in place. The select compiles to a blend of
-/// x and slope * x (see -fno-trapping-math in common/simd.hpp), not to a
-/// branch on each element's sign.
-void leaky_relu_in_place(Tensor& t, const double slope) {
-    double* x = t.data();
-    const std::size_t n = t.size();
-    SHOG_SIMD_LOOP
-    for (std::size_t i = 0; i < n; ++i) {
-        x[i] = x[i] > 0.0 ? x[i] : slope * x[i];
-    }
-}
-
-} // namespace
-
 Leaky_relu::Leaky_relu(double slope) : slope_{slope} {
     SHOG_REQUIRE(slope >= 0.0 && slope < 1.0, "leaky slope must lie in [0, 1)");
 }
 
-Tensor Leaky_relu::forward(const Tensor& input, bool /*training*/) {
+Tensor Leaky_relu::forward(const Tensor& input) {
     cached_input_ = input;
-    Tensor out = input;
-    leaky_relu_in_place(out, slope_);
-    return out;
+    return infer(input);
 }
 
 Tensor Leaky_relu::infer(const Tensor& input) const {
+    // x if x > 0, else slope * x. The select compiles to a blend of x and
+    // slope * x (see -fno-trapping-math in common/simd.hpp), not to a
+    // branch on each element's sign.
     Tensor out = input;
-    leaky_relu_in_place(out, slope_);
+    double* x = out.data();
+    const std::size_t n = out.size();
+    const double slope = slope_;
+    SHOG_SIMD_LOOP
+    for (std::size_t i = 0; i < n; ++i) {
+        x[i] = x[i] > 0.0 ? x[i] : slope * x[i];
+    }
     return out;
 }
 
@@ -55,9 +46,8 @@ Tensor Leaky_relu::backward(const Tensor& grad_output) {
     return grad;
 }
 
-Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
-    Tensor out = input;
-    out.apply([](double x) { return std::tanh(x); });
+Tensor Tanh::forward(const Tensor& input) {
+    Tensor out = infer(input);
     cached_output_ = out;
     return out;
 }

@@ -13,7 +13,7 @@ class Leaky_relu final : public Layer {
 public:
     explicit Leaky_relu(double slope = 0.1);
 
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
+    [[nodiscard]] Tensor forward(const Tensor& input) override;
     [[nodiscard]] Tensor infer(const Tensor& input) const override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     void release_training_state() override { cached_input_ = Tensor{}; }
@@ -31,7 +31,7 @@ class Tanh final : public Layer {
 public:
     Tanh() = default;
 
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
+    [[nodiscard]] Tensor forward(const Tensor& input) override;
     [[nodiscard]] Tensor infer(const Tensor& input) const override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     void release_training_state() override { cached_output_ = Tensor{}; }

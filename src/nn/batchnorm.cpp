@@ -21,7 +21,8 @@ Batch_renorm::Batch_renorm(std::size_t features, double momentum, double epsilon
       running_var_{Tensor::full({features}, 1.0)} {
     SHOG_REQUIRE(features > 0, "Batch_renorm needs positive feature count");
     SHOG_REQUIRE(momentum > 0.0 && momentum <= 1.0, "momentum must lie in (0, 1]");
-    set_clamps(r_max, d_max);
+    SHOG_REQUIRE(r_max >= 1.0, "r_max must be >= 1");
+    SHOG_REQUIRE(d_max >= 0.0, "d_max must be >= 0");
 }
 
 Batch_renorm::Batch_renorm(const Batch_renorm& other)
@@ -30,7 +31,6 @@ Batch_renorm::Batch_renorm(const Batch_renorm& other)
       epsilon_{other.epsilon_},
       r_max_{other.r_max_},
       d_max_{other.d_max_},
-      update_running_stats_{other.update_running_stats_},
       gamma_{other.gamma_.share()},
       beta_{other.beta_.share()},
       running_mean_{other.running_mean_},
@@ -41,43 +41,11 @@ void Batch_renorm::set_momentum(double momentum) {
     momentum_ = momentum;
 }
 
-void Batch_renorm::set_clamps(double r_max, double d_max) {
-    SHOG_REQUIRE(r_max >= 1.0, "r_max must be >= 1");
-    SHOG_REQUIRE(d_max >= 0.0, "d_max must be >= 0");
-    r_max_ = r_max;
-    d_max_ = d_max;
-}
-
 // The loops below run over row-major m x features_ data through raw
 // pointers, rows outer and columns inner, after one shape check per call.
 // Every element keeps its scalar expression and every per-column sum adds
 // its rows in ascending order, so the results are the same bits as
 // indexing element by element.
-
-namespace {
-
-/// Eval-statistics normalization of m rows: xhat = (x - mean) * inv_std,
-/// out = gamma * xhat + beta. Keep_xhat also stores xhat.
-template <bool Keep_xhat>
-void normalize_eval(const double* x, const double* mean, const double* inv_std,
-                    const double* gamma, const double* beta, double* xhat_out, double* out,
-                    const std::size_t m, const std::size_t f) {
-    for (std::size_t r = 0; r < m; ++r) {
-        const double* xr = x + r * f;
-        double* hr = xhat_out + (Keep_xhat ? r * f : 0);
-        double* yr = out + r * f;
-        SHOG_SIMD_LOOP
-        for (std::size_t c = 0; c < f; ++c) {
-            const double xhat = (xr[c] - mean[c]) * inv_std[c];
-            if constexpr (Keep_xhat) {
-                hr[c] = xhat;
-            }
-            yr[c] = gamma[c] * xhat + beta[c];
-        }
-    }
-}
-
-} // namespace
 
 void Batch_renorm::require_widths() const {
     const auto grad_ok = [this](const Tensor& g) { return g.empty() || g.size() == features_; };
@@ -87,12 +55,12 @@ void Batch_renorm::require_widths() const {
                  "Batch_renorm parameter width drift");
 }
 
-Tensor Batch_renorm::forward(const Tensor& input, bool training) {
+Tensor Batch_renorm::forward(const Tensor& input) {
     SHOG_REQUIRE(input.rank() == 2 && input.cols() == features_, "Batch_renorm width mismatch");
+    SHOG_REQUIRE(input.rows() >= 2, "Batch_renorm forward needs 2+ rows (batch statistics)");
     require_widths();
     const std::size_t m = input.rows();
     const std::size_t f = features_;
-    cached_training_ = training && m > 1;
     const double* gamma = gamma_.value->data();
     const double* beta = beta_.value->data();
     double* run_mean = running_mean_.data();
@@ -102,17 +70,6 @@ Tensor Batch_renorm::forward(const Tensor& input, bool training) {
     double* inv_std = cached_inv_std_.data();
     cached_xhat_ = Tensor{m, f};
     Tensor out{m, f};
-
-    if (!cached_training_) {
-        // Inference: use running statistics directly.
-        cached_centered_ = input;
-        for (std::size_t c = 0; c < f; ++c) {
-            inv_std[c] = 1.0 / std::sqrt(run_var[c] + epsilon_);
-        }
-        normalize_eval<true>(input.data(), run_mean, inv_std, gamma, beta, cached_xhat_.data(),
-                             out.data(), m, f);
-        return out;
-    }
 
     const Tensor batch_mean = input.column_mean();
     const Tensor batch_var = input.column_variance(batch_mean);
@@ -147,11 +104,9 @@ Tensor Batch_renorm::forward(const Tensor& input, bool training) {
         }
     }
 
-    if (update_running_stats_) {
-        for (std::size_t c = 0; c < f; ++c) {
-            run_mean[c] += momentum_ * (mean[c] - run_mean[c]);
-            run_var[c] += momentum_ * (var[c] - run_var[c]);
-        }
+    for (std::size_t c = 0; c < f; ++c) {
+        run_mean[c] += momentum_ * (mean[c] - run_mean[c]);
+        run_var[c] += momentum_ * (var[c] - run_var[c]);
     }
     return out;
 }
@@ -159,19 +114,28 @@ Tensor Batch_renorm::forward(const Tensor& input, bool training) {
 Tensor Batch_renorm::infer(const Tensor& input) const {
     SHOG_REQUIRE(input.rank() == 2 && input.cols() == features_, "Batch_renorm width mismatch");
     require_widths();
-    // Eval-statistics path of forward() with no caches. Every output element
-    // is an independent scalar chain ((x - mu) * inv_std, then gamma/beta),
-    // so reproducing the expressions keeps the result bit-identical.
+    // Running-statistics normalization: xhat = (x - mean) * inv_std,
+    // out = gamma * xhat + beta, one independent scalar chain per element.
     const std::size_t m = input.rows();
+    const std::size_t f = features_;
+    const double* mean = running_mean_.data();
     const double* run_var = running_var_.data();
-    std::vector<double> inv_std(features_);
-    for (std::size_t c = 0; c < features_; ++c) {
+    const double* gamma = gamma_.value->data();
+    const double* beta = beta_.value->data();
+    std::vector<double> inv_std(f);
+    for (std::size_t c = 0; c < f; ++c) {
         inv_std[c] = 1.0 / std::sqrt(run_var[c] + epsilon_);
     }
-    Tensor out{m, features_};
-    normalize_eval<false>(input.data(), running_mean_.data(), inv_std.data(),
-                          gamma_.value->data(), beta_.value->data(), nullptr, out.data(), m,
-                          features_);
+    Tensor out{m, f};
+    for (std::size_t r = 0; r < m; ++r) {
+        const double* xr = input.data() + r * f;
+        double* yr = out.data() + r * f;
+        SHOG_SIMD_LOOP
+        for (std::size_t c = 0; c < f; ++c) {
+            const double xhat = (xr[c] - mean[c]) * inv_std[c];
+            yr[c] = gamma[c] * xhat + beta[c];
+        }
+    }
     return out;
 }
 
@@ -182,8 +146,7 @@ Tensor Batch_renorm::backward(const Tensor& grad_output) {
     require_widths();
     // forward() sized every cache for this m x features_ batch.
     SHOG_CHECK(cached_centered_.shape() == cached_xhat_.shape() &&
-                   cached_inv_std_.size() == features_ &&
-                   (!cached_training_ || cached_r_.size() == features_),
+                   cached_inv_std_.size() == features_ && cached_r_.size() == features_,
                "Batch_renorm cache shape drift");
     const std::size_t m = grad_output.rows();
     const std::size_t f = features_;
@@ -203,19 +166,6 @@ Tensor Batch_renorm::backward(const Tensor& grad_output) {
             gamma_grad[c] += gr[c] * hr[c];
             beta_grad[c] += gr[c];
         }
-    }
-
-    Tensor grad_in{m, f};
-    if (!cached_training_) {
-        for (std::size_t r = 0; r < m; ++r) {
-            const double* gr = g + r * f;
-            double* dr = grad_in.data() + r * f;
-            SHOG_SIMD_LOOP
-            for (std::size_t c = 0; c < f; ++c) {
-                dr[c] = gr[c] * gamma[c] * inv_std[c];
-            }
-        }
-        return grad_in;
     }
 
     // r and d are stop-gradient constants; gradient through batch mean and
@@ -239,6 +189,7 @@ Tensor Batch_renorm::backward(const Tensor& grad_output) {
             sum_dz[c] += dxhat * z;
         }
     }
+    Tensor grad_in{m, f};
     for (std::size_t r = 0; r < m; ++r) {
         const double* gr = g + r * f;
         const double* cr = centered + r * f;

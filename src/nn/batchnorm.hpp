@@ -21,10 +21,13 @@ namespace shog::nn {
 /// constants in the backward pass.
 class Batch_renorm final : public Layer {
 public:
+    /// r_max=1, d_max=0 is plain batch normalization: forward() normalizes
+    /// by the *batch* statistics (r=1, d=0), and infer() by the running
+    /// ones.
     Batch_renorm(std::size_t features, double momentum = 0.05, double epsilon = 1e-5,
                  double r_max = 3.0, double d_max = 5.0);
 
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
+    [[nodiscard]] Tensor forward(const Tensor& input) override;
     [[nodiscard]] Tensor infer(const Tensor& input) const override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     void release_training_state() override;
@@ -32,18 +35,11 @@ public:
     [[nodiscard]] std::unique_ptr<Layer> clone() const override;
     [[nodiscard]] std::size_t output_width() const override { return features_; }
 
-    void set_update_running_stats(bool update) noexcept { update_running_stats_ = update; }
-
     /// Running-statistics momentum. The adaptive trainer slows the *front*
     /// layers' statistics during online adaptation so that latent-replay
     /// activations age negligibly (paper §III-B).
     void set_momentum(double momentum);
     [[nodiscard]] double momentum() const noexcept { return momentum_; }
-
-    /// Relaxation schedule knobs. r_max=1, d_max=0 is plain batch
-    /// normalization: training mode normalizes by the *batch* statistics
-    /// (r=1, d=0), and eval mode by the running ones.
-    void set_clamps(double r_max, double d_max);
 
     [[nodiscard]] const Tensor& running_mean() const noexcept { return running_mean_; }
     [[nodiscard]] const Tensor& running_var() const noexcept { return running_var_; }
@@ -62,7 +58,6 @@ private:
     double epsilon_;
     double r_max_;
     double d_max_;
-    bool update_running_stats_ = true;
     Parameter gamma_;
     Parameter beta_;
     Tensor running_mean_;
@@ -73,7 +68,6 @@ private:
     Tensor cached_centered_;
     Tensor cached_inv_std_;
     Tensor cached_r_;
-    bool cached_training_ = false;
 };
 
 } // namespace shog::nn

@@ -19,19 +19,15 @@ Dense::Dense(const Dense& other)
       weight_{other.weight_.share()},
       bias_{other.bias_.share()} {}
 
-Tensor Dense::forward(const Tensor& input, bool /*training*/) {
-    SHOG_REQUIRE(input.rank() == 2 && input.cols() == in_features_,
-                 "Dense input width mismatch");
+Tensor Dense::forward(const Tensor& input) {
+    Tensor out = infer(input);
     cached_input_ = input;
-    Tensor out = matmul(input, *weight_.value);
-    out.add_row_vector(*bias_.value);
     return out;
 }
 
 Tensor Dense::infer(const Tensor& input) const {
     SHOG_REQUIRE(input.rank() == 2 && input.cols() == in_features_,
                  "Dense input width mismatch");
-    // Same arithmetic as forward() without the cached_input_ copy.
     Tensor out = matmul(input, *weight_.value);
     out.add_row_vector(*bias_.value);
     return out;

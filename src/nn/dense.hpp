@@ -11,7 +11,7 @@ class Dense final : public Layer {
 public:
     Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
 
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
+    [[nodiscard]] Tensor forward(const Tensor& input) override;
     [[nodiscard]] Tensor infer(const Tensor& input) const override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     void release_training_state() override;

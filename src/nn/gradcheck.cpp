@@ -8,8 +8,8 @@ namespace shog::nn {
 
 namespace {
 
-double probe_loss(Layer& layer, const Tensor& input, const Tensor& probe, bool training) {
-    Tensor out = layer.forward(input, training);
+double probe_loss(Layer& layer, const Tensor& input, const Tensor& probe) {
+    Tensor out = layer.forward(input);
     SHOG_REQUIRE(out.shape() == probe.shape(), "probe shape mismatch");
     double loss = 0.0;
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -20,14 +20,13 @@ double probe_loss(Layer& layer, const Tensor& input, const Tensor& probe, bool t
 
 } // namespace
 
-Gradcheck_report gradcheck_layer(Layer& layer, const Tensor& input, Rng& rng, bool training,
-                                 double step) {
+Gradcheck_report gradcheck_layer(Layer& layer, const Tensor& input, Rng& rng, double step) {
     // Shape discovery pass + analytic gradients.
-    Tensor out = layer.forward(input, training);
+    Tensor out = layer.forward(input);
     Tensor probe = Tensor::randn(out.shape(), rng);
 
     layer.zero_grad();
-    out = layer.forward(input, training);
+    out = layer.forward(input);
     (void)out;
     Tensor analytic_input_grad = layer.backward(probe);
 
@@ -46,9 +45,9 @@ Gradcheck_report gradcheck_layer(Layer& layer, const Tensor& input, Rng& rng, bo
     for (std::size_t i = 0; i < x.size(); ++i) {
         const double saved = x.at(i);
         x.at(i) = saved + step;
-        const double plus = probe_loss(layer, x, probe, training);
+        const double plus = probe_loss(layer, x, probe);
         x.at(i) = saved - step;
-        const double minus = probe_loss(layer, x, probe, training);
+        const double minus = probe_loss(layer, x, probe);
         x.at(i) = saved;
         const double numeric = (plus - minus) / (2.0 * step);
         report.max_input_grad_error =
@@ -62,9 +61,9 @@ Gradcheck_report gradcheck_layer(Layer& layer, const Tensor& input, Rng& rng, bo
         for (std::size_t i = 0; i < value.size(); ++i) {
             const double saved = value.at(i);
             value.at(i) = saved + step;
-            const double plus = probe_loss(layer, input, probe, training);
+            const double plus = probe_loss(layer, input, probe);
             value.at(i) = saved - step;
-            const double minus = probe_loss(layer, input, probe, training);
+            const double minus = probe_loss(layer, input, probe);
             value.at(i) = saved;
             const double numeric = (plus - minus) / (2.0 * step);
             report.max_param_grad_error =

@@ -16,6 +16,6 @@ struct Gradcheck_report {
 /// loss L = sum(forward(x) * probe) where `probe` is a fixed random tensor.
 /// Checks both d L / d input and d L / d parameters.
 [[nodiscard]] Gradcheck_report gradcheck_layer(Layer& layer, const Tensor& input, Rng& rng,
-                                               bool training = true, double step = 1e-5);
+                                               double step = 1e-5);
 
 } // namespace shog::nn

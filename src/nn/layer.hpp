@@ -1,8 +1,10 @@
 // Layer abstraction for the from-scratch NN substrate.
 //
 // Design notes for the Shoggoth use-case:
-//  - Each layer caches what it needs during forward() and consumes the cache
-//    in backward(); param gradients accumulate until zero_grad().
+//  - Two passes: forward() is the training pass (normalization layers use
+//    batch statistics and move their running ones) and caches what
+//    backward() consumes; infer() is the one inference pass. Param
+//    gradients accumulate until zero_grad().
 //  - Training state has session scope: pretraining, an adaptive training
 //    session and a warm start each end with release_training_state(), which
 //    frees every gradient and backward cache. Within one of them the buffers
@@ -68,16 +70,14 @@ public:
     Layer(const Layer&) = delete;
     Layer& operator=(const Layer&) = delete;
 
-    /// Forward pass. `training` selects batch-statistics behaviour in
-    /// normalization layers.
-    [[nodiscard]] virtual Tensor forward(const Tensor& input, bool training) = 0;
+    /// Training forward: normalization layers normalize by the batch's
+    /// statistics and update their running ones, and every layer caches
+    /// what backward() reads.
+    [[nodiscard]] virtual Tensor forward(const Tensor& input) = 0;
 
-    /// Pure-inference forward: numerically identical to
-    /// forward(input, false) but writes no state (no backward caches), so
-    /// it is const. Every layer implements it with the same per-element
-    /// operation order as forward(), so outputs stay bit-identical (pinned
-    /// by LayerInfer.MatchesEvalForward). Must NOT be followed by
-    /// backward().
+    /// Inference: normalization layers use their running statistics, and
+    /// no state is written (no backward caches), so it is const. Must NOT
+    /// be followed by backward().
     [[nodiscard]] virtual Tensor infer(const Tensor& input) const = 0;
 
     /// Backward pass: accumulates parameter gradients, returns gradient with

@@ -26,9 +26,6 @@ public:
 
     [[nodiscard]] const Sgd_config& config() const noexcept { return config_; }
 
-    /// Drop accumulated momentum (used when swapping models in/out).
-    void reset_state() noexcept { velocity_.clear(); }
-
 private:
     Sgd_config config_;
     /// Per-parameter momentum, keyed by parameter *address*. Pointer keys

@@ -21,28 +21,32 @@ void Sequential::check_range(std::size_t begin, std::size_t end) const {
     SHOG_REQUIRE(begin <= end && end <= layers_.size(), "invalid layer range");
 }
 
-Tensor Sequential::forward(const Tensor& input, bool training) {
-    return forward_range(0, layers_.size(), input, training);
+Tensor Sequential::forward(const Tensor& input) {
+    return forward_range(0, layers_.size(), input);
 }
 
 Tensor Sequential::infer(const Tensor& input) const {
-    Tensor x = input;
-    for (const std::unique_ptr<Layer>& layer : layers_) {
-        x = layer->infer(x);
-    }
-    return x;
+    return infer_range(0, layers_.size(), input);
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {
     return backward_range(0, layers_.size(), grad_output);
 }
 
-Tensor Sequential::forward_range(std::size_t begin, std::size_t end, const Tensor& input,
-                                 bool training) {
+Tensor Sequential::forward_range(std::size_t begin, std::size_t end, const Tensor& input) {
     check_range(begin, end);
     Tensor x = input;
     for (std::size_t i = begin; i < end; ++i) {
-        x = layers_[i]->forward(x, training);
+        x = layers_[i]->forward(x);
+    }
+    return x;
+}
+
+Tensor Sequential::infer_range(std::size_t begin, std::size_t end, const Tensor& input) const {
+    check_range(begin, end);
+    Tensor x = input;
+    for (std::size_t i = begin; i < end; ++i) {
+        x = layers_[i]->infer(x);
     }
     return x;
 }
@@ -81,15 +85,6 @@ void Sequential::set_lr_scale_range(std::size_t begin, std::size_t end, double s
     check_range(begin, end);
     for (std::size_t i = begin; i < end; ++i) {
         layers_[i]->set_lr_scale(scale);
-    }
-}
-
-void Sequential::set_update_running_stats_range(std::size_t begin, std::size_t end, bool update) {
-    check_range(begin, end);
-    for (std::size_t i = begin; i < end; ++i) {
-        if (auto* brn = dynamic_cast<Batch_renorm*>(layers_[i].get())) {
-            brn->set_update_running_stats(update);
-        }
     }
 }
 

@@ -5,8 +5,8 @@
 //   - fresh samples:   input --front layers--> replay activations
 //   - replay samples:  injected directly at the replay layer
 //   - concatenated:    replay layer --rear layers--> heads
-// forward_range/backward_range provide exactly that, between layer
-// indices; models::Detector_net::cut_after maps the paper's stage names
+// forward_range/backward_range provide exactly that for training, and
+// infer_range for inference, between layer indices; models::Detector_net::cut_after maps the paper's stage names
 // ("stem", "conv2_x", ..., "conv5_4", "pool") to the index of a cut.
 #pragma once
 
@@ -32,7 +32,7 @@ public:
 
     // -- full-network Layer interface -----------------------------------------
 
-    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
+    [[nodiscard]] Tensor forward(const Tensor& input) override;
     [[nodiscard]] Tensor infer(const Tensor& input) const override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
     void release_training_state() override;
@@ -41,9 +41,13 @@ public:
 
     // -- partial execution -----------------------------------------------------
 
-    /// Run layers [begin, end) on `input`. end may equal layer_count().
-    [[nodiscard]] Tensor forward_range(std::size_t begin, std::size_t end, const Tensor& input,
-                                       bool training);
+    /// Training forward through layers [begin, end). end may equal
+    /// layer_count().
+    [[nodiscard]] Tensor forward_range(std::size_t begin, std::size_t end, const Tensor& input);
+
+    /// Inference through layers [begin, end).
+    [[nodiscard]] Tensor infer_range(std::size_t begin, std::size_t end,
+                                     const Tensor& input) const;
 
     /// Backpropagate through layers [begin, end) (which must have just run a
     /// forward over the same row count); returns the gradient at `begin`.
@@ -55,10 +59,6 @@ public:
 
     /// Set the lr multiplier for all parameters of layers [begin, end).
     void set_lr_scale_range(std::size_t begin, std::size_t end, double scale);
-
-    /// Toggle running-statistic updates on every Batch_renorm layer in
-    /// [begin, end).
-    void set_update_running_stats_range(std::size_t begin, std::size_t end, bool update);
 
     // -- weight serialization ---------------------------------------------------
 

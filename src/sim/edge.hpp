@@ -63,8 +63,6 @@ public:
     void count_training_session() noexcept { ++training_sessions_; }
     [[nodiscard]] std::size_t training_sessions() const noexcept { return training_sessions_; }
 
-    [[nodiscard]] Event_queue& queue() noexcept { return queue_; }
-
     /// Install this device's trace channel (dark by default; the engines
     /// create one buffer per device when a sink is configured). Strategy
     /// phases emit through trace()/trace_track() via the SHOG_TRACE_*

@@ -172,10 +172,68 @@ TEST_F(Trainer_fixture, CompletelyFreezingKeepsRunningStats) {
     const auto* brn = dynamic_cast<const nn::Batch_renorm*>(&trunk.layer(1));
     ASSERT_NE(brn, nullptr);
     const Tensor mean_before = brn->running_mean();
+    const Tensor var_before = brn->running_var();
 
     (void)trainer.train(domain_samples(video::night(0.5), 150, 11));
     EXPECT_EQ(max_abs_diff(brn->running_mean(), mean_before), 0.0);
+    EXPECT_EQ(max_abs_diff(brn->running_var(), var_before), 0.0);
     (void)cut;
+}
+
+/// Whether `latent` holds exactly the bits of row `row` of `want`.
+bool same_row_bits(const std::vector<double>& latent, const Tensor& want, std::size_t row) {
+    return latent.size() == want.cols() &&
+           std::memcmp(latent.data(), want.data() + row * want.cols(),
+                       latent.size() * sizeof(double)) == 0;
+}
+
+TEST_F(Trainer_fixture, CompletelyFreezingLatentsAreInference) {
+    // The completely-freezing front never runs a training forward: its
+    // latents are the trunk's inference up to the cut, bit for bit, in
+    // full mini-batches and in a one-row tail, and the pass moves nothing.
+    Adaptive_trainer trainer = make_trainer(completely_freezing_config());
+    models::Detector_net& net = student->net();
+    const std::size_t cut = net.cut_after(trainer.config().replay_stage);
+    ASSERT_GT(cut, 0u);
+    const std::vector<double> state_before = net.state_vector();
+    const std::vector<models::Labeled_sample> samples =
+        domain_samples(video::night(0.5), 2 * trainer.config().minibatch + 1, 12);
+    trainer.warm_start(samples);
+
+    const Tensor want =
+        net.trunk().infer_range(0, cut, models::pack_rows(samples, net.feature_dim()).inputs);
+    const std::vector<Replay_memory::Slot>& slots = trainer.memory().slots();
+    ASSERT_EQ(slots.size(), samples.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        EXPECT_TRUE(same_row_bits(slots[i]->feature, want, i)) << "latent " << i;
+    }
+    const std::vector<double> state_after = net.state_vector();
+    ASSERT_EQ(state_after.size(), state_before.size());
+    EXPECT_EQ(std::memcmp(state_after.data(), state_before.data(),
+                          state_after.size() * sizeof(double)),
+              0);
+}
+
+TEST_F(Trainer_fixture, OneRowChunkIsInference) {
+    // Ours trains the front's statistics on every chunk of two or more
+    // rows. A one-row tail has no batch statistics, so its latent is the
+    // inference of the statistics the chunks before it left.
+    Adaptive_trainer trainer = make_trainer(ours_config());
+    models::Detector_net& net = student->net();
+    const std::size_t cut = net.cut_after(trainer.config().replay_stage);
+    const std::vector<models::Labeled_sample> samples =
+        domain_samples(video::day_sunny(0.6), trainer.config().minibatch + 1, 13);
+    trainer.warm_start(samples);
+
+    const Tensor want = net.trunk().infer_range(
+        0, cut, models::pack_rows(std::span{samples}.last(1), net.feature_dim()).inputs);
+    ASSERT_EQ(trainer.memory().size(), samples.size());
+    EXPECT_TRUE(same_row_bits(trainer.memory().slots().back()->feature, want, 0));
+    // The full chunk before it ran a training forward: its latents are not
+    // inference of the moved statistics.
+    const Tensor head = net.trunk().infer_range(
+        0, cut, models::pack_rows(std::span{samples}.first(1), net.feature_dim()).inputs);
+    EXPECT_FALSE(same_row_bits(trainer.memory().slots().front()->feature, head, 0));
 }
 
 TEST_F(Trainer_fixture, OursAdaptsRunningStats) {
@@ -493,9 +551,8 @@ TEST_F(TrainingState, WarmStartDaytimeReleases) {
 }
 
 TEST_F(TrainingState, CallsBetweenSessionsChangeNothing) {
-    // Three sessions, with and without inference and eval-mode forward
-    // passes on unrelated data between them: the stale forward caches those
-    // leave must not reach the next session.
+    // Three sessions, with and without inference on unrelated data between
+    // them: it must leave nothing that reaches the next session.
     Trainer_config cfg = ours_config();
     cfg.epochs = 2;
     cfg.seed = 77;
@@ -515,9 +572,6 @@ TEST_F(TrainingState, CallsBetweenSessionsChangeNothing) {
         for (std::uint64_t session = 0; session < 3; ++session) {
             if (interleave) {
                 (void)net.infer(unrelated);
-                const Tensor trunk_out = net.trunk().forward(unrelated, false);
-                (void)net.class_head().forward(trunk_out, false);
-                (void)net.box_head().forward(trunk_out, false);
             }
             (void)trainer.train(domain_samples(video::night(0.5), 150, 85 + session));
         }

@@ -1,5 +1,5 @@
 // Unit tests for the NN substrate: layer forward oracles, gradient checks
-// and the infer()/eval-forward identity (parameterized across layer kinds),
+// and the purity of infer() (parameterized across layer kinds),
 // normalization semantics, sequential range execution, losses and the
 // optimizer contract.
 #include <gtest/gtest.h>
@@ -36,7 +36,7 @@ TEST(Dense, ForwardHandComputed) {
     d.weight().value.mut() = Tensor::from_rows({{1.0, 2.0}, {3.0, 4.0}});
     d.bias().value.mut() = vector_of({0.5, -0.5});
     const Tensor x = Tensor::from_rows({{1.0, 1.0}});
-    const Tensor y = d.forward(x, true);
+    const Tensor y = d.forward(x);
     EXPECT_DOUBLE_EQ(y.at(0, 0), 4.5);  // 1*1 + 1*3 + 0.5
     EXPECT_DOUBLE_EQ(y.at(0, 1), 5.5);  // 1*2 + 1*4 - 0.5
 }
@@ -44,7 +44,7 @@ TEST(Dense, ForwardHandComputed) {
 TEST(Dense, InputWidthChecked) {
     Rng rng{1};
     Dense d{3, 2, rng};
-    EXPECT_THROW((void)d.forward(Tensor{2, 4}, true), std::invalid_argument);
+    EXPECT_THROW((void)d.forward(Tensor{2, 4}), std::invalid_argument);
 }
 
 TEST(Dense, BackwardBeforeForwardThrows) {
@@ -58,12 +58,12 @@ TEST(Dense, CloneIsIndependent) {
     Dense d{3, 3, rng};
     auto copy = d.clone();
     const Tensor x = Tensor::randn({2, 3}, rng);
-    const Tensor y1 = d.forward(x, false);
-    const Tensor y2 = copy->forward(x, false);
+    const Tensor y1 = d.infer(x);
+    const Tensor y2 = copy->infer(x);
     EXPECT_LT(max_abs_diff(y1, y2), 1e-14);
     // Mutating the original must not affect the clone.
     d.weight().value.mut() *= 2.0;
-    const Tensor y3 = copy->forward(x, false);
+    const Tensor y3 = copy->infer(x);
     EXPECT_LT(max_abs_diff(y2, y3), 1e-14);
 }
 
@@ -75,13 +75,13 @@ enum class Layer_kind {
     tanh_act,
     batch_renorm,
     // BRN with r_max=1, d_max=0: the r/d stop-gradient corrections vanish, so
-    // the training-mode backward is exactly checkable by finite differences.
-    // (With free clamps, r and d are input-dependent constants by design and
-    // numeric gradients legitimately disagree; stat updates are also frozen
-    // here so repeated probe evaluations see a pure function.)
+    // the backward is exactly checkable by finite differences, and the
+    // output does not read the running statistics that every probe
+    // evaluation moves. (With free clamps, r and d are input-dependent
+    // constants by design and numeric gradients legitimately disagree.)
     batch_renorm_tight,
     // Dense -> Batch_renorm -> Leaky_relu -> Dense -> Tanh (infer test only:
-    // free BRN clamps make its training-mode gradient uncheckable).
+    // free BRN clamps make its gradient uncheckable).
     sequential,
 };
 
@@ -89,7 +89,6 @@ struct Gradcheck_case {
     Layer_kind kind;
     std::size_t batch;
     std::size_t width;
-    bool training;
 };
 
 std::unique_ptr<Layer> make_layer(Layer_kind kind, std::size_t width, Rng& rng) {
@@ -102,11 +101,8 @@ std::unique_ptr<Layer> make_layer(Layer_kind kind, std::size_t width, Rng& rng) 
         return std::make_unique<Tanh>();
     case Layer_kind::batch_renorm:
         return std::make_unique<Batch_renorm>(width);
-    case Layer_kind::batch_renorm_tight: {
-        auto brn = std::make_unique<Batch_renorm>(width, 0.05, 1e-5, 1.0, 0.0);
-        brn->set_update_running_stats(false);
-        return brn;
-    }
+    case Layer_kind::batch_renorm_tight:
+        return std::make_unique<Batch_renorm>(width, 0.05, 1e-5, 1.0, 0.0);
     case Layer_kind::sequential: {
         auto seq = std::make_unique<Sequential>();
         seq->add(std::make_unique<Dense>(width, 6, rng));
@@ -130,7 +126,7 @@ TEST_P(LayerGradcheck, AnalyticMatchesNumeric) {
     // clean.
     Tensor input = Tensor::randn({c.batch, c.width}, rng);
     offset(input, 0.05);
-    const Gradcheck_report report = gradcheck_layer(*layer, input, rng, c.training);
+    const Gradcheck_report report = gradcheck_layer(*layer, input, rng);
     EXPECT_LT(report.max_input_grad_error, 2e-5)
         << "input grad mismatch for layer kind " << static_cast<int>(c.kind);
     EXPECT_LT(report.max_param_grad_error, 2e-5)
@@ -139,36 +135,52 @@ TEST_P(LayerGradcheck, AnalyticMatchesNumeric) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllLayers, LayerGradcheck,
-    ::testing::Values(Gradcheck_case{Layer_kind::dense, 4, 3, true},
-                      Gradcheck_case{Layer_kind::dense, 1, 6, true},
-                      Gradcheck_case{Layer_kind::leaky_relu, 3, 5, true},
-                      Gradcheck_case{Layer_kind::tanh_act, 4, 4, true},
-                      Gradcheck_case{Layer_kind::batch_renorm_tight, 6, 3, true},
-                      Gradcheck_case{Layer_kind::batch_renorm, 4, 5, false}));
+    ::testing::Values(Gradcheck_case{Layer_kind::dense, 4, 3},
+                      Gradcheck_case{Layer_kind::dense, 1, 6},
+                      Gradcheck_case{Layer_kind::leaky_relu, 3, 5},
+                      Gradcheck_case{Layer_kind::tanh_act, 4, 4},
+                      Gradcheck_case{Layer_kind::batch_renorm_tight, 6, 3}));
 
-// ------------------------------------------------- infer() == eval forward --
+// ------------------------------------------------------ infer() is pure --
 
 class LayerInfer : public ::testing::TestWithParam<Layer_kind> {};
 
-TEST_P(LayerInfer, MatchesEvalForward) {
+TEST_P(LayerInfer, WritesNoState) {
     Rng rng{50};
     const std::size_t width = 4;
     auto layer = make_layer(GetParam(), width, rng);
-    // Training-mode forwards move Batch_renorm's running statistics off
-    // their defaults (mean 0, var 1), so eval mode reads learned values.
+    // Forwards move Batch_renorm's running statistics off their defaults
+    // (mean 0, var 1), so infer() reads learned values.
+    Tensor last;
     for (int i = 0; i < 3; ++i) {
-        Tensor x = Tensor::randn({8, width}, rng);
-        x *= 2.0;
-        offset(x, 1.5);
-        (void)layer->forward(x, true);
+        last = Tensor::randn({8, width}, rng);
+        last *= 2.0;
+        offset(last, 1.5);
+        (void)layer->forward(last);
     }
-    if (const auto* brn = dynamic_cast<const Batch_renorm*>(layer.get())) {
+    const auto* brn = dynamic_cast<const Batch_renorm*>(layer.get());
+    if (brn != nullptr) {
         EXPECT_GT(brn->running_mean().at(0), 0.0);
     }
+    const Tensor mean_before = brn != nullptr ? brn->running_mean() : Tensor{};
     Tensor x = Tensor::randn({5, width}, rng);
     offset(x, 0.5);
     const Layer& frozen = *layer;
-    EXPECT_EQ(max_abs_diff(frozen.infer(x), layer->forward(x, false)), 0.0);
+    const Tensor y = frozen.infer(x);
+    EXPECT_EQ(y.rows(), 5u);
+    expect_bit_identical(frozen.infer(x), y);
+    if (brn != nullptr) {
+        expect_bit_identical(brn->running_mean(), mean_before);
+    }
+    // backward() still reads the last forward's 8-row caches: infer() left
+    // none of its own.
+    const Tensor y_last = frozen.infer(last);
+    const Tensor g = Tensor::randn(y_last.shape(), rng);
+    EXPECT_EQ(layer->backward(g).rows(), 8u);
+    // Layers without statistics compute the same bits on both passes.
+    if (brn == nullptr && GetParam() != Layer_kind::sequential) {
+        expect_bit_identical(layer->forward(x), y);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLayers, LayerInfer,
@@ -187,7 +199,7 @@ TEST(BatchRenorm, NormalizesTrainBatch) {
     Tensor x = Tensor::randn({64, 2}, rng);
     x *= 3.0;
     offset(x, 5.0);
-    const Tensor y = bn.forward(x, true);
+    const Tensor y = bn.forward(x);
     const Tensor mean = y.column_mean();
     const Tensor var = y.column_variance(mean);
     EXPECT_NEAR(mean.at(0), 0.0, 1e-9);
@@ -201,36 +213,25 @@ TEST(BatchRenorm, RunningStatsConverge) {
         Tensor x = Tensor::randn({128, 1}, rng);
         x *= 2.0;
         offset(x, 7.0);
-        (void)bn.forward(x, true);
+        (void)bn.forward(x);
     }
     EXPECT_NEAR(bn.running_mean().at(0), 7.0, 0.3);
     // Batch variance is the biased (population) estimator: E = 4 * 127/128.
     EXPECT_NEAR(bn.running_var().at(0), 4.0 * 127.0 / 128.0, 0.6);
 }
 
-TEST(BatchRenorm, FrozenStatsDoNotUpdate) {
-    Batch_renorm bn{2, 0.1, 1e-5, /*r_max=*/1.0, /*d_max=*/0.0};
-    bn.set_update_running_stats(false);
-    const Tensor before = bn.running_mean();
-    Rng rng{11};
-    Tensor x = Tensor::randn({16, 2}, rng);
-    offset(x, 10.0);
-    (void)bn.forward(x, true);
-    EXPECT_EQ(max_abs_diff(bn.running_mean(), before), 0.0);
-}
-
-TEST(BatchRenorm, EvalUsesRunningStats) {
+TEST(BatchRenorm, InferUsesRunningStats) {
     Batch_renorm bn{1, 0.1, 1e-5, /*r_max=*/1.0, /*d_max=*/0.0};
     Rng rng{12};
     for (int i = 0; i < 40; ++i) {
         Tensor x = Tensor::randn({32, 1}, rng);
         offset(x, 4.0);
-        (void)bn.forward(x, true);
+        (void)bn.forward(x);
     }
-    // In eval, an input equal to the running mean maps near beta = 0.
+    // In inference, an input equal to the running mean maps near beta = 0.
     Tensor probe{1, 1};
     probe.at(0, 0) = bn.running_mean().at(0);
-    const Tensor y = bn.forward(probe, false);
+    const Tensor y = bn.infer(probe);
     EXPECT_NEAR(y.at(0, 0), 0.0, 1e-6);
 }
 
@@ -238,18 +239,18 @@ TEST(BatchRenorm, ClampsRAndD) {
     Batch_renorm brn{1, 0.05, 1e-5, /*r_max=*/1.0, /*d_max=*/0.0};
     Rng rng{13};
     // With r_max=1 and d_max=0, r=1 and d=0 whatever the batch statistics,
-    // so training mode normalizes by the *batch* statistics: plain BN.
+    // so forward() normalizes by the *batch* statistics: plain BN.
     Tensor x = Tensor::randn({32, 1}, rng);
     x *= 5.0;
     offset(x, 3.0);
-    const Tensor y = brn.forward(x, true);
+    const Tensor y = brn.forward(x);
     // y = gamma * ((x - mu_B)/sigma_B * 1 + 0) + beta -> batch-normalized.
     const Tensor mean = y.column_mean();
     EXPECT_NEAR(mean.at(0), 0.0, 1e-9);
 }
 
 TEST(BatchRenorm, TrainApproachesEvalAfterWarmup) {
-    // BRN's r/d correction keeps train-mode outputs close to eval-mode
+    // BRN's r/d correction keeps forward() outputs close to infer()
     // outputs once running stats have converged — its core selling point.
     Batch_renorm brn{1, 0.1};
     Rng rng{14};
@@ -257,13 +258,13 @@ TEST(BatchRenorm, TrainApproachesEvalAfterWarmup) {
         Tensor x = Tensor::randn({64, 1}, rng);
         x *= 2.0;
         offset(x, 1.0);
-        (void)brn.forward(x, true);
+        (void)brn.forward(x);
     }
     Tensor x = Tensor::randn({64, 1}, rng);
     x *= 2.0;
     offset(x, 1.0);
-    const Tensor y_train = brn.forward(x, true);
-    const Tensor y_eval = brn.forward(x, false);
+    const Tensor y_train = brn.forward(x);
+    const Tensor y_eval = brn.infer(x);
     EXPECT_LT(max_abs_diff(y_train, y_eval), 0.15);
 }
 
@@ -275,12 +276,19 @@ TEST(BatchRenorm, MomentumSetter) {
     EXPECT_THROW(brn.set_momentum(1.5), std::invalid_argument);
 }
 
-TEST(BatchRenorm, SingleRowUsesRunningStats) {
+TEST(BatchRenorm, SingleRowForwardThrows) {
     Batch_renorm brn{2};
     Tensor x{1, 2};
     x.at(0, 0) = 1.0;
-    const Tensor y = brn.forward(x, true); // batch of 1: eval path
-    EXPECT_EQ(y.rows(), 1u);
+    // One row has no batch statistics: only inference takes it.
+    EXPECT_THROW((void)brn.forward(x), std::invalid_argument);
+    const Tensor y = brn.infer(x);
+    ASSERT_EQ(y.rows(), 1u);
+    // Default running statistics (mean 0, var 1), gamma 1, beta 0.
+    EXPECT_DOUBLE_EQ(y.at(0, 0), 1.0 / std::sqrt(1.0 + 1e-5));
+    EXPECT_DOUBLE_EQ(y.at(0, 1), 0.0);
+    // The failed forward left no cache behind for a backward to read.
+    EXPECT_THROW((void)brn.backward(Tensor{1, 2}), std::invalid_argument);
 }
 
 // ------------------------------------------------ kernels vs. references ---
@@ -351,7 +359,6 @@ struct Reference_batch_renorm {
     Tensor centered;
     Tensor inv_std;
     Tensor r;
-    bool training = false;
 
     explicit Reference_batch_renorm(std::size_t f)
         : gamma{Tensor::full({f}, 1.0)},
@@ -361,26 +368,26 @@ struct Reference_batch_renorm {
           running_mean{std::vector<std::size_t>{f}},
           running_var{Tensor::full({f}, 1.0)} {}
 
-    Tensor forward(const Tensor& input, bool train) {
+    /// Running-statistics normalization.
+    Tensor infer(const Tensor& input) const {
         const std::size_t m = input.rows();
         const std::size_t f = input.cols();
-        training = train && m > 1;
-        if (!training) {
-            centered = input;
-            inv_std = Tensor{std::vector<std::size_t>{f}};
+        Tensor out{m, f};
+        for (std::size_t i = 0; i < m; ++i) {
             for (std::size_t c = 0; c < f; ++c) {
-                inv_std.at(c) = 1.0 / std::sqrt(running_var.at(c) + epsilon);
+                const double inv = 1.0 / std::sqrt(running_var.at(c) + epsilon);
+                const double h = (input.at(i, c) - running_mean.at(c)) * inv;
+                out.at(i, c) = gamma.at(c) * h + beta.at(c);
             }
-            Tensor out{m, f};
-            xhat = Tensor{m, f};
-            for (std::size_t i = 0; i < m; ++i) {
-                for (std::size_t c = 0; c < f; ++c) {
-                    xhat.at(i, c) = (input.at(i, c) - running_mean.at(c)) * inv_std.at(c);
-                    out.at(i, c) = gamma.at(c) * xhat.at(i, c) + beta.at(c);
-                }
-            }
-            return out;
         }
+        return out;
+    }
+
+    /// Batch-statistics normalization with the r/d correction; moves the
+    /// running statistics.
+    Tensor forward(const Tensor& input) {
+        const std::size_t m = input.rows();
+        const std::size_t f = input.cols();
         Tensor mean{std::vector<std::size_t>{f}};
         Tensor var{std::vector<std::size_t>{f}};
         for (std::size_t i = 0; i < m; ++i) {
@@ -439,14 +446,6 @@ struct Reference_batch_renorm {
             }
         }
         Tensor grad_in{m, f};
-        if (!training) {
-            for (std::size_t i = 0; i < m; ++i) {
-                for (std::size_t c = 0; c < f; ++c) {
-                    grad_in.at(i, c) = grad_output.at(i, c) * gamma.at(c) * inv_std.at(c);
-                }
-            }
-            return grad_in;
-        }
         for (std::size_t c = 0; c < f; ++c) {
             double sum_dxhat = 0.0;
             double sum_dxhat_z = 0.0;
@@ -483,7 +482,7 @@ TEST_P(KernelReference, LeakyReluMatches) {
     const Tensor x = randn_with_zeros(rows, width, rng);
     const Tensor g = randn_with_zeros(rows, width, rng);
     Leaky_relu act{0.1};
-    expect_bit_identical(act.forward(x, true), reference_leaky_relu(x, 0.1));
+    expect_bit_identical(act.forward(x), reference_leaky_relu(x, 0.1));
     expect_bit_identical(act.infer(x), reference_leaky_relu(x, 0.1));
     expect_bit_identical(act.backward(g), reference_leaky_relu_backward(g, x, 0.1));
 }
@@ -494,7 +493,7 @@ TEST_P(KernelReference, TanhBackwardMatches) {
     const Tensor x = kernel_input(rows, width, rng, 2.0, 0.0);
     const Tensor g = randn_with_zeros(rows, width, rng);
     Tanh act;
-    const Tensor y = act.forward(x, true);
+    const Tensor y = act.forward(x);
     expect_bit_identical(act.backward(g), reference_tanh_backward(g, y));
 }
 
@@ -532,12 +531,15 @@ TEST_P(KernelReference, BatchRenormMatches) {
     ref.gamma = *params[0]->value;
     ref.beta = *params[1]->value;
 
+    // forward() needs two rows, so a one-row shape trains on two and then
+    // checks that one is refused.
+    const std::size_t train_rows = std::max<std::size_t>(rows, 2);
     // Training passes move the running statistics; the first input is far
     // from them, so r and d clamp in some columns.
     for (const auto& [scale, shift] : {std::pair{4.0, 3.0}, std::pair{0.5, -1.0}}) {
-        const Tensor x = kernel_input(rows, width, rng, scale, shift);
-        const Tensor g = randn_with_zeros(rows, width, rng);
-        expect_bit_identical(brn.forward(x, true), ref.forward(x, true));
+        const Tensor x = kernel_input(train_rows, width, rng, scale, shift);
+        const Tensor g = randn_with_zeros(train_rows, width, rng);
+        expect_bit_identical(brn.forward(x), ref.forward(x));
         expect_bit_identical(brn.backward(g), ref.backward(g));
         expect_bit_identical(params[0]->grad, ref.gamma_grad);
         expect_bit_identical(params[1]->grad, ref.beta_grad);
@@ -545,15 +547,12 @@ TEST_P(KernelReference, BatchRenormMatches) {
         expect_bit_identical(brn.running_var(), ref.running_var);
     }
 
-    // Eval mode: forward/backward on the running statistics, and infer().
+    // infer() on the learned running statistics, at every row count.
     const Tensor x = kernel_input(rows, width, rng, 2.0, 0.5);
-    const Tensor g = randn_with_zeros(rows, width, rng);
-    const Tensor want = ref.forward(x, false);
-    expect_bit_identical(brn.infer(x), want);
-    expect_bit_identical(brn.forward(x, false), want);
-    expect_bit_identical(brn.backward(g), ref.backward(g));
-    expect_bit_identical(params[0]->grad, ref.gamma_grad);
-    expect_bit_identical(params[1]->grad, ref.beta_grad);
+    expect_bit_identical(brn.infer(x), ref.infer(x));
+    if (rows < 2) {
+        EXPECT_THROW((void)brn.forward(x), std::invalid_argument);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, KernelReference,
@@ -564,13 +563,13 @@ TEST(BatchRenorm, ParameterWidthChecked) {
     Batch_renorm brn{3};
     brn.parameters()[0]->value.mut() = Tensor::full({2}, 1.0);
     const Tensor x = Tensor::full({2, 3}, 1.0);
-    EXPECT_THROW((void)brn.forward(x, true), std::invalid_argument);
+    EXPECT_THROW((void)brn.forward(x), std::invalid_argument);
     EXPECT_THROW((void)brn.infer(x), std::invalid_argument);
 }
 
 TEST(BatchRenorm, GradShapeChecked) {
     Batch_renorm brn{3};
-    (void)brn.forward(Tensor::full({4, 3}, 1.0), true);
+    (void)brn.forward(Tensor::full({4, 3}, 1.0));
     EXPECT_THROW((void)brn.backward(Tensor{3, 3}), std::invalid_argument);
     EXPECT_THROW((void)brn.backward(Tensor{4, 2}), std::invalid_argument);
 }
@@ -578,8 +577,8 @@ TEST(BatchRenorm, GradShapeChecked) {
 TEST(Activations, GradShapeChecked) {
     Leaky_relu leaky{0.1};
     Tanh tanh_act;
-    (void)leaky.forward(Tensor{2, 3}, true);
-    (void)tanh_act.forward(Tensor{2, 3}, true);
+    (void)leaky.forward(Tensor{2, 3});
+    (void)tanh_act.forward(Tensor{2, 3});
     EXPECT_THROW((void)leaky.backward(Tensor{3, 2}), std::invalid_argument);
     EXPECT_THROW((void)tanh_act.backward(Tensor{2, 4}), std::invalid_argument);
 }
@@ -607,17 +606,22 @@ TEST(Sequential, RangeComposition) {
     Rng rng{20};
     Sequential seq = make_mlp(rng);
     const Tensor x = Tensor::randn({5, 4}, rng);
-    const Tensor full = seq.forward(x, false);
-    const Tensor mid = seq.forward_range(0, 2, x, false);
-    const Tensor rest = seq.forward_range(2, seq.layer_count(), mid, false);
-    EXPECT_LT(max_abs_diff(full, rest), 1e-12);
+    // Inference: two ranges compose to infer(), bit for bit.
+    const Tensor full = seq.infer(x);
+    const Tensor mid = seq.infer_range(0, 2, x);
+    expect_bit_identical(seq.infer_range(2, seq.layer_count(), mid), full);
+    expect_bit_identical(seq.infer_range(0, seq.layer_count(), x), full);
+    // Training forward: the same composition.
+    const Tensor fmid = seq.forward_range(0, 2, x);
+    expect_bit_identical(seq.forward_range(2, seq.layer_count(), fmid), seq.forward(x));
+    EXPECT_THROW((void)seq.infer_range(3, 2, x), std::invalid_argument);
 }
 
 TEST(Sequential, BackwardRangeProducesEntryGrad) {
     Rng rng{22};
     Sequential seq = make_mlp(rng);
     const Tensor x = Tensor::randn({3, 4}, rng);
-    const Tensor y = seq.forward(x, true);
+    const Tensor y = seq.forward(x);
     Tensor grad{y.rows(), y.cols()};
     grad.fill(1.0);
     const Tensor gx = seq.backward(grad);
@@ -645,7 +649,7 @@ TEST(Sequential, StateVectorRoundTrip) {
     Sequential other = make_mlp(rng2); // different random weights
     other.load_state_vector(state);
     const Tensor x = Tensor::randn({4, 4}, rng);
-    EXPECT_LT(max_abs_diff(seq.forward(x, false), other.forward(x, false)), 1e-14);
+    EXPECT_LT(max_abs_diff(seq.infer(x), other.infer(x)), 1e-14);
 }
 
 TEST(Sequential, StateVectorSizeChecked) {
@@ -660,7 +664,7 @@ TEST(Sequential, CloneSameOutputs) {
     Sequential seq = make_mlp(rng);
     auto copy = seq.clone();
     const Tensor x = Tensor::randn({2, 4}, rng);
-    EXPECT_LT(max_abs_diff(seq.forward(x, false), copy->forward(x, false)), 1e-14);
+    EXPECT_LT(max_abs_diff(seq.infer(x), copy->infer(x)), 1e-14);
 }
 
 TEST(Sequential, StateVectorIncludesNormStats) {
@@ -707,7 +711,7 @@ void train_steps(Sequential& net, std::uint64_t seed, int steps) {
     for (int s = 0; s < steps; ++s) {
         const Tensor x = Tensor::randn({labels.size(), 4}, rng);
         net.zero_grad();
-        const Loss_result r = softmax_cross_entropy(net.forward(x, true), labels);
+        const Loss_result r = softmax_cross_entropy(net.forward(x), labels);
         (void)net.backward(r.grad);
         opt.step(net.parameters());
     }
@@ -789,7 +793,7 @@ TEST(SharedWeights, GradcheckUnsharesAndLeavesSourceIntact) {
     const Tensor bias_before = *source.bias().value;
     const auto copy = source.clone();
     const Tensor x = Tensor::randn({4, 3}, rng);
-    const Gradcheck_report report = gradcheck_layer(*copy, x, rng, true);
+    const Gradcheck_report report = gradcheck_layer(*copy, x, rng);
     EXPECT_LT(report.max_param_grad_error, 1e-6);
     const std::vector<Parameter*> copied = copy->parameters();
     EXPECT_NE(copied[0]->value->data(), source.weight().value->data());
@@ -937,7 +941,7 @@ TEST(Sgd, SkipsFrozenParameters) {
     d.weight().lr_scale = 0.0;
     d.bias().lr_scale = 1.0;
     const Tensor x = Tensor::randn({4, 2}, rng);
-    const Tensor y = d.forward(x, true);
+    const Tensor y = d.forward(x);
     Tensor g{y.rows(), y.cols()};
     g.fill(1.0);
     (void)d.backward(g);
@@ -955,7 +959,7 @@ TEST(Sgd, GradientDescentStep) {
     d.bias().lr_scale = 0.0;
     // loss = output with input 1 -> dL/dw = 1
     Tensor x = Tensor::from_rows({{1.0}});
-    (void)d.forward(x, true);
+    (void)d.forward(x);
     Tensor g{1, 1};
     g.at(0, 0) = 1.0;
     (void)d.backward(g);
@@ -975,7 +979,7 @@ TEST(Sgd, MomentumAccumulates) {
     double prev_w = 0.0;
     for (int i = 0; i < 3; ++i) {
         d.zero_grad();
-        (void)d.forward(x, true);
+        (void)d.forward(x);
         Tensor g{1, 1};
         g.at(0, 0) = 1.0;
         (void)d.backward(g);

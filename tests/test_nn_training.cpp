@@ -25,7 +25,7 @@ double train_classifier(Sequential& net, const Tensor& x, const std::vector<std:
     double loss = 0.0;
     for (std::size_t s = 0; s < steps; ++s) {
         net.zero_grad();
-        const Tensor logits = net.forward(x, true);
+        const Tensor logits = net.forward(x);
         const Loss_result r = softmax_cross_entropy(logits, y);
         loss = r.value;
         (void)net.backward(r.grad);
@@ -34,8 +34,8 @@ double train_classifier(Sequential& net, const Tensor& x, const std::vector<std:
     return loss;
 }
 
-double accuracy(Sequential& net, const Tensor& x, const std::vector<std::size_t>& y) {
-    const Tensor logits = net.forward(x, false);
+double accuracy(const Sequential& net, const Tensor& x, const std::vector<std::size_t>& y) {
+    const Tensor logits = net.infer(x);
     std::size_t correct = 0;
     for (std::size_t r = 0; r < x.rows(); ++r) {
         std::size_t best = 0;
@@ -133,7 +133,7 @@ TEST(Training, BrnNetTrainsWithTinyBatches) {
             std::vector<std::size_t> yb(y.begin() + static_cast<long>(start),
                                         y.begin() + static_cast<long>(start + 4));
             brn_net.zero_grad();
-            const Tensor logits = brn_net.forward(xb, true);
+            const Tensor logits = brn_net.forward(xb);
             const Loss_result r = softmax_cross_entropy(logits, yb);
             (void)brn_net.backward(r.grad);
             opt.step(brn_net.parameters());
@@ -199,7 +199,7 @@ TEST(Training, IdenticalRunsProduceBitIdenticalWeights) {
         Sgd opt{Sgd_config{0.05, 0.9, 1e-4}};
         for (std::size_t s = 0; s < 120; ++s) {
             net.zero_grad();
-            const Tensor logits = net.forward(x, true);
+            const Tensor logits = net.forward(x);
             const Loss_result r = softmax_cross_entropy(logits, y);
             (void)net.backward(r.grad);
             opt.step(net.parameters());

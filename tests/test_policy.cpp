@@ -539,7 +539,7 @@ TEST(FleetTestbed, HeterogeneousHardwareIsAssignedRoundRobin) {
     ASSERT_EQ(classes.size(), 3u);
     fleet::Fleet fleet;
     fleet.specs.resize(5);
-    fleet::assign_heterogeneous_hardware(fleet, classes);
+    fleet::assign_heterogeneous_hardware(fleet);
     for (std::size_t i = 0; i < fleet.specs.size(); ++i) {
         const Device_hardware& hw = fleet.specs[i].hardware;
         EXPECT_EQ(hw.edge_device.name, classes[i % 3].edge_device.name);
